@@ -50,12 +50,6 @@ class RunConfig:
     scenario_path: str | None = None
     gbt: GbtParams = field(default_factory=GbtParams)
 
-    def od_dir(self, od: str) -> Path:
-        return Path(self.data_dir) / od
-
-    def out_od_dir(self, od: str) -> Path:
-        return Path(self.out_dir) / od
-
 
 def load_config(path: str | Path | None) -> RunConfig:
     """Load a run config; missing file/keys fall back to defaults."""

@@ -246,7 +246,8 @@ def rolling_price_features(
             return None
         vals.append(v)
     mean = sum(vals) / window
-    sd = statistics.stdev(vals) if window > 1 else 0.0
+    squares = sum((v - mean) ** 2 for v in vals)
+    sd = math.sqrt(squares / (window - 1)) if window > 1 else 0.0
     return mean, sd, min(vals), max(vals)
 
 

@@ -12,7 +12,12 @@ from .train import (
     holdout_split_by_day,
     GridResult,
 )
-from .kernels import numba_enabled
+
+
+def numba_enabled() -> bool:
+    """Always False: the split search is plain numpy, with no JIT path."""
+    return False
+
 
 __all__ = [
     "GbtParams",

@@ -2,8 +2,9 @@
 
 Second-order boosting on the binary logistic loss: per round, gradients
 g_i = p_i - y_i and hessians h_i = p_i (1 - p_i) at the current margin;
-trees are grown by exact greedy split search over sorted feature values
-(midpoint thresholds), each split learning the routing direction for missing
+trees are grown by exact greedy split search (midpoint thresholds) over
+column blocks presorted once per fit, scanning every feature of a node in one
+vectorized pass, each split learning the routing direction for missing
 values; leaf weights are the Newton step -G/(H + lam) shrunk by eta. Splits
 must improve the structure score by more than gamma.
 """
@@ -17,7 +18,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .kernels import scan_split
 from .model import GbtParams, TreeEnsemble, TreeNode, sigmoid
 
 __all__ = [
@@ -51,12 +51,110 @@ def _check_inputs(X: np.ndarray, y: np.ndarray, missing: np.ndarray | None):
     return missing
 
 
+def _presort(X: np.ndarray, missing: np.ndarray) -> np.ndarray:
+    """Row order of every column, shape (m, n): ascending by value, ties in
+    row order, missing rows last."""
+    keyed = np.where(missing, np.inf, X)
+    return np.ascontiguousarray(np.argsort(keyed, axis=0, kind="stable").T)
+
+
+def _keep_rows(block: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The blocks restricted to the rows where keep is set. A stable filter
+    keeps every block sorted, so no block is ever sorted again."""
+    return block[keep[block]].reshape(block.shape[0], -1)
+
+
+def _best_split(
+    X: np.ndarray,
+    missing: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    idx: np.ndarray,
+    block: np.ndarray,
+    feat_ids: np.ndarray,
+    g_total: float,
+    h_total: float,
+    lam: float,
+) -> tuple[float, int, float, bool] | None:
+    """Best (gain, feature, threshold, missing_left) at one node, or None.
+
+    idx holds the node's rows in ascending order; block[j] the same rows in
+    the presorted order of feature feat_ids[j]. All features are scanned at
+    once: cumulative G/H run along each block's present rows, and the gain
+
+        0.5 * (GL^2/(HL+lam) + GR^2/(HR+lam) - GT^2/(HT+lam))
+
+    is evaluated at every boundary between distinct values, once with the
+    missing rows sent left and once sent right. Ties keep the lowest
+    feature, then the lowest threshold, then missing routed left.
+    """
+    n_feat, k = block.shape
+    # a boundary needs distinct values on both sides, and present rows only:
+    # missing rows sit at the end of each block
+    vals = X[block, feat_ids[:, None]]
+    valid = vals[:, :-1] != vals[:, 1:]
+    del vals  # freed before the G/H blocks to keep peak memory down
+    gl = g[block[:, :-1]]
+    hl = h[block[:, :-1]]
+    np.cumsum(gl, axis=1, out=gl)
+    np.cumsum(hl, axis=1, out=hl)
+    # a feature with no missing row in the node keeps exactly zero missing
+    # mass: g_total minus a re-summed total would leave rounding noise that
+    # can flip the missing-left tie
+    g_miss = np.zeros(n_feat)
+    h_miss = np.zeros(n_feat)
+    g_node, h_node = g[idx], h[idx]
+    for j in np.flatnonzero(missing[block[:, -1], feat_ids]):
+        present = ~missing[idx, feat_ids[j]]
+        valid[j, max(int(present.sum()) - 1, 0):] = False
+        g_miss[j] = g_total - float(g_node[present].sum())
+        h_miss[j] = h_total - float(h_node[present].sum())
+
+    at = np.flatnonzero(valid)
+    if at.shape[0] == 0:
+        return None
+    feat, pos = np.divmod(at, k - 1)
+    gl, hl = gl.ravel()[at], hl.ravel()[at]
+    g_miss, h_miss = g_miss[feat], h_miss[feat]
+    parent = g_total * g_total / (h_total + lam)
+    gl_m = gl + g_miss
+    hl_m = hl + h_miss
+    gr = g_total - g_miss - gl
+    hr = h_total - h_miss - hl
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain_left = 0.5 * (
+            gl_m**2 / (hl_m + lam)
+            + (g_total - gl_m) ** 2 / (h_total - hl_m + lam)
+            - parent
+        )
+        gain_right = 0.5 * (
+            gl**2 / (hl + lam)
+            + (gr + g_miss) ** 2 / (hr + h_miss + lam)
+            - parent
+        )
+    take_left = gain_left >= gain_right
+    gain = np.where(take_left, gain_left, gain_right)
+    # a zero denominator (lam = 0) can give nan or inf; as in a scan of each
+    # feature alone, a feature whose best gain is not finite offers no split
+    bad = np.isnan(gain) | (gain == np.inf)
+    if bad.any():
+        gain[np.isin(feat, feat[bad])] = -np.inf
+    best = int(gain.argmax())
+    if gain[best] <= -1.0:  # -1 is the no-split gain of a single-feature scan
+        return None
+    j, p = feat[best], pos[best]
+    f = int(feat_ids[j])
+    thr = 0.5 * (X[block[j, p], f] + X[block[j, p + 1], f])
+    return float(gain[best]), f, float(thr), bool(take_left[best])
+
+
 def _grow_node(
     X: np.ndarray,
     missing: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
     idx: np.ndarray,
+    block: np.ndarray,
     depth: int,
     feat_ids: np.ndarray,
     params: GbtParams,
@@ -65,49 +163,45 @@ def _grow_node(
     h_total = float(h[idx].sum())
     node = TreeNode(cover=h_total, grad_sum=g_total)
 
-    best = (-1.0, -1, 0.0, True)  # gain, feature, threshold, missing_left
+    split = None
     if depth < params.max_depth and idx.shape[0] >= 2:
-        for f in feat_ids:
-            miss = missing[idx, f]
-            present = idx[~miss]
-            if present.shape[0] < 2:
-                continue
-            vals = X[present, f]
-            order = np.argsort(vals, kind="stable")
-            vals = vals[order]
-            rows = present[order]
-            g_miss = g_total - float(g[present].sum())
-            h_miss = h_total - float(h[present].sum())
-            gain, thr, miss_left = scan_split(
-                vals, g[rows], h[rows], g_miss, h_miss, params.lam, g_total, h_total
-            )
-            if gain > best[0]:
-                best = (gain, int(f), thr, miss_left)
-
-    gain, feature, threshold, miss_left = best
-    if feature < 0 or gain - params.gamma <= 0.0:
+        split = _best_split(
+            X, missing, g, h, idx, block, feat_ids, g_total, h_total, params.lam
+        )
+    if split is None or split[0] - params.gamma <= 0.0:
         node.weight = -g_total / (h_total + params.lam) * params.eta
         return node
 
-    node.feature = feature
-    node.threshold = threshold
-    node.missing_left = miss_left
-    node.gain = gain
-    vals = X[idx, feature]
-    miss = missing[idx, feature]
-    goes_left = np.where(miss, miss_left, vals < threshold)
-    node.left = _grow_node(X, missing, g, h, idx[goes_left], depth + 1, feat_ids, params)
-    node.right = _grow_node(X, missing, g, h, idx[~goes_left], depth + 1, feat_ids, params)
+    node.gain, node.feature, node.threshold, node.missing_left = split
+    goes_left = np.where(
+        missing[idx, node.feature], node.missing_left, X[idx, node.feature] < node.threshold
+    )
+    left_rows = np.zeros(X.shape[0], dtype=bool)
+    left_rows[idx[goes_left]] = True
+    node.left = _grow_node(
+        X, missing, g, h, idx[goes_left], _keep_rows(block, left_rows),
+        depth + 1, feat_ids, params,
+    )
+    node.right = _grow_node(
+        X, missing, g, h, idx[~goes_left], _keep_rows(block, ~left_rows),
+        depth + 1, feat_ids, params,
+    )
     return node
 
 
 def _margins_tree(tree: TreeNode, X: np.ndarray, missing: np.ndarray) -> np.ndarray:
+    """Leaf weight of every row, routing all rows of a node with one mask."""
     out = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        node = tree
-        while not node.is_leaf:
-            node = node.route(X[i, node.feature], bool(missing[i, node.feature]))
-        out[i] = node.weight
+    stack = [(tree, np.arange(X.shape[0]))]
+    while stack:
+        node, rows = stack.pop()
+        if node.is_leaf:
+            out[rows] = node.weight
+            continue
+        f = node.feature
+        goes_left = np.where(missing[rows, f], node.missing_left, X[rows, f] < node.threshold)
+        stack.append((node.left, rows[goes_left]))
+        stack.append((node.right, rows[~goes_left]))
     return out
 
 
@@ -146,6 +240,7 @@ def train(
     rmse_curve: list[float] = []
 
     trees: list[TreeNode] = []
+    order = _presort(X, missing)
     n_sub = max(1, round(params.subsample * n))
     m_sub = max(1, round(params.colsample * m))
     for _ in range(params.n_trees):
@@ -160,7 +255,12 @@ def train(
             np.sort(rng.choice(m, size=m_sub, replace=False))
             if m_sub < m else np.arange(m)
         )
-        tree = _grow_node(X, missing, g, h, rows, 0, cols, params)
+        block = order[cols] if m_sub < m else order
+        if n_sub < n:
+            in_tree = np.zeros(n, dtype=bool)
+            in_tree[rows] = True
+            block = _keep_rows(block, in_tree)
+        tree = _grow_node(X, missing, g, h, rows, block, 0, cols, params)
         trees.append(tree)
         margins += _margins_tree(tree, X, missing)
         if eval_set is not None:
@@ -309,7 +409,9 @@ def grid_search(
 
     Cell score is the minimum holdout RMSE across boosting rounds; ties break
     toward cheaper configurations (smaller max_depth, then fewer trees, then
-    larger subsample).
+    larger subsample). With a fixed seed the first k rounds of a fit do not
+    depend on n_trees, so each combination of the other parameters is fit
+    once at the largest n_trees and every cell reads a prefix of its curve.
     """
     grids = dict(DEFAULT_GRIDS if grids is None else grids)
     hold = holdout_split_by_day(np.asarray(dep_day_ids), holdout_frac)
@@ -323,14 +425,20 @@ def grid_search(
     X_va, y_va, m_va = X[hold], y[hold], missing[hold]
 
     keys = sorted(grids)
+    n_max = max(grids.get("n_trees", (base_params.n_trees,)))
+    fits: dict[GbtParams, list[float]] = {}
     curves: dict[tuple, list[float]] = {}
     cells: list[tuple[GbtParams, float]] = []
     best: tuple | None = None
     for combo in itertools.product(*(grids[k] for k in keys)):
         cell = dict(zip(keys, combo))
         params = replace(base_params, **cell)
-        model = train(X_tr, y_tr, params, missing=m_tr, eval_set=(X_va, y_va, m_va))
-        curve = model.rmse_curve
+        full = replace(params, n_trees=n_max)
+        if full not in fits:
+            fits[full] = train(
+                X_tr, y_tr, full, missing=m_tr, eval_set=(X_va, y_va, m_va)
+            ).rmse_curve
+        curve = fits[full][: params.n_trees]
         score = min(curve)
         curves[combo] = curve
         cells.append((params, score))

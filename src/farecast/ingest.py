@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, get_type_hints
 
 __all__ = [
     "ItineraryRecord",
@@ -223,8 +223,8 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
         raise ParseError(f"no such file: {path}")
     rec_type, validator = SCHEMAS[schema]
     columns = schema_columns(schema)
-    coercers = [_COERCERS[f.type if isinstance(f.type, type) else eval(f.type)]
-                for f in dc_fields(rec_type)]
+    hints = get_type_hints(rec_type)
+    coercers = [_COERCERS[hints[f.name]] for f in dc_fields(rec_type)]
 
     records: list = []
     rejected: list[tuple[int, str]] = []

@@ -14,9 +14,7 @@ import re
 import statistics
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Literal, Mapping, Sequence
-
-from .ingest import LexiconEntry
+from typing import Literal, Mapping, Sequence
 
 __all__ = [
     "SentimentScore",
@@ -45,10 +43,6 @@ def load_default_lexicon() -> dict[str, int]:
     reader = csv.reader(text.strip().splitlines())
     next(reader)  # header
     return {word: int(score) for word, score in reader}
-
-
-def lexicon_as_dict(entries: Iterable[LexiconEntry]) -> dict[str, int]:
-    return {e.word: e.score for e in entries}
 
 
 _STOPWORDS = None

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from farecast import gbt
-from farecast.gbt.kernels import _scan_split_np, _scan_split_py, scan_split
-from farecast.gbt.train import holdout_split_by_day
+from farecast.gbt.train import _best_split, _margins_tree, holdout_split_by_day
 
 
 def sigmoid(z):
@@ -18,12 +19,9 @@ def sigmoid(z):
 
 # --- exhaustive split oracle -------------------------------------------------
 
-def oracle_best_gain(X, y, missing, lam):
-    """Brute-force best first-split gain at base prevalence log-odds."""
-    prevalence = min(max(y.mean(), 1e-6), 1 - 1e-6)
-    p = sigmoid(math.log(prevalence / (1 - prevalence)))
-    g = p - y
-    h = np.full_like(g, p * (1 - p))
+def node_oracle_gain(X, g, h, missing, lam):
+    """Brute-force best split gain over every feature, threshold and missing
+    direction, for the rows given."""
     g_tot, h_tot = g.sum(), h.sum()
     parent = g_tot**2 / (h_tot + lam)
     best = -np.inf
@@ -44,6 +42,15 @@ def oracle_best_gain(X, y, missing, lam):
                 gain = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent)
                 best = max(best, gain)
     return best
+
+
+def oracle_best_gain(X, y, missing, lam):
+    """Brute-force best first-split gain at base prevalence log-odds."""
+    prevalence = min(max(y.mean(), 1e-6), 1 - 1e-6)
+    p = sigmoid(math.log(prevalence / (1 - prevalence)))
+    g = p - y
+    h = np.full_like(g, p * (1 - p))
+    return node_oracle_gain(X, g, h, missing, lam)
 
 
 def _random_instance(rng):
@@ -132,8 +139,6 @@ def test_training_logloss_non_increasing():
     margins = np.full(len(y), model.base_score)
     losses = []
     for tree in model.trees:
-        from farecast.gbt.train import _margins_tree
-
         margins = margins + _margins_tree(tree, X, np.zeros(X.shape, bool))
         p = sigmoid(margins)
         losses.append(float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))))
@@ -241,40 +246,172 @@ def test_rmse_curve_length_and_quick_descent():
     assert model.rmse_curve[-1] <= model.rmse_curve[0]
 
 
-# --- kernels ------------------------------------------------------------------
+# --- node scan ----------------------------------------------------------------
+
+def _scan_split_py(values, grads, hess, g_miss, h_miss, lam, g_total, h_total):
+    """Scalar reference scan of one feature at one node.
+
+    `values` sorted ascending with `grads`/`hess` in the same order; the
+    missing rows' pooled gradient/hessian are g_miss/h_miss. Returns the best
+    (gain, threshold, missing_left) over midpoint thresholds, -1.0 gain when
+    no two distinct values exist. Ties keep the first (lowest) threshold and
+    prefer routing missing values left.
+    """
+    n = values.shape[0]
+    parent = g_total * g_total / (h_total + lam)
+    best_gain = -1.0
+    best_thr = 0.0
+    best_miss_left = True
+    gl = 0.0
+    hl = 0.0
+    for i in range(n - 1):
+        gl += grads[i]
+        hl += hess[i]
+        if values[i] == values[i + 1]:
+            continue
+        thr = 0.5 * (values[i] + values[i + 1])
+        # missing left
+        gl_m = gl + g_miss
+        hl_m = hl + h_miss
+        gr_m = g_total - gl_m
+        hr_m = h_total - hl_m
+        gain = 0.5 * (
+            gl_m * gl_m / (hl_m + lam) + gr_m * gr_m / (hr_m + lam) - parent
+        )
+        if gain > best_gain:
+            best_gain = gain
+            best_thr = thr
+            best_miss_left = True
+        # missing right
+        gr = g_total - g_miss - gl
+        hr = h_total - h_miss - hl
+        gain = 0.5 * (
+            gl * gl / (hl + lam)
+            + (gr + g_miss) * (gr + g_miss) / (hr + h_miss + lam)
+            - parent
+        )
+        if gain > best_gain:
+            best_gain = gain
+            best_thr = thr
+            best_miss_left = False
+    return best_gain, best_thr, best_miss_left
+
+
+def _node_instance(rng):
+    """A node's rows over columns of every kind the scan must handle: integer
+    ties, a constant column, an all-missing column, no-missing columns, heavy
+    missingness, and a duplicate column (a tie between features)."""
+    n = int(rng.integers(2, 80))
+    ties = rng.integers(0, 4, size=n).astype(float)
+    cols = [
+        (ties, rng.random(n) < 0.2),
+        (np.full(n, 2.0), rng.random(n) < 0.3),
+        (rng.normal(size=n), np.ones(n, dtype=bool)),
+        (rng.normal(size=n), np.zeros(n, dtype=bool)),
+        (rng.integers(0, 8, size=n).astype(float), np.zeros(n, dtype=bool)),
+        (np.round(rng.normal(size=n), 1), rng.random(n) < 0.5),
+    ]
+    cols.append(cols[int(rng.integers(len(cols)))])
+    order = rng.permutation(len(cols))
+    X = np.column_stack([cols[j][0] for j in order])
+    missing = np.column_stack([cols[j][1] for j in order])
+    g = rng.normal(size=n)
+    h = rng.random(n) * 0.25 + 0.01
+    idx = np.flatnonzero(rng.random(n) < 0.8)
+    if idx.shape[0] < 2:
+        idx = np.arange(n)
+    m = X.shape[1]
+    feat_ids = np.sort(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False))
+    return X, missing, g, h, idx, feat_ids
+
 
 @pytest.mark.parametrize("seed", range(10))
 def test_numpy_and_python_kernels_agree(seed):
+    """The all-features numpy node scan equals the scalar scan run feature
+    by feature, with the first strictly better feature kept."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 60))
-    vals = np.sort(rng.integers(0, 6, size=n).astype(float))
-    g = rng.normal(size=n)
-    h = rng.random(n) * 0.25 + 0.01
-    g_miss = float(rng.normal())
-    h_miss = float(rng.random())
-    g_tot = float(g.sum() + g_miss)
-    h_tot = float(h.sum() + h_miss)
-    a = _scan_split_py(vals, g, h, g_miss, h_miss, 1.0, g_tot, h_tot)
-    b = _scan_split_np(vals, g, h, g_miss, h_miss, 1.0, g_tot, h_tot)
-    assert a[0] == pytest.approx(b[0], abs=1e-10)
-    if a[0] > 0:
-        assert a[1] == pytest.approx(b[1])
-        assert a[2] == b[2]
+    for _ in range(20):
+        X, missing, g, h, idx, feat_ids = _node_instance(rng)
+        lam = float(rng.choice([0.5, 1.0, 3.0]))
+        g_tot, h_tot = float(g[idx].sum()), float(h[idx].sum())
+        want = (-1.0, -1, 0.0, True)
+        blocks = []
+        for f in feat_ids:
+            present = idx[~missing[idx, f]]
+            rows = present[np.argsort(X[present, f], kind="stable")]
+            blocks.append(np.concatenate([rows, idx[missing[idx, f]]]))
+            gain, thr, miss_left = _scan_split_py(
+                X[rows, f], g[rows], h[rows],
+                g_tot - float(g[present].sum()), h_tot - float(h[present].sum()),
+                lam, g_tot, h_tot,
+            )
+            if gain > want[0]:
+                want = (gain, int(f), thr, miss_left)
+        got = _best_split(X, missing, g, h, idx, np.array(blocks), feat_ids, g_tot, h_tot, lam)
+        assert got == (want if want[1] >= 0 else None)
 
 
-def test_numba_kernel_matches_python_if_enabled():
-    if not gbt.numba_enabled():
-        pytest.skip("numba disabled via environment")
-    from farecast.gbt.kernels import _scan_split_nb
+def test_every_node_gain_matches_oracle_at_depth_3():
+    rng = np.random.default_rng(3)
+    n, m = 240, 4
+    X = rng.integers(0, 6, size=(n, m)).astype(float)
+    missing = rng.random((n, m)) < 0.15
+    y = (rng.random(n) < sigmoid(X[:, 0] - X[:, 1] * (X[:, 2] > 2) - 0.5)).astype(float)
+    params = gbt.GbtParams(n_trees=2, max_depth=3, gamma=0.0, lam=1.0)
+    model = gbt.train(X, y, params, missing=missing)
+    margins = np.full(n, model.base_score)
+    checked = 0
+    for tree in model.trees:
+        p = sigmoid(margins)
+        g, h = p - y, p * (1 - p)
+        stack = [(tree, np.arange(n), 0)]
+        while stack:
+            node, rows, depth = stack.pop()
+            want = node_oracle_gain(X[rows], g[rows], h[rows], missing[rows], params.lam)
+            if node.is_leaf:
+                assert depth == params.max_depth or rows.shape[0] < 2 or want <= 1e-12
+                margins[rows] += node.weight
+                continue
+            assert node.gain == pytest.approx(want, abs=1e-9)
+            checked += 1
+            left = np.array([node.route(X[i, node.feature], missing[i, node.feature]) is node.left
+                             for i in rows], dtype=bool)
+            stack += [(node.left, rows[left], depth + 1), (node.right, rows[~left], depth + 1)]
+    assert checked >= 8
 
-    rng = np.random.default_rng(0)
-    for _ in range(5):
-        n = int(rng.integers(2, 40))
-        vals = np.sort(rng.integers(0, 5, size=n).astype(float))
-        g = rng.normal(size=n)
-        h = rng.random(n) * 0.25 + 0.01
-        args = (vals, g, h, 0.3, 0.1, 1.0, float(g.sum() + 0.3), float(h.sum() + 0.1))
-        assert _scan_split_nb(*args) == pytest.approx(_scan_split_py(*args))
+
+def test_mask_routing_matches_per_row_walk():
+    rng = np.random.default_rng(12)
+    n, m = 300, 5
+    X = np.round(rng.normal(size=(n, m)), 1)
+    missing = rng.random((n, m)) < 0.2
+    y = (rng.random(n) < sigmoid(X[:, 0] + missing[:, 1] - 0.3)).astype(float)
+    model = gbt.train(X, y, gbt.GbtParams(n_trees=5, max_depth=4, gamma=0.0), missing=missing)
+
+    # fresh rows, plus rows sitting exactly on every threshold
+    splits = []
+    stack = list(model.trees)
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            splits.append((node.feature, node.threshold))
+            stack += [node.left, node.right]
+    X_eval = np.round(rng.normal(size=(200, m)), 1)
+    on_threshold = np.zeros((len(splits), m))
+    for i, (f, thr) in enumerate(splits):
+        on_threshold[i, f] = thr
+    X_eval = np.vstack([X_eval, on_threshold])
+    miss_eval = rng.random(X_eval.shape) < 0.2
+
+    def walk(tree, x, miss):
+        node = tree
+        while not node.is_leaf:
+            node = node.route(x[node.feature], bool(miss[node.feature]))
+        return node.weight
+
+    for tree in model.trees:
+        want = np.array([walk(tree, X_eval[i], miss_eval[i]) for i in range(X_eval.shape[0])])
+        assert np.array_equal(_margins_tree(tree, X_eval, miss_eval), want)
 
 
 # --- holdout & grid search ------------------------------------------------------
@@ -297,6 +434,33 @@ def test_grid_search_single_cell_and_dominance():
     grids = {"n_trees": [1, 10], "max_depth": [3]}
     result = gbt.grid_search(X, y, days, grids=grids)
     assert result.best_params.n_trees == 10
+
+
+def test_grid_search_prefix_curves_equal_per_cell_fits():
+    X, y = _training_data(9, n=300)
+    missing = np.random.default_rng(9).random(X.shape) < 0.1
+    days = np.repeat(np.arange(10), 30)
+    grids = {"n_trees": [3, 7], "max_depth": [1, 3], "subsample": [0.6, 0.8]}
+    base = gbt.GbtParams(seed=5)
+    result = gbt.grid_search(X, y, days, grids=grids, base_params=base, missing=missing)
+
+    hold = holdout_split_by_day(days, 0.2)
+    keys = sorted(grids)
+    curves, cells, best = {}, [], None
+    for combo in itertools.product(*(grids[k] for k in keys)):
+        params = replace(base, **dict(zip(keys, combo)))
+        curve = gbt.train(
+            X[~hold], y[~hold], params, missing=missing[~hold],
+            eval_set=(X[hold], y[hold], missing[hold]),
+        ).rmse_curve
+        curves[combo] = curve
+        cells.append((params, min(curve)))
+        rank = (min(curve), params.max_depth, params.n_trees, -params.subsample)
+        if best is None or rank < best[0]:
+            best = (rank, params, min(curve))
+    assert result == gbt.GridResult(
+        best_params=best[1], best_rmse=best[2], curves=curves, cells=cells
+    )
 
 
 def test_grid_search_prefers_depth2_for_interaction_label():

@@ -9,29 +9,20 @@ fail with a message naming the command to run first.
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, evaluate, explain, gbt, logit, sentiment, synth
-from .config import (
-    DATASET_FILES,
-    RunConfig,
-    atomic_write_text,
-    config_hash,
-    load_config,
-    read_scenario,
-    write_scenario,
-)
+from .config import DATASET_FILES, RunConfig, config_hash, load_config, read_scenario, write_scenario
 from .features import (
     FeatureTable,
     airline_widebody_flags,
     assemble_feature_vectors,
     build_airline_aggregates,
 )
-from .ingest import ParseError, filter_tweets, parse_dataset, serialize_dataset
+from .ingest import ParseError, atomic_write_text, filter_tweets, parse_dataset, serialize_dataset
 from .simulate import aggregate_class_forecasts, compare_policies, optimize_policy
 
 
@@ -43,30 +34,15 @@ def _stamp(cfg: RunConfig) -> str:
     return f"config_hash={config_hash(cfg)} seed={cfg.seed}"
 
 
-def _discover_ods(root: Path) -> list[str]:
-    return sorted(p.name for p in root.iterdir() if (p / "bookings.csv").is_file())
-
-
-def _select_ods(cfg: RunConfig, root: Path, stage_hint: str) -> list[str]:
+def _select_ods(cfg: RunConfig, root: Path, marker: str, stage: str) -> list[str]:
+    """ODs named in the config, else every subdirectory of root holding the
+    marker file; failures name the command that produces it."""
     if not root.is_dir():
-        raise CliError(f"directory {root} not found; run `farecast {stage_hint}` first")
-    ods = cfg.ods or _discover_ods(root)
+        raise CliError(f"directory {root} not found; run `farecast {stage}` first")
+    ods = cfg.ods or sorted(p.name for p in root.iterdir() if (p / marker).is_file())
     if not ods:
-        raise CliError(f"no OD markets under {root}; run `farecast {stage_hint}` first")
+        raise CliError(f"no {marker} under {root}; run `farecast {stage}` first")
     return ods
-
-
-def _serialize_to_text(records, schema: str) -> str:
-    import csv as _csv
-
-    from .ingest import schema_columns, _format_value  # noqa: PLC0415
-
-    buf = io.StringIO()
-    writer = _csv.writer(buf)
-    writer.writerow(schema_columns(schema))
-    for rec in records:
-        writer.writerow([_format_value(getattr(rec, col)) for col in schema_columns(schema)])
-    return buf.getvalue()
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
@@ -84,7 +60,7 @@ def cmd_synth(args, cfg: RunConfig) -> int:
             "fleet": data.fleet,
         }
         for schema, records in payloads.items():
-            atomic_write_text(od_dir / DATASET_FILES[schema], _serialize_to_text(records, schema))
+            serialize_dataset(records, schema, od_dir / DATASET_FILES[schema])
     write_scenario(scenario, out / "scenario.ini")
     n_rows = sum(len(m.bookings) for m in markets.values())
     print(f"wrote {len(markets)} OD markets ({n_rows} labeled itineraries) to {out}")
@@ -108,7 +84,7 @@ def _load_market(od_dir: Path, od: str):
 def cmd_features(args, cfg: RunConfig) -> int:
     data_root = Path(args.data or cfg.data_dir)
     out_root = Path(args.out or cfg.out_dir)
-    ods = args.od or _select_ods(cfg, data_root, "synth")
+    ods = args.od or _select_ods(cfg, data_root, "bookings.csv", "synth")
     if cfg.lexicon_path:
         lex_records = parse_dataset(cfg.lexicon_path, "lexicon").records
         lexicon = {r.word: r.score for r in lex_records}
@@ -124,25 +100,10 @@ def cmd_features(args, cfg: RunConfig) -> int:
         table = assemble_feature_vectors(
             datasets["bookings"], datasets["fares"], aggregates, widebody=widebody
         )
-        out_dir = out_root / od
-        buf = io.StringIO()
-        _write_feature_csv(table, buf, _stamp(cfg))
-        atomic_write_text(out_dir / "features.csv", buf.getvalue())
-        print(f"[{od}] features: {len(table)} rows -> {out_dir / 'features.csv'}")
+        path = out_root / od / "features.csv"
+        table.to_csv(path, header_comment=_stamp(cfg))
+        print(f"[{od}] features: {len(table)} rows -> {path}")
     return 0
-
-
-def _write_feature_csv(table: FeatureTable, fh, comment: str) -> None:
-    import csv as _csv
-    import re as _re
-
-    from .features import _fmt  # noqa: PLC0415
-
-    fh.write(f"# {comment}\n")
-    writer = _csv.writer(fh)
-    writer.writerow(["od"] + [_re.sub(r"_xx$", "_zz", c) for c in table.columns])
-    for od, row in zip(table.ods, table.values):
-        writer.writerow([od] + [_fmt(v) for v in row])
 
 
 def _load_features(features_root: Path, od: str) -> FeatureTable:
@@ -183,7 +144,7 @@ def _train_one(od: str, table: FeatureTable, cfg: RunConfig, do_grid: bool):
 def cmd_train(args, cfg: RunConfig) -> int:
     features_root = Path(args.features or cfg.out_dir)
     out_root = Path(args.out or cfg.out_dir)
-    ods = args.od or _select_ods_from_features(cfg, features_root)
+    ods = args.od or _select_ods(cfg, features_root, "features.csv", "features")
     for od in ods:
         table = _load_features(features_root, od)
         model, baseline, holdout = _train_one(od, table, cfg, args.grid)
@@ -195,20 +156,11 @@ def cmd_train(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _select_ods_from_features(cfg: RunConfig, root: Path) -> list[str]:
-    if not root.is_dir():
-        raise CliError(f"directory {root} not found; run `farecast features` first")
-    ods = cfg.ods or sorted(p.name for p in root.iterdir() if (p / "features.csv").is_file())
-    if not ods:
-        raise CliError(f"no feature tables under {root}; run `farecast features` first")
-    return ods
-
-
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     features_root = Path(args.features or cfg.out_dir)
     models_root = Path(args.models or cfg.out_dir)
     out_path = Path(args.out or (Path(cfg.out_dir) / "comparison.csv"))
-    ods = args.od or _select_ods_from_features(cfg, features_root)
+    ods = args.od or _select_ods(cfg, features_root, "features.csv", "features")
     rows = []
     for od in ods:
         table = _load_features(features_root, od)
@@ -228,25 +180,9 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
             return (f"fn={t.fn_share:.2f} fp={t.fp_share:.2f} tp={t.tp_share:.2f}"
                     if t.defined else "undefined")
         print(f"[{od}] logit: {_fmt_tri(tri_l)} | xgb: {_fmt_tri(tri_g)} | winners: {winners}")
-    buf = io.StringIO()
-    _write_comparison(buf, rows, _stamp(cfg))
-    atomic_write_text(out_path, buf.getvalue())
+    evaluate.write_comparison_table(rows, out_path, header_comment=_stamp(cfg))
     print(f"wrote comparison table to {out_path}")
     return 0
-
-
-def _write_comparison(fh, rows, comment: str) -> None:
-    import csv as _csv
-
-    fh.write(f"# {comment}\n")
-    writer = _csv.writer(fh)
-    writer.writerow(["od", "method", "fn", "fp", "tp"])
-    for od, method, triple in rows:
-        if triple.defined:
-            writer.writerow([od, method, f"{triple.fn_share:.4f}",
-                             f"{triple.fp_share:.4f}", f"{triple.tp_share:.4f}"])
-        else:
-            writer.writerow([od, method, "undefined", "undefined", "undefined"])
 
 
 def cmd_explain(args, cfg: RunConfig) -> int:
@@ -260,15 +196,7 @@ def cmd_explain(args, cfg: RunConfig) -> int:
     exp = explain.explain_prediction(model, X[args.row], missing[args.row])
     print(explain.render_waterfall(exp, max_features=args.top))
     if args.out:
-        buf = io.StringIO()
-        import csv as _csv
-
-        buf.write(f"# {_stamp(cfg)}\n")
-        writer = _csv.writer(buf)
-        writer.writerow(["feature", "log_odds", "cumulative_probability"])
-        for name, lo, p in explain._trace(exp):  # noqa: SLF001 - shared renderer
-            writer.writerow([name, f"{lo:.10g}", f"{p:.10g}"])
-        atomic_write_text(args.out, buf.getvalue())
+        explain.write_waterfall_data(exp, args.out, header_comment=_stamp(cfg))
         print(f"wrote waterfall data to {args.out}")
     return 0
 
@@ -305,7 +233,6 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
                                  scenario.demand_cv, per_od_xgb)
     report = compare_policies(scenario, policy_std, policy_xgb)
 
-    out_root.mkdir(parents=True, exist_ok=True)
     report.to_csv(out_root / "simulation.csv", header_comment=_stamp(cfg))
     report.write_replication_log(out_root / "replications.csv")
     for ds in (False, True):

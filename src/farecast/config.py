@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import io
 import json
-import os
-import tempfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .gbt import GbtParams
+from .ingest import atomic_write_text
 from .simulate import DemandMix, FareLadder, OdMarket, SimScenario
 
 __all__ = [
@@ -26,7 +27,6 @@ __all__ = [
     "config_hash",
     "write_scenario",
     "read_scenario",
-    "atomic_write_text",
 ]
 
 DATASET_FILES = {
@@ -72,21 +72,8 @@ def load_config(path: str | Path | None) -> RunConfig:
         ods_raw = run.get("ods", "").strip()
         if ods_raw:
             cfg.ods = [od.strip() for od in ods_raw.split(",") if od.strip()]
-    if parser.has_section("gbt"):
-        g = parser["gbt"]
-        base = asdict(cfg.gbt)
-        cfg.gbt = GbtParams(
-            eta=g.getfloat("eta", base["eta"]),
-            n_trees=g.getint("n_trees", base["n_trees"]),
-            max_depth=g.getint("max_depth", base["max_depth"]),
-            subsample=g.getfloat("subsample", base["subsample"]),
-            colsample=g.getfloat("colsample", base["colsample"]),
-            gamma=g.getfloat("gamma", base["gamma"]),
-            lam=g.getfloat("lam", base["lam"]),
-            seed=g.getint("seed", cfg.seed),
-        )
-    else:
-        cfg.gbt = GbtParams(seed=cfg.seed)
+    gbt_values = _read_scalars(parser["gbt"], GbtParams) if parser.has_section("gbt") else {}
+    cfg.gbt = GbtParams(**{"seed": cfg.seed, **gbt_values})
     return cfg
 
 
@@ -96,19 +83,25 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write whole-file content via a temp file + rename in the same dir."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _scalar_fields(cls) -> list[tuple[str, type]]:
+    """(name, int or float) for each plain int/float field, in declaration order."""
+    hints = get_type_hints(cls)
+    return [(f.name, hints[f.name]) for f in fields(cls) if hints[f.name] in (int, float)]
+
+
+def _read_scalars(section: configparser.SectionProxy, cls) -> dict:
+    """The int/float fields of `cls` that the section sets; absent keys are
+    left out so the dataclass defaults apply."""
+    getters = {int: section.getint, float: section.getfloat}
+    return {name: getters[kind](name) for name, kind in _scalar_fields(cls) if name in section}
+
+
+def _write_scalars(obj) -> dict[str, str]:
+    """The int/float fields of `obj` as INI strings: ints via str, floats via .10g."""
+    return {
+        name: str(getattr(obj, name)) if kind is int else f"{getattr(obj, name):.10g}"
+        for name, kind in _scalar_fields(type(obj))
+    }
 
 
 def _fmt_list(values) -> str:
@@ -121,17 +114,7 @@ def _parse_list(raw: str) -> list[float]:
 
 def write_scenario(scenario: SimScenario, path: str | Path) -> None:
     parser = configparser.ConfigParser()
-    parser["scenario"] = {
-        "capacity": str(scenario.capacity),
-        "demand_factor_mean": f"{scenario.demand_factor_mean:.10g}",
-        "demand_factor_sd": f"{scenario.demand_factor_sd:.10g}",
-        "n_reps": str(scenario.n_reps),
-        "seed": str(scenario.seed),
-        "demand_cv": f"{scenario.demand_cv:.10g}",
-        "holt_alpha": f"{scenario.holt_alpha:.10g}",
-        "holt_beta": f"{scenario.holt_beta:.10g}",
-        "cheap_early_prob": f"{scenario.cheap_early_prob:.10g}",
-    }
+    parser["scenario"] = _write_scalars(scenario)
     if scenario.forecast_day is not None:
         parser["scenario"]["forecast_day"] = str(scenario.forecast_day)
     for od in scenario.ods:
@@ -142,8 +125,6 @@ def write_scenario(scenario: SimScenario, path: str | Path) -> None:
             "history": _fmt_list(od.history),
             "covered": "1" if od.covered else "0",
         }
-    import io
-
     buf = io.StringIO()
     parser.write(buf)
     atomic_write_text(path, buf.getvalue())
@@ -172,15 +153,7 @@ def read_scenario(path: str | Path) -> SimScenario:
             )
         )
     return SimScenario(
-        capacity=int(sc["capacity"]),
         ods=ods,
-        demand_factor_mean=float(sc.get("demand_factor_mean", "0.98")),
-        demand_factor_sd=float(sc.get("demand_factor_sd", "0.1")),
-        n_reps=int(sc.get("n_reps", "500")),
-        seed=int(sc.get("seed", "0")),
-        demand_cv=float(sc.get("demand_cv", "0.3")),
-        holt_alpha=float(sc.get("holt_alpha", "0.3")),
-        holt_beta=float(sc.get("holt_beta", "0.1")),
-        cheap_early_prob=float(sc.get("cheap_early_prob", "0.7")),
-        forecast_day=int(sc["forecast_day"]) if "forecast_day" in sc else None,
+        forecast_day=sc.getint("forecast_day"),
+        **_read_scalars(sc, SimScenario),
     )

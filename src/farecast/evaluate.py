@@ -8,12 +8,13 @@ their combined count, ignoring true negatives.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .ingest import write_csv
 
 __all__ = ["ConfusionTriple", "confusion", "compare_models", "prevalence", "write_comparison_table"]
 
@@ -98,15 +99,15 @@ def write_comparison_table(
     header_comment: str | None = None,
 ) -> None:
     """CSV report with columns od, method, fn, fp, tp (shares)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["od", "method", "fn", "fp", "tp"])
-        for od, method, triple in rows:
-            if triple.defined:
-                writer.writerow(
-                    [od, method, f"{triple.fn_share:.4f}", f"{triple.fp_share:.4f}", f"{triple.tp_share:.4f}"]
-                )
-            else:
-                writer.writerow([od, method, "undefined", "undefined", "undefined"])
+
+    def cells(triple: ConfusionTriple) -> list[str]:
+        if not triple.defined:
+            return ["undefined"] * 3
+        return [f"{triple.fn_share:.4f}", f"{triple.fp_share:.4f}", f"{triple.tp_share:.4f}"]
+
+    write_csv(
+        path,
+        ["od", "method", "fn", "fp", "tp"],
+        ([od, method, *cells(triple)] for od, method, triple in rows),
+        header_comment,
+    )

@@ -9,7 +9,6 @@ waterfall view is a faithful picture of the prediction.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .gbt.model import TreeEnsemble, TreeNode, sigmoid
+from .ingest import write_csv
 
 __all__ = ["Explanation", "explain_prediction", "render_waterfall", "write_waterfall_data"]
 
@@ -117,10 +117,5 @@ def write_waterfall_data(
     explanation: Explanation, path: str | Path, header_comment: str | None = None
 ) -> None:
     """Plot-data file: ordered (feature, log_odds, cumulative_probability)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "log_odds", "cumulative_probability"])
-        for name, lo, p in _trace(explanation):
-            writer.writerow([name, f"{lo:.10g}", f"{p:.10g}"])
+    rows = ([name, f"{lo:.10g}", f"{p:.10g}"] for name, lo, p in _trace(explanation))
+    write_csv(path, ["feature", "log_odds", "cumulative_probability"], rows, header_comment)

@@ -29,7 +29,7 @@ import statistics
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .ingest import (
     ReviewRecord,
     SafetyRecord,
     TweetRecord,
+    write_csv,
 )
 from . import sentiment as sent
 
@@ -112,6 +113,8 @@ FEATURE_COLUMNS = (
     + PRICING_COLUMNS
     + SCHEDULE_COLUMNS
     + AGGREGATE_COLUMNS
+    # sc1/sc2 have no source among the six datasets and are always missing;
+    # they keep their place so the column layout and features.csv stay fixed.
     + ["sc1", "sc2"]
 )
 
@@ -157,15 +160,9 @@ class FeatureTable:
         return self.column("is_bought").astype(np.int64)
 
     def to_csv(self, path: str | Path, header_comment: str | None = None) -> None:
-        path = Path(path)
-        out_cols = ["od"] + [_XX_ALIAS.sub("_zz", c) for c in self.columns]
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(out_cols)
-            for od, row in zip(self.ods, self.values):
-                writer.writerow([od] + [_fmt(v) for v in row])
+        header = ["od"] + [_XX_ALIAS.sub("_zz", c) for c in self.columns]
+        rows = ([od] + [_fmt(v) for v in row] for od, row in zip(self.ods, self.values))
+        write_csv(path, header, rows, header_comment)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "FeatureTable":
@@ -414,16 +411,15 @@ def assemble_feature_vectors(
     fares: Sequence[FareObservation],
     aggregates: Mapping[int, AirlineAggregates],
     widebody: Mapping[int, bool] | None = None,
-    sc_scores: Mapping[int, tuple[float, float]] | None = None,
 ) -> FeatureTable:
     """Build the full feature matrix, one row per displayed itinerary.
 
-    Bookings are expected to carry reconciled (pricing-dataset) fares. Rows
-    are emitted in input order and never dropped; fields that cannot be
-    computed are explicitly missing.
+    Each booking keeps its own recorded price; the competitive-pricing
+    features come from the fares dataset alone. Rows are emitted in input
+    order and never dropped; fields that cannot be computed are explicitly
+    missing.
     """
     widebody = widebody or {}
-    sc_scores = sc_scores or {}
     fares_by_od: dict[str, list[FareObservation]] = defaultdict(list)
     for f in fares:
         fares_by_od[f.od].append(f)
@@ -518,9 +514,5 @@ def assemble_feature_vectors(
                 val = getattr(agg, name)
                 if val is not None:
                     row[col[name]] = val
-        if b.airline_id in sc_scores:
-            sc1, sc2 = sc_scores[b.airline_id]
-            row[col["sc1"]] = sc1
-            row[col["sc2"]] = sc2
 
     return FeatureTable(ods=ods, columns=list(ALL_COLUMNS), values=values)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, asdict
-from pathlib import Path
 from typing import Optional
 
 __all__ = ["GbtParams", "TreeNode", "TreeEnsemble", "sigmoid"]
@@ -147,10 +146,3 @@ class TreeEnsemble:
             feature_names=list(d["feature_names"]),
             gain_table={k: float(v) for k, v in d["gain_table"].items()},
         )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "TreeEnsemble":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))

@@ -306,13 +306,9 @@ def predict_label(model: TreeEnsemble, X: np.ndarray, missing: np.ndarray | None
     return predict_proba(model, X, missing) >= 0.5
 
 
-def feature_gain(model: TreeEnsemble, reporting_floor: float | None = None) -> dict[str, float]:
-    """Per-feature realized split gain, normalized to sum 1.
-
-    With reporting_floor set, entries below the floor are dropped from the
-    returned view (reporting filter only). Ensembles without splits give an
-    empty table.
-    """
+def feature_gain(model: TreeEnsemble) -> dict[str, float]:
+    """Per-feature realized split gain, normalized to sum 1 and ordered by
+    descending share. Ensembles without splits give an empty table."""
     totals: dict[str, float] = {}
 
     def walk(node: TreeNode):
@@ -328,10 +324,7 @@ def feature_gain(model: TreeEnsemble, reporting_floor: float | None = None) -> d
     total = sum(totals.values())
     if total <= 0:
         return {}
-    shares = {k: v / total for k, v in sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))}
-    if reporting_floor is not None:
-        shares = {k: v for k, v in shares.items() if v >= reporting_floor}
-    return shares
+    return {k: v / total for k, v in sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))}
 
 
 def refit_leaf_weights(model: TreeEnsemble, lam: float) -> TreeEnsemble:

@@ -4,16 +4,22 @@ All files are UTF-8 comma-separated values with a single header row and "."
 as the decimal separator. Rows that fail validation are rejected individually
 with a positioned error message; parsing only aborts when more than half of
 the data rows are rejected.
+
+`write_csv` is the one CSV writer of the package: every artifact (datasets,
+feature tables, comparison, waterfall, simulation report and replication
+log) goes through it and through `atomic_write_text`'s temp file + rename.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
-from collections import Counter
+import os
+import tempfile
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
-from typing import Iterable, get_type_hints
+from typing import Iterable, Sequence, get_type_hints
 
 __all__ = [
     "ItineraryRecord",
@@ -29,7 +35,8 @@ __all__ = [
     "parse_dataset",
     "serialize_dataset",
     "filter_tweets",
-    "reconcile_booking_fares",
+    "atomic_write_text",
+    "write_csv",
 ]
 
 
@@ -276,12 +283,8 @@ def _format_value(val) -> str:
 def serialize_dataset(records: Iterable, schema: str, path: str | Path) -> None:
     """Write records back out in the schema's canonical column order."""
     columns = schema_columns(schema)
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for rec in records:
-            writer.writerow([_format_value(getattr(rec, col)) for col in columns])
+    rows = ([_format_value(getattr(rec, col)) for col in columns] for rec in records)
+    write_csv(path, columns, rows)
 
 
 def filter_tweets(tweets: Iterable[TweetRecord]) -> list[TweetRecord]:
@@ -292,55 +295,31 @@ def filter_tweets(tweets: Iterable[TweetRecord]) -> list[TweetRecord]:
     ]
 
 
-@dataclass
-class ReconcileResult:
-    matched: list[ItineraryRecord]
-    relative_errors: list[float]
-    unmatched_count: int
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write whole-file content via a temp file + rename in the same dir."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
-    def error_histogram(self, bin_width: float = 0.01) -> Counter:
-        """Histogram of relative fare errors, keyed by bin lower edge."""
-        hist: Counter = Counter()
-        for err in self.relative_errors:
-            hist[math.floor(err / bin_width) * bin_width] += 1
-        return hist
 
-
-def reconcile_booking_fares(
-    bookings: Iterable[ItineraryRecord],
-    fares: Iterable[FareObservation],
-) -> ReconcileResult:
-    """Join bookings to the pricing dataset and adopt the pricing fare.
-
-    The join key is (od, airline_id, dep_day_id, dbd, dep_time_mam). The
-    booking's price is replaced by the pricing-dataset fare; the relative
-    error between the two prices is recorded. Unmatched bookings are dropped
-    and counted.
-    """
-    fare_by_key = {
-        (f.od, f.airline_id, f.dep_day_id, f.dbd, f.dep_time_mam): f.price
-        for f in fares
-    }
-    matched: list[ItineraryRecord] = []
-    errors: list[float] = []
-    unmatched = 0
-    for b in bookings:
-        key = (b.od, b.airline_id, b.dep_day_id, b.dbd, b.dep_time_mam)
-        pricing_fare = fare_by_key.get(key)
-        if pricing_fare is None:
-            unmatched += 1
-            continue
-        errors.append(abs(b.price - pricing_fare) / pricing_fare)
-        matched.append(
-            ItineraryRecord(
-                od=b.od,
-                airline_id=b.airline_id,
-                dep_day_id=b.dep_day_id,
-                dbd=b.dbd,
-                dep_time_mam=b.dep_time_mam,
-                travel_time=b.travel_time,
-                price=pricing_fare,
-                is_bought=b.is_bought,
-            )
-        )
-    return ReconcileResult(matched=matched, relative_errors=errors, unmatched_count=unmatched)
+def write_csv(
+    path: str | Path, header: Sequence[str], rows: Iterable[Sequence], comment: str | None = None
+) -> None:
+    """The one CSV writer: optional `# comment` line, header, rows (csv's
+    default dialect, so lines end in CRLF), written atomically. The file is
+    only replaced once every row has been formatted."""
+    buf = io.StringIO()
+    if comment:
+        buf.write(f"# {comment}\n")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, buf.getvalue())

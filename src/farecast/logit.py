@@ -31,13 +31,6 @@ class LogitModel:
     grad_norm: float
     converged: bool
 
-    def coefficient_table(self) -> list[tuple[str, float, float, float]]:
-        """(feature, standardized coefficient, center, scale) per column."""
-        return [
-            (name, float(c), float(m), float(s))
-            for name, c, m, s in zip(self.feature_names, self.coef, self.mean, self.scale)
-        ]
-
     def to_json(self) -> str:
         import json
 

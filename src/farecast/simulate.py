@@ -14,7 +14,6 @@ partition them as {1-3}, {4-8}, {9-12}.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,6 +21,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.stats import norm
+
+from .ingest import write_csv
 
 __all__ = [
     "N_CLASSES",
@@ -356,29 +357,29 @@ class ComparisonReport:
     per_rep: dict[tuple[bool, str], list[float]]
 
     def to_csv(self, path: str | Path, header_comment: str | None = None) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["downsell", "std", "xgb", "gain_pct", "gain_ci_low", "gain_ci_high"])
-            for ds in (False, True):
-                lo, hi = self.gain_ci95[ds]
-                writer.writerow([
-                    "Yes" if ds else "No",
-                    f"{self.mean_revenue[(ds, 'std')]:.2f}",
-                    f"{self.mean_revenue[(ds, 'xgb')]:.2f}",
-                    f"{self.gain_pct[ds]:.2f}",
-                    f"{lo:.2f}",
-                    f"{hi:.2f}",
-                ])
+        rows = []
+        for ds in (False, True):
+            lo, hi = self.gain_ci95[ds]
+            rows.append([
+                "Yes" if ds else "No",
+                f"{self.mean_revenue[(ds, 'std')]:.2f}",
+                f"{self.mean_revenue[(ds, 'xgb')]:.2f}",
+                f"{self.gain_pct[ds]:.2f}",
+                f"{lo:.2f}",
+                f"{hi:.2f}",
+            ])
+        write_csv(
+            path, ["downsell", "std", "xgb", "gain_pct", "gain_ci_low", "gain_ci_high"],
+            rows, header_comment,
+        )
 
     def write_replication_log(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rep", "downsell", "method", "revenue"])
-            for (ds, method), revs in sorted(self.per_rep.items()):
-                for rep, rev in enumerate(revs):
-                    writer.writerow([rep, "Yes" if ds else "No", method, f"{rev:.2f}"])
+        rows = (
+            [rep, "Yes" if ds else "No", method, f"{rev:.2f}"]
+            for (ds, method), revs in sorted(self.per_rep.items())
+            for rep, rev in enumerate(revs)
+        )
+        write_csv(path, ["rep", "downsell", "method", "revenue"], rows)
 
 
 def compare_policies(

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from farecast import cli
+from farecast.config import read_scenario, write_scenario
 
 SMALL_ODS = ["KUL-SIN", "LHR-JFK"]
 
@@ -70,6 +73,37 @@ def test_explain_prints_waterfall(workspace, capsys):
     text = capsys.readouterr().out
     assert "base" in text.lower()
     assert "%" in text or "prob" in text.lower()
+
+
+def test_explain_writes_waterfall_data(workspace, tmp_path):
+    out = tmp_path / "w.csv"
+    assert cli.main([
+        "explain", "--features", str(workspace / "out"),
+        "--models", str(workspace / "out"),
+        "--od", SMALL_ODS[0], "--row", "0", "--out", str(out),
+    ]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("# config_hash=")
+    assert lines[1] == "feature,log_odds,cumulative_probability"
+    assert lines[2].startswith("(base),")
+
+
+def test_simulate_writes_report_and_replications(workspace, tmp_path):
+    scenario = read_scenario(workspace / "data" / "scenario.ini")
+    ods = [replace(od, covered=od.name in SMALL_ODS) for od in scenario.ods]
+    scenario_path = tmp_path / "scenario.ini"
+    write_scenario(replace(scenario, ods=ods, n_reps=20), scenario_path)
+    out = tmp_path / "sim"
+    assert cli.main([
+        "simulate", "--scenario", str(scenario_path), "--features", str(workspace / "out"),
+        "--models", str(workspace / "out"), "--out", str(out),
+    ]) == 0
+    lines = (out / "simulation.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0].startswith("# config_hash=")
+    assert lines[1].startswith("downsell,")
+    assert len(lines) == 2 + 2
+    replications = (out / "replications.csv").read_text(encoding="utf-8").splitlines()
+    assert len(replications) == 1 + 4 * 20
 
 
 def test_missing_prerequisite_names_command(tmp_path, capsys):

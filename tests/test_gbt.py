@@ -198,15 +198,12 @@ def test_serialization_roundtrip_preserves_predictions():
     assert back.gain_table == model.gain_table
 
 
-def test_gain_table_normalized_and_floor():
+def test_gain_table_normalized():
     X, y = _training_data(5)
     model = gbt.train(X, y, gbt.GbtParams(n_trees=10, max_depth=3))
     gains = gbt.feature_gain(model)
     assert sum(gains.values()) == pytest.approx(1.0)
     assert all(v >= 0 for v in gains.values())
-    floored = gbt.feature_gain(model, reporting_floor=0.05)
-    assert all(v >= 0.05 for v in floored.values())
-    assert set(floored) <= set(gains)
 
 
 def test_no_split_gain_table_empty():

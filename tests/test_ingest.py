@@ -1,20 +1,19 @@
-"""Dataset parsing, validation, serialization, and the booking/fare join."""
+"""Dataset parsing, validation, serialization, and the atomic CSV writer."""
 
 from __future__ import annotations
 
 import pytest
 
 from farecast.ingest import (
-    FareObservation,
     ItineraryRecord,
     ParseError,
     ReviewRecord,
     TweetRecord,
     filter_tweets,
     parse_dataset,
-    reconcile_booking_fares,
     schema_columns,
     serialize_dataset,
+    write_csv,
 )
 
 BOOKING = ItineraryRecord(
@@ -107,23 +106,22 @@ def test_review_rating_bounds(tmp_path):
     assert result.rejected[0][0] == 3
 
 
-def test_reconcile_replaces_price_and_counts_unmatched():
-    fare = FareObservation("AMS-LHR", 1, 100, -10, 360, 1.5, 110.0)
-    matched = BOOKING  # same 5-part key, OTA price 120.5
-    unmatched = ItineraryRecord("AMS-LHR", 9, 100, -10, 360, 1.5, 80.0, False)
-    result = reconcile_booking_fares([matched, unmatched], [fare])
-    assert result.unmatched_count == 1
-    assert len(result.matched) == 1
-    assert result.matched[0].price == 110.0
-    (err,) = result.relative_errors
-    assert err == pytest.approx(abs(120.5 - 110.0) / 110.0)
+def test_write_csv_comment_header_and_crlf(tmp_path):
+    path = tmp_path / "sub" / "t.csv"
+    write_csv(path, ["a", "b"], [[1, "x,y"], [2, ""]], comment="seed=1")
+    assert path.read_bytes() == b'# seed=1\na,b\r\n1,"x,y"\r\n2,\r\n'
 
 
-def test_reconcile_histogram_bins():
-    fare = FareObservation("AMS-LHR", 1, 100, -10, 360, 1.5, 100.0)
-    booking = ItineraryRecord("AMS-LHR", 1, 100, -10, 360, 1.5, 103.0, True)
-    result = reconcile_booking_fares([booking], [fare])
-    hist = result.error_histogram(bin_width=0.01)
-    assert sum(hist.values()) == 1
-    (edge,) = hist
-    assert abs(edge - 0.03) < 0.011  # 3% error lands in a bin edged near 0.03
+def test_write_csv_failure_leaves_existing_file(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a"], [[1], [2]])
+    before = path.read_bytes()
+
+    def rows():
+        yield [3]
+        raise RuntimeError("row formatting failed")
+
+    with pytest.raises(RuntimeError, match="row formatting failed"):
+        write_csv(path, ["a"], rows(), comment="new")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]

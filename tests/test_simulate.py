@@ -259,3 +259,20 @@ def test_scenario_roundtrip(tmp_path):
     assert od1.mix.shares == pytest.approx(od0.mix.shares)
     assert od1.history == pytest.approx(od0.history)
     assert od1.covered is True
+
+
+def test_scenario_missing_keys_take_dataclass_defaults(tmp_path):
+    path = tmp_path / "scenario.ini"
+    path.write_text(
+        "[scenario]\ncapacity = 12\n\n"
+        "[od:AMS-SYD]\nfares = " + ",".join(str(f) for f in range(600, 0, -50)) + "\n"
+        "brand_mix = 0.2,0.3,0.5\n"
+        "mean_demand = 40\nhistory = 38,41,40\n",
+        encoding="utf-8",
+    )
+    back = read_scenario(path)
+    expected = SimScenario(capacity=12, ods=back.ods)
+    assert back == expected
+    assert back.forecast_day is None
+    (od,) = back.ods
+    assert od.name == "AMS-SYD" and od.covered is False

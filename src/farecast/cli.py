@@ -138,7 +138,7 @@ def _train_one(od: str, table: FeatureTable, cfg: RunConfig, do_grid: bool):
         eval_set=(X[va], y[va], missing[va]) if va.any() else None,
     )
     baseline = logit.fit_logit(X[tr], y[tr], feature_names=names, missing=missing[tr])
-    return model, baseline, holdout
+    return model, baseline
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
@@ -147,7 +147,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     ods = args.od or _select_ods(cfg, features_root, "features.csv", "features")
     for od in ods:
         table = _load_features(features_root, od)
-        model, baseline, holdout = _train_one(od, table, cfg, args.grid)
+        model, baseline = _train_one(od, table, cfg, args.grid)
         od_dir = out_root / od
         atomic_write_text(od_dir / "gbt.json", model.to_json() + "\n")
         atomic_write_text(od_dir / "logit.json", baseline.to_json() + "\n")
@@ -270,7 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", help="directory with per-OD features.csv")
     p.add_argument("--out", help="output directory for model files")
     p.add_argument("--od", action="append")
-    p.add_argument("--grid", action="store_true", help="hyperparameter grid search before the final fit")
+    p.add_argument("--grid", action="store_true",
+                   help="exhaustive grid search (21,060 cells read from 2,106 fits of "
+                        "up to 500 trees per OD) before the final fit")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="holdout confusion comparison of both models")

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .gbt import GbtParams
-from .ingest import atomic_write_text
+from .ingest import ParseError, atomic_write_text
 from .simulate import DemandMix, FareLadder, OdMarket, SimScenario
 
 __all__ = [
@@ -131,29 +131,40 @@ def write_scenario(scenario: SimScenario, path: str | Path) -> None:
 
 
 def read_scenario(path: str | Path) -> SimScenario:
+    """Read a scenario file. A missing section or key, a value that does not
+    parse and a value the scenario rejects raise ParseError naming the file."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"scenario file not found: {path}")
     parser = configparser.ConfigParser()
-    parser.read(path, encoding="utf-8")
-    sc = parser["scenario"]
-    ods = []
-    for section in parser.sections():
-        if not section.startswith("od:"):
-            continue
-        s = parser[section]
-        ods.append(
+
+    def get(section: str, key: str) -> str:
+        if not parser.has_section(section):
+            raise ParseError(f"{path}: missing section [{section}]")
+        if key not in parser[section]:
+            raise ParseError(f"{path}: section [{section}] has no key '{key}'")
+        return parser[section][key]
+
+    try:
+        parser.read(path, encoding="utf-8")
+        get("scenario", "capacity")  # the one scenario field without a default
+        ods = [
             OdMarket(
                 name=section[3:],
-                ladder=FareLadder(tuple(_parse_list(s["fares"]))),
-                mix=DemandMix(tuple(_parse_list(s["brand_mix"]))),  # type: ignore[arg-type]
-                mean_demand=float(s["mean_demand"]),
-                history=_parse_list(s["history"]),
-                covered=s.get("covered", "0").strip() == "1",
+                ladder=FareLadder(tuple(_parse_list(get(section, "fares")))),
+                mix=DemandMix(tuple(_parse_list(get(section, "brand_mix")))),  # type: ignore[arg-type]
+                mean_demand=float(get(section, "mean_demand")),
+                history=_parse_list(get(section, "history")),
+                covered=parser[section].get("covered", "0").strip() == "1",
             )
+            for section in parser.sections()
+            if section.startswith("od:")
+        ]
+        sc = parser["scenario"]
+        return SimScenario(
+            ods=ods,
+            forecast_day=sc.getint("forecast_day"),
+            **_read_scalars(sc, SimScenario),
         )
-    return SimScenario(
-        ods=ods,
-        forecast_day=sc.getint("forecast_day"),
-        **_read_scalars(sc, SimScenario),
-    )
+    except (ValueError, configparser.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from None

@@ -28,8 +28,10 @@ import re
 import statistics
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
+from operator import attrgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -243,7 +245,7 @@ def rolling_price_features(
             return None
         vals.append(v)
     mean = sum(vals) / window
-    squares = sum((v - mean) ** 2 for v in vals)
+    squares = sum((v - mean) * (v - mean) for v in vals)
     sd = math.sqrt(squares / (window - 1)) if window > 1 else 0.0
     return mean, sd, min(vals), max(vals)
 
@@ -308,14 +310,14 @@ def build_airline_aggregates(
             agg[f"rating_{name}"] = float(statistics.median(getattr(r, name) for r in rs))
         agg["rating_obs"] = float(len(rs))
         if aid in review_sent:
-            agg["rating_review"] = review_sent[aid].score_0_10
+            agg["rating_review"] = review_sent[aid]
 
     tweet_texts: dict[int, list[str]] = defaultdict(list)
     for t in tweets:
         tweet_texts[t.airline_id].append(t.text)
     tweet_sent = sent.aggregate_airline_sentiment(tweet_texts, lexicon, method="median")
     for aid, score in tweet_sent.items():
-        by_airline[aid]["twitter_sentiment"] = score.score_0_10
+        by_airline[aid]["twitter_sentiment"] = score
 
     for s in safety:
         aid = _airline_id_from_code(s.airline_code)
@@ -346,64 +348,77 @@ def airline_widebody_flags(fleet: Sequence[FleetRecord]) -> dict[int, bool]:
     return flags
 
 
-def _arrival_mam(dep_time_mam: int, travel_time: float) -> float:
-    return (dep_time_mam + travel_time * 60.0) % 1440.0
+def _lookup(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Position of each value in the sorted unique keys; -1 where absent."""
+    i = np.searchsorted(keys, values).clip(max=len(keys) - 1)
+    return np.where(keys[i] == values, i, -1)
 
 
-def _crosses_midnight(dep_time_mam: int, travel_time: float) -> bool:
-    return dep_time_mam + travel_time * 60.0 >= 1440.0
+class _Market(NamedTuple):
+    """One OD's fares as (airline, dep_day, dbd) cubes.
+
+    Every axis ends in one all-NaN slot, so index -1 reads as an absent key.
+    """
+
+    airlines: np.ndarray  # sorted ids along axis 0
+    days: np.ndarray  # sorted dep_day ids along axis 1
+    dbd0: int  # dbd at position 0 of axis 2
+    fare: np.ndarray  # per-airline minimum fare
+    yy: np.ndarray  # (dep_day, dbd) cheapest per-airline fare
+    diffs: dict[str, np.ndarray]  # al/yy/xx diff series
+
+    def index(self, airline, day, dbd) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cube position of each (airline, dep_day, dbd) key; -1 where absent."""
+        t = np.asarray(dbd, dtype=np.int64) - self.dbd0
+        t = np.where((t >= 0) & (t < self.fare.shape[2] - 1), t, -1)
+        return _lookup(self.airlines, airline), _lookup(self.days, day), t
 
 
-class _OdContext:
-    """Per-OD lookup tables shared by all rows of that OD."""
+def _market(airline, day, dbd, price) -> _Market:
+    """Cube one OD's fare rows and derive the yy/xx references and diffs.
 
-    def __init__(self, od: str, fares: Sequence[FareObservation]):
-        self.od = od
-        # itineraries grouped by (dep_day, dbd, airline) and (dep_day, dbd)
-        self.group: dict[tuple[int, int, int], list[FareObservation]] = defaultdict(list)
-        self.market: dict[tuple[int, int], list[FareObservation]] = defaultdict(list)
-        freq_times: dict[int, set[int]] = defaultdict(set)
-        min_travel = math.inf
-        for f in fares:
-            self.group[(f.dep_day_id, f.dbd, f.airline_id)].append(f)
-            self.market[(f.dep_day_id, f.dbd)].append(f)
-            freq_times[f.airline_id].add(f.dep_time_mam)
-            min_travel = min(min_travel, f.travel_time)
-        self.base_flying_time = min_travel
-        self.num_frequencies = {aid: len(ts) for aid, ts in freq_times.items()}
-        self.home_carrier = (
-            max(sorted(self.num_frequencies), key=lambda a: self.num_frequencies[a])
-            if self.num_frequencies else None
-        )
+    The dbd axis starts max(ROLL_WINDOWS) days before the earliest fare, so
+    it is longer than any window. Sorting along the airline axis puts NaN
+    last: yy and xx are the two smallest per-airline fares, xx being the fare
+    of the second airline in (fare, airline_id) order, or NaN with a single
+    airline.
+    """
+    airlines, a = np.unique(airline, return_inverse=True)
+    days, d = np.unique(day, return_inverse=True)
+    dbd0 = int(np.min(dbd)) - max(ROLL_WINDOWS)
+    t = np.asarray(dbd, dtype=np.int64) - dbd0
+    fare = np.full((len(airlines) + 1, len(days) + 1, int(t.max()) + 2), np.nan)
+    np.fmin.at(fare, (a, d, t), price)
+    yy, xx = np.sort(fare, axis=0)[:2]
+    al = np.diff(fare, axis=2, prepend=np.nan)
+    return _Market(airlines, days, dbd0, fare, yy, {"al": al, "yy": fare - yy, "xx": fare - xx})
 
-        # per-airline minimum fare by (dep_day, dbd), then market references
-        self.airline_fare: dict[tuple[int, int, int], float] = {
-            key: min(f.price for f in obs) for key, obs in self.group.items()
-        }
-        self.refs: dict[tuple[int, int], MarketRefs] = {}
-        for (day, dbd), obs in self.market.items():
-            per_airline = {}
-            for f in obs:
-                fare = self.airline_fare[(day, dbd, f.airline_id)]
-                per_airline[f.airline_id] = fare
-            self.refs[(day, dbd)] = market_reference_fares(per_airline)
-        self.mintt: dict[tuple[int, int], float] = {
-            key: min(f.travel_time for f in obs) for key, obs in self.market.items()
-        }
 
-        # diff series per (airline, dep_day), keyed by dbd
-        self.diffs: dict[str, dict[tuple[int, int], dict[int, float]]] = {
-            ref: defaultdict(dict) for ref in ROLL_REFS
-        }
-        for (day, dbd, aid), fare in self.airline_fare.items():
-            refs = self.refs[(day, dbd)]
-            _, yy_diff, xx_diff = fare_differences(fare, refs.yy_fare, refs.xx_fare)
-            self.diffs["yy"][(aid, day)][dbd] = yy_diff
-            if xx_diff is not None:
-                self.diffs["xx"][(aid, day)][dbd] = xx_diff
-            prev = self.airline_fare.get((day, dbd - 1, aid))
-            if prev is not None:
-                self.diffs["al"][(aid, day)][dbd] = fare - prev
+def _rolling(series: np.ndarray, w: int) -> np.ndarray:
+    """(mean, sd, min, max) of the w values strictly before each position of
+    the last axis, stacked on a new first axis.
+
+    The sums are rolling_price_features' own, run in window order, so the two
+    agree bit for bit. Any absent value in the window gives NaN.
+    """
+    n = series.shape[-1]
+    window = [series[..., k:n - w + k] for k in range(w)]
+    mean = sum(window) / w
+    sd = np.sqrt(sum((v - mean) * (v - mean) for v in window) / (w - 1))
+    out = np.full((4,) + series.shape, np.nan)
+    out[..., w:] = mean, sd, reduce(np.minimum, window), reduce(np.maximum, window)
+    return out
+
+
+def _columns(records: Sequence, names: Sequence[str]) -> np.ndarray:
+    """Float matrix of the named attributes, one row per record."""
+    return np.stack([
+        np.fromiter(map(attrgetter(name), records), np.float64, len(records)) for name in names
+    ], axis=1)
+
+
+# Booking fields copied as they are; the first six are also read from fares.
+_ROW_FIELDS = ("airline_id", "dep_day_id", "dbd", "dep_time_mam", "travel_time", "price", "is_bought")
 
 
 def assemble_feature_vectors(
@@ -417,102 +432,89 @@ def assemble_feature_vectors(
     Each booking keeps its own recorded price; the competitive-pricing
     features come from the fares dataset alone. Rows are emitted in input
     order and never dropped; fields that cannot be computed are explicitly
-    missing.
+    missing. A booking whose OD has no fares keeps only its row-level fields.
     """
-    widebody = widebody or {}
-    fares_by_od: dict[str, list[FareObservation]] = defaultdict(list)
-    for f in fares:
-        fares_by_od[f.od].append(f)
-    contexts = {od: _OdContext(od, obs) for od, obs in fares_by_od.items()}
-
-    n = len(bookings)
-    values = np.full((n, len(ALL_COLUMNS)), np.nan, dtype=np.float64)
     col = {name: i for i, name in enumerate(ALL_COLUMNS)}
-    ods: list[str] = []
+    values = np.full((len(bookings), len(ALL_COLUMNS)), np.nan)
+    row_fields = _columns(bookings, _ROW_FIELDS)
+    values[:, [col[name] for name in _ROW_FIELDS]] = row_fields
+    airline, day, dbd, dep, tt = row_fields[:, :5].T
+    values[:, col["bucket_t"]] = np.floor(dbd / 10) * 10
+    values[:, col["dept_delta"]] = np.abs(dep - IDEAL_DEP)
 
-    for i, b in enumerate(bookings):
-        ods.append(b.od)
-        row = values[i]
-        row[col["airline_id"]] = b.airline_id
-        row[col["dep_day_id"]] = b.dep_day_id
-        row[col["dbd"]] = b.dbd
-        row[col["dep_time_mam"]] = b.dep_time_mam
-        row[col["price"]] = b.price
-        row[col["travel_time"]] = b.travel_time
-        row[col["bucket_t"]] = bucket_t(b.dbd)
-        row[col["is_bought"]] = 1.0 if b.is_bought else 0.0
-        row[col["dept_delta"]] = abs(b.dep_time_mam - IDEAL_DEP)
+    ods = [b.od for b in bookings]
+    booking_od = np.array(ods, dtype=str)
+    fare_od = np.array([f.od for f in fares], dtype=str)
+    fare_fields = _columns(fares, _ROW_FIELDS[:6])
+    in_market = np.zeros(len(bookings), dtype=bool)
+    for od in np.unique(fare_od):
+        rows = np.flatnonzero(booking_od == od)
+        in_market[rows] = True
+        fa, fd, ft, fdep, ftt, fprice = fare_fields[fare_od == od].T
+        m = _market(fa, fd, ft, fprice)
+        key = m.index(fa, fd, ft)
+        a, d, t = m.index(airline[rows], day[rows], dbd[rows])
+        base = ftt.min()
 
-        ctx = contexts.get(b.od)
-        if ctx is None:
-            continue
-        day_dbd = (b.dep_day_id, b.dbd)
-        own_fare = ctx.airline_fare.get((b.dep_day_id, b.dbd, b.airline_id))
-        refs = ctx.refs.get(day_dbd)
-        if own_fare is not None and refs is not None:
-            is_cheapest, yy_diff, xx_diff = fare_differences(
-                own_fare, refs.yy_fare, refs.xx_fare
-            )
-            row[col["is_cheapest"]] = float(is_cheapest)
-            row[col["mkt_fare"]] = refs.yy_fare
-            row[col["mkt_fare_diff"]] = yy_diff
-            row[col["mkt_fare_diff_perc"]] = own_fare / refs.yy_fare - 1.0
-            if xx_diff is not None:
-                row[col["xx_fare_diff"]] = xx_diff
-            for ref in ROLL_REFS:
-                series = ctx.diffs[ref].get((b.airline_id, b.dep_day_id), {})
-                for w in ROLL_WINDOWS:
-                    stats = rolling_price_features(series, b.dbd, w)
-                    if stats is None:
-                        continue
-                    mean, sd, mn, mx = stats
-                    row[col[f"mean{w}d_{ref}"]] = mean
-                    row[col[f"sd{w}d_{ref}"]] = sd
-                    row[col[f"min{w}d_{ref}"]] = mn
-                    row[col[f"max{w}d_{ref}"]] = mx
+        # pricing, rolling and min_flying_time exist where the own key has a fare
+        own, yy = m.fare[a, d, t], m.yy[d, t]
+        priced = ~np.isnan(own)
+        at_key = {
+            "is_cheapest": own == yy,
+            "mkt_fare": yy,
+            "mkt_fare_diff": m.diffs["yy"][a, d, t],
+            "mkt_fare_diff_perc": own / yy - 1.0,
+            "xx_fare_diff": m.diffs["xx"][a, d, t],
+            "min_flying_time": np.full(len(rows), base),
+        }
+        for ref in ROLL_REFS:
+            for w in ROLL_WINDOWS:
+                stats = _rolling(m.diffs[ref], w)[:, a, d, t]
+                at_key.update((f"{s}{w}d_{ref}", v) for s, v in zip(ROLL_STATS, stats))
+        for name, v in at_key.items():
+            values[rows[priced], col[name]] = v[priced]
 
-        group = ctx.group.get((b.dep_day_id, b.dbd, b.airline_id), [])
-        if group:
-            deps = [f.dep_time_mam for f in group]
-            arrs = [_arrival_mam(f.dep_time_mam, f.travel_time) for f in group]
-            row[col["has_night_flight"]] = float(
-                any(_crosses_midnight(f.dep_time_mam, f.travel_time) for f in group)
-            )
-            row[col["has_day_flight"]] = float(
-                any(not _crosses_midnight(f.dep_time_mam, f.travel_time) for f in group)
-            )
-            row[col["has_evening_departure"]] = float(any(d > EVENING_START for d in deps))
-            row[col["first_flight_dep"]] = min(deps)
-            row[col["last_flight_dep"]] = max(deps)
-            row[col["first_flight_arr"]] = min(arrs)
-            row[col["last_flight_arr"]] = max(arrs)
-            conn = [max(0.0, f.travel_time - ctx.base_flying_time) for f in group]
-            row[col["min_flying_time"]] = ctx.base_flying_time
-            row[col["min_conn_time"]] = min(conn)
-        mintt = ctx.mintt.get(day_dbd)
-        if mintt is not None:
-            row[col["min_travel_time"]] = mintt
-            row[col["tt_delta"]] = max(0.0, b.travel_time - mintt)
-        row[col["direct_flight"]] = float(
-            b.travel_time - ctx.base_flying_time < DIRECT_SLACK_HOURS
+        # schedule groups: the airline's itineraries at the booking's key
+        arrival = fdep + ftt * 60.0
+        night = arrival >= 1440.0
+        arrival %= 1440.0
+        for name, ufunc, v in (
+            ("has_night_flight", np.fmax, night),
+            ("has_day_flight", np.fmax, ~night),
+            ("has_evening_departure", np.fmax, fdep > EVENING_START),
+            ("first_flight_dep", np.fmin, fdep),
+            ("last_flight_dep", np.fmax, fdep),
+            ("first_flight_arr", np.fmin, arrival),
+            ("last_flight_arr", np.fmax, arrival),
+            ("min_conn_time", np.fmin, np.maximum(0.0, ftt - base)),
+        ):
+            cube = np.full(m.fare.shape, np.nan)
+            ufunc.at(cube, key, v)
+            values[rows, col[name]] = cube[a, d, t]
+        mintt = np.full(m.yy.shape, np.nan)
+        np.fmin.at(mintt, key[1:], ftt)
+        values[rows, col["min_travel_time"]] = mintt[d, t]
+        values[rows, col["tt_delta"]] = np.maximum(0.0, tt[rows] - mintt[d, t])
+
+        # distinct departure times per airline; the trailing 0 is for absent airlines
+        pairs = np.unique(np.stack([fa, fdep], axis=1), axis=0)
+        freq = np.bincount(_lookup(m.airlines, pairs[:, 0]), minlength=len(m.airlines) + 1)
+        values[rows, col["num_frequencies"]] = freq[a]
+        values[rows, col["home_carrier"]] = airline[rows] == m.airlines[np.argmax(freq)]
+        values[rows, col["direct_flight"]] = tt[rows] - base < DIRECT_SLACK_HOURS
+        values[rows, col["has_night_departure"]] = (
+            (dep[rows] >= NIGHT_DEP_START) | (dep[rows] < NIGHT_DEP_END)
         )
-        row[col["has_night_departure"]] = float(
-            b.dep_time_mam >= NIGHT_DEP_START or b.dep_time_mam < NIGHT_DEP_END
+        values[rows, col["has_morning_arrival"]] = (
+            (dep[rows] + tt[rows] * 60.0) % 1440.0 < MORNING_END
         )
-        row[col["has_morning_arrival"]] = float(
-            _arrival_mam(b.dep_time_mam, b.travel_time) < MORNING_END
-        )
-        row[col["num_frequencies"]] = float(ctx.num_frequencies.get(b.airline_id, 0))
-        if ctx.home_carrier is not None:
-            row[col["home_carrier"]] = float(b.airline_id == ctx.home_carrier)
-        if b.airline_id in widebody:
-            row[col["wide_body"]] = float(widebody[b.airline_id])
 
-        agg = aggregates.get(b.airline_id)
-        if agg is not None:
-            for name in AGGREGATE_COLUMNS:
-                val = getattr(agg, name)
-                if val is not None:
-                    row[col[name]] = val
+    for aid, flag in (widebody or {}).items():
+        values[in_market & (airline == aid), col["wide_body"]] = flag
+    for aid, agg in aggregates.items():
+        hit = in_market & (airline == aid)
+        for name in AGGREGATE_COLUMNS:
+            if getattr(agg, name) is not None:
+                values[hit, col[name]] = getattr(agg, name)
 
     return FeatureTable(ods=ods, columns=list(ALL_COLUMNS), values=values)

@@ -12,12 +12,10 @@ import csv
 import logging
 import re
 import statistics
-from dataclasses import dataclass
 from importlib import resources
 from typing import Literal, Mapping, Sequence
 
 __all__ = [
-    "SentimentScore",
     "load_stopwords",
     "load_default_lexicon",
     "tokenize",
@@ -80,48 +78,30 @@ def scale_to_10(raw: float) -> float:
     return raw + 5.0
 
 
-@dataclass(frozen=True)
-class SentimentScore:
-    airline_id: int
-    score_0_10: float
-    n_texts: int
-    matched_token_share: float
-
-
 def aggregate_airline_sentiment(
     texts_by_airline: Mapping[int, Sequence[str]],
     lexicon: Mapping[str, int],
     method: Literal["mean", "median"],
     stopwords: frozenset[str] | None = None,
-) -> dict[int, SentimentScore]:
-    """Score each text and reduce per airline with the requested statistic.
+) -> dict[int, float]:
+    """Score each text and reduce per airline to a 0-10 score with the
+    requested statistic.
 
-    Texts with no lexicon match are excluded from the aggregate (but counted
-    in matched_token_share's denominator). Airlines without a single scored
-    text are omitted with a warning.
+    Texts with no lexicon match are excluded from the aggregate. Airlines
+    without a single scored text are omitted with a warning.
     """
     if method not in ("mean", "median"):
         raise ValueError(f"unknown aggregation method: {method!r}")
-    out: dict[int, SentimentScore] = {}
+    reduce = statistics.mean if method == "mean" else statistics.median
+    out: dict[int, float] = {}
     for airline_id in sorted(texts_by_airline):
         raws: list[float] = []
-        n_tokens = 0
-        n_matched = 0
         for text in texts_by_airline[airline_id]:
-            tokens = tokenize(text, stopwords)
-            n_tokens += len(tokens)
-            n_matched += sum(1 for tok in tokens if tok in lexicon)
-            raw = score_text(tokens, lexicon)
+            raw = score_text(tokenize(text, stopwords), lexicon)
             if raw is not None:
                 raws.append(raw)
         if not raws:
             log.warning("airline %s: no text matched the lexicon; omitted", airline_id)
             continue
-        raw_agg = statistics.mean(raws) if method == "mean" else statistics.median(raws)
-        out[airline_id] = SentimentScore(
-            airline_id=airline_id,
-            score_0_10=scale_to_10(raw_agg),
-            n_texts=len(raws),
-            matched_token_share=n_matched / n_tokens if n_tokens else 0.0,
-        )
+        out[airline_id] = scale_to_10(reduce(raws))
     return out

@@ -27,7 +27,7 @@ from .ingest import (
     SafetyRecord,
     TweetRecord,
 )
-from .features import fare_differences, market_reference_fares, rolling_price_features
+from .features import _columns, _market, _rolling
 from .simulate import DemandMix, FareLadder, OdMarket, SimScenario
 
 __all__ = ["ArchetypeSpec", "MarketData", "generate_market", "standard_fixture", "FIXTURE_SEED"]
@@ -216,7 +216,6 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
             dep_times[(day, a)] = [
                 int((t + rng.integers(-150, 151)) % 1440) for t in anchors[a]
             ]
-    airline_fare: dict[tuple[int, int, int], float] = {}
     itin_price: dict[tuple[int, int, int, int], float] = {}
     for day in dep_days:
         fare = {a: base_fare[a] * float(rng.uniform(0.9, 1.1)) for a in airline_ids}
@@ -224,10 +223,10 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
             for a in airline_ids:
                 pull = 0.08 * (base_fare[a] - fare[a])
                 fare[a] = max(30.0, fare[a] + pull + float(rng.normal(0, 0.03 * base_fare[a])))
-                airline_fare[(day, dbd, a)] = round(fare[a], 2)
+                own = round(fare[a], 2)
                 for k in range(n_itins[a]):
                     offset = 0.0 if k == 0 else round(18.0 * k + float(rng.uniform(0, 10)), 2)
-                    price = round(airline_fare[(day, dbd, a)] + offset, 2)
+                    price = round(own + offset, 2)
                     itin_price[(day, dbd, a, k)] = price
                     data.fares.append(
                         FareObservation(
@@ -241,18 +240,11 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
                         )
                     )
 
-    # market references and rolling driver per (airline, day, dbd)
-    refs = {}
-    yy_diff_series: dict[tuple[int, int], dict[int, float]] = {}
-    for day in dep_days:
-        for dbd in range(FARE_DBD_MIN, FARE_DBD_MAX + 1):
-            per_airline = {a: airline_fare[(day, dbd, a)] for a in airline_ids}
-            refs[(day, dbd)] = market_reference_fares(per_airline)
-            for a in airline_ids:
-                _, yy_diff, _ = fare_differences(
-                    per_airline[a], refs[(day, dbd)].yy_fare, refs[(day, dbd)].xx_fare
-                )
-                yy_diff_series.setdefault((a, day), {})[dbd] = yy_diff
+    # own-minus-cheapest fare and its rolling 3-day mean, from the feature
+    # assembly's cubes; their axes follow airline_ids, dep_days and dbd - dbd0
+    market = _market(*_columns(data.fares, ("airline_id", "dep_day_id", "dbd", "price")).T)
+    yy_diffs = market.diffs["yy"].tolist()
+    mean3d_yys = np.nan_to_num(_rolling(market.diffs["yy"], 3)[0]).tolist()
 
     ife_median = {
         a: float(median(r.ife for r in data.reviews if r.airline_id == a)) for a in airline_ids
@@ -260,21 +252,17 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
 
     # candidate displayed itineraries and their archetype latents
     fare_scale = float(np.mean(list(base_fare.values())))
-    candidates: list[tuple[int, int, int, int, float, float]] = []
+    candidates: list[tuple[int, int, int, int]] = []
     latents: list[float] = []
-    for day in dep_days:
+    for di, day in enumerate(dep_days):
         for dbd in range(DISPLAY_DBD_MIN, DISPLAY_DBD_MAX + 1):
+            t = dbd - market.dbd0
             z_dbd = (dbd - (DISPLAY_DBD_MIN + DISPLAY_DBD_MAX) / 2.0) / 12.0
-            for a in airline_ids:
+            for ai, a in enumerate(airline_ids):
                 for k in range(n_itins[a]):
                     if rng.random() > DISPLAY_PROB:
                         continue
-                    own = airline_fare[(day, dbd, a)]
-                    _, yy_diff, _ = fare_differences(
-                        own, refs[(day, dbd)].yy_fare, refs[(day, dbd)].xx_fare
-                    )
-                    roll = rolling_price_features(yy_diff_series[(a, day)], dbd, 3)
-                    mean3d_yy = roll[0] if roll is not None else 0.0
+                    yy_diff, mean3d_yy = yy_diffs[ai][di][t], mean3d_yys[ai][di][t]
                     if spec.archetype == "price":
                         drv = -mean3d_yy / (0.08 * fare_scale)
                         aux = -yy_diff / (0.15 * fare_scale)
@@ -290,7 +278,7 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
                         + spec.interaction_coef * drv * z_dbd
                         + float(rng.normal(0, spec.noise_scale))
                     )
-                    candidates.append((day, dbd, a, k, own, latent))
+                    candidates.append((day, dbd, a, k))
                     latents.append(latent)
 
     latent_arr = np.array(latents)
@@ -298,7 +286,7 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
     data.intercept = intercept
     probs = 1.0 / (1.0 + np.exp(-(intercept + latent_arr)))
     draws = rng.random(len(candidates))
-    for (day, dbd, a, k, own, _), p, u in zip(candidates, probs, draws):
+    for (day, dbd, a, k), p, u in zip(candidates, probs, draws):
         # displayed price mirrors the fares dataset row for the same itinerary
         price = itin_price[(day, dbd, a, k)]
         data.bookings.append(

@@ -113,6 +113,25 @@ def test_missing_prerequisite_names_command(tmp_path, capsys):
     assert "synth" in err
 
 
+_LADDER = ",".join(str(1200 - 100 * k) for k in range(12))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[od:X]\nfares = 1\n", "missing section [scenario]"),
+    ("[scenario]\nseed = 1\n", "section [scenario] has no key 'capacity'"),
+    (f"[scenario]\ncapacity = 9\n[od:X]\nfares = {_LADDER}\n", "section [od:X] has no key 'brand_mix'"),
+    ("[scenario]\ncapacity = nine\n", "invalid literal"),
+    ("[scenario]\ncapacity = 0\n", "capacity must be >= 1"),
+    ("[scenario]\ncapacity = 9\n[od:X]\nfares = 1,2\n", "need 12 fares"),
+])
+def test_malformed_scenario_exits_2_naming_file(tmp_path, capsys, text, message):
+    path = tmp_path / "scenario.ini"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["simulate", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+
+
 def test_missing_models_names_train(workspace, tmp_path, capsys):
     rc = cli.main([
         "evaluate", "--features", str(workspace / "out"),

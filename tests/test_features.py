@@ -252,3 +252,142 @@ def test_model_matrix_masks_missing():
     j = names.index("mean28d_yy")
     assert missing[:, j].all()
     assert "airline_id" not in names and "dep_day_id" not in names
+
+
+# ------------------------------------------------- assembly vs per-row oracle
+
+def _expected_rows(bookings, fares, aggregates, widebody):
+    """Recompute every column row by row from the raw fare rows: the scalar
+    pricing functions for pricing and rolling columns, plain min/max/any over
+    the matching fare rows for the schedule columns."""
+    columns = assemble_feature_vectors([], [], {}).columns
+    out = np.full((len(bookings), len(columns)), np.nan)
+    for i, b in enumerate(bookings):
+        want = {
+            "airline_id": b.airline_id, "dep_day_id": b.dep_day_id, "dbd": b.dbd,
+            "dep_time_mam": b.dep_time_mam, "price": b.price, "travel_time": b.travel_time,
+            "bucket_t": bucket_t(b.dbd), "is_bought": float(b.is_bought),
+            "dept_delta": abs(b.dep_time_mam - 360),
+        }
+        od = [f for f in fares if f.od == b.od]
+        if od:
+            want.update(_expected_market_columns(b, od))
+            if b.airline_id in widebody:
+                want["wide_body"] = float(widebody[b.airline_id])
+            agg = aggregates.get(b.airline_id)
+            if agg is not None:
+                want.update({k: v for k, v in vars(agg).items() if v is not None})
+        for name, v in want.items():
+            out[i, columns.index(name)] = v
+    return out
+
+
+def _expected_market_columns(b, od):
+    fare = {}
+    for f in od:
+        k = (f.airline_id, f.dep_day_id, f.dbd)
+        fare[k] = min(fare.get(k, math.inf), f.price)
+    airlines = sorted({f.airline_id for f in od})
+
+    def diff(ref, dbd):
+        own = fare.get((b.airline_id, b.dep_day_id, dbd))
+        if own is None:
+            return None
+        if ref == "al":
+            prev = fare.get((b.airline_id, b.dep_day_id, dbd - 1))
+            return None if prev is None else own - prev
+        here = {a: fare[(a, b.dep_day_id, dbd)] for a in airlines
+                if (a, b.dep_day_id, dbd) in fare}
+        refs = market_reference_fares(here)
+        _, yy, xx = fare_differences(own, refs.yy_fare, refs.xx_fare)
+        return yy if ref == "yy" else xx
+
+    want = {}
+    own = fare.get((b.airline_id, b.dep_day_id, b.dbd))
+    base = min(f.travel_time for f in od)
+    if own is not None:
+        refs = market_reference_fares({a: fare[(a, b.dep_day_id, b.dbd)] for a in airlines
+                                       if (a, b.dep_day_id, b.dbd) in fare})
+        cheap, yy, xx = fare_differences(own, refs.yy_fare, refs.xx_fare)
+        want.update(is_cheapest=float(cheap), mkt_fare=refs.yy_fare, mkt_fare_diff=yy,
+                    mkt_fare_diff_perc=own / refs.yy_fare - 1.0, min_flying_time=base)
+        if xx is not None:
+            want["xx_fare_diff"] = xx
+        for ref in ("al", "yy", "xx"):
+            series = {d: diff(ref, d) for d in range(b.dbd - max(ROLL_WINDOWS), b.dbd)}
+            series = {d: v for d, v in series.items() if v is not None}
+            for w in ROLL_WINDOWS:
+                stats = rolling_price_features(series, b.dbd, w)
+                if stats is not None:
+                    want.update(zip((f"{s}{w}d_{ref}" for s in ("mean", "sd", "min", "max")), stats))
+
+    group = [f for f in od if (f.airline_id, f.dep_day_id, f.dbd) == (b.airline_id, b.dep_day_id, b.dbd)]
+    if group:
+        ends = [f.dep_time_mam + f.travel_time * 60.0 for f in group]
+        want.update(
+            has_night_flight=float(any(e >= 1440 for e in ends)),
+            has_day_flight=float(any(e < 1440 for e in ends)),
+            has_evening_departure=float(any(f.dep_time_mam > 18 * 60 for f in group)),
+            first_flight_dep=min(f.dep_time_mam for f in group),
+            last_flight_dep=max(f.dep_time_mam for f in group),
+            first_flight_arr=min(e % 1440 for e in ends),
+            last_flight_arr=max(e % 1440 for e in ends),
+            min_conn_time=min(max(0.0, f.travel_time - base) for f in group),
+        )
+    market_tt = [f.travel_time for f in od if (f.dep_day_id, f.dbd) == (b.dep_day_id, b.dbd)]
+    if market_tt:
+        want.update(min_travel_time=min(market_tt), tt_delta=max(0.0, b.travel_time - min(market_tt)))
+    freq = {a: len({f.dep_time_mam for f in od if f.airline_id == a}) for a in airlines}
+    home = min(airlines, key=lambda a: (-freq[a], a))
+    want.update(
+        direct_flight=float(b.travel_time - base < 0.5),
+        has_night_departure=float(b.dep_time_mam >= 21 * 60 or b.dep_time_mam < 5 * 60),
+        has_morning_arrival=float((b.dep_time_mam + b.travel_time * 60.0) % 1440 < 9 * 60),
+        num_frequencies=float(freq.get(b.airline_id, 0)),
+        home_carrier=float(b.airline_id == home),
+    )
+    return want
+
+
+def _random_fares(rng, od, n_air):
+    """Gappy fares over two departure days, 1-2 itineraries per airline, with
+    prices drawn from a dozen cent amounts so that ties occur; one airline is
+    mostly absent, leaving single-airline keys."""
+    prices = np.round(rng.uniform(60.0, 90.0, size=12), 2)
+    fares = []
+    for a in range(1, n_air + 1):
+        gap = 0.6 if a == n_air else float(rng.choice([0.0, 0.03, 0.2]))
+        times = [(int(rng.integers(0, 1440)), round(float(rng.uniform(0.5, 16.0)), 2))
+                 for _ in range(int(rng.integers(1, 3)))]
+        for day in (100, 107):
+            for dbd in range(-45, 0):
+                if rng.random() < gap:
+                    continue
+                for dep, tt in times:
+                    fares.append(FareObservation(od, a, day, dbd, dep, tt, float(rng.choice(prices))))
+    return fares
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_assembly_equals_per_row_oracle(seed):
+    """Two ODs with fares and one without in one call; bookings also fall on
+    days, dbds and an airline the fares do not have."""
+    rng = np.random.default_rng(seed)
+    fares = _random_fares(rng, "AAA-BBB", int(rng.integers(1, 4))) + _random_fares(rng, "CCC-DDD", 3)
+    bookings = [
+        ItineraryRecord(
+            str(rng.choice(["AAA-BBB", "CCC-DDD", "EEE-FFF"], p=[0.45, 0.45, 0.1])),
+            int(rng.integers(1, 5)), int(rng.choice([100, 107, 114], p=[0.45, 0.45, 0.1])),
+            int(rng.integers(-50, 3)),
+            int(rng.integers(0, 1440)), round(float(rng.uniform(0.5, 16.0)), 2),
+            float(rng.integers(60, 90)), bool(rng.random() < 0.3),
+        )
+        for _ in range(80)
+    ]
+    aggregates = {1: AirlineAggregates(rating_ife=3.0, fleet_size=12.0), 4: AirlineAggregates(safety_score=0.02)}
+    widebody = {1: True, 2: False}
+    table = assemble_feature_vectors(bookings, fares, aggregates, widebody=widebody)
+    assert table.ods == [b.od for b in bookings]
+    want = _expected_rows(bookings, fares, aggregates, widebody)
+    for name, got, exp in zip(table.columns, table.values.T, want.T):
+        np.testing.assert_array_equal(got, exp, err_msg=name)

@@ -88,8 +88,8 @@ def test_aggregate_mean_vs_median():
     # raw per-text scores: 4, -2, 5 -> mean 7/3, median 4
     by_mean = aggregate_airline_sentiment(texts, lexicon, method="mean")
     by_median = aggregate_airline_sentiment(texts, lexicon, method="median")
-    assert by_mean[1].score_0_10 == pytest.approx(5 + 7 / 3)
-    assert by_median[1].score_0_10 == pytest.approx(9.0)
+    assert by_mean[1] == pytest.approx(5 + 7 / 3)
+    assert by_median[1] == pytest.approx(9.0)
 
 
 def test_aggregate_omits_airline_without_matches():

@@ -186,6 +186,8 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
 
 
 def cmd_explain(args, cfg: RunConfig) -> int:
+    if args.top is not None and args.top < 0:
+        raise CliError(f"--top must be >= 0, got {args.top}")
     features_root = Path(args.features or cfg.out_dir)
     models_root = Path(args.models or cfg.out_dir)
     table = _load_features(features_root, args.od)

@@ -47,7 +47,6 @@ __all__ = [
 N_CLASSES = 12
 # fare brand -> class indices (1-based)
 FARE_BRANDS = {1: (1, 2, 3), 2: (4, 5, 6, 7, 8), 3: (9, 10, 11, 12)}
-_BRAND_OF_CLASS = {c: b for b, classes in FARE_BRANDS.items() for c in classes}
 
 # Arrival-order tendency: with this probability a request's arrival time is
 # drawn from a brand-skewed distribution (cheap brands early), else uniform.
@@ -62,6 +61,8 @@ class FareLadder:
     def __post_init__(self):
         if len(self.fares) != N_CLASSES:
             raise ValueError(f"need {N_CLASSES} fares")
+        if not all(math.isfinite(f) and f > 0 for f in self.fares):
+            raise ValueError("fares must be finite and positive")
         if any(a < b for a, b in zip(self.fares, self.fares[1:])):
             raise ValueError("fares must be non-increasing from class 1 to 12")
 
@@ -76,8 +77,8 @@ class DemandMix:
     shares: tuple[float, float, float]
 
     def __post_init__(self):
-        if any(s < 0 for s in self.shares):
-            raise ValueError("brand shares must be nonnegative")
+        if not all(math.isfinite(s) and s >= 0 for s in self.shares):
+            raise ValueError("brand shares must be finite and nonnegative")
         total = sum(self.shares)
         if total <= 0:
             raise ValueError("brand shares must not all be zero")
@@ -95,6 +96,12 @@ class OdMarket:
     mean_demand: float
     history: list[float]          # per-departure-day demand series for Holt
     covered: bool = False         # does a trained itinerary model cover this OD
+
+    def __post_init__(self):
+        if len(self.history) < 2 or not all(math.isfinite(h) for h in self.history):
+            raise ValueError(f"OD {self.name}: history needs at least 2 values, all finite")
+        if not (math.isfinite(self.mean_demand) and self.mean_demand >= 0):
+            raise ValueError(f"OD {self.name}: mean_demand must be finite and >= 0")
 
 
 @dataclass
@@ -117,6 +124,8 @@ class SimScenario:
             raise ValueError("capacity must be >= 1")
         if self.n_reps < 1:
             raise ValueError("n_reps must be >= 1")
+        if sum(od.mean_demand for od in self.ods) <= 0:
+            raise ValueError("total mean_demand over the ODs must be positive")
 
 
 @dataclass
@@ -124,17 +133,22 @@ class Policy:
     """Nested booking limits per class at the flight (leg) level.
 
     limits[k] is the maximum cumulative seats sellable once class k+1 opens
-    (0-based index k = class k+1). protections[j] protects classes 1..j+1
-    against lower classes. od_forecasts keeps the per-OD class contributions
-    for reporting.
+    (0-based index k = class k+1); class k+1 is open while sold < limits[k].
+    The 12 limits must be non-increasing, so at any seat count the open
+    classes are always the first n (classes 1..n). protections[j] protects
+    classes 1..j+1 against lower classes. od_forecasts keeps the per-OD class
+    contributions for reporting.
     """
 
     limits: tuple[float, ...]
     protections: tuple[float, ...]
     od_forecasts: dict[str, tuple[float, ...]] = field(default_factory=dict)
 
-    def open_class(self, cls: int, sold: int) -> bool:
-        return sold < self.limits[cls - 1]
+    def __post_init__(self):
+        if len(self.limits) != N_CLASSES:
+            raise ValueError(f"need {N_CLASSES} booking limits")
+        if not all(a >= b for a, b in zip(self.limits, self.limits[1:])):
+            raise ValueError("booking limits must be non-increasing from class 1 to 12")
 
 
 def des_forecast(history: Sequence[float], alpha: float, beta: float) -> float:
@@ -175,46 +189,32 @@ def model_rollup_forecast(probabilities: Sequence[float], mix: DemandMix) -> tup
     return allocate_to_classes(float(np.sum(probabilities)), mix)
 
 
-def _od_class_forecasts(
-    scenario: SimScenario,
-    rollup_probs: Mapping[str, Sequence[float]] | None,
-) -> dict[str, tuple[float, ...]]:
-    """Per-OD class forecasts: model roll-up where covered, Holt elsewhere."""
-    out = {}
-    for od in scenario.ods:
-        if rollup_probs is not None and od.covered:
-            if od.name not in rollup_probs:
-                raise ValueError(f"missing model probabilities for covered OD {od.name}")
-            out[od.name] = model_rollup_forecast(rollup_probs[od.name], od.mix)
-        else:
-            total = des_forecast(od.history, scenario.holt_alpha, scenario.holt_beta)
-            out[od.name] = allocate_to_classes(total, od.mix)
-    return out
-
-
 def aggregate_class_forecasts(
     scenario: SimScenario,
     rollup_probs: Mapping[str, Sequence[float]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[float, ...]]]:
     """(class demand means, class fares, per-OD forecasts) for the leg.
 
-    Class fares are demand-weighted averages over the ODs crossing the
-    flight, so EMSR-b sees one 12-class ladder.
+    Each OD is forecast by the model roll-up where covered and by Holt
+    elsewhere. Class fares are demand-weighted averages over the ODs crossing
+    the flight, so EMSR-b sees one 12-class ladder; a class without demand
+    takes the mean of the OD ladders' fares.
     """
-    per_od = _od_class_forecasts(scenario, rollup_probs)
-    means = np.zeros(N_CLASSES)
-    fare_mass = np.zeros(N_CLASSES)
+    per_od = {}
     for od in scenario.ods:
-        fc = per_od[od.name]
-        for c in range(N_CLASSES):
-            means[c] += fc[c]
-            fare_mass[c] += fc[c] * od.ladder.fare(c + 1)
-    fares = np.empty(N_CLASSES)
-    for c in range(N_CLASSES):
-        if means[c] > 0:
-            fares[c] = fare_mass[c] / means[c]
+        if rollup_probs is not None and od.covered:
+            if od.name not in rollup_probs:
+                raise ValueError(f"missing model probabilities for covered OD {od.name}")
+            per_od[od.name] = model_rollup_forecast(rollup_probs[od.name], od.mix)
         else:
-            fares[c] = float(np.mean([od.ladder.fare(c + 1) for od in scenario.ods]))
+            total = des_forecast(od.history, scenario.holt_alpha, scenario.holt_beta)
+            per_od[od.name] = allocate_to_classes(total, od.mix)
+    demand = np.array([per_od[od.name] for od in scenario.ods])  # (OD, class)
+    ladders = np.array([od.ladder.fares for od in scenario.ods])
+    means = demand.sum(axis=0)
+    # One class's fares contiguous, so each mean sums in np.mean's own order.
+    fallback = np.ascontiguousarray(ladders.T).mean(axis=1)
+    fares = np.divide((demand * ladders).sum(axis=0), means, out=fallback, where=means > 0)
     return means, fares, per_od
 
 
@@ -320,30 +320,24 @@ def replay(
 ) -> tuple[int, float]:
     """Accept requests against nested limits; returns (bookings, revenue).
 
-    With downsell, a customer books the cheapest open class at or below her
-    willingness class's fare (highest open class index >= willingness);
-    without, she books exactly her class or is lost.
+    The limits are nested, so with s seats sold the open classes are always
+    the first n_open[s], where n_open[s] counts the limits above s. A request
+    whose willingness class k lies beyond n_open[sold] is lost. Otherwise the
+    customer books the cheapest open class, n_open[sold], with downsell, and
+    class k without.
     """
+    n_open = (np.arange(capacity)[:, None] < np.asarray(policy.limits)).sum(axis=1).tolist()
     sold = 0
     revenue = 0.0
     for req in requests:
         if sold >= capacity:
             break
+        n = n_open[sold]
         k = req.willingness_class
-        if downsell:
-            booked = None
-            for cls in range(N_CLASSES, k - 1, -1):  # cheapest first
-                if policy.open_class(cls, sold):
-                    booked = cls
-                    break
-            if booked is None:
-                continue
-        else:
-            if not policy.open_class(k, sold):
-                continue
-            booked = k
+        if k > n:
+            continue
         sold += 1
-        revenue += ladders[req.od].fare(booked)
+        revenue += ladders[req.od].fare(n if downsell else k)
     return sold, revenue
 
 

@@ -75,6 +75,17 @@ def test_explain_prints_waterfall(workspace, capsys):
     assert "%" in text or "prob" in text.lower()
 
 
+def test_explain_rejects_negative_top(workspace, capsys):
+    rc = cli.main([
+        "explain", "--features", str(workspace / "out"),
+        "--models", str(workspace / "out"),
+        "--od", SMALL_ODS[0], "--row", "0", "--top", "-2",
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --top must be >= 0") and captured.out == ""
+
+
 def test_explain_writes_waterfall_data(workspace, tmp_path):
     out = tmp_path / "w.csv"
     assert cli.main([
@@ -123,6 +134,16 @@ _LADDER = ",".join(str(1200 - 100 * k) for k in range(12))
     ("[scenario]\ncapacity = nine\n", "invalid literal"),
     ("[scenario]\ncapacity = 0\n", "capacity must be >= 1"),
     ("[scenario]\ncapacity = 9\n[od:X]\nfares = 1,2\n", "need 12 fares"),
+    (f"[scenario]\ncapacity = 9\n[od:X]\nfares = {_LADDER}\nbrand_mix = 1,1,1\n"
+     "mean_demand = 4\nhistory = 5\n", "OD X: history needs at least 2 values"),
+    (f"[scenario]\ncapacity = 9\n[od:X]\nfares = {_LADDER}\nbrand_mix = 1,1,1\n"
+     "mean_demand = 0\nhistory = 5,6\n", "total mean_demand over the ODs must be positive"),
+    (f"[scenario]\ncapacity = 9\n[od:X]\nfares = {_LADDER}\nbrand_mix = 1,1,1\n"
+     "mean_demand = -3\nhistory = 5,6\n", "OD X: mean_demand must be finite and >= 0"),
+    (f"[scenario]\ncapacity = 9\n[od:X]\nfares = {_LADDER}\nbrand_mix = nan,1,1\n",
+     "brand shares must be finite and nonnegative"),
+    ("[scenario]\ncapacity = 9\n[od:X]\nfares = nan," + _LADDER.split(",", 1)[1] + "\n",
+     "fares must be finite and positive"),
 ])
 def test_malformed_scenario_exits_2_naming_file(tmp_path, capsys, text, message):
     path = tmp_path / "scenario.ini"

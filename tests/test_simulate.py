@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from farecast.config import read_scenario, write_scenario
@@ -13,7 +17,9 @@ from farecast.simulate import (
     FareLadder,
     OdMarket,
     Policy,
+    Request,
     SimScenario,
+    aggregate_class_forecasts,
     allocate_to_classes,
     compare_policies,
     des_forecast,
@@ -22,9 +28,10 @@ from farecast.simulate import (
     optimize_policy,
     replay,
 )
-from farecast.synth import COVERED_BRAND_MIX, COVERED_FARE_LADDERS
+from farecast.synth import COVERED_BRAND_MIX, COVERED_FARE_LADDERS, standard_fixture
 
 AMS_SYD = FareLadder(COVERED_FARE_LADDERS["AMS-SYD"])
+LHR_SYD = FareLadder(COVERED_FARE_LADDERS["LHR-SYD"])
 
 
 def _flat_ladder(fare: float) -> FareLadder:
@@ -76,6 +83,78 @@ def test_holt_floor_and_validation():
         des_forecast([1.0, 2.0], 0.0, 0.1)
 
 
+# ------------------------------------------------------------ class roll-up
+
+def _aggregate_oracle(scenario, rollup_probs):
+    """The per-OD, per-class loop form of `aggregate_class_forecasts`."""
+    per_od = {}
+    for od in scenario.ods:
+        if rollup_probs is not None and od.covered:
+            per_od[od.name] = model_rollup_forecast(rollup_probs[od.name], od.mix)
+        else:
+            total = des_forecast(od.history, scenario.holt_alpha, scenario.holt_beta)
+            per_od[od.name] = allocate_to_classes(total, od.mix)
+    means = np.zeros(N_CLASSES)
+    fare_mass = np.zeros(N_CLASSES)
+    for od in scenario.ods:
+        fc = per_od[od.name]
+        for c in range(N_CLASSES):
+            means[c] += fc[c]
+            fare_mass[c] += fc[c] * od.ladder.fare(c + 1)
+    fares = np.empty(N_CLASSES)
+    for c in range(N_CLASSES):
+        if means[c] > 0:
+            fares[c] = fare_mass[c] / means[c]
+        else:
+            fares[c] = float(np.mean([od.ladder.fare(c + 1) for od in scenario.ods]))
+    return means, fares, per_od
+
+
+def _assert_aggregate_equals_oracle(scenario, rollup_probs):
+    means, fares, per_od = aggregate_class_forecasts(scenario, rollup_probs)
+    o_means, o_fares, o_per_od = _aggregate_oracle(scenario, rollup_probs)
+    assert means.tobytes() == o_means.tobytes()
+    assert fares.tobytes() == o_fares.tobytes()
+    assert per_od == o_per_od
+
+
+@pytest.fixture(scope="module", params=[1, 7, 42])
+def fixture_flight(request):
+    """A standard fixture's scenario and its forecast-day purchase labels,
+    which stand in for model probabilities."""
+    markets, scenario = standard_fixture(request.param)
+    labels = {
+        od.name: [float(b.is_bought) for b in markets[od.name].bookings
+                  if b.dep_day_id == scenario.forecast_day]
+        for od in scenario.ods if od.covered
+    }
+    return scenario, labels
+
+
+def test_aggregate_equals_loop_oracle(fixture_flight):
+    scenario, labels = fixture_flight
+    _assert_aggregate_equals_oracle(scenario, None)
+    _assert_aggregate_equals_oracle(scenario, labels)
+
+
+def test_aggregate_zero_demand_class_takes_mean_ladder_fare(fixture_flight):
+    # No OD sells brand 1, so classes 1-3 have no demand; fractional fares
+    # make the order of the mean's sum visible in the last bits.
+    scenario, labels = fixture_flight
+    ods = [
+        replace(od, mix=DemandMix((0.0, *od.mix.shares[1:])),
+                ladder=FareLadder(tuple(f * 1.0137 for f in od.ladder.fares)))
+        for od in scenario.ods
+    ]
+    scenario = replace(scenario, ods=ods)
+    for probs in (None, labels):
+        means, fares, _ = aggregate_class_forecasts(scenario, probs)
+        assert list(means[:3]) == [0.0] * 3 and (means[3:] > 0).all()
+        for c in range(3):
+            assert fares[c] == pytest.approx(np.mean([od.ladder.fare(c + 1) for od in ods]))
+        _assert_aggregate_equals_oracle(scenario, probs)
+
+
 # ----------------------------------------------------------------- structures
 
 def test_fare_ladder_validation():
@@ -88,11 +167,21 @@ def test_fare_ladder_validation():
     assert AMS_SYD.fare(12) == 447
 
 
+def test_policy_requires_12_non_increasing_limits():
+    no_protection = tuple([0.0] * (N_CLASSES - 1))
+    with pytest.raises(ValueError):
+        Policy(limits=tuple(float(i) for i in range(N_CLASSES)), protections=no_protection)
+    with pytest.raises(ValueError):
+        Policy(limits=tuple([5.0] * (N_CLASSES - 1)), protections=no_protection)
+
+
 def test_demand_mix_renormalizes():
     mix = DemandMix((1.0, 1.0, 2.0))
     assert mix.shares == (0.25, 0.25, 0.5)
     with pytest.raises(ValueError):
         DemandMix((-0.1, 0.6, 0.5))
+    with pytest.raises(ValueError):
+        DemandMix((float("nan"), 0.6, 0.5))
     with pytest.raises(ValueError):
         DemandMix((0.0, 0.0, 0.0))
 
@@ -149,6 +238,58 @@ def test_zero_demand_gives_zero_protection():
 
 
 # --------------------------------------------------------------------- replay
+
+def _replay_oracle(requests, policy, ladders, capacity, downsell):
+    """Class-by-class search for the cheapest open class: the reference for
+    `replay`'s table of open classes."""
+
+    def open_class(cls, sold):
+        return sold < policy.limits[cls - 1]
+
+    sold = 0
+    revenue = 0.0
+    for req in requests:
+        if sold >= capacity:
+            break
+        k = req.willingness_class
+        if downsell:
+            booked = None
+            for cls in range(N_CLASSES, k - 1, -1):  # cheapest first
+                if open_class(cls, sold):
+                    booked = cls
+                    break
+            if booked is None:
+                continue
+        else:
+            if not open_class(k, sold):
+                continue
+            booked = k
+        sold += 1
+        revenue += ladders[req.od].fare(booked)
+    return sold, revenue
+
+
+# Integer limits make `sold == limit` reachable; fractional ones fall between seats.
+_LIMIT = st.one_of(st.integers(0, 70).map(float), st.floats(0, 70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    limits=st.lists(_LIMIT, min_size=N_CLASSES, max_size=N_CLASSES),
+    capacity=st.integers(1, 60),
+    stream=st.lists(st.tuples(st.sampled_from(["AMS-SYD", "LHR-SYD"]),
+                              st.integers(1, N_CLASSES)), max_size=120),
+)
+def test_replay_equals_class_by_class_oracle(limits, capacity, stream):
+    policy = Policy(limits=tuple(sorted(limits, reverse=True)),
+                    protections=tuple([0.0] * (N_CLASSES - 1)))
+    requests = [Request(time=i / len(stream), od=od, willingness_class=k)
+                for i, (od, k) in enumerate(stream)]
+    ladders = {"AMS-SYD": AMS_SYD, "LHR-SYD": LHR_SYD}
+    for downsell in (False, True):
+        assert (replay(requests, policy, ladders, capacity, downsell)
+                == _replay_oracle(requests, policy, ladders, capacity, downsell))
+
 
 def test_unlimited_capacity_no_downsell_revenue_is_sum_of_fares():
     scenario = _scenario(capacity=80, seed=7)

@@ -94,9 +94,12 @@ def _trace(explanation: Explanation) -> list[tuple[str, float, float]]:
 
 def render_waterfall(explanation: Explanation, max_features: int | None = None) -> str:
     """Text waterfall: features by descending |log-odds|, with the cumulative
-    probability trace and the 0.5 purchase cut-off marked."""
+    probability trace and the 0.5 purchase cut-off marked. max_features
+    caps the contribution rows shown; a negative value raises ValueError."""
     rows = _trace(explanation)
     if max_features is not None:
+        if max_features < 0:
+            raise ValueError(f"max_features must be >= 0, got {max_features}")
         rows = rows[: max_features + 1]
     lines = ["feature                      log_odds   delta_prob  cum_prob"]
     prev_p = None

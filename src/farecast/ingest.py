@@ -124,11 +124,6 @@ class ParseResult:
     def n_rejected(self) -> int:
         return len(self.rejected)
 
-    def rejection_report(self) -> str:
-        lines = [f"line {lineno}: {msg}" for lineno, msg in self.rejected]
-        lines.append(f"accepted={self.n_accepted} rejected={self.n_rejected}")
-        return "\n".join(lines)
-
 
 _TRUE = {"1", "true", "t", "y", "yes"}
 _FALSE = {"0", "false", "f", "n", "no"}

@@ -32,7 +32,7 @@ __all__ = [
     "OdMarket",
     "SimScenario",
     "Policy",
-    "Request",
+    "Arrivals",
     "des_forecast",
     "model_rollup_forecast",
     "allocate_to_classes",
@@ -49,9 +49,11 @@ N_CLASSES = 12
 FARE_BRANDS = {1: (1, 2, 3), 2: (4, 5, 6, 7, 8), 3: (9, 10, 11, 12)}
 
 # Arrival-order tendency: with this probability a request's arrival time is
-# drawn from a brand-skewed distribution (cheap brands early), else uniform.
+# drawn from a brand-skewed Beta(a, b) (cheap brands early), else uniform.
 CHEAP_EARLY_PROB = 0.7
-_BRAND_BETA = {1: (2.0, 1.0), 2: (1.0, 1.0), 3: (1.0, 2.0)}
+# Per 0-based brand: first class, number of classes, and the Beta's a and b.
+_BRAND_FIRST, _BRAND_SIZE = np.array([(c[0], len(c)) for c in FARE_BRANDS.values()]).T
+_BETA_A, _BETA_B = np.array([(2.0, 1.0), (1.0, 1.0), (1.0, 2.0)]).T
 
 
 @dataclass(frozen=True)
@@ -270,49 +272,45 @@ def optimize_policy(
 
 
 @dataclass(frozen=True)
-class Request:
-    time: float
-    od: str
-    willingness_class: int
+class Arrivals:
+    """One replication's requests in arrival order: equal-length arrays, od of str objects."""
+
+    time: np.ndarray
+    od: np.ndarray
+    willingness_class: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.time)
 
 
-def generate_arrivals(scenario: SimScenario, rep_seed: int) -> list[Request]:
-    """One replication's ordered request stream.
+def generate_arrivals(scenario: SimScenario, rep_seed: int) -> Arrivals:
+    """One replication's request stream, stably sorted by arrival time.
 
-    Volume is round(capacity * max(0, N(demand_factor_mean, sd))); each
-    request draws an OD proportional to OD demand weights and a willingness
-    class from the OD's brand mix (uniform within brand). Cheap fare brands
-    tend to arrive earlier (skewed arrival-time draw with probability
-    cheap_early_prob).
+    Volume is round(capacity * max(0, N(demand_factor_mean, sd))). Then, in
+    this order and each as one array over all requests: an OD proportional to
+    OD demand weights, a fare brand from the OD's mix (one uniform, inverse
+    CDF), a willingness class uniform within the brand, and an arrival time,
+    skewed by brand with probability cheap_early_prob and else uniform.
     """
     rng = np.random.default_rng(rep_seed)
     factor = max(0.0, rng.normal(scenario.demand_factor_mean, scenario.demand_factor_sd))
     volume = int(round(scenario.capacity * factor))
-    if volume == 0:
-        return []
-
-    od_names = [od.name for od in scenario.ods]
+    od_names = np.array([od.name for od in scenario.ods], dtype=object)
     weights = np.array([od.mean_demand for od in scenario.ods], dtype=float)
-    weights = weights / weights.sum()
-    od_idx = rng.choice(len(od_names), size=volume, p=weights)
-
-    requests = []
-    for i in range(volume):
-        od = scenario.ods[od_idx[i]]
-        brand = 1 + rng.choice(3, p=np.array(od.mix.shares))
-        cls = int(rng.choice(FARE_BRANDS[brand]))
-        if rng.random() < scenario.cheap_early_prob:
-            a, b = _BRAND_BETA[brand]
-            t = float(rng.beta(a, b))
-        else:
-            t = float(rng.random())
-        requests.append(Request(time=t, od=od.name, willingness_class=cls))
-    requests.sort(key=lambda r: r.time)
-    return requests
+    od_idx = rng.choice(len(od_names), size=volume, p=weights / weights.sum())
+    # Scaled so each last column is exactly 1: a zero-share brand is never drawn.
+    cdf = np.cumsum([od.mix.shares for od in scenario.ods], axis=1)
+    cdf /= cdf[:, -1:]
+    brand = (rng.random(volume)[:, None] >= cdf[od_idx]).sum(axis=1)
+    cls = _BRAND_FIRST[brand] + rng.integers(0, _BRAND_SIZE[brand])
+    skew = rng.random(volume) < scenario.cheap_early_prob
+    time = np.where(skew, rng.beta(_BETA_A[brand], _BETA_B[brand]), rng.random(volume))
+    order = np.argsort(time, kind="stable")
+    return Arrivals(time[order], od_names[od_idx[order]], cls[order])
 
 
 def replay(
-    requests: Sequence[Request],
+    arrivals: Arrivals,
     policy: Policy,
     ladders: Mapping[str, FareLadder],
     capacity: int,
@@ -324,31 +322,33 @@ def replay(
     the first n_open[s], where n_open[s] counts the limits above s. A request
     whose willingness class k lies beyond n_open[sold] is lost. Otherwise the
     customer books the cheapest open class, n_open[sold], with downsell, and
-    class k without.
+    class k without. The loop reads the arrays once as lists.
     """
     n_open = (np.arange(capacity)[:, None] < np.asarray(policy.limits)).sum(axis=1).tolist()
+    fares = {name: ladder.fares for name, ladder in ladders.items()}
     sold = 0
     revenue = 0.0
-    for req in requests:
+    for od, k in zip(arrivals.od.tolist(), arrivals.willingness_class.tolist()):
         if sold >= capacity:
             break
         n = n_open[sold]
-        k = req.willingness_class
         if k > n:
             continue
         sold += 1
-        revenue += ladders[req.od].fare(n if downsell else k)
+        revenue += fares[od][(n if downsell else k) - 1]
     return sold, revenue
 
 
 @dataclass
 class ComparisonReport:
-    """Table-shaped summary: rows (downsell no/yes) x (std, xgb, % gain)."""
+    """Table-shaped summary: rows (downsell no/yes) x (std, xgb, % gain);
+    per_rep and bookings hold each replication's revenue and seats sold."""
 
     mean_revenue: dict[tuple[bool, str], float]
     gain_pct: dict[bool, float]
     gain_ci95: dict[bool, tuple[float, float]]
     per_rep: dict[tuple[bool, str], list[float]]
+    bookings: dict[tuple[bool, str], list[int]]
 
     def to_csv(self, path: str | Path, header_comment: str | None = None) -> None:
         rows = []
@@ -369,11 +369,11 @@ class ComparisonReport:
 
     def write_replication_log(self, path: str | Path) -> None:
         rows = (
-            [rep, "Yes" if ds else "No", method, f"{rev:.2f}"]
+            [rep, "Yes" if ds else "No", method, f"{rev:.2f}", sold]
             for (ds, method), revs in sorted(self.per_rep.items())
-            for rep, rev in enumerate(revs)
+            for rep, (rev, sold) in enumerate(zip(revs, self.bookings[(ds, method)]))
         )
-        write_csv(path, ["rep", "downsell", "method", "revenue"], rows)
+        write_csv(path, ["rep", "downsell", "method", "revenue", "bookings"], rows)
 
 
 def compare_policies(
@@ -388,6 +388,7 @@ def compare_policies(
     per_rep: dict[tuple[bool, str], list[float]] = {
         (ds, m): [] for ds in (False, True) for m in ("std", "xgb")
     }
+    bookings: dict[tuple[bool, str], list[int]] = {key: [] for key in per_rep}
     for rep_seq in seeds:
         rep_seed = rep_seq.generate_state(1)[0]
         arrivals = generate_arrivals(scenario, int(rep_seed))
@@ -396,6 +397,7 @@ def compare_policies(
                 sold, revenue = replay(arrivals, policy, ladders, scenario.capacity, ds)
                 assert sold <= scenario.capacity
                 per_rep[(ds, method)].append(revenue)
+                bookings[(ds, method)].append(sold)
 
     mean_revenue = {key: float(np.mean(revs)) for key, revs in per_rep.items()}
     gain_pct = {}
@@ -408,6 +410,4 @@ def compare_policies(
         gain_pct[ds] = float(diff.mean() / base * 100.0) if base > 0 else 0.0
         se = float(diff.std(ddof=1) / math.sqrt(len(diff))) if len(diff) > 1 else 0.0
         gain_ci[ds] = (float(diff.mean() - 1.96 * se), float(diff.mean() + 1.96 * se))
-    return ComparisonReport(
-        mean_revenue=mean_revenue, gain_pct=gain_pct, gain_ci95=gain_ci, per_rep=per_rep
-    )
+    return ComparisonReport(mean_revenue, gain_pct, gain_ci, per_rep, bookings)

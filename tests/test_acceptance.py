@@ -354,7 +354,8 @@ def test_criterion_10_simulator_sanity(pipeline):
                              protections=tuple([0.0] * (N_CLASSES - 1)))
         sold, revenue = replay(arrivals, open_policy, ladders, cap, downsell=False)
         assert sold == len(arrivals)
-        assert revenue == sum(ladders[r.od].fare(r.willingness_class) for r in arrivals)
+        assert revenue == sum(ladders[od].fare(k)
+                              for od, k in zip(arrivals.od, arrivals.willingness_class))
 
         # Capacity conservation over all 500 replications of both settings.
         means, fares, per_od = aggregate_class_forecasts(scenario, None)

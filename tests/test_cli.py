@@ -114,6 +114,7 @@ def test_simulate_writes_report_and_replications(workspace, tmp_path):
     assert lines[1].startswith("downsell,")
     assert len(lines) == 2 + 2
     replications = (out / "replications.csv").read_text(encoding="utf-8").splitlines()
+    assert replications[0] == "rep,downsell,method,revenue,bookings"
     assert len(replications) == 1 + 4 * 20
 
 

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from farecast import gbt
-from farecast.explain import explain_prediction, render_waterfall, write_waterfall_data
+from farecast.explain import (
+    Explanation,
+    explain_prediction,
+    render_waterfall,
+    write_waterfall_data,
+)
 
 
 def sigmoid(z):
@@ -65,6 +70,19 @@ def test_waterfall_render_mentions_verdict_and_features():
     assert ("purchase" in text) or ("no purchase" in text)
     top_feature = next(iter(exp.contributions))
     assert top_feature in text
+
+
+def test_waterfall_row_limit():
+    exp = Explanation(base=0.1, contributions={"a": 0.5, "b": -0.3, "c": 0.2},
+                      final_log_odds=0.5, final_probability=sigmoid(0.5),
+                      ordering=["a", "b", "c"])
+    rows = [line.split()[0] for line in render_waterfall(exp).splitlines()[1:-1]]
+    assert rows == ["(base)", "a", "b", "c"]
+    for top in (0, 1, 3, 10):
+        shown = [line.split()[0] for line in render_waterfall(exp, top).splitlines()[1:-1]]
+        assert shown == rows[: top + 1]
+    with pytest.raises(ValueError, match="max_features"):
+        render_waterfall(exp, max_features=-2)
 
 
 def test_waterfall_data_file(tmp_path):

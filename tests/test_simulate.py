@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,12 +13,13 @@ from scipy.stats import norm
 
 from farecast.config import read_scenario, write_scenario
 from farecast.simulate import (
+    FARE_BRANDS,
     N_CLASSES,
+    Arrivals,
     DemandMix,
     FareLadder,
     OdMarket,
     Policy,
-    Request,
     SimScenario,
     aggregate_class_forecasts,
     allocate_to_classes,
@@ -36,6 +38,13 @@ LHR_SYD = FareLadder(COVERED_FARE_LADDERS["LHR-SYD"])
 
 def _flat_ladder(fare: float) -> FareLadder:
     return FareLadder(tuple([fare] * N_CLASSES))
+
+
+def _stream(pairs) -> Arrivals:
+    """Arrivals for (od, willingness class) pairs, in the given order."""
+    ods, classes = zip(*pairs) if pairs else ((), ())
+    return Arrivals(np.arange(len(pairs), dtype=float), np.array(ods, dtype=object),
+                    np.array(classes, dtype=int))
 
 
 def _open_policy(capacity: int) -> Policy:
@@ -118,17 +127,22 @@ def _assert_aggregate_equals_oracle(scenario, rollup_probs):
     assert per_od == o_per_od
 
 
-@pytest.fixture(scope="module", params=[1, 7, 42])
-def fixture_flight(request):
+@lru_cache(maxsize=None)
+def _fixture_flight(seed):
     """A standard fixture's scenario and its forecast-day purchase labels,
     which stand in for model probabilities."""
-    markets, scenario = standard_fixture(request.param)
+    markets, scenario = standard_fixture(seed)
     labels = {
         od.name: [float(b.is_bought) for b in markets[od.name].bookings
                   if b.dep_day_id == scenario.forecast_day]
         for od in scenario.ods if od.covered
     }
     return scenario, labels
+
+
+@pytest.fixture(scope="module", params=[1, 7, 42])
+def fixture_flight(request):
+    return _fixture_flight(request.param)
 
 
 def test_aggregate_equals_loop_oracle(fixture_flight):
@@ -239,7 +253,7 @@ def test_zero_demand_gives_zero_protection():
 
 # --------------------------------------------------------------------- replay
 
-def _replay_oracle(requests, policy, ladders, capacity, downsell):
+def _replay_oracle(arrivals, policy, ladders, capacity, downsell):
     """Class-by-class search for the cheapest open class: the reference for
     `replay`'s table of open classes."""
 
@@ -248,10 +262,9 @@ def _replay_oracle(requests, policy, ladders, capacity, downsell):
 
     sold = 0
     revenue = 0.0
-    for req in requests:
+    for od, k in zip(arrivals.od, arrivals.willingness_class):
         if sold >= capacity:
             break
-        k = req.willingness_class
         if downsell:
             booked = None
             for cls in range(N_CLASSES, k - 1, -1):  # cheapest first
@@ -265,7 +278,7 @@ def _replay_oracle(requests, policy, ladders, capacity, downsell):
                 continue
             booked = k
         sold += 1
-        revenue += ladders[req.od].fare(booked)
+        revenue += ladders[od].fare(booked)
     return sold, revenue
 
 
@@ -283,12 +296,11 @@ _LIMIT = st.one_of(st.integers(0, 70).map(float), st.floats(0, 70))
 def test_replay_equals_class_by_class_oracle(limits, capacity, stream):
     policy = Policy(limits=tuple(sorted(limits, reverse=True)),
                     protections=tuple([0.0] * (N_CLASSES - 1)))
-    requests = [Request(time=i / len(stream), od=od, willingness_class=k)
-                for i, (od, k) in enumerate(stream)]
+    arrivals = _stream(stream)
     ladders = {"AMS-SYD": AMS_SYD, "LHR-SYD": LHR_SYD}
     for downsell in (False, True):
-        assert (replay(requests, policy, ladders, capacity, downsell)
-                == _replay_oracle(requests, policy, ladders, capacity, downsell))
+        assert (replay(arrivals, policy, ladders, capacity, downsell)
+                == _replay_oracle(arrivals, policy, ladders, capacity, downsell))
 
 
 def test_unlimited_capacity_no_downsell_revenue_is_sum_of_fares():
@@ -298,7 +310,7 @@ def test_unlimited_capacity_no_downsell_revenue_is_sum_of_fares():
     cap = len(arrivals) + 10
     sold, revenue = replay(arrivals, _open_policy(cap), {"AMS-SYD": AMS_SYD}, cap, downsell=False)
     assert sold == len(arrivals)
-    assert revenue == sum(AMS_SYD.fare(r.willingness_class) for r in arrivals)
+    assert revenue == sum(AMS_SYD.fare(k) for k in arrivals.willingness_class)
 
 
 def test_capacity_conservation():
@@ -314,7 +326,7 @@ def test_downsell_books_cheapest_open_class():
     # A customer willing to pay class 10 (498) books class 12 (447) when all
     # classes are open under downsell, losing 51 versus her willingness fare.
     req_cls = 10
-    arrivals = [type("R", (), {"time": 0.0, "od": "AMS-SYD", "willingness_class": req_cls})()]
+    arrivals = _stream([("AMS-SYD", req_cls)])
     _, rev_ds = replay(arrivals, _open_policy(5), {"AMS-SYD": AMS_SYD}, 5, downsell=True)
     _, rev_no = replay(arrivals, _open_policy(5), {"AMS-SYD": AMS_SYD}, 5, downsell=False)
     assert rev_ds == 447.0
@@ -327,7 +339,7 @@ def test_downsell_never_books_above_willingness():
     # customer must not be bumped up into classes 1-4.
     limits = [5.0] * 4 + [0.0] * (N_CLASSES - 4)
     policy = Policy(limits=tuple(limits), protections=tuple([0.0] * (N_CLASSES - 1)))
-    arrivals = [type("R", (), {"time": 0.0, "od": "AMS-SYD", "willingness_class": 5})()]
+    arrivals = _stream([("AMS-SYD", 5)])
     sold, revenue = replay(arrivals, policy, {"AMS-SYD": AMS_SYD}, 5, downsell=True)
     assert sold == 0 and revenue == 0.0
 
@@ -346,12 +358,100 @@ def test_arrivals_sorted_and_deterministic():
     scenario = _scenario(seed=5)
     a1 = generate_arrivals(scenario, rep_seed=42)
     a2 = generate_arrivals(scenario, rep_seed=42)
-    assert [(r.time, r.od, r.willingness_class) for r in a1] == [
-        (r.time, r.od, r.willingness_class) for r in a2
-    ]
-    times = [r.time for r in a1]
-    assert times == sorted(times)
-    assert all(1 <= r.willingness_class <= N_CLASSES for r in a1)
+    for name in ("time", "od", "willingness_class"):
+        assert getattr(a1, name).tolist() == getattr(a2, name).tolist()
+    assert (np.diff(a1.time) >= 0).all()
+    assert ((1 <= a1.willingness_class) & (a1.willingness_class <= N_CLASSES)).all()
+
+
+# Beta(a, b) of the brand-skewed arrival time, by fare brand.
+_BRAND_BETA = {1: (2.0, 1.0), 2: (1.0, 1.0), 3: (1.0, 2.0)}
+
+
+def _arrivals_oracle(scenario, rep_seed):
+    """The per-request scalar form of the arrival draws: the same demand
+    factor and OD draws as `generate_arrivals`, then one rng call per
+    request for each of brand, class, cheap-early test and time."""
+    rng = np.random.default_rng(rep_seed)
+    factor = max(0.0, rng.normal(scenario.demand_factor_mean, scenario.demand_factor_sd))
+    volume = int(round(scenario.capacity * factor))
+    if volume == 0:
+        return []
+
+    od_names = [od.name for od in scenario.ods]
+    weights = np.array([od.mean_demand for od in scenario.ods], dtype=float)
+    weights = weights / weights.sum()
+    od_idx = rng.choice(len(od_names), size=volume, p=weights)
+
+    requests = []
+    for i in range(volume):
+        od = scenario.ods[od_idx[i]]
+        brand = 1 + rng.choice(3, p=np.array(od.mix.shares))
+        cls = int(rng.choice(FARE_BRANDS[brand]))
+        if rng.random() < scenario.cheap_early_prob:
+            a, b = _BRAND_BETA[brand]
+            t = float(rng.beta(a, b))
+        else:
+            t = float(rng.random())
+        requests.append((t, od.name, cls))
+    requests.sort(key=lambda r: r[0])
+    return requests
+
+
+N_ORACLE_SEEDS = 300
+
+
+def test_arrivals_match_scalar_oracle_and_analytic_rates():
+    scenario, _ = _fixture_flight(42)
+    streams = [generate_arrivals(scenario, seed) for seed in range(N_ORACLE_SEEDS)]
+    for seed, arrivals in enumerate(streams):
+        oracle = _arrivals_oracle(scenario, seed)
+        assert len(arrivals) == len(oracle)
+        assert sorted(arrivals.od.tolist()) == sorted(od for _, od, _ in oracle)
+        assert (np.diff(arrivals.time) >= 0).all()
+
+    # Pooled over every replication, each (OD, class) count and each brand's
+    # mean arrival time lie within 4 standard errors of their analytic values.
+    ods = np.concatenate([a.od for a in streams])
+    classes = np.concatenate([a.willingness_class for a in streams])
+    times = np.concatenate([a.time for a in streams])
+    n = len(ods)
+    total_demand = sum(od.mean_demand for od in scenario.ods)
+    for od in scenario.ods:
+        for brand, brand_classes in FARE_BRANDS.items():
+            p = od.mean_demand / total_demand * od.mix.brand_share(brand) / len(brand_classes)
+            for cls in brand_classes:
+                count = int(((ods == od.name) & (classes == cls)).sum())
+                assert abs(count - n * p) <= 4 * np.sqrt(n * p * (1 - p)) + 1e-9, (od.name, cls)
+    q = scenario.cheap_early_prob
+    for brand, (a, b) in _BRAND_BETA.items():
+        in_brand = np.isin(classes, FARE_BRANDS[brand])
+        beta_mean = a / (a + b)
+        beta_sq = a * b / ((a + b) ** 2 * (a + b + 1)) + beta_mean**2
+        mean = q * beta_mean + (1 - q) / 2
+        sd = np.sqrt(q * beta_sq + (1 - q) / 3 - mean**2)
+        assert abs(times[in_brand].mean() - mean) <= 4 * sd / np.sqrt(in_brand.sum()), brand
+
+
+@pytest.mark.parametrize("brand", sorted(FARE_BRANDS))
+def test_zero_share_brand_never_drawn(brand):
+    shares = [0.3, 0.3, 0.4]
+    shares[brand - 1] = 0.0
+    base = _scenario(capacity=200, seed=1)
+    scenario = replace(base, ods=[replace(od, mix=DemandMix(tuple(shares))) for od in base.ods])
+    drawn = np.concatenate([generate_arrivals(scenario, seed).willingness_class
+                            for seed in range(50)])
+    assert not np.isin(drawn, FARE_BRANDS[brand]).any()
+    others = [c for b, cs in FARE_BRANDS.items() if b != brand for c in cs]
+    assert set(drawn.tolist()) == set(others)
+
+
+def test_zero_demand_factor_gives_empty_arrivals():
+    scenario = _scenario(demand_factor_mean=0.0, demand_factor_sd=0.0)
+    arrivals = generate_arrivals(scenario, rep_seed=1)
+    assert len(arrivals) == 0
+    assert len(arrivals.time) == len(arrivals.od) == len(arrivals.willingness_class) == 0
+    assert replay(arrivals, _open_policy(50), {"AMS-SYD": AMS_SYD}, 50, downsell=True) == (0, 0.0)
 
 
 # ----------------------------------------------------------------- comparison
@@ -377,7 +477,17 @@ def test_comparison_report_csv(tmp_path):
     assert lines[2].startswith("No,") and lines[3].startswith("Yes,")
     log = tmp_path / "reps.csv"
     report.write_replication_log(log)
-    assert len(log.read_text(encoding="utf-8").splitlines()) == 1 + 5 * 4
+    log_lines = log.read_text(encoding="utf-8").splitlines()
+    assert log_lines[0] == "rep,downsell,method,revenue,bookings"
+    assert len(log_lines) == 1 + 5 * 4
+    # Open policies on 25 seats book min(requests, 25), and the log says so.
+    seeds = np.random.SeedSequence(2).spawn(5)
+    volumes = [len(generate_arrivals(scenario, int(s.generate_state(1)[0]))) for s in seeds]
+    for line in log_lines[1:]:
+        rep, ds, method, revenue, sold = line.split(",")
+        assert int(sold) == report.bookings[(ds == "Yes", method)][int(rep)]
+        assert int(sold) == min(volumes[int(rep)], 25)
+        assert f"{report.per_rep[(ds == 'Yes', method)][int(rep)]:.2f}" == revenue
 
 
 # ------------------------------------------------------------- scenario files

@@ -4,18 +4,19 @@ Every tree's leaf value is decomposed along the root-to-leaf path: each split
 contributes the change in cover-weighted expected leaf value between the node
 and the chosen child, attributed to the split feature. Summed across trees,
 base + sum(contributions) reproduces the predicted log-odds exactly, so the
-waterfall view is a faithful picture of the prediction.
+waterfall view is a faithful picture of the prediction. The expected values
+are computed once per node when a tree is built or loaded (TreeNode.expected),
+so one explanation only walks the prediction path of each tree.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .gbt.model import TreeEnsemble, TreeNode, sigmoid
+from .gbt.model import TreeEnsemble, sigmoid
 from .ingest import write_csv
 
 __all__ = ["Explanation", "explain_prediction", "render_waterfall", "write_waterfall_data"]
@@ -30,46 +31,31 @@ class Explanation:
     ordering: list[str] = field(default_factory=list)
 
 
-def _expected_value(node: TreeNode, cache: dict[int, float]) -> float:
-    """Cover-weighted mean of the leaf weights below the node."""
-    key = id(node)
-    if key in cache:
-        return cache[key]
-    if node.is_leaf:
-        val = node.weight
-    else:
-        lv = _expected_value(node.left, cache)
-        rv = _expected_value(node.right, cache)
-        total = node.left.cover + node.right.cover
-        val = (node.left.cover * lv + node.right.cover * rv) / total if total > 0 else 0.5 * (lv + rv)
-    cache[key] = val
-    return val
-
-
 def explain_prediction(
     model: TreeEnsemble, row: np.ndarray, missing: np.ndarray | None = None
 ) -> Explanation:
     row = np.asarray(row, dtype=np.float64).ravel()
     if row.shape[0] != len(model.feature_names):
         raise ValueError(f"expected {len(model.feature_names)} features, got {row.shape[0]}")
+    values = row.tolist()
     if missing is None:
-        missing = np.zeros(row.shape, dtype=bool)
+        absent = [False] * len(values)
     else:
-        missing = np.asarray(missing, dtype=bool).ravel()
+        absent = np.asarray(missing, dtype=bool).ravel().tolist()
+        if len(absent) != len(values):
+            raise ValueError(f"missing mask has {len(absent)} entries, row has {len(values)}")
 
     base = model.base_score
     contributions: dict[str, float] = {}
-    cache: dict[int, float] = {}
     for tree in model.trees:
-        base += _expected_value(tree, cache)
+        base += tree.expected
         node = tree
-        current = _expected_value(node, cache)
         while not node.is_leaf:
-            child = node.route(row[node.feature], bool(missing[node.feature]))
-            child_val = _expected_value(child, cache)
-            name = model.feature_names[node.feature]
-            contributions[name] = contributions.get(name, 0.0) + (child_val - current)
-            node, current = child, child_val
+            f = node.feature
+            child = node.route(values[f], absent[f])
+            name = model.feature_names[f]
+            contributions[name] = contributions.get(name, 0.0) + (child.expected - node.expected)
+            node = child
 
     final = base + sum(contributions.values())
     ordering = sorted(contributions, key=lambda k: (-abs(contributions[k]), k))

@@ -39,7 +39,7 @@ class GbtParams:
             raise ValueError("gamma and lam must be nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeNode:
     """Either a split node (feature/threshold/children) or a leaf (weight).
 
@@ -48,6 +48,10 @@ class TreeNode:
     re-derived for any ridge penalty). gain is the realized structure-score
     improvement of the split, 0 for leaves. Leaf weights already include the
     learning-rate shrinkage.
+
+    expected is the cover-weighted mean of the leaf weights below the node.
+    It is derived from the children once, when the node is built or loaded,
+    and never serialized; the node is frozen so it cannot go stale.
     """
 
     cover: float
@@ -59,6 +63,17 @@ class TreeNode:
     gain: float = 0.0
     left: Optional["TreeNode"] = None
     right: Optional["TreeNode"] = None
+    expected: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.left is None:
+            val = self.weight
+        else:
+            lc, le = self.left.cover, self.left.expected
+            rc, re = self.right.cover, self.right.expected
+            total = lc + rc
+            val = (lc * le + rc * re) / total if total > 0 else 0.5 * (le + re)
+        object.__setattr__(self, "expected", val)
 
     @property
     def is_leaf(self) -> bool:

@@ -161,7 +161,6 @@ def _grow_node(
 ) -> TreeNode:
     g_total = float(g[idx].sum())
     h_total = float(h[idx].sum())
-    node = TreeNode(cover=h_total, grad_sum=g_total)
 
     split = None
     if depth < params.max_depth and idx.shape[0] >= 2:
@@ -169,24 +168,25 @@ def _grow_node(
             X, missing, g, h, idx, block, feat_ids, g_total, h_total, params.lam
         )
     if split is None or split[0] - params.gamma <= 0.0:
-        node.weight = -g_total / (h_total + params.lam) * params.eta
-        return node
+        weight = -g_total / (h_total + params.lam) * params.eta
+        return TreeNode(cover=h_total, grad_sum=g_total, weight=weight)
 
-    node.gain, node.feature, node.threshold, node.missing_left = split
-    goes_left = np.where(
-        missing[idx, node.feature], node.missing_left, X[idx, node.feature] < node.threshold
-    )
+    gain, feature, threshold, missing_left = split
+    goes_left = np.where(missing[idx, feature], missing_left, X[idx, feature] < threshold)
     left_rows = np.zeros(X.shape[0], dtype=bool)
     left_rows[idx[goes_left]] = True
-    node.left = _grow_node(
+    left = _grow_node(
         X, missing, g, h, idx[goes_left], _keep_rows(block, left_rows),
         depth + 1, feat_ids, params,
     )
-    node.right = _grow_node(
+    right = _grow_node(
         X, missing, g, h, idx[~goes_left], _keep_rows(block, ~left_rows),
         depth + 1, feat_ids, params,
     )
-    return node
+    return TreeNode(
+        cover=h_total, grad_sum=g_total, feature=feature, threshold=threshold,
+        missing_left=missing_left, gain=gain, left=left, right=right,
+    )
 
 
 def _margins_tree(tree: TreeNode, X: np.ndarray, missing: np.ndarray) -> np.ndarray:
@@ -332,21 +332,8 @@ def refit_leaf_weights(model: TreeEnsemble, lam: float) -> TreeEnsemble:
 
     def rebuild(node: TreeNode) -> TreeNode:
         if node.is_leaf:
-            return TreeNode(
-                cover=node.cover,
-                grad_sum=node.grad_sum,
-                weight=-node.grad_sum / (node.cover + lam) * model.params.eta,
-            )
-        return TreeNode(
-            cover=node.cover,
-            grad_sum=node.grad_sum,
-            feature=node.feature,
-            threshold=node.threshold,
-            missing_left=node.missing_left,
-            gain=node.gain,
-            left=rebuild(node.left),
-            right=rebuild(node.right),
-        )
+            return replace(node, weight=-node.grad_sum / (node.cover + lam) * model.params.eta)
+        return replace(node, left=rebuild(node.left), right=rebuild(node.right))
 
     out = TreeEnsemble(
         trees=[rebuild(t) for t in model.trees],

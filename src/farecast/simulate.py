@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .ingest import write_csv
 
@@ -258,7 +258,7 @@ def optimize_policy(
         elif sd == 0:
             y = mu
         else:
-            y = float(norm.ppf(1.0 - ratio, loc=mu, scale=sd))
+            y = float(mu + sd * ndtri(1.0 - ratio))
         protections[j - 1] = min(max(y, 0.0), float(capacity))
     protections = np.maximum.accumulate(protections)
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -186,3 +190,15 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about half a second to import and only its normal
+    # quantile was ever used; scipy.special.ndtri gives the same value.
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, farecast.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"

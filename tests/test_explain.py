@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -105,3 +106,107 @@ def test_zero_contribution_for_unused_feature():
                       feature_names=["used", "constant"])
     exp = explain_prediction(model, X[0])
     assert exp.contributions.get("constant", 0.0) == 0.0
+
+
+# ------------------------------------------------- stored expectations, oracle
+
+def _expected_value(node, cache):
+    """Cover-weighted mean of the leaf weights below the node, recomputed
+    recursively: the reference for the stored TreeNode.expected."""
+    key = id(node)
+    if key in cache:
+        return cache[key]
+    if node.is_leaf:
+        val = node.weight
+    else:
+        lv = _expected_value(node.left, cache)
+        rv = _expected_value(node.right, cache)
+        total = node.left.cover + node.right.cover
+        val = (node.left.cover * lv + node.right.cover * rv) / total if total > 0 else 0.5 * (lv + rv)
+    cache[key] = val
+    return val
+
+
+def _explain_oracle(model, row, missing=None):
+    """Path decomposition on recomputed expectations, read through numpy."""
+    row = np.asarray(row, dtype=np.float64).ravel()
+    if missing is None:
+        missing = np.zeros(row.shape, dtype=bool)
+    base = model.base_score
+    contributions = {}
+    cache = {}
+    for tree in model.trees:
+        base += _expected_value(tree, cache)
+        node = tree
+        current = _expected_value(node, cache)
+        while not node.is_leaf:
+            child = node.route(row[node.feature], bool(missing[node.feature]))
+            child_val = _expected_value(child, cache)
+            name = model.feature_names[node.feature]
+            contributions[name] = contributions.get(name, 0.0) + (child_val - current)
+            node, current = child, child_val
+    final = base + sum(contributions.values())
+    ordering = sorted(contributions, key=lambda k: (-abs(contributions[k]), k))
+    return base, contributions, ordering, final
+
+
+@lru_cache(maxsize=None)
+def _oracle_case(seed):
+    """A model trained on rows with missing values and subsample < 1."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(300, 6))
+    missing = rng.random(X.shape) < 0.15
+    logits = 1.2 * X[:, 0] - 0.9 * X[:, 1] + 0.5 * X[:, 2] * X[:, 3]
+    y = (rng.random(300) < 1 / (1 + np.exp(-logits))).astype(float)
+    params = gbt.GbtParams(n_trees=8, max_depth=4, subsample=0.7, colsample=0.8, seed=seed)
+    return gbt.train(X, y, params, missing=missing), X, missing
+
+
+_VARIANTS = {
+    "trained": lambda m: m,
+    "from_json": lambda m: gbt.TreeEnsemble.from_json(m.to_json()),
+    "refit_lam0": lambda m: gbt.refit_leaf_weights(m, 0.0),
+    "refit_lam7.5": lambda m: gbt.refit_leaf_weights(m, 7.5),
+}
+
+
+def _nodes(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not node.is_leaf:
+            stack += [node.left, node.right]
+
+
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_stored_expectations_and_explanations_equal_oracle(seed, variant):
+    trained, X, missing = _oracle_case(seed)
+    model = _VARIANTS[variant](trained)
+    for tree in model.trees:
+        cache = {}
+        for node in _nodes(tree):
+            assert node.expected == _expected_value(node, cache)
+    for i in range(len(X)):
+        for mask in (missing[i], None):
+            exp = explain_prediction(model, X[i], mask)
+            base, contributions, ordering, final = _explain_oracle(model, X[i], mask)
+            assert exp.base == base
+            assert list(exp.contributions.items()) == list(contributions.items())
+            assert exp.ordering == ordering
+            assert exp.final_log_odds == final
+
+
+def test_zero_cover_split_expects_midpoint_of_children():
+    left = gbt.TreeNode(cover=0.0, grad_sum=0.0, weight=0.3)
+    right = gbt.TreeNode(cover=0.0, grad_sum=0.0, weight=-0.1)
+    root = gbt.TreeNode(cover=0.0, grad_sum=0.0, feature=0, threshold=0.5, left=left, right=right)
+    assert root.expected == _expected_value(root, {}) == 0.5 * (0.3 + -0.1)
+
+
+def test_missing_mask_length_must_match_row():
+    model, X, missing = _oracle_case(0)
+    for mask in (np.zeros(7, dtype=bool), np.zeros(5, dtype=bool)):
+        with pytest.raises(ValueError, match=f"missing mask has {len(mask)} entries, row has 6"):
+            explain_prediction(model, X[0], mask)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -196,6 +196,27 @@ def test_serialization_roundtrip_preserves_predictions():
     back = gbt.TreeEnsemble.from_json(model.to_json())
     assert np.array_equal(gbt.predict_margin(model, X), gbt.predict_margin(back, X))
     assert back.gain_table == model.gain_table
+
+
+def test_tree_node_frozen_and_expected_not_serialized():
+    X, y = _training_data(4)
+    model = gbt.train(X, y, gbt.GbtParams(n_trees=5, max_depth=3))
+    root = model.trees[0]
+    assert not root.is_leaf
+    for node in (root, root.left.left):
+        for f in fields(gbt.TreeNode):
+            with pytest.raises(FrozenInstanceError):
+                setattr(node, f.name, getattr(node, f.name))
+
+    def keys(d):
+        yield from d
+        for child in ("left", "right"):
+            if child in d:
+                yield from keys(d[child])
+
+    assert "expected" not in set(keys(root.to_dict()))
+    text = model.to_json()
+    assert gbt.TreeEnsemble.from_json(text).to_json() == text
 
 
 def test_gain_table_normalized():

@@ -234,6 +234,40 @@ def test_littlewood_two_class_protection():
     assert policy.limits[0] == 200.0
 
 
+def _protections_oracle(means, fares, capacity, demand_cv):
+    """EMSR-b protection levels with the quantile from `norm.ppf`."""
+    sds = demand_cv * means
+    out = []
+    for j in range(1, N_CLASSES):
+        mu = means[:j].sum()
+        sd = float(np.sqrt((sds[:j] ** 2).sum()))
+        if mu <= 0:
+            out.append(0.0)
+            continue
+        ratio = fares[j] / float((means[:j] * fares[:j]).sum() / mu)
+        if ratio >= 1.0:
+            y = 0.0
+        elif ratio <= 0.0:
+            y = float(capacity)
+        elif sd == 0:
+            y = mu
+        else:
+            y = float(norm.ppf(1.0 - ratio, loc=mu, scale=sd))
+        out.append(min(max(y, 0.0), float(capacity)))
+    return tuple(np.maximum.accumulate(out))
+
+
+def test_protections_equal_norm_ppf_oracle(fixture_flight):
+    scenario, labels = fixture_flight
+    for probs in (None, labels):
+        means, fares, _ = aggregate_class_forecasts(scenario, probs)
+        policy = optimize_policy(means, fares, scenario.capacity, scenario.demand_cv)
+        oracle = _protections_oracle(means, fares, scenario.capacity, scenario.demand_cv)
+        assert policy.protections == oracle
+        # the Gaussian quantile branch, not a clamp, sets most levels
+        assert sum(0.0 < p < scenario.capacity for p in oracle) >= 6
+
+
 def test_optimize_policy_rejects_bad_input():
     means = np.ones(N_CLASSES)
     increasing = np.arange(1.0, N_CLASSES + 1)

@@ -15,14 +15,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, evaluate, explain, gbt, logit, sentiment, synth
-from .config import DATASET_FILES, RunConfig, config_hash, load_config, read_scenario, write_scenario
+from .config import RunConfig, config_hash, load_config, read_scenario, write_scenario
 from .features import (
     FeatureTable,
     airline_widebody_flags,
     assemble_feature_vectors,
     build_airline_aggregates,
 )
-from .ingest import ParseError, atomic_write_text, filter_tweets, parse_dataset, serialize_dataset
+from .ingest import (
+    DATASETS, ParseError, atomic_write_text, filter_tweets, parse_dataset, serialize_dataset,
+)
 from .simulate import aggregate_class_forecasts, compare_policies, optimize_policy
 
 
@@ -50,17 +52,8 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     out = Path(args.out or cfg.data_dir)
     markets, scenario = synth.standard_fixture(seed=seed)
     for od, data in markets.items():
-        od_dir = out / od
-        payloads = {
-            "bookings": data.bookings,
-            "fares": data.fares,
-            "reviews": data.reviews,
-            "tweets": data.tweets,
-            "safety": data.safety,
-            "fleet": data.fleet,
-        }
-        for schema, records in payloads.items():
-            serialize_dataset(records, schema, od_dir / DATASET_FILES[schema])
+        for kind in DATASETS:
+            serialize_dataset(getattr(data, kind), kind, out / od / f"{kind}.csv")
     write_scenario(scenario, out / "scenario.ini")
     n_rows = sum(len(m.bookings) for m in markets.values())
     print(f"wrote {len(markets)} OD markets ({n_rows} labeled itineraries) to {out}")
@@ -70,14 +63,14 @@ def cmd_synth(args, cfg: RunConfig) -> int:
 
 def _load_market(od_dir: Path, od: str):
     datasets = {}
-    for schema, fname in DATASET_FILES.items():
-        path = od_dir / fname
+    for kind in DATASETS:
+        path = od_dir / f"{kind}.csv"
         if not path.is_file():
             raise CliError(f"missing {path}; run `farecast synth` (or supply data) first")
-        result = parse_dataset(path, schema)
+        result = parse_dataset(path, kind)
         if result.n_rejected:
-            print(f"[{od}] {schema}: rejected {result.n_rejected} rows", file=sys.stderr)
-        datasets[schema] = result.records
+            print(f"[{od}] {kind}: rejected {result.n_rejected} rows", file=sys.stderr)
+        datasets[kind] = result.records
     return datasets
 
 
@@ -86,8 +79,7 @@ def cmd_features(args, cfg: RunConfig) -> int:
     out_root = Path(args.out or cfg.out_dir)
     ods = args.od or _select_ods(cfg, data_root, "bookings.csv", "synth")
     if cfg.lexicon_path:
-        lex_records = parse_dataset(cfg.lexicon_path, "lexicon").records
-        lexicon = {r.word: r.score for r in lex_records}
+        lexicon = sentiment.load_lexicon(cfg.lexicon_path)
     else:
         lexicon = sentiment.load_default_lexicon()
     for od in ods:
@@ -118,9 +110,14 @@ def _load_models(models_root: Path, od: str):
     logit_path = models_root / od / "logit.json"
     if not gbt_path.is_file() or not logit_path.is_file():
         raise CliError(f"missing model files under {models_root / od}; run `farecast train` first")
-    model = gbt.TreeEnsemble.from_json(gbt_path.read_text(encoding="utf-8"))
-    baseline = logit.LogitModel.from_json(logit_path.read_text(encoding="utf-8"))
-    return model, baseline
+    return _read_model(gbt_path, gbt.TreeEnsemble), _read_model(logit_path, logit.LogitModel)
+
+
+def _read_model(path: Path, cls):
+    try:
+        return cls.from_json(path.read_text(encoding="utf-8"))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CliError(f"{path}: not a readable model file ({type(exc).__name__}: {exc})") from None
 
 
 def _train_one(od: str, table: FeatureTable, cfg: RunConfig, do_grid: bool):

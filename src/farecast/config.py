@@ -1,7 +1,9 @@
 """Run configuration and scenario files.
 
-Both are INI files read with configparser. The run config carries dataset
-locations, model hyperparameters, and the global seed; the scenario file
+Both are INI files read with configparser, and a file that does not parse
+raises ParseError naming it. The run config carries the data and output
+directories (dataset file names come from `ingest.DATASETS`), an optional
+lexicon file, model hyperparameters and the global seed; the scenario file
 describes the single flight being optimized (capacity, per-OD fare ladders,
 brand mixes, demand history). A short hash of the effective config is stamped
 into output headers so reruns can be traced to their inputs.
@@ -29,16 +31,6 @@ __all__ = [
     "read_scenario",
 ]
 
-DATASET_FILES = {
-    "bookings": "bookings.csv",
-    "fares": "fares.csv",
-    "reviews": "reviews.csv",
-    "tweets": "tweets.csv",
-    "safety": "safety.csv",
-    "fleet": "fleet.csv",
-}
-
-
 @dataclass
 class RunConfig:
     data_dir: str = "data"
@@ -52,7 +44,8 @@ class RunConfig:
 
 
 def load_config(path: str | Path | None) -> RunConfig:
-    """Load a run config; missing file/keys fall back to defaults."""
+    """Load a run config; absent keys fall back to defaults. A missing file
+    raises FileNotFoundError, a value that does not parse ParseError."""
     cfg = RunConfig()
     if path is None:
         return cfg
@@ -60,20 +53,23 @@ def load_config(path: str | Path | None) -> RunConfig:
     if not path.is_file():
         raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
-    parser.read(path, encoding="utf-8")
-    if parser.has_section("run"):
-        run = parser["run"]
-        cfg.data_dir = run.get("data_dir", cfg.data_dir)
-        cfg.out_dir = run.get("out_dir", cfg.out_dir)
-        cfg.seed = run.getint("seed", cfg.seed)
-        cfg.holdout_frac = run.getfloat("holdout_frac", cfg.holdout_frac)
-        cfg.lexicon_path = run.get("lexicon", cfg.lexicon_path)
-        cfg.scenario_path = run.get("scenario", cfg.scenario_path)
-        ods_raw = run.get("ods", "").strip()
-        if ods_raw:
-            cfg.ods = [od.strip() for od in ods_raw.split(",") if od.strip()]
-    gbt_values = _read_scalars(parser["gbt"], GbtParams) if parser.has_section("gbt") else {}
-    cfg.gbt = GbtParams(**{"seed": cfg.seed, **gbt_values})
+    try:
+        parser.read(path, encoding="utf-8")
+        if parser.has_section("run"):
+            run = parser["run"]
+            cfg.data_dir = run.get("data_dir", cfg.data_dir)
+            cfg.out_dir = run.get("out_dir", cfg.out_dir)
+            cfg.seed = run.getint("seed", cfg.seed)
+            cfg.holdout_frac = run.getfloat("holdout_frac", cfg.holdout_frac)
+            cfg.lexicon_path = run.get("lexicon", cfg.lexicon_path)
+            cfg.scenario_path = run.get("scenario", cfg.scenario_path)
+            ods_raw = run.get("ods", "").strip()
+            if ods_raw:
+                cfg.ods = [od.strip() for od in ods_raw.split(",") if od.strip()]
+        gbt_values = _read_scalars(parser["gbt"], GbtParams) if parser.has_section("gbt") else {}
+        cfg.gbt = GbtParams(**{"seed": cfg.seed, **gbt_values})
+    except (ValueError, configparser.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return cfg
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .ingest import write_csv
 
-__all__ = ["ConfusionTriple", "confusion", "compare_models", "prevalence", "write_comparison_table"]
+__all__ = ["ConfusionTriple", "confusion", "compare_models", "write_comparison_table"]
 
 
 @dataclass(frozen=True)
@@ -64,33 +64,25 @@ def confusion(labels: Sequence[bool], predictions: Sequence[bool]) -> ConfusionT
     )
 
 
-def compare_models(
-    triple_a: ConfusionTriple, triple_b: ConfusionTriple, names: tuple[str, str] = ("logit", "xgb")
-) -> dict[str, str]:
-    """Per-metric winner: lower share wins FN and FP, higher wins TP.
+def compare_models(logit_triple: ConfusionTriple, xgb_triple: ConfusionTriple) -> dict[str, str]:
+    """Per-metric winner of the logit baseline and the boosted trees: lower
+    share wins FN and FP, higher wins TP.
 
-    Returns {"fn": name|"tie", "fp": ..., "tp": ...}.
+    Returns {"fn": "logit"|"xgb"|"tie", "fp": ..., "tp": ...}.
     """
-    if not (triple_a.defined and triple_b.defined):
+    if not (logit_triple.defined and xgb_triple.defined):
         raise ValueError("both triples must have defined shares")
     out = {}
     for metric, better_low in (("fn", True), ("fp", True), ("tp", False)):
-        a = getattr(triple_a, f"{metric}_share")
-        b = getattr(triple_b, f"{metric}_share")
+        a = getattr(logit_triple, f"{metric}_share")
+        b = getattr(xgb_triple, f"{metric}_share")
         if a == b:
             out[metric] = "tie"
         elif (a < b) == better_low:
-            out[metric] = names[0]
+            out[metric] = "logit"
         else:
-            out[metric] = names[1]
+            out[metric] = "xgb"
     return out
-
-
-def prevalence(labels: Sequence[bool]) -> float:
-    y = np.asarray(labels, dtype=float)
-    if y.size == 0:
-        raise ValueError("prevalence of an empty label sequence is undefined")
-    return float(y.mean())
 
 
 def write_comparison_table(

@@ -22,11 +22,10 @@ Conventions pinned here:
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 import statistics
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import reduce
 from operator import attrgetter
@@ -36,12 +35,15 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .ingest import (
+    REVIEW_SCORES,
     FareObservation,
     FleetRecord,
     ItineraryRecord,
+    ParseError,
     ReviewRecord,
     SafetyRecord,
     TweetRecord,
+    read_csv,
     write_csv,
 )
 from . import sentiment as sent
@@ -51,7 +53,6 @@ __all__ = [
     "ROLL_REFS",
     "MarketRefs",
     "FeatureTable",
-    "AirlineAggregates",
     "FEATURE_COLUMNS",
     "MODEL_FEATURES",
     "market_reference_fares",
@@ -104,8 +105,7 @@ SCHEDULE_COLUMNS = [
 ]
 
 AGGREGATE_COLUMNS = [
-    "rating_recommended", "rating_review", "rating_fb", "rating_ground",
-    "rating_ife", "rating_crew", "rating_seat", "rating_value", "rating_wifi",
+    "rating_recommended", "rating_review", *(f"rating_{name}" for name in REVIEW_SCORES),
     "rating_obs", "twitter_sentiment", "safety_score", "fleet_size",
     "fleet_cost", "fleet_age",
 ]
@@ -168,21 +168,27 @@ class FeatureTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "FeatureTable":
-        path = Path(path)
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(line for line in fh if not line.startswith("#"))
-            header = next(reader)
-            if header[0] != "od":
-                raise ValueError(f"{path}: first column must be 'od'")
-            columns = [_ZZ_ALIAS.sub("_xx", c) for c in header[1:]]
-            ods: list[str] = []
-            rows: list[list[float]] = []
-            for row in reader:
-                if not row:
-                    continue
+        """Read a table written by to_csv. A header that does not start with
+        `od` raises ParseError naming the file; a row with the wrong field
+        count or a cell that is neither empty nor a number, naming the file
+        and the line."""
+        rows = read_csv(path)
+        _, header = next(rows, (0, []))
+        if header[:1] != ["od"]:
+            raise ParseError(f"{path}: header must start with an 'od' column")
+        columns = [_ZZ_ALIAS.sub("_xx", c) for c in header[1:]]
+        ods: list[str] = []
+        cells: list[list[float]] = []
+        n_fields = len(header)
+        try:
+            for lineno, row in rows:
+                if len(row) != n_fields:
+                    raise ValueError(f"expected {n_fields} fields, got {len(row)}")
                 ods.append(row[0])
-                rows.append([float(v) if v != "" else math.nan for v in row[1:]])
-        values = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(columns)))
+                cells.append([float(v) if v != "" else math.nan for v in row[1:]])
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        values = np.array(cells, dtype=np.float64) if cells else np.empty((0, len(columns)))
         return cls(ods=ods, columns=columns, values=values)
 
 
@@ -255,25 +261,6 @@ def bucket_t(dbd: int) -> int:
     return math.floor(dbd / 10) * 10
 
 
-@dataclass(frozen=True)
-class AirlineAggregates:
-    rating_recommended: float | None = None
-    rating_review: float | None = None
-    rating_fb: float | None = None
-    rating_ground: float | None = None
-    rating_ife: float | None = None
-    rating_crew: float | None = None
-    rating_seat: float | None = None
-    rating_value: float | None = None
-    rating_wifi: float | None = None
-    rating_obs: float | None = None
-    twitter_sentiment: float | None = None
-    safety_score: float | None = None
-    fleet_size: float | None = None
-    fleet_cost: float | None = None
-    fleet_age: float | None = None
-
-
 _CODE_DIGITS = re.compile(r"(\d+)$")
 
 
@@ -283,38 +270,43 @@ def _airline_id_from_code(code: str) -> int | None:
     return int(m.group(1)) if m else None
 
 
+def _by_airline(records: Sequence) -> dict[int, list]:
+    """Records grouped by airline_id, groups and records in input order."""
+    groups: dict[int, list] = defaultdict(list)
+    for rec in records:
+        groups[rec.airline_id].append(rec)
+    return groups
+
+
 def build_airline_aggregates(
     reviews: Sequence[ReviewRecord],
     tweets: Sequence[TweetRecord],
     safety: Sequence[SafetyRecord],
     fleet: Sequence[FleetRecord],
     lexicon: Mapping[str, int],
-) -> dict[int, AirlineAggregates]:
-    """Airline-level aggregates broadcast onto itineraries by airline_id.
+) -> dict[int, dict[str, float]]:
+    """Airline-level aggregates broadcast onto itineraries by airline_id, as
+    {airline_id: {AGGREGATE_COLUMNS name: value}} holding present values only.
 
     Review ordinal ratings aggregate by median, the recommended flag by
     share, free-text sentiment by mean (scaled to 0-10), tweet sentiment by
     median (scaled to 0-10). Tweets are assumed pre-filtered.
     """
-    by_airline: dict[int, dict] = defaultdict(dict)
+    by_airline: dict[int, dict[str, float]] = defaultdict(dict)
 
-    reviews_by_airline: dict[int, list[ReviewRecord]] = defaultdict(list)
-    for r in reviews:
-        reviews_by_airline[r.airline_id].append(r)
+    reviews_by_airline = _by_airline(reviews)
     review_texts = {aid: [r.review_text for r in rs] for aid, rs in reviews_by_airline.items()}
     review_sent = sent.aggregate_airline_sentiment(review_texts, lexicon, method="mean")
     for aid, rs in reviews_by_airline.items():
         agg = by_airline[aid]
         agg["rating_recommended"] = sum(r.recommended for r in rs) / len(rs)
-        for name in ("fb", "ground", "ife", "crew", "seat", "value", "wifi"):
+        for name in REVIEW_SCORES:
             agg[f"rating_{name}"] = float(statistics.median(getattr(r, name) for r in rs))
         agg["rating_obs"] = float(len(rs))
         if aid in review_sent:
             agg["rating_review"] = review_sent[aid]
 
-    tweet_texts: dict[int, list[str]] = defaultdict(list)
-    for t in tweets:
-        tweet_texts[t.airline_id].append(t.text)
+    tweet_texts = {aid: [t.text for t in ts] for aid, ts in _by_airline(tweets).items()}
     tweet_sent = sent.aggregate_airline_sentiment(tweet_texts, lexicon, method="median")
     for aid, score in tweet_sent.items():
         by_airline[aid]["twitter_sentiment"] = score
@@ -324,26 +316,21 @@ def build_airline_aggregates(
         if aid is not None:
             by_airline[aid]["safety_score"] = s.score
 
-    fleet_by_airline: dict[int, list[FleetRecord]] = defaultdict(list)
-    for f in fleet:
-        fleet_by_airline[f.airline_id].append(f)
-    for aid, frames in fleet_by_airline.items():
+    for aid, frames in _by_airline(fleet).items():
         agg = by_airline[aid]
         agg["fleet_size"] = float(len(frames))
         agg["fleet_cost"] = sum(f.aircraft_cost for f in frames)
         agg["fleet_age"] = float(statistics.median(f.aircraft_age for f in frames))
 
-    return {aid: AirlineAggregates(**vals) for aid, vals in by_airline.items()}
+    return dict(by_airline)
 
 
 def airline_widebody_flags(fleet: Sequence[FleetRecord]) -> dict[int, bool]:
     """Whether the airline's most common airframe type is a wide-body."""
-    counts: dict[int, dict[str, int]] = defaultdict(lambda: defaultdict(int))
-    for f in fleet:
-        counts[f.airline_id][f.aircraft_type] += 1
     flags = {}
-    for aid, types in counts.items():
-        dominant = max(sorted(types), key=lambda t: types[t])
+    for aid, frames in _by_airline(fleet).items():
+        types = Counter(f.aircraft_type for f in frames)
+        dominant = max(sorted(types), key=types.get)
         flags[aid] = dominant in WIDEBODY_TYPES
     return flags
 
@@ -424,7 +411,7 @@ _ROW_FIELDS = ("airline_id", "dep_day_id", "dbd", "dep_time_mam", "travel_time",
 def assemble_feature_vectors(
     bookings: Sequence[ItineraryRecord],
     fares: Sequence[FareObservation],
-    aggregates: Mapping[int, AirlineAggregates],
+    aggregates: Mapping[int, Mapping[str, float]],
     widebody: Mapping[int, bool] | None = None,
 ) -> FeatureTable:
     """Build the full feature matrix, one row per displayed itinerary.
@@ -511,10 +498,10 @@ def assemble_feature_vectors(
 
     for aid, flag in (widebody or {}).items():
         values[in_market & (airline == aid), col["wide_body"]] = flag
+    agg_col = {name: col[name] for name in AGGREGATE_COLUMNS}
     for aid, agg in aggregates.items():
         hit = in_market & (airline == aid)
-        for name in AGGREGATE_COLUMNS:
-            if getattr(agg, name) is not None:
-                values[hit, col[name]] = getattr(agg, name)
+        for name, v in agg.items():
+            values[hit, agg_col[name]] = v
 
     return FeatureTable(ods=ods, columns=list(ALL_COLUMNS), values=values)

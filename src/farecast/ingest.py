@@ -5,9 +5,11 @@ as the decimal separator. Rows that fail validation are rejected individually
 with a positioned error message; parsing only aborts when more than half of
 the data rows are rejected.
 
-`write_csv` is the one CSV writer of the package: every artifact (datasets,
-feature tables, comparison, waterfall, simulation report and replication
-log) goes through it and through `atomic_write_text`'s temp file + rename.
+Each schema decision is made here once (`SCHEMAS`, `DATASETS`,
+`REVIEW_SCORES`). `read_csv` and `write_csv` are the package's one CSV reader
+and writer: every CSV input (datasets, lexicon, feature tables) and every
+artifact goes through them, the artifacts via `atomic_write_text`'s temp
+file + rename.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import tempfile
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
-from typing import Iterable, Sequence, get_type_hints
+from typing import Iterable, Iterator, Sequence, get_type_hints
 
 __all__ = [
     "ItineraryRecord",
@@ -32,10 +34,13 @@ __all__ = [
     "ParseResult",
     "ParseError",
     "SCHEMAS",
+    "DATASETS",
+    "REVIEW_SCORES",
     "parse_dataset",
     "serialize_dataset",
     "filter_tweets",
     "atomic_write_text",
+    "read_csv",
     "write_csv",
 ]
 
@@ -79,6 +84,10 @@ class ReviewRecord:
     seat: int
     value: int
     wifi: int
+
+
+# The seven 1..5 ordinal ratings: every ReviewRecord field after review_text.
+REVIEW_SCORES = tuple(f.name for f in dc_fields(ReviewRecord))[3:]
 
 
 @dataclass(frozen=True)
@@ -169,7 +178,7 @@ def _validate_itinerary_common(rec) -> str | None:
 
 
 def _validate_review(rec: ReviewRecord) -> str | None:
-    for name in ("fb", "ground", "ife", "crew", "seat", "value", "wifi"):
+    for name in REVIEW_SCORES:
         if getattr(rec, name) not in (1, 2, 3, 4, 5):
             return f"{name} score outside 1..5"
     return None
@@ -206,6 +215,10 @@ SCHEMAS = {
     "lexicon": (LexiconEntry, _validate_lexicon),
 }
 
+# The six per-OD kinds; each is stored as <kind>.csv and held in the
+# synth.MarketData field of the same name.
+DATASETS = tuple(kind for kind in SCHEMAS if kind != "lexicon")
+
 
 def schema_columns(schema: str) -> list[str]:
     rec_type, _ = SCHEMAS[schema]
@@ -228,36 +241,32 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
     hints = get_type_hints(rec_type)
     coercers = [_COERCERS[hints[f.name]] for f in dc_fields(rec_type)]
 
+    rows = read_csv(path)
+    _, header = next(rows, (0, None))
+    if header is None:
+        raise ParseError(f"{path}: empty file, missing header")
+    if header != columns:
+        raise ParseError(
+            f"{path}: header mismatch for schema {schema!r}: "
+            f"expected {columns}, got {header}"
+        )
     records: list = []
     rejected: list[tuple[int, str]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
+    for lineno, row in rows:
+        if len(row) != len(columns):
+            rejected.append((lineno, f"expected {len(columns)} fields, got {len(row)}"))
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, missing header") from None
-        if header != columns:
-            raise ParseError(
-                f"{path}: header mismatch for schema {schema!r}: "
-                f"expected {columns}, got {header}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(columns):
-                rejected.append((lineno, f"expected {len(columns)} fields, got {len(row)}"))
-                continue
-            try:
-                values = [coerce(raw) for coerce, raw in zip(coercers, row)]
-            except ValueError as exc:
-                rejected.append((lineno, str(exc)))
-                continue
-            rec = rec_type(*values)
-            problem = validator(rec)
-            if problem is not None:
-                rejected.append((lineno, f"{problem} at line {lineno}"))
-                continue
-            records.append(rec)
+            values = [coerce(raw) for coerce, raw in zip(coercers, row)]
+        except ValueError as exc:
+            rejected.append((lineno, str(exc)))
+            continue
+        rec = rec_type(*values)
+        problem = validator(rec)
+        if problem is not None:
+            rejected.append((lineno, f"{problem} at line {lineno}"))
+            continue
+        records.append(rec)
 
     total = len(records) + len(rejected)
     if total > 0 and len(rejected) > total / 2:
@@ -303,6 +312,19 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def read_csv(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """The one CSV reader: (physical line number, fields) for each non-empty
+    row, the number being the line the row ends on. `# comment` lines are
+    skipped but still counted. The file is read and closed before the first
+    row is yielded, so a caller that stops early leaves nothing open."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        lines = ["\n" if line.startswith("#") else line for line in fh]
+    reader = csv.reader(lines)
+    for row in reader:
+        if row:
+            yield reader.line_num, row
 
 
 def write_csv(

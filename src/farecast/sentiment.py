@@ -8,15 +8,19 @@ by adding 5.
 
 from __future__ import annotations
 
-import csv
 import logging
 import re
 import statistics
+from functools import cache
 from importlib import resources
+from pathlib import Path
 from typing import Literal, Mapping, Sequence
+
+from .ingest import parse_dataset
 
 __all__ = [
     "load_stopwords",
+    "load_lexicon",
     "load_default_lexicon",
     "tokenize",
     "score_text",
@@ -29,33 +33,31 @@ log = logging.getLogger(__name__)
 _WORD_RE = re.compile(r"[^0-9a-z]+")
 
 
+@cache
 def load_stopwords() -> frozenset[str]:
     """Fixed, versioned English stop-word list shipped with the package."""
     text = resources.files("farecast.data").joinpath("stopwords.txt").read_text("utf-8")
     return frozenset(w for w in text.split() if w)
 
 
+def load_lexicon(path: str | Path) -> dict[str, int]:
+    """Valence lexicon file (word -> integer score in -5..5); rows that fail
+    the lexicon schema are dropped."""
+    return {entry.word: entry.score for entry in parse_dataset(path, "lexicon").records}
+
+
 def load_default_lexicon() -> dict[str, int]:
-    """Shipped valence lexicon subset (word -> integer score in -5..5)."""
-    text = resources.files("farecast.data").joinpath("lexicon.csv").read_text("utf-8")
-    reader = csv.reader(text.strip().splitlines())
-    next(reader)  # header
-    return {word: int(score) for word, score in reader}
+    """The valence lexicon subset shipped with the package."""
+    with resources.as_file(resources.files("farecast.data").joinpath("lexicon.csv")) as path:
+        return load_lexicon(path)
 
 
-_STOPWORDS = None
-
-
-def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Lowercase, strip punctuation, drop stop words; order preserved.
 
     Internal apostrophes are removed before splitting, so "don't" -> "dont".
     """
-    global _STOPWORDS
-    if stopwords is None:
-        if _STOPWORDS is None:
-            _STOPWORDS = load_stopwords()
-        stopwords = _STOPWORDS
+    stopwords = load_stopwords()
     lowered = text.lower().replace("'", "").replace("’", "")
     tokens = [tok for tok in _WORD_RE.split(lowered) if tok]
     return [tok for tok in tokens if tok not in stopwords]
@@ -82,7 +84,6 @@ def aggregate_airline_sentiment(
     texts_by_airline: Mapping[int, Sequence[str]],
     lexicon: Mapping[str, int],
     method: Literal["mean", "median"],
-    stopwords: frozenset[str] | None = None,
 ) -> dict[int, float]:
     """Score each text and reduce per airline to a 0-10 score with the
     requested statistic.
@@ -97,7 +98,7 @@ def aggregate_airline_sentiment(
     for airline_id in sorted(texts_by_airline):
         raws: list[float] = []
         for text in texts_by_airline[airline_id]:
-            raw = score_text(tokenize(text, stopwords), lexicon)
+            raw = score_text(tokenize(text), lexicon)
             if raw is not None:
                 raws.append(raw)
         if not raws:

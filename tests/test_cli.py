@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from farecast import cli
 from farecast.config import read_scenario, write_scenario
+from farecast.features import FeatureTable
 
 SMALL_ODS = ["KUL-SIN", "LHR-JFK"]
 
@@ -184,6 +189,93 @@ def test_config_file_loading(workspace, tmp_path, capsys):
         encoding="utf-8"
     ).splitlines()[0]
     assert "seed=7" in stamp
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[gbt]\neta = abc\n", "could not convert string to float: 'abc'"),
+    ("[gbt]\neta = -1\n", "eta must be positive"),
+    ("[run]\nseed = x\n", "invalid literal for int() with base 10: 'x'"),
+    ("[run\nseed = 1\n", "File contains no section headers"),
+])
+def test_malformed_config_exits_2_naming_file(tmp_path, capsys, text, message):
+    path = tmp_path / "run.ini"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["--config", str(path), "features", "--data", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err
+
+
+def test_config_lexicon_is_used(workspace, tmp_path):
+    packaged = resources.files("farecast.data").joinpath("lexicon.csv").read_text("utf-8")
+    lines = packaged.strip().splitlines()
+    flipped = [lines[0]] + [f"{word},{-int(score)}" for word, score in
+                            (line.split(",") for line in lines[1:])]
+    lexicon = tmp_path / "flipped.csv"
+    lexicon.write_text("\n".join(flipped) + "\n", encoding="utf-8")
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(
+        f"[run]\ndata_dir = {workspace / 'data'}\nout_dir = {tmp_path / 'out'}\n"
+        f"ods = {SMALL_ODS[0]}\nlexicon = {lexicon}\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["--config", str(cfg_path), "features"]) == 0
+    before = FeatureTable.from_csv(workspace / "out" / SMALL_ODS[0] / "features.csv")
+    after = FeatureTable.from_csv(tmp_path / "out" / SMALL_ODS[0] / "features.csv")
+    old, new = before.column("rating_review"), after.column("rating_review")
+    scored = ~np.isnan(old)
+    assert scored.any() and (np.isnan(new) == ~scored).all()
+    assert (old[scored] != new[scored]).any()
+    # every score is negated, so each mean reflects about the scale's midpoint 5
+    np.testing.assert_allclose(new[scored], 10.0 - old[scored], atol=1e-4)
+
+
+def _copy_stage_outputs(workspace, tmp_path):
+    od = SMALL_ODS[0]
+    shutil.copytree(workspace / "out" / od, tmp_path / od)
+    return tmp_path / od
+
+
+def _evaluate_err(tmp_path, capsys):
+    rc = cli.main([
+        "evaluate", "--features", str(tmp_path), "--models", str(tmp_path),
+        "--od", SMALL_ODS[0], "--out", str(tmp_path / "comparison.csv"),
+    ])
+    assert rc == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, edit, message", [
+    pytest.param(3, lambda row: row.rsplit(",", 1)[0], "expected 97 fields, got 96", id="short-row"),
+    pytest.param(5, lambda row: row.replace(",", ",abc,", 1).rsplit(",", 1)[0],
+                 "could not convert string to float: 'abc'", id="non-numeric"),
+])
+def test_malformed_features_csv_exits_2_naming_file_and_line(
+    workspace, tmp_path, capsys, line, edit, message
+):
+    path = _copy_stage_outputs(workspace, tmp_path) / "features.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[line - 1] = edit(lines[line - 1])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    err = _evaluate_err(tmp_path, capsys)
+    assert err.startswith(f"error: {path}: line {line}: ") and message in err
+
+
+@pytest.mark.parametrize("name, rewrite, message", [
+    pytest.param("gbt.json", lambda text: json.dumps(
+        {k: v for k, v in json.loads(text).items() if k != "trees"}), "KeyError: 'trees'",
+        id="no-trees"),
+    pytest.param("gbt.json", lambda text: "not json", "JSONDecodeError", id="not-json"),
+    pytest.param("gbt.json", lambda text: "[]", "AttributeError", id="not-an-object"),
+    pytest.param("gbt.json", lambda text: text.replace('"eta"', '"rate"', 1),
+                 "TypeError", id="unknown-param"),
+    pytest.param("logit.json", lambda text: text.replace("farecast-logit", "other"),
+                 "not a logistic-baseline", id="wrong-format"),
+])
+def test_malformed_model_file_exits_2_naming_file(workspace, tmp_path, capsys, name, rewrite, message):
+    path = _copy_stage_outputs(workspace, tmp_path) / name
+    path.write_text(rewrite(path.read_text(encoding="utf-8")), encoding="utf-8")
+    err = _evaluate_err(tmp_path, capsys)
+    assert err.startswith(f"error: {path}: not a readable model file") and message in err
 
 
 def test_version_flag(capsys):

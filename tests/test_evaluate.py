@@ -8,7 +8,6 @@ from farecast.evaluate import (
     ConfusionTriple,
     compare_models,
     confusion,
-    prevalence,
     write_comparison_table,
 )
 
@@ -37,12 +36,8 @@ def test_all_tn_is_undefined():
 def test_compare_models_winners_and_ties():
     a = ConfusionTriple(tn=0, fn=2, fp=1, tp=7)   # shares .2/.1/.7
     b = ConfusionTriple(tn=0, fn=1, fp=2, tp=7)   # shares .1/.2/.7
-    winners = compare_models(a, b, names=("logit", "xgb"))
+    winners = compare_models(a, b)
     assert winners == {"fn": "xgb", "fp": "logit", "tp": "tie"}
-
-
-def test_prevalence():
-    assert prevalence([True, False, False, True, True]) == pytest.approx(0.6)
 
 
 def test_comparison_table_format(tmp_path):

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from farecast import synth
 from farecast.features import (
+    AGGREGATE_COLUMNS,
     FeatureTable,
     MODEL_FEATURES,
     ROLL_WINDOWS,
     airline_widebody_flags,
     assemble_feature_vectors,
-    AirlineAggregates,
     bucket_t,
     build_airline_aggregates,
     fare_differences,
@@ -27,8 +28,10 @@ from farecast.ingest import (
     FareObservation,
     FleetRecord,
     ItineraryRecord,
+    ParseError,
     ReviewRecord,
     SafetyRecord,
+    filter_tweets,
 )
 from farecast.sentiment import load_default_lexicon
 
@@ -166,15 +169,27 @@ def test_aggregates_median_and_share():
     safety = [SafetyRecord("A1", 0.02)]
     aggs = build_airline_aggregates(reviews, [], safety, fleet, load_default_lexicon())
     a = aggs[1]
-    assert a.rating_ife == 4.0
-    assert a.rating_recommended == pytest.approx(2 / 3)
-    assert a.rating_obs == 3
-    assert a.rating_review == pytest.approx(9.0)  # only "amazing"=4 matches; 4 + 5 on the 0-10 scale
-    assert a.safety_score == 0.02
-    assert a.fleet_size == 3
-    assert a.fleet_cost == pytest.approx(270.0)
-    assert a.fleet_age == 6.0
-    assert a.twitter_sentiment is None
+    assert a["rating_ife"] == 4.0
+    assert a["rating_recommended"] == pytest.approx(2 / 3)
+    assert a["rating_obs"] == 3
+    assert a["rating_review"] == pytest.approx(9.0)  # only "amazing"=4 matches; 4 + 5 on the 0-10 scale
+    assert a["safety_score"] == 0.02
+    assert a["fleet_size"] == 3
+    assert a["fleet_cost"] == pytest.approx(270.0)
+    assert a["fleet_age"] == 6.0
+    assert "twitter_sentiment" not in a
+
+
+def test_aggregate_keys_are_the_aggregate_columns():
+    i = [od for od, _, _ in synth.FIXTURE_ODS].index("KUL-SIN")
+    od, archetype, n_airlines = synth.FIXTURE_ODS[i]
+    spec = synth.ArchetypeSpec(od=od, archetype=archetype, n_airlines=n_airlines)
+    data = synth.generate_market(spec, seed=synth.FIXTURE_SEED + 1000 * (i + 1))
+    aggs = build_airline_aggregates(
+        data.reviews, filter_tweets(data.tweets), data.safety, data.fleet, load_default_lexicon()
+    )
+    assert set().union(*aggs.values()) == set(AGGREGATE_COLUMNS)
+    assert len(AGGREGATE_COLUMNS) == 15
 
 
 def test_widebody_flag_uses_dominant_type():
@@ -201,7 +216,7 @@ def _tiny_market():
 
 def test_assemble_preserves_rows_and_keys():
     bookings, fares = _tiny_market()
-    table = assemble_feature_vectors(bookings, fares, {1: AirlineAggregates(), 2: AirlineAggregates()})
+    table = assemble_feature_vectors(bookings, fares, {1: {}, 2: {}})
     assert len(table) == 2
     assert table.ods == ["XX-YY", "XX-YY"]
     assert list(table.column("airline_id")) == [1, 2]
@@ -237,6 +252,23 @@ def test_feature_csv_roundtrip_with_missing(tmp_path):
     assert back.columns == table.columns
     assert back.ods == table.ods
     assert np.allclose(back.values, table.values, equal_nan=True)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:3] + [lines[3].rsplit(",", 2)[0]] + lines[4:], "line 4: expected"),
+    (lambda lines: lines[:2] + [lines[2].replace("XX-YY,1,", "XX-YY,one,", 1)] + lines[3:],
+     "line 3: could not convert string to float: 'one'"),
+    (lambda lines: ["price,od"] + lines[2:], "header must start with an 'od' column"),
+])
+def test_feature_csv_malformed_names_file_and_line(tmp_path, edit, message):
+    bookings, fares = _tiny_market()
+    path = tmp_path / "features.csv"
+    assemble_feature_vectors(bookings, fares, {}).to_csv(path, header_comment="seed=1")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        FeatureTable.from_csv(path)
+    assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
 
 
 def test_model_matrix_masks_missing():
@@ -276,7 +308,7 @@ def _expected_rows(bookings, fares, aggregates, widebody):
                 want["wide_body"] = float(widebody[b.airline_id])
             agg = aggregates.get(b.airline_id)
             if agg is not None:
-                want.update({k: v for k, v in vars(agg).items() if v is not None})
+                want.update(agg)
         for name, v in want.items():
             out[i, columns.index(name)] = v
     return out
@@ -384,7 +416,7 @@ def test_assembly_equals_per_row_oracle(seed):
         )
         for _ in range(80)
     ]
-    aggregates = {1: AirlineAggregates(rating_ife=3.0, fleet_size=12.0), 4: AirlineAggregates(safety_score=0.02)}
+    aggregates = {1: {"rating_ife": 3.0, "fleet_size": 12.0}, 4: {"safety_score": 0.02}}
     widebody = {1: True, 2: False}
     table = assemble_feature_vectors(bookings, fares, aggregates, widebody=widebody)
     assert table.ods == [b.od for b in bookings]

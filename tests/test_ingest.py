@@ -2,19 +2,29 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+from importlib import resources
+from typing import get_type_hints
+
 import pytest
 
 from farecast.ingest import (
+    DATASETS,
+    REVIEW_SCORES,
+    SCHEMAS,
     ItineraryRecord,
     ParseError,
     ReviewRecord,
     TweetRecord,
     filter_tweets,
     parse_dataset,
+    read_csv,
     schema_columns,
     serialize_dataset,
     write_csv,
 )
+from farecast.sentiment import load_default_lexicon
+from farecast.synth import MarketData
 
 BOOKING = ItineraryRecord(
     od="AMS-LHR", airline_id=1, dep_day_id=100, dbd=-10,
@@ -72,6 +82,52 @@ def test_comment_lines_skipped(tmp_path):
         encoding="utf-8",
     )
     assert parse_dataset(path, "bookings").n_accepted == 1
+
+
+def test_reject_line_numbers_count_comment_lines(tmp_path):
+    path = tmp_path / "safety.csv"
+    path.write_text(
+        "# config_hash=abc seed=1\nairline_code,score\nA1,0.5\nA2,-0.1\nA3,0.2\nA4,0.3\n",
+        encoding="utf-8",
+    )
+    result = parse_dataset(path, "safety")
+    assert result.rejected == [(4, "score must be nonnegative at line 4")]
+    assert result.n_accepted == 3
+
+
+def test_read_csv_yields_physical_line_numbers(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b'# stamp\r\na,b\r\n\r\n1,"x\r\ny"\r\n# note\r\n2,z\r\n')
+    assert list(read_csv(path)) == [(2, ["a", "b"]), (5, ["1", "x\r\ny"]), (7, ["2", "z"])]
+
+
+def test_datasets_are_the_market_data_record_fields():
+    record_types = {rec_type: kind for kind, (rec_type, _) in SCHEMAS.items()}
+    hints = get_type_hints(MarketData)
+    held = tuple(
+        f.name for f in fields(MarketData)
+        if getattr(hints[f.name], "__origin__", None) is list
+        and record_types.get(hints[f.name].__args__[0]) == f.name
+    )
+    assert held == DATASETS
+    assert len(DATASETS) == 6 and "lexicon" not in DATASETS
+
+
+def test_review_scores_are_the_ordinal_review_fields():
+    assert REVIEW_SCORES == ("fb", "ground", "ife", "crew", "seat", "value", "wifi")
+    assert schema_columns("reviews")[-7:] == list(REVIEW_SCORES)
+
+
+def test_packaged_lexicon_parses_cleanly():
+    text = resources.files("farecast.data").joinpath("lexicon.csv").read_text("utf-8")
+    lines = text.strip().splitlines()
+    assert lines[0] == "word,score"
+    want = {word: int(score) for word, score in (line.split(",") for line in lines[1:])}
+    with resources.as_file(resources.files("farecast.data").joinpath("lexicon.csv")) as path:
+        result = parse_dataset(path, "lexicon")
+    assert result.n_rejected == 0
+    assert len(want) == 82
+    assert load_default_lexicon() == want
 
 
 def test_majority_rejection_circuit_breaker(tmp_path):

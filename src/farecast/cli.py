@@ -12,8 +12,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, evaluate, explain, gbt, logit, sentiment, synth
 from .config import RunConfig, config_hash, load_config, read_scenario, write_scenario
 from .features import (
@@ -61,16 +59,21 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _parse(path: Path, kind: str, scope: str) -> list:
+    """The accepted records of one input file; rejected rows are counted on stderr."""
+    result = parse_dataset(path, kind)
+    if result.n_rejected:
+        print(f"[{scope}] {kind}: rejected {result.n_rejected} rows", file=sys.stderr)
+    return result.records
+
+
 def _load_market(od_dir: Path, od: str):
     datasets = {}
     for kind in DATASETS:
         path = od_dir / f"{kind}.csv"
         if not path.is_file():
             raise CliError(f"missing {path}; run `farecast synth` (or supply data) first")
-        result = parse_dataset(path, kind)
-        if result.n_rejected:
-            print(f"[{od}] {kind}: rejected {result.n_rejected} rows", file=sys.stderr)
-        datasets[kind] = result.records
+        datasets[kind] = _parse(path, kind, od)
     return datasets
 
 
@@ -79,7 +82,7 @@ def cmd_features(args, cfg: RunConfig) -> int:
     out_root = Path(args.out or cfg.out_dir)
     ods = args.od or _select_ods(cfg, data_root, "bookings.csv", "synth")
     if cfg.lexicon_path:
-        lexicon = sentiment.load_lexicon(cfg.lexicon_path)
+        lexicon = sentiment.lexicon_from(_parse(Path(cfg.lexicon_path), "lexicon", cfg.lexicon_path))
     else:
         lexicon = sentiment.load_default_lexicon()
     for od in ods:
@@ -105,35 +108,25 @@ def _load_features(features_root: Path, od: str) -> FeatureTable:
     return FeatureTable.from_csv(path)
 
 
-def _load_models(models_root: Path, od: str):
-    gbt_path = models_root / od / "gbt.json"
-    logit_path = models_root / od / "logit.json"
-    if not gbt_path.is_file() or not logit_path.is_file():
-        raise CliError(f"missing model files under {models_root / od}; run `farecast train` first")
-    return _read_model(gbt_path, gbt.TreeEnsemble), _read_model(logit_path, logit.LogitModel)
-
-
-def _read_model(path: Path, cls):
+def _load_model(path: Path, cls):
+    if not path.is_file():
+        raise CliError(f"missing {path}; run `farecast train` first")
     try:
         return cls.from_json(path.read_text(encoding="utf-8"))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"{path}: not a readable model file ({type(exc).__name__}: {exc})") from None
 
 
-def _train_one(od: str, table: FeatureTable, cfg: RunConfig, do_grid: bool):
+def _train_one(table: FeatureTable, cfg: RunConfig, do_grid: bool):
     X, missing, names = table.model_matrix()
     y = table.labels()
     days = table.column("dep_day_id")
-    holdout = gbt.holdout_split_by_day(days, cfg.holdout_frac)
-    tr, va = ~holdout, holdout
+    tr = ~gbt.holdout_split_by_day(days, cfg.holdout_frac)
     params = cfg.gbt
     if do_grid:
         result = gbt.grid_search(X[tr], y[tr], days[tr], base_params=params, missing=missing[tr])
         params = result.best_params
-    model = gbt.train(
-        X[tr], y[tr], params, feature_names=names, missing=missing[tr],
-        eval_set=(X[va], y[va], missing[va]) if va.any() else None,
-    )
+    model = gbt.train(X[tr], y[tr], params, feature_names=names, missing=missing[tr])
     baseline = logit.fit_logit(X[tr], y[tr], feature_names=names, missing=missing[tr])
     return model, baseline
 
@@ -144,7 +137,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     ods = args.od or _select_ods(cfg, features_root, "features.csv", "features")
     for od in ods:
         table = _load_features(features_root, od)
-        model, baseline = _train_one(od, table, cfg, args.grid)
+        model, baseline = _train_one(table, cfg, args.grid)
         od_dir = out_root / od
         atomic_write_text(od_dir / "gbt.json", model.to_json() + "\n")
         atomic_write_text(od_dir / "logit.json", baseline.to_json() + "\n")
@@ -161,7 +154,8 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
     rows = []
     for od in ods:
         table = _load_features(features_root, od)
-        model, baseline, = _load_models(models_root, od)
+        model = _load_model(models_root / od / "gbt.json", gbt.TreeEnsemble)
+        baseline = _load_model(models_root / od / "logit.json", logit.LogitModel)
         X, missing, _ = table.model_matrix()
         y = table.labels().astype(bool)
         days = table.column("dep_day_id")
@@ -188,7 +182,7 @@ def cmd_explain(args, cfg: RunConfig) -> int:
     features_root = Path(args.features or cfg.out_dir)
     models_root = Path(args.models or cfg.out_dir)
     table = _load_features(features_root, args.od)
-    model, _ = _load_models(models_root, args.od)
+    model = _load_model(models_root / args.od / "gbt.json", gbt.TreeEnsemble)
     X, missing, _ = table.model_matrix()
     if not (0 <= args.row < len(table)):
         raise CliError(f"row {args.row} out of range (0..{len(table) - 1})")
@@ -213,13 +207,12 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     for od in scenario.ods:
         if not od.covered:
             continue
+        if scenario.forecast_day is None:
+            raise CliError(f"{scenario_path}: no forecast_day for covered OD {od.name}")
         table = _load_features(features_root, od.name)
-        model, _ = _load_models(models_root, od.name)
+        model = _load_model(models_root / od.name / "gbt.json", gbt.TreeEnsemble)
         X, missing, _ = table.model_matrix()
-        if scenario.forecast_day is not None:
-            sel = table.column("dep_day_id") == scenario.forecast_day
-        else:
-            sel = np.ones(len(table), dtype=bool)
+        sel = table.column("dep_day_id") == scenario.forecast_day
         if not sel.any():
             raise CliError(f"no itineraries for OD {od.name} on forecast day")
         rollup_probs[od.name] = gbt.predict_proba(model, X[sel], missing[sel])

@@ -127,9 +127,6 @@ class TreeEnsemble:
     params: GbtParams
     feature_names: list[str]
     gain_table: dict[str, float] = field(default_factory=dict)
-    # holdout RMSE after each boosting round; populated when training with an
-    # eval set, reported separately from the serialized model
-    rmse_curve: list[float] = field(default_factory=list)
 
     def n_leaves(self) -> int:
         return sum(t.n_leaves() for t in self.trees)

@@ -211,12 +211,11 @@ def train(
     params: GbtParams,
     feature_names: Sequence[str] | None = None,
     missing: np.ndarray | None = None,
-    eval_set: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None,
 ) -> TreeEnsemble:
     """Fit the boosted ensemble; deterministic given (data, params, seed).
 
-    eval_set, when given as (X_val, y_val, missing_val), populates
-    ensemble.rmse_curve with holdout RMSE after each boosting round.
+    Only the training rows are scored; grid_search replays the fitted trees
+    on its holdout to get the per-round RMSE curve.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -231,14 +230,6 @@ def train(
     rng = np.random.default_rng(params.seed)
 
     margins = np.full(n, base_score)
-    if eval_set is not None:
-        X_val, y_val, miss_val = eval_set
-        X_val = np.asarray(X_val, dtype=np.float64)
-        if miss_val is None:
-            miss_val = np.zeros(X_val.shape, dtype=bool)
-        val_margins = np.full(X_val.shape[0], base_score)
-    rmse_curve: list[float] = []
-
     trees: list[TreeNode] = []
     order = _presort(X, missing)
     n_sub = max(1, round(params.subsample * n))
@@ -263,10 +254,6 @@ def train(
         tree = _grow_node(X, missing, g, h, rows, block, 0, cols, params)
         trees.append(tree)
         margins += _margins_tree(tree, X, missing)
-        if eval_set is not None:
-            val_margins += _margins_tree(tree, X_val, miss_val)
-            p_val = 1.0 / (1.0 + np.exp(-val_margins))
-            rmse_curve.append(float(np.sqrt(np.mean((p_val - y_val) ** 2))))
 
     ensemble = TreeEnsemble(
         trees=trees,
@@ -276,7 +263,6 @@ def train(
         gain_table={},
     )
     ensemble.gain_table = feature_gain(ensemble)
-    ensemble.rmse_curve = rmse_curve
     return ensemble
 
 
@@ -376,6 +362,17 @@ DEFAULT_GRIDS: dict[str, tuple] = {
 }
 
 
+def _holdout_curve(model: TreeEnsemble, X: np.ndarray, y: np.ndarray, missing: np.ndarray) -> list[float]:
+    """Holdout RMSE of the predicted probability after each boosting round."""
+    margins = np.full(X.shape[0], model.base_score)
+    curve = []
+    for tree in model.trees:
+        margins += _margins_tree(tree, X, missing)
+        p = 1.0 / (1.0 + np.exp(-margins))
+        curve.append(float(np.sqrt(np.mean((p - y) ** 2))))
+    return curve
+
+
 def grid_search(
     X: np.ndarray,
     y: np.ndarray,
@@ -383,9 +380,9 @@ def grid_search(
     grids: Mapping[str, Sequence] | None = None,
     base_params: GbtParams = GbtParams(),
     missing: np.ndarray | None = None,
-    holdout_frac: float = 0.2,
 ) -> GridResult:
-    """Exhaustive search over the hyperparameter grid on a day-based holdout.
+    """Exhaustive search over the hyperparameter grid, holding out the latest
+    20% of departure days (holdout_split_by_day's default).
 
     Cell score is the minimum holdout RMSE across boosting rounds; ties break
     toward cheaper configurations (smaller max_depth, then fewer trees, then
@@ -394,9 +391,7 @@ def grid_search(
     once at the largest n_trees and every cell reads a prefix of its curve.
     """
     grids = dict(DEFAULT_GRIDS if grids is None else grids)
-    hold = holdout_split_by_day(np.asarray(dep_day_ids), holdout_frac)
-    if hold.all() or not hold.any():
-        raise ValueError("degenerate holdout split")
+    hold = holdout_split_by_day(np.asarray(dep_day_ids))
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     if missing is None:
@@ -415,9 +410,7 @@ def grid_search(
         params = replace(base_params, **cell)
         full = replace(params, n_trees=n_max)
         if full not in fits:
-            fits[full] = train(
-                X_tr, y_tr, full, missing=m_tr, eval_set=(X_va, y_va, m_va)
-            ).rmse_curve
+            fits[full] = _holdout_curve(train(X_tr, y_tr, full, missing=m_tr), X_va, y_va, m_va)
         curve = fits[full][: params.n_trees]
         score = min(curve)
         curves[combo] = curve

@@ -19,6 +19,10 @@ __all__ = ["LogitModel", "fit_logit", "predict_logit", "predict_logit_label"]
 
 log = logging.getLogger(__name__)
 
+L2_PENALTY = 1e-6
+MAX_ITER = 100
+TOL = 1e-10
+
 
 @dataclass
 class LogitModel:
@@ -92,14 +96,12 @@ def fit_logit(
     y: np.ndarray,
     feature_names: list[str] | None = None,
     missing: np.ndarray | None = None,
-    l2_penalty: float = 1e-6,
-    max_iter: int = 100,
-    tol: float = 1e-10,
 ) -> LogitModel:
     """Penalized maximum-likelihood fit via IRLS (Newton steps).
 
-    Non-convergence is reported, not raised: the model is returned with
-    converged=False and a warning.
+    The ridge penalty on the standardized slopes is L2_PENALTY; IRLS stops
+    once the gradient norm is below TOL, or after MAX_ITER steps: that is
+    reported, not raised, as converged=False and a warning.
     """
     y = np.asarray(y, dtype=np.float64)
     if not np.isin(y, (0, 1)).all():
@@ -110,26 +112,26 @@ def fit_logit(
 
     A = np.hstack([np.ones((n, 1)), Z])
     beta = np.zeros(m + 1)
-    penalty = np.full(m + 1, l2_penalty)
+    penalty = np.full(m + 1, L2_PENALTY)
     penalty[0] = 0.0  # intercept unpenalized
 
     grad_norm = np.inf
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         eta = A @ beta
         p = expit(eta)
         grad = A.T @ (p - y) + penalty * beta
         grad_norm = float(np.linalg.norm(grad))
-        if grad_norm < tol:
+        if grad_norm < TOL:
             break
         w = np.clip(p * (1.0 - p), 1e-12, None)
         hess = (A * w[:, None]).T @ A + np.diag(penalty)
         beta = beta - np.linalg.solve(hess, grad)
 
-    converged = grad_norm < tol
+    converged = grad_norm < TOL
     if not converged:
         log.warning(
-            "IRLS did not converge in %d iterations (grad norm %.3g)", max_iter, grad_norm
+            "IRLS did not converge in %d iterations (grad norm %.3g)", MAX_ITER, grad_norm
         )
     return LogitModel(
         intercept=float(beta[0]),

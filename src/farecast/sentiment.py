@@ -13,14 +13,13 @@ import re
 import statistics
 from functools import cache
 from importlib import resources
-from pathlib import Path
 from typing import Literal, Mapping, Sequence
 
-from .ingest import parse_dataset
+from .ingest import LexiconEntry, parse_dataset
 
 __all__ = [
     "load_stopwords",
-    "load_lexicon",
+    "lexicon_from",
     "load_default_lexicon",
     "tokenize",
     "score_text",
@@ -40,16 +39,15 @@ def load_stopwords() -> frozenset[str]:
     return frozenset(w for w in text.split() if w)
 
 
-def load_lexicon(path: str | Path) -> dict[str, int]:
-    """Valence lexicon file (word -> integer score in -5..5); rows that fail
-    the lexicon schema are dropped."""
-    return {entry.word: entry.score for entry in parse_dataset(path, "lexicon").records}
+def lexicon_from(entries: Sequence[LexiconEntry]) -> dict[str, int]:
+    """word -> integer score in -5..5, from the parsed rows of a lexicon file."""
+    return {entry.word: entry.score for entry in entries}
 
 
 def load_default_lexicon() -> dict[str, int]:
     """The valence lexicon subset shipped with the package."""
     with resources.as_file(resources.files("farecast.data").joinpath("lexicon.csv")) as path:
-        return load_lexicon(path)
+        return lexicon_from(parse_dataset(path, "lexicon").records)
 
 
 def tokenize(text: str) -> list[str]:

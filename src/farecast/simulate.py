@@ -128,6 +128,14 @@ class SimScenario:
             raise ValueError("n_reps must be >= 1")
         if sum(od.mean_demand for od in self.ods) <= 0:
             raise ValueError("total mean_demand over the ODs must be positive")
+        if not (0 < self.holt_alpha < 1 and 0 < self.holt_beta < 1):
+            raise ValueError("holt_alpha and holt_beta must lie in (0, 1)")
+        if not math.isfinite(self.demand_factor_mean):
+            raise ValueError("demand_factor_mean must be finite")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.demand_factor_sd, self.demand_cv)):
+            raise ValueError("demand_factor_sd and demand_cv must be finite and >= 0")
+        if not 0 <= self.cheap_early_prob <= 1:
+            raise ValueError("cheap_early_prob must lie in [0, 1]")
 
 
 @dataclass

@@ -35,7 +35,14 @@ __all__ = ["ArchetypeSpec", "MarketData", "generate_market", "standard_fixture",
 Archetype = Literal["price", "schedule", "comfort"]
 
 FIXTURE_SEED = 42
-DEFAULT_PREVALENCE = 0.203
+
+# Shared by every market: weekly departures, the purchase latent's driver,
+# driver-by-dbd and noise scales, and the calibrated mean purchase probability.
+N_DEPARTURE_DAYS = 14
+DRIVER_COEF = 2.2
+INTERACTION_COEF = 1.4
+NOISE_SCALE = 0.3
+PREVALENCE_TARGET = 0.203
 
 # Fare observations exist over the full scrape horizon; itineraries are only
 # displayed (labeled) once every rolling window has a complete history.
@@ -59,27 +66,21 @@ _NARROW_TYPES = ["320", "738", "321", "E90"]
 
 @dataclass(frozen=True)
 class ArchetypeSpec:
+    """What sets one market apart; the rest are the module constants above."""
+
     od: str
     archetype: Archetype
     n_airlines: int = 4
-    n_departure_days: int = 14
-    driver_coef: float = 2.2
-    interaction_coef: float = 1.4
-    noise_scale: float = 0.3
-    prevalence_target: float = DEFAULT_PREVALENCE
 
     def __post_init__(self):
         if self.n_airlines < 2:
             raise ValueError("market references need at least 2 airlines")
-        if not (0 < self.prevalence_target < 1):
-            raise ValueError("prevalence target must lie in (0, 1)")
         if self.archetype not in ("price", "schedule", "comfort"):
             raise ValueError(f"unknown archetype: {self.archetype!r}")
 
 
 @dataclass
 class MarketData:
-    spec: ArchetypeSpec
     bookings: list[ItineraryRecord] = field(default_factory=list)
     fares: list[FareObservation] = field(default_factory=list)
     reviews: list[ReviewRecord] = field(default_factory=list)
@@ -87,7 +88,6 @@ class MarketData:
     safety: list[SafetyRecord] = field(default_factory=list)
     fleet: list[FleetRecord] = field(default_factory=list)
     true_day_demand: dict[int, float] = field(default_factory=dict)
-    intercept: float = 0.0
 
 
 def _clip_rating(x: float) -> int:
@@ -106,10 +106,10 @@ def _review_text(rng: np.random.Generator, quality: float) -> str:
     return "The " + " ".join(words)
 
 
-def _calibrate_intercept(latents: np.ndarray, target: float, max_iter: int = 100) -> float:
+def _calibrate_intercept(latents: np.ndarray, target: float) -> float:
     """Bisection on the intercept so mean sigmoid(intercept + latent) = target."""
     lo, hi = -20.0, 20.0
-    for _ in range(max_iter):
+    for _ in range(100):
         mid = 0.5 * (lo + hi)
         p = float(np.mean(1.0 / (1.0 + np.exp(-(mid + latents)))))
         if abs(p - target) < 1e-9:
@@ -128,7 +128,7 @@ def _calibrate_intercept(latents: np.ndarray, target: float, max_iter: int = 100
 def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
     """Generate all six datasets for a single OD market."""
     rng = np.random.default_rng(seed)
-    data = MarketData(spec=spec)
+    data = MarketData()
     n_air = spec.n_airlines
     airline_ids = list(range(1, n_air + 1))
     long_haul = any(tag in spec.od for tag in ("SYD", "JFK", "DXB", "JNB"))
@@ -209,7 +209,7 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
             )
 
     # mean-reverting fare walks and the fare-observation dataset
-    dep_days = [1000 + 7 * d for d in range(spec.n_departure_days)]
+    dep_days = [1000 + 7 * d for d in range(N_DEPARTURE_DAYS)]
     dep_times: dict[tuple[int, int], list[int]] = {}
     for day in dep_days:
         for a in airline_ids:
@@ -273,17 +273,16 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
                         drv = ife_median[a] - 3.0
                         aux = -yy_diff / (0.4 * fare_scale)
                     latent = (
-                        spec.driver_coef * drv
+                        DRIVER_COEF * drv
                         + 0.3 * aux
-                        + spec.interaction_coef * drv * z_dbd
-                        + float(rng.normal(0, spec.noise_scale))
+                        + INTERACTION_COEF * drv * z_dbd
+                        + float(rng.normal(0, NOISE_SCALE))
                     )
                     candidates.append((day, dbd, a, k))
                     latents.append(latent)
 
     latent_arr = np.array(latents)
-    intercept = _calibrate_intercept(latent_arr, spec.prevalence_target)
-    data.intercept = intercept
+    intercept = _calibrate_intercept(latent_arr, PREVALENCE_TARGET)
     probs = 1.0 / (1.0 + np.exp(-(intercept + latent_arr)))
     draws = rng.random(len(candidates))
     for (day, dbd, a, k), p, u in zip(candidates, probs, draws):

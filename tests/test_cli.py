@@ -154,6 +154,16 @@ _LADDER = ",".join(str(1200 - 100 * k) for k in range(12))
      "brand shares must be finite and nonnegative"),
     ("[scenario]\ncapacity = 9\n[od:X]\nfares = nan," + _LADDER.split(",", 1)[1] + "\n",
      "fares must be finite and positive"),
+    *[(f"[scenario]\ncapacity = 9\n{setting}\n[od:X]\nfares = {_LADDER}\nbrand_mix = 1,1,1\n"
+       "mean_demand = 4\nhistory = 5,6\n", message) for setting, message in [
+        ("holt_alpha = 1.5", "holt_alpha and holt_beta must lie in (0, 1)"),
+        ("holt_beta = 0", "holt_alpha and holt_beta must lie in (0, 1)"),
+        ("demand_factor_sd = -0.1", "demand_factor_sd and demand_cv must be finite and >= 0"),
+        ("demand_cv = -1", "demand_factor_sd and demand_cv must be finite and >= 0"),
+        ("demand_cv = inf", "demand_factor_sd and demand_cv must be finite and >= 0"),
+        ("demand_factor_mean = nan", "demand_factor_mean must be finite"),
+        ("cheap_early_prob = 2", "cheap_early_prob must lie in [0, 1]"),
+    ]],
 ])
 def test_malformed_scenario_exits_2_naming_file(tmp_path, capsys, text, message):
     path = tmp_path / "scenario.ini"
@@ -163,6 +173,22 @@ def test_malformed_scenario_exits_2_naming_file(tmp_path, capsys, text, message)
     assert err.startswith(f"error: {path}: ") and message in err
 
 
+def test_simulate_without_forecast_day_exits_2(workspace, tmp_path, capsys):
+    scenario = read_scenario(workspace / "data" / "scenario.ini")
+    ods = [replace(od, covered=od.name in SMALL_ODS) for od in scenario.ods]
+    path = tmp_path / "scenario.ini"
+    write_scenario(replace(scenario, ods=ods, forecast_day=None), path)
+    assert "forecast_day" not in path.read_text(encoding="utf-8")
+    out = tmp_path / "sim"
+    assert cli.main([
+        "simulate", "--scenario", str(path), "--features", str(workspace / "out"),
+        "--models", str(workspace / "out"), "--out", str(out),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: no forecast_day") and SMALL_ODS[0] in err
+    assert not out.exists()
+
+
 def test_missing_models_names_train(workspace, tmp_path, capsys):
     rc = cli.main([
         "evaluate", "--features", str(workspace / "out"),
@@ -170,6 +196,17 @@ def test_missing_models_names_train(workspace, tmp_path, capsys):
     ])
     assert rc == 2
     assert "train" in capsys.readouterr().err
+
+
+def test_only_evaluate_reads_the_logit_model(workspace, tmp_path, capsys):
+    od_dir = _copy_stage_outputs(workspace, tmp_path)
+    (od_dir / "logit.json").unlink()
+    assert cli.main([
+        "explain", "--features", str(tmp_path), "--models", str(tmp_path),
+        "--od", SMALL_ODS[0], "--row", "0",
+    ]) == 0
+    err = _evaluate_err(tmp_path, capsys)
+    assert err == f"error: missing {od_dir / 'logit.json'}; run `farecast train` first\n"
 
 
 def test_config_file_loading(workspace, tmp_path, capsys):
@@ -227,6 +264,26 @@ def test_config_lexicon_is_used(workspace, tmp_path):
     assert (old[scored] != new[scored]).any()
     # every score is negated, so each mean reflects about the scale's midpoint 5
     np.testing.assert_allclose(new[scored], 10.0 - old[scored], atol=1e-4)
+
+
+def test_config_lexicon_rejected_rows_are_reported(workspace, tmp_path, capsys):
+    packaged = resources.files("farecast.data").joinpath("lexicon.csv").read_text("utf-8")
+    lexicon = tmp_path / "lexicon.csv"
+    lexicon.write_text(packaged.rstrip("\n") + "\nAmazing,4\n", encoding="utf-8")
+    cfg_path = tmp_path / "run.ini"
+    cfg_path.write_text(
+        f"[run]\ndata_dir = {workspace / 'data'}\nout_dir = {tmp_path / 'out'}\n"
+        f"ods = {SMALL_ODS[0]}\nlexicon = {lexicon}\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["--config", str(cfg_path), "features"]) == 0
+    assert capsys.readouterr().err == f"[{lexicon}] lexicon: rejected 1 rows\n"
+    # the accepted rows are the packaged lexicon, so the features are unchanged
+    before = workspace / "out" / SMALL_ODS[0] / "features.csv"
+    after = tmp_path / "out" / SMALL_ODS[0] / "features.csv"
+    np.testing.assert_array_equal(
+        FeatureTable.from_csv(after).values, FeatureTable.from_csv(before).values
+    )
 
 
 def _copy_stage_outputs(workspace, tmp_path):

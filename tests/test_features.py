@@ -79,6 +79,21 @@ def test_worked_example_rolling_means():
     assert mean_xx == -25
 
 
+def test_worked_example_through_assembly():
+    fares = [
+        FareObservation(od="AAA-BBB", airline_id=a, dep_day_id=1, dbd=dbd,
+                        dep_time_mam=600, travel_time=2.0, price=float(price))
+        for dbd, by_airline in EXAMPLE_FARES.items() for a, price in by_airline.items()
+    ]
+    booking = ItineraryRecord(od="AAA-BBB", airline_id=1, dep_day_id=1, dbd=-100,
+                              dep_time_mam=600, travel_time=2.0, price=450.0, is_bought=True)
+    table = assemble_feature_vectors([booking], fares, {})
+    assert table.column("mean3d_yy")[0] == 30
+    assert table.column("mean3d_xx")[0] == -25
+    assert table.column("mkt_fare")[0] == 300
+    assert table.column("is_cheapest")[0] == 0
+
+
 def test_equal_fares_make_xx_equal_yy():
     refs = market_reference_fares({1: 450, 2: 450})
     assert refs.yy_fare == refs.xx_fare == 450

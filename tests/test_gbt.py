@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from farecast import gbt
-from farecast.gbt.train import _best_split, _margins_tree, holdout_split_by_day
+from farecast.gbt.train import _best_split, _holdout_curve, _margins_tree, holdout_split_by_day
 
 
 def sigmoid(z):
@@ -259,9 +259,10 @@ def test_rejects_bad_inputs():
 def test_rmse_curve_length_and_quick_descent():
     X, y = _training_data(6)
     params = gbt.GbtParams(n_trees=10, max_depth=3, eta=0.3)
-    model = gbt.train(X, y, params, eval_set=(X, y, None))
-    assert len(model.rmse_curve) == 10
-    assert model.rmse_curve[-1] <= model.rmse_curve[0]
+    model = gbt.train(X, y, params)
+    curve = _holdout_curve(model, X, y, np.zeros(X.shape, dtype=bool))
+    assert len(curve) == 10
+    assert curve[-1] <= curve[0]
 
 
 # --- node scan ----------------------------------------------------------------
@@ -467,10 +468,8 @@ def test_grid_search_prefix_curves_equal_per_cell_fits():
     curves, cells, best = {}, [], None
     for combo in itertools.product(*(grids[k] for k in keys)):
         params = replace(base, **dict(zip(keys, combo)))
-        curve = gbt.train(
-            X[~hold], y[~hold], params, missing=missing[~hold],
-            eval_set=(X[hold], y[hold], missing[hold]),
-        ).rmse_curve
+        model = gbt.train(X[~hold], y[~hold], params, missing=missing[~hold])
+        curve = _holdout_curve(model, X[hold], y[hold], missing[hold])
         curves[combo] = curve
         cells.append((params, min(curve)))
         rank = (min(curve), params.max_depth, params.n_trees, -params.subsample)

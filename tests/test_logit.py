@@ -42,7 +42,7 @@ def test_coefficients_match_independent_optimizer(seed):
     if y.min() == y.max():
         y[0] = 1 - y[0]
 
-    model = fit_logit(X, y, l2_penalty=1e-6)
+    model = fit_logit(X, y)
     Z = (X - model.mean) / model.scale
     oracle = _oracle_fit(Z, y, 1e-6)
     assert model.intercept == pytest.approx(oracle[0], abs=1e-6)

@@ -21,7 +21,8 @@ from .features import (
     build_airline_aggregates,
 )
 from .ingest import (
-    DATASETS, ParseError, atomic_write_text, filter_tweets, parse_dataset, serialize_dataset,
+    DATASETS, ParseError, ParseResult, atomic_write_text, filter_tweets, parse_dataset,
+    serialize_dataset,
 )
 from .simulate import aggregate_class_forecasts, compare_policies, optimize_policy
 
@@ -59,15 +60,15 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _parse(path: Path, kind: str, scope: str) -> list:
-    """The accepted records of one input file; rejected rows are counted on stderr."""
+def _parse(path: Path, kind: str, scope: str) -> ParseResult:
+    """One parsed input file; rejected rows are counted on stderr."""
     result = parse_dataset(path, kind)
     if result.n_rejected:
         print(f"[{scope}] {kind}: rejected {result.n_rejected} rows", file=sys.stderr)
-    return result.records
+    return result
 
 
-def _load_market(od_dir: Path, od: str):
+def _load_market(od_dir: Path, od: str) -> dict[str, ParseResult]:
     datasets = {}
     for kind in DATASETS:
         path = od_dir / f"{kind}.csv"
@@ -82,18 +83,21 @@ def cmd_features(args, cfg: RunConfig) -> int:
     out_root = Path(args.out or cfg.out_dir)
     ods = args.od or _select_ods(cfg, data_root, "bookings.csv", "synth")
     if cfg.lexicon_path:
-        lexicon = sentiment.lexicon_from(_parse(Path(cfg.lexicon_path), "lexicon", cfg.lexicon_path))
+        lexicon_file = _parse(Path(cfg.lexicon_path), "lexicon", cfg.lexicon_path)
+        lexicon = sentiment.lexicon_from(lexicon_file.records)
     else:
         lexicon = sentiment.load_default_lexicon()
     for od in ods:
         datasets = _load_market(data_root / od, od)
-        tweets = filter_tweets(datasets["tweets"])
+        fleet = datasets["fleet"].records
         aggregates = build_airline_aggregates(
-            datasets["reviews"], tweets, datasets["safety"], datasets["fleet"], lexicon
+            datasets["reviews"].records, filter_tweets(datasets["tweets"].records),
+            datasets["safety"].records, fleet, lexicon,
         )
-        widebody = airline_widebody_flags(datasets["fleet"])
+        # the two large kinds go in as columns, so no record objects are built for them
         table = assemble_feature_vectors(
-            datasets["bookings"], datasets["fares"], aggregates, widebody=widebody
+            datasets["bookings"].columns, datasets["fares"].columns, aggregates,
+            widebody=airline_widebody_flags(fleet),
         )
         path = out_root / od / "features.csv"
         table.to_csv(path, header_comment=_stamp(cfg))

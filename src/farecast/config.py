@@ -61,6 +61,8 @@ def load_config(path: str | Path | None) -> RunConfig:
             cfg.out_dir = run.get("out_dir", cfg.out_dir)
             cfg.seed = run.getint("seed", cfg.seed)
             cfg.holdout_frac = run.getfloat("holdout_frac", cfg.holdout_frac)
+            if not 0 < cfg.holdout_frac < 1:  # also rejects nan
+                raise ValueError(f"holdout_frac must be in (0, 1), got {cfg.holdout_frac}")
             cfg.lexicon_path = run.get("lexicon", cfg.lexicon_path)
             cfg.scenario_path = run.get("scenario", cfg.scenario_path)
             ods_raw = run.get("ods", "").strip()

@@ -163,8 +163,13 @@ class FeatureTable:
 
     def to_csv(self, path: str | Path, header_comment: str | None = None) -> None:
         header = ["od"] + [_XX_ALIAS.sub("_zz", c) for c in self.columns]
-        rows = ([od] + [_fmt(v) for v in row] for od, row in zip(self.ods, self.values))
-        write_csv(path, header, rows, header_comment)
+
+        def rows():
+            for start in range(0, len(self), _CSV_BLOCK_ROWS):
+                stop = start + _CSV_BLOCK_ROWS
+                yield from zip(self.ods[start:stop], *map(_fmt_column, self.values[start:stop].T))
+
+        write_csv(path, header, rows(), header_comment)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "FeatureTable":
@@ -192,12 +197,21 @@ class FeatureTable:
         return cls(ods=ods, columns=columns, values=values)
 
 
-def _fmt(v: float) -> str:
-    if math.isnan(v):
-        return ""
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return f"{v:.6g}"
+# features.csv is formatted in blocks of rows, a column at a time within a
+# block, so only one block's cell strings are alive at once.
+_CSV_BLOCK_ROWS = 1024
+
+
+def _fmt_column(col: np.ndarray) -> list[str]:
+    """One column's CSV cells: "" for NaN, an integer value below 1e15 in
+    magnitude through `str` of its int64, any other value as "%.6g". Each
+    distinct value is formatted once."""
+    uniq, inverse = np.unique(col, return_inverse=True)
+    text = np.array(["%.6g" % v for v in uniq.tolist()], dtype=object)
+    whole = (np.abs(uniq) < 1e15) & (uniq == np.trunc(uniq))  # False for NaN
+    text[whole] = list(map(str, uniq[whole].astype(np.int64).tolist()))
+    text[np.isnan(uniq)] = ""
+    return text[inverse].tolist()
 
 
 @dataclass(frozen=True)
@@ -397,11 +411,15 @@ def _rolling(series: np.ndarray, w: int) -> np.ndarray:
     return out
 
 
-def _columns(records: Sequence, names: Sequence[str]) -> np.ndarray:
-    """Float matrix of the named attributes, one row per record."""
-    return np.stack([
-        np.fromiter(map(attrgetter(name), records), np.float64, len(records)) for name in names
-    ], axis=1)
+def _column(data: Mapping | Sequence, name: str) -> Sequence:
+    """One field of a column mapping (ParseResult.columns) or of a record sequence."""
+    return data[name] if isinstance(data, Mapping) else list(map(attrgetter(name), data))
+
+
+def _columns(data: Mapping | Sequence, names: Sequence[str]) -> np.ndarray:
+    """Float matrix of the named fields, one row per row of `data`."""
+    return np.stack([np.asarray(_column(data, name), dtype=np.float64) for name in names],
+                    axis=1)
 
 
 # Booking fields copied as they are; the first six are also read from fares.
@@ -409,31 +427,33 @@ _ROW_FIELDS = ("airline_id", "dep_day_id", "dbd", "dep_time_mam", "travel_time",
 
 
 def assemble_feature_vectors(
-    bookings: Sequence[ItineraryRecord],
-    fares: Sequence[FareObservation],
+    bookings: Mapping[str, Sequence] | Sequence[ItineraryRecord],
+    fares: Mapping[str, Sequence] | Sequence[FareObservation],
     aggregates: Mapping[int, Mapping[str, float]],
     widebody: Mapping[int, bool] | None = None,
 ) -> FeatureTable:
     """Build the full feature matrix, one row per displayed itinerary.
 
-    Each booking keeps its own recorded price; the competitive-pricing
-    features come from the fares dataset alone. Rows are emitted in input
-    order and never dropped; fields that cannot be computed are explicitly
-    missing. A booking whose OD has no fares keeps only its row-level fields.
+    `bookings` and `fares` are each a column mapping (ParseResult.columns)
+    or a record sequence; both give the same table. Each booking keeps its
+    own recorded price; the competitive-pricing features come from the fares
+    dataset alone. Rows are emitted in input order and never dropped; fields
+    that cannot be computed are explicitly missing. A booking whose OD has no
+    fares keeps only its row-level fields.
     """
     col = {name: i for i, name in enumerate(ALL_COLUMNS)}
-    values = np.full((len(bookings), len(ALL_COLUMNS)), np.nan)
     row_fields = _columns(bookings, _ROW_FIELDS)
+    values = np.full((len(row_fields), len(ALL_COLUMNS)), np.nan)
     values[:, [col[name] for name in _ROW_FIELDS]] = row_fields
     airline, day, dbd, dep, tt = row_fields[:, :5].T
     values[:, col["bucket_t"]] = np.floor(dbd / 10) * 10
     values[:, col["dept_delta"]] = np.abs(dep - IDEAL_DEP)
 
-    ods = [b.od for b in bookings]
+    ods = list(_column(bookings, "od"))
     booking_od = np.array(ods, dtype=str)
-    fare_od = np.array([f.od for f in fares], dtype=str)
+    fare_od = np.array(_column(fares, "od"), dtype=str)
     fare_fields = _columns(fares, _ROW_FIELDS[:6])
-    in_market = np.zeros(len(bookings), dtype=bool)
+    in_market = np.zeros(len(ods), dtype=bool)
     for od in np.unique(fare_od):
         rows = np.flatnonzero(booking_od == od)
         in_market[rows] = True

@@ -5,6 +5,11 @@ as the decimal separator. Rows that fail validation are rejected individually
 with a positioned error message; parsing only aborts when more than half of
 the data rows are rejected.
 
+Parsing works a column at a time: each column is coerced in one call and
+each schema's rules are masks over the coerced columns, so the accepted rows
+are held as columns (`ParseResult.columns`). The record objects
+(`ParseResult.records`) are built from them on demand.
+
 Each schema decision is made here once (`SCHEMAS`, `DATASETS`,
 `REVIEW_SCORES`). `read_csv` and `write_csv` are the package's one CSV reader
 and writer: every CSV input (datasets, lexicon, feature tables) and every
@@ -20,8 +25,12 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, fields as dc_fields
+from functools import cached_property
+from itertools import compress
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, get_type_hints
+
+import numpy as np
 
 __all__ = [
     "ItineraryRecord",
@@ -122,33 +131,49 @@ class LexiconEntry:
 
 @dataclass
 class ParseResult:
-    records: list
+    """The accepted rows of one file as columns, plus positioned rejects.
+
+    `columns` maps each schema field, in schema order, to a numpy array (int,
+    float and bool fields) or a list of strings; `records` builds the schema's
+    record objects from them on first use.
+    """
+
+    schema: str
+    columns: dict[str, np.ndarray | list[str]]
     rejected: list[tuple[int, str]]
 
     @property
     def n_accepted(self) -> int:
-        return len(self.records)
+        return len(next(iter(self.columns.values())))
 
     @property
     def n_rejected(self) -> int:
         return len(self.rejected)
 
+    @cached_property
+    def records(self) -> list:
+        rec_type, _ = SCHEMAS[self.schema]
+        cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns.values()]
+        return list(map(rec_type, *cols))
 
-_TRUE = {"1", "true", "t", "y", "yes"}
-_FALSE = {"0", "false", "f", "n", "no"}
+
+_BOOLS = {**dict.fromkeys(("1", "true", "t", "y", "yes"), True),
+          **dict.fromkeys(("0", "false", "f", "n", "no"), False)}
+_INT64 = np.iinfo(np.int64)
 
 
 def _to_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    val = _BOOLS.get(raw.strip().lower())
+    if val is None:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return val
 
 
 def _to_int(raw: str) -> int:
-    return int(raw.strip())
+    val = int(raw.strip())
+    if not _INT64.min <= val <= _INT64.max:
+        raise ValueError(f"integer out of range: {raw!r}")
+    return val
 
 
 def _to_float(raw: str) -> float:
@@ -158,61 +183,78 @@ def _to_float(raw: str) -> float:
     return val
 
 
-def _to_str(raw: str) -> str:
-    return raw
+_COERCERS = {int: _to_int, float: _to_float, bool: _to_bool}
+# One call per column. int() and float() strip whitespace as _to_int and
+# _to_float do; an int outside int64 fails the column (OverflowError) and a
+# non-finite float is found by a mask, so both end in the scalar coercer.
+_COLUMN_CALLS = {int: int, float: float, bool: _to_bool}
+_DTYPES = {int: np.int64, float: np.float64, bool: np.bool_}
 
 
-_COERCERS = {int: _to_int, float: _to_float, bool: _to_bool, str: _to_str}
+def _coerce_column(typ: type, cells: Sequence[str], errors: dict[int, str]):
+    """One column coerced in one call: an array, or a list for str. A column
+    that fails goes through its scalar coercer cell by cell, and each failing
+    cell's message is kept under its row index unless an earlier column of
+    that row already failed."""
+    if typ is str:
+        return list(cells)
+    try:
+        values = np.fromiter(map(_COLUMN_CALLS[typ], cells), _DTYPES[typ], len(cells))
+        bad = np.flatnonzero(~np.isfinite(values)) if typ is float else ()
+    except (ValueError, OverflowError):
+        values = np.zeros(len(cells), _DTYPES[typ])
+        bad = range(len(cells))
+    for i in bad:
+        try:
+            values[i] = _COERCERS[typ](cells[i])
+        except ValueError as exc:
+            errors.setdefault(int(i), str(exc))
+    return values
 
 
-def _validate_itinerary_common(rec) -> str | None:
-    if rec.dbd > 0:
-        return "dbd out of range (must be <= 0)"
-    if not (0 <= rec.dep_time_mam < 1440):
-        return "dep_time_mam out of range"
-    if rec.travel_time <= 0:
-        return "travel_time must be positive"
-    if rec.price <= 0:
-        return "price must be positive"
-    return None
+# Each validator maps the coerced columns to (row mask, message) rules in
+# order; a row breaking several rules is rejected with the first.
+def _check_itinerary(c) -> list[tuple[np.ndarray, str]]:
+    dep = c["dep_time_mam"]
+    return [
+        (c["dbd"] > 0, "dbd out of range (must be <= 0)"),
+        ((dep < 0) | (dep >= 1440), "dep_time_mam out of range"),
+        (c["travel_time"] <= 0, "travel_time must be positive"),
+        (c["price"] <= 0, "price must be positive"),
+    ]
 
 
-def _validate_review(rec: ReviewRecord) -> str | None:
-    for name in REVIEW_SCORES:
-        if getattr(rec, name) not in (1, 2, 3, 4, 5):
-            return f"{name} score outside 1..5"
-    return None
+def _check_review(c) -> list[tuple[np.ndarray, str]]:
+    return [((c[name] < 1) | (c[name] > 5), f"{name} score outside 1..5") for name in REVIEW_SCORES]
 
 
-def _validate_safety(rec: SafetyRecord) -> str | None:
-    return None if rec.score >= 0 else "score must be nonnegative"
+def _check_safety(c) -> list[tuple[np.ndarray, str]]:
+    return [(c["score"] < 0, "score must be nonnegative")]
 
 
-def _validate_fleet(rec: FleetRecord) -> str | None:
-    if rec.aircraft_age < 0:
-        return "aircraft_age must be nonnegative"
-    if rec.aircraft_cost <= 0:
-        return "aircraft_cost must be positive"
-    return None
+def _check_fleet(c) -> list[tuple[np.ndarray, str]]:
+    return [
+        (c["aircraft_age"] < 0, "aircraft_age must be nonnegative"),
+        (c["aircraft_cost"] <= 0, "aircraft_cost must be positive"),
+    ]
 
 
-def _validate_lexicon(rec: LexiconEntry) -> str | None:
-    if not (-5 <= rec.score <= 5):
-        return "score outside -5..5"
-    if rec.word != rec.word.lower():
-        return "word must be lowercase"
-    return None
+def _check_lexicon(c) -> list[tuple[np.ndarray, str]]:
+    return [
+        ((c["score"] < -5) | (c["score"] > 5), "score outside -5..5"),
+        (np.array([w != w.lower() for w in c["word"]], dtype=bool), "word must be lowercase"),
+    ]
 
 
-# schema kind -> (record type, row validator)
+# schema kind -> (record type, column validator)
 SCHEMAS = {
-    "bookings": (ItineraryRecord, _validate_itinerary_common),
-    "fares": (FareObservation, _validate_itinerary_common),
-    "reviews": (ReviewRecord, _validate_review),
-    "tweets": (TweetRecord, lambda rec: None),
-    "safety": (SafetyRecord, _validate_safety),
-    "fleet": (FleetRecord, _validate_fleet),
-    "lexicon": (LexiconEntry, _validate_lexicon),
+    "bookings": (ItineraryRecord, _check_itinerary),
+    "fares": (FareObservation, _check_itinerary),
+    "reviews": (ReviewRecord, _check_review),
+    "tweets": (TweetRecord, lambda c: []),
+    "safety": (SafetyRecord, _check_safety),
+    "fleet": (FleetRecord, _check_fleet),
+    "lexicon": (LexiconEntry, _check_lexicon),
 }
 
 # The six per-OD kinds; each is stored as <kind>.csv and held in the
@@ -226,7 +268,7 @@ def schema_columns(schema: str) -> list[str]:
 
 
 def parse_dataset(path: str | Path, schema: str) -> ParseResult:
-    """Parse one dataset file into validated records plus positioned rejects.
+    """Parse one dataset file into validated columns plus positioned rejects.
 
     Deterministic and order-preserving. Raises ParseError on a missing file,
     a header mismatch, or when more than 50% of data rows are rejected.
@@ -237,43 +279,54 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
     if not path.is_file():
         raise ParseError(f"no such file: {path}")
     rec_type, validator = SCHEMAS[schema]
-    columns = schema_columns(schema)
+    names = schema_columns(schema)
     hints = get_type_hints(rec_type)
-    coercers = [_COERCERS[hints[f.name]] for f in dc_fields(rec_type)]
 
     rows = read_csv(path)
     _, header = next(rows, (0, None))
     if header is None:
         raise ParseError(f"{path}: empty file, missing header")
-    if header != columns:
+    if header != names:
         raise ParseError(
             f"{path}: header mismatch for schema {schema!r}: "
-            f"expected {columns}, got {header}"
+            f"expected {names}, got {header}"
         )
-    records: list = []
+    lines: list[int] = []
+    kept: list[list[str]] = []
     rejected: list[tuple[int, str]] = []
     for lineno, row in rows:
-        if len(row) != len(columns):
-            rejected.append((lineno, f"expected {len(columns)} fields, got {len(row)}"))
-            continue
-        try:
-            values = [coerce(raw) for coerce, raw in zip(coercers, row)]
-        except ValueError as exc:
-            rejected.append((lineno, str(exc)))
-            continue
-        rec = rec_type(*values)
-        problem = validator(rec)
-        if problem is not None:
-            rejected.append((lineno, f"{problem} at line {lineno}"))
-            continue
-        records.append(rec)
+        if len(row) != len(names):
+            rejected.append((lineno, f"expected {len(names)} fields, got {len(row)}"))
+        else:
+            lines.append(lineno)
+            kept.append(row)
 
-    total = len(records) + len(rejected)
+    cells = list(zip(*kept)) or [()] * len(names)
+    errors: dict[int, str] = {}  # row index -> message of its first failing column
+    columns = {
+        name: _coerce_column(hints[name], col, errors) for name, col in zip(names, cells)
+    }
+    for bad, problem in validator(columns):
+        for i in np.flatnonzero(bad).tolist():
+            if i not in errors:
+                errors[i] = f"{problem} at line {lines[i]}"
+    if errors:
+        rejected += [(lines[i], message) for i, message in errors.items()]
+        rejected.sort()
+        keep = np.ones(len(kept), dtype=bool)
+        keep[list(errors)] = False
+        columns = {
+            name: col[keep] if isinstance(col, np.ndarray) else list(compress(col, keep))
+            for name, col in columns.items()
+        }
+
+    n_accepted = len(kept) - len(errors)
+    total = n_accepted + len(rejected)
     if total > 0 and len(rejected) > total / 2:
         raise ParseError(
             f"{path}: {len(rejected)}/{total} rows rejected (over 50% circuit breaker)"
         )
-    return ParseResult(records=records, rejected=rejected)
+    return ParseResult(schema=schema, columns=columns, rejected=rejected)
 
 
 def _format_value(val) -> str:

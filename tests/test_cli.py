@@ -233,6 +233,8 @@ def test_config_file_loading(workspace, tmp_path, capsys):
     ("[gbt]\neta = -1\n", "eta must be positive"),
     ("[run]\nseed = x\n", "invalid literal for int() with base 10: 'x'"),
     ("[run\nseed = 1\n", "File contains no section headers"),
+    *[(f"[run]\nholdout_frac = {v}\n", "holdout_frac must be in (0, 1)")
+      for v in ("1.5", "0", "-0.1", "nan")],
 ])
 def test_malformed_config_exits_2_naming_file(tmp_path, capsys, text, message):
     path = tmp_path / "run.ini"

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from farecast import synth
+from farecast import cli, synth
+from farecast.config import RunConfig
 from farecast.features import (
     AGGREGATE_COLUMNS,
     FeatureTable,
@@ -28,10 +29,14 @@ from farecast.ingest import (
     FareObservation,
     FleetRecord,
     ItineraryRecord,
+    DATASETS,
     ParseError,
     ReviewRecord,
     SafetyRecord,
     filter_tweets,
+    parse_dataset,
+    serialize_dataset,
+    write_csv,
 )
 from farecast.sentiment import load_default_lexicon
 
@@ -284,6 +289,76 @@ def test_feature_csv_malformed_names_file_and_line(tmp_path, edit, message):
     with pytest.raises(ParseError) as exc:
         FeatureTable.from_csv(path)
     assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
+
+
+# ------------------------------------------------ to_csv vs per-cell oracle
+
+def _fmt(v: float) -> str:
+    if math.isnan(v):
+        return ""
+    if v == int(v) and abs(v) < 1e15:
+        return str(int(v))
+    return f"{v:.6g}"
+
+
+def _write_per_cell(table, path, comment):
+    """The per-cell reference writer for FeatureTable.to_csv."""
+    header = ["od"] + [c[:-3] + "_zz" if c.endswith("_xx") else c for c in table.columns]
+    rows = ([od] + [_fmt(v) for v in row] for od, row in zip(table.ods, table.values))
+    write_csv(path, header, rows, comment)
+
+
+EDGE_VALUES = [-0.0, 0.5, -3.0, 1e15 - 1, 1e15, 1e16, 1234567.5, 1e-7, 123456789.0]
+
+
+def test_to_csv_equals_per_cell_oracle(tmp_path):
+    n = len(EDGE_VALUES) + 1
+    rng = np.random.default_rng(0)
+    mixed = np.array(EDGE_VALUES + [math.nan])
+    columns = {
+        "ints": np.array([-0.0, -3.0, 1e15 - 1, -(1e15 - 1), 123456789.0, 0.0, 7.0, 7.0, 42.0, 1.0]),
+        "missing": np.full(n, math.nan),
+        "mixed": mixed,
+        "mixed_xx": rng.permutation(mixed),
+        "floats": np.array(EDGE_VALUES + [-1e15])[[1, 4, 5, 6, 7, 1, 4, 5, 6, 9]],
+        "small": rng.normal(scale=1e-3, size=n),
+    }
+    reps = 250  # more rows than one formatting block
+    table = FeatureTable(ods=[f"OD-{i % 7}" for i in range(n * reps)], columns=list(columns),
+                         values=np.tile(np.column_stack(list(columns.values())), (reps, 1)))
+    table.to_csv(tmp_path / "got.csv", header_comment="seed=1")
+    _write_per_cell(table, tmp_path / "want.csv", "seed=1")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert b",mixed_zz," in (tmp_path / "got.csv").read_bytes()
+
+
+def test_columns_and_records_give_one_table(tmp_path):
+    """A seed-42 fixture market, written as `farecast synth` writes it."""
+    i, (od, archetype, n_air) = next(
+        (i, spec) for i, spec in enumerate(synth.FIXTURE_ODS) if spec[0] == "KUL-SIN")
+    data = synth.generate_market(synth.ArchetypeSpec(od, archetype, n_air), seed=42 + 1000 * (i + 1))
+    for kind in DATASETS:
+        serialize_dataset(getattr(data, kind), kind, tmp_path / "data" / od / f"{kind}.csv")
+    parsed = {kind: parse_dataset(tmp_path / "data" / od / f"{kind}.csv", kind) for kind in DATASETS}
+    fleet = parsed["fleet"].records
+    aggregates = build_airline_aggregates(
+        parsed["reviews"].records, filter_tweets(parsed["tweets"].records),
+        parsed["safety"].records, fleet, load_default_lexicon(),
+    )
+    widebody = airline_widebody_flags(fleet)
+    from_columns = assemble_feature_vectors(
+        parsed["bookings"].columns, parsed["fares"].columns, aggregates, widebody=widebody)
+    from_records = assemble_feature_vectors(
+        parsed["bookings"].records, parsed["fares"].records, aggregates, widebody=widebody)
+    assert from_columns.ods == from_records.ods
+    assert from_columns.columns == from_records.columns
+    np.testing.assert_array_equal(from_columns.values, from_records.values)
+
+    assert cli.main(["features", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out"),
+                     "--od", od]) == 0
+    _write_per_cell(from_records, tmp_path / "want.csv", cli._stamp(RunConfig()))
+    assert (tmp_path / "out" / od / "features.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
 
 
 def test_model_matrix_masks_missing():

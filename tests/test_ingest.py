@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import astuple, fields
 from importlib import resources
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 
 from farecast.ingest import (
+    _COERCERS,
     DATASETS,
     REVIEW_SCORES,
     SCHEMAS,
@@ -181,3 +183,179 @@ def test_write_csv_failure_leaves_existing_file(tmp_path):
         write_csv(path, ["a"], rows(), comment="new")
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+# ------------------------------------------- column-wise parse vs per-row oracle
+
+def _validate_itinerary_common(rec):
+    if rec.dbd > 0:
+        return "dbd out of range (must be <= 0)"
+    if not (0 <= rec.dep_time_mam < 1440):
+        return "dep_time_mam out of range"
+    if rec.travel_time <= 0:
+        return "travel_time must be positive"
+    if rec.price <= 0:
+        return "price must be positive"
+    return None
+
+
+def _validate_review(rec):
+    for name in REVIEW_SCORES:
+        if getattr(rec, name) not in (1, 2, 3, 4, 5):
+            return f"{name} score outside 1..5"
+    return None
+
+
+def _validate_fleet(rec):
+    if rec.aircraft_age < 0:
+        return "aircraft_age must be nonnegative"
+    if rec.aircraft_cost <= 0:
+        return "aircraft_cost must be positive"
+    return None
+
+
+def _validate_lexicon(rec):
+    if not (-5 <= rec.score <= 5):
+        return "score outside -5..5"
+    if rec.word != rec.word.lower():
+        return "word must be lowercase"
+    return None
+
+
+ROW_VALIDATORS = {
+    "bookings": _validate_itinerary_common,
+    "fares": _validate_itinerary_common,
+    "reviews": _validate_review,
+    "tweets": lambda rec: None,
+    "safety": lambda rec: None if rec.score >= 0 else "score must be nonnegative",
+    "fleet": _validate_fleet,
+    "lexicon": _validate_lexicon,
+}
+
+
+def _parse_rows(path, schema):
+    """The row-at-a-time reference: each row through the scalar coercers into
+    a record, then through the schema's row validator."""
+    rec_type, _ = SCHEMAS[schema]
+    hints = get_type_hints(rec_type)
+    coercers = [_COERCERS.get(hints[f.name], str) for f in fields(rec_type)]
+    rows = read_csv(path)
+    next(rows)
+    records, rejected = [], []
+    for lineno, row in rows:
+        if len(row) != len(coercers):
+            rejected.append((lineno, f"expected {len(coercers)} fields, got {len(row)}"))
+            continue
+        try:
+            rec = rec_type(*[coerce(raw) for coerce, raw in zip(coercers, row)])
+        except ValueError as exc:
+            rejected.append((lineno, str(exc)))
+            continue
+        problem = ROW_VALIDATORS[schema](rec)
+        if problem is not None:
+            rejected.append((lineno, f"{problem} at line {lineno}"))
+            continue
+        records.append(rec)
+    total = len(records) + len(rejected)
+    if total > 0 and len(rejected) > total / 2:
+        raise ParseError(f"{path}: {len(rejected)}/{total} rows rejected (over 50% circuit breaker)")
+    return records, rejected
+
+
+GOOD_ROWS = {
+    "bookings": ["AMS-LHR", "1", "100", "-10", "360", "1.5", "120.5", "1"],
+    "fares": ["AMS-LHR", "2", "100", "-9", "1020", "1.4", "99.0"],
+    "reviews": ["1", "yes", "fine trip", "3", "4", "5", "1", "2", "3", "4"],
+    "tweets": ["1", "nice flight", "0", "f", "en"],
+    "safety": ["A1", "0.5"],
+    "fleet": ["1", "77W", "250.0", "PH-ABC", "7.5"],
+    "lexicon": ["good", "3"],
+}
+
+# (column, cell) edits that break a schema's range rules
+RANGE_EDITS = {
+    "bookings": [{"dbd": "1"}, {"dep_time_mam": "-1"}, {"dep_time_mam": "1440"},
+                 {"travel_time": "0"}, {"price": "-2.5"},
+                 {"dbd": "3", "dep_time_mam": "2000"}, {"dep_time_mam": "-5", "travel_time": "0"},
+                 {"travel_time": "-1", "price": "0"}, {"dbd": "3", "price": "abc"}],
+    "reviews": [{"fb": "0"}, {"wifi": "6"}, {"ife": "9", "crew": "0"}],
+    "safety": [{"score": "-0.1"}],
+    "fleet": [{"aircraft_age": "-1"}, {"aircraft_cost": "0"},
+              {"aircraft_cost": "-1", "aircraft_age": "-1"}],
+    "lexicon": [{"score": "6"}, {"score": "-6"}, {"word": "Good"}, {"word": "Bad", "score": "9"}],
+}
+RANGE_EDITS["fares"] = RANGE_EDITS["bookings"]
+
+BAD_CELLS = {int: ["x", "1.5", "", "99999999999999999999"], float: ["nan", "inf", "-inf", "1.5.0"],
+             bool: ["maybe", ""], str: []}
+PADDED_CELLS = {int: " 7 ", float: "\t2.25 ", bool: " Yes ", str: " padded "}
+
+
+def _edit(schema, **cells):
+    return [cells.get(name, cell) for name, cell in zip(schema_columns(schema), GOOD_ROWS[schema])]
+
+
+def _two_bad_fields(schema):
+    """The first and last typed columns both hold a bad cell."""
+    hints = get_type_hints(SCHEMAS[schema][0])
+    typed = [name for name in schema_columns(schema) if hints[name] is not str]
+    return _edit(schema, **{name: BAD_CELLS[hints[name]][0] for name in (typed[0], typed[-1])})
+
+
+def _oracle_rows(schema):
+    """One row per case: a short and a long row, each bad and each padded
+    cell of every column, two bad fields, and each range-rule break."""
+    good = GOOD_ROWS[schema]
+    hints = get_type_hints(SCHEMAS[schema][0])
+    variants = [good[:-1], good + ["extra"], _two_bad_fields(schema)]
+    for name in schema_columns(schema):
+        variants += [_edit(schema, **{name: cell}) for cell in BAD_CELLS[hints[name]]]
+        variants.append(_edit(schema, **{name: PADDED_CELLS[hints[name]]}))
+    variants += [_edit(schema, **cells) for cells in RANGE_EDITS.get(schema, [])]
+    return variants
+
+
+def _write_rows(path, schema, rows):
+    lines = ["# generated for the parse oracle", ",".join(schema_columns(schema))]
+    for i, row in enumerate(rows):
+        lines.append(",".join(row))
+        if i % 7 == 3:
+            lines.append("# a comment between rows")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("schema", list(SCHEMAS))
+def test_parse_equals_per_row_oracle(tmp_path, schema):
+    good = GOOD_ROWS[schema]
+    variants = _oracle_rows(schema)
+    path = tmp_path / f"{schema}.csv"
+    _write_rows(path, schema, [row for v in variants for row in (v, good, good)])
+    records, rejected = _parse_rows(path, schema)
+    result = parse_dataset(path, schema)
+    assert len(rejected) > len(variants) // 2  # most variants are rejects
+    assert result.rejected == rejected
+    assert result.n_accepted == len(records)
+    assert [[(type(v), v) for v in astuple(r)] for r in result.records] == \
+        [[(type(v), v) for v in astuple(r)] for r in records]
+    hints = get_type_hints(SCHEMAS[schema][0])
+    for name, col in result.columns.items():
+        if hints[name] is str:
+            assert isinstance(col, list)
+        else:
+            assert col.dtype == {int: np.int64, float: np.float64, bool: np.bool_}[hints[name]]
+
+
+@pytest.mark.parametrize("schema", list(SCHEMAS))
+def test_circuit_breaker_equals_per_row_oracle(tmp_path, schema):
+    good = GOOD_ROWS[schema]
+    bad = [good[:-1], good + ["extra"], _two_bad_fields(schema)]
+    path = tmp_path / f"{schema}.csv"
+    _write_rows(path, schema, bad + [good] * 3)  # exactly half rejected: parses
+    result = parse_dataset(path, schema)
+    assert (result.records, result.rejected) == _parse_rows(path, schema)
+    _write_rows(path, schema, bad + [good] * 2)
+    with pytest.raises(ParseError) as want:
+        _parse_rows(path, schema)
+    with pytest.raises(ParseError) as got:
+        parse_dataset(path, schema)
+    assert str(got.value) == str(want.value)

@@ -121,11 +121,21 @@ def _load_model(path: Path, cls):
         raise CliError(f"{path}: not a readable model file ({type(exc).__name__}: {exc})") from None
 
 
-def _train_one(table: FeatureTable, cfg: RunConfig, do_grid: bool):
+def _holdout(days, cfg: RunConfig, od: str):
+    """The holdout mask; one holding out every departure day is a config error."""
+    try:
+        return gbt.holdout_split_by_day(days, cfg.holdout_frac)
+    except ValueError:
+        raise CliError(
+            f"[run] holdout_frac = {cfg.holdout_frac} holds out every departure day of {od}"
+        ) from None
+
+
+def _train_one(od: str, table: FeatureTable, cfg: RunConfig, do_grid: bool):
     X, missing, names = table.model_matrix()
     y = table.labels()
     days = table.column("dep_day_id")
-    tr = ~gbt.holdout_split_by_day(days, cfg.holdout_frac)
+    tr = ~_holdout(days, cfg, od)
     params = cfg.gbt
     if do_grid:
         result = gbt.grid_search(X[tr], y[tr], days[tr], base_params=params, missing=missing[tr])
@@ -141,7 +151,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     ods = args.od or _select_ods(cfg, features_root, "features.csv", "features")
     for od in ods:
         table = _load_features(features_root, od)
-        model, baseline = _train_one(table, cfg, args.grid)
+        model, baseline = _train_one(od, table, cfg, args.grid)
         od_dir = out_root / od
         atomic_write_text(od_dir / "gbt.json", model.to_json() + "\n")
         atomic_write_text(od_dir / "logit.json", baseline.to_json() + "\n")
@@ -162,8 +172,7 @@ def cmd_evaluate(args, cfg: RunConfig) -> int:
         baseline = _load_model(models_root / od / "logit.json", logit.LogitModel)
         X, missing, _ = table.model_matrix()
         y = table.labels().astype(bool)
-        days = table.column("dep_day_id")
-        va = gbt.holdout_split_by_day(days, cfg.holdout_frac)
+        va = _holdout(table.column("dep_day_id"), cfg, od)
         pred_l = logit.predict_logit_label(baseline, X[va], missing[va]).astype(bool)
         pred_g = gbt.predict_label(model, X[va], missing[va]).astype(bool)
         tri_l = evaluate.confusion(y[va], pred_l)

@@ -3,10 +3,11 @@
 Second-order boosting on the binary logistic loss: per round, gradients
 g_i = p_i - y_i and hessians h_i = p_i (1 - p_i) at the current margin;
 trees are grown by exact greedy split search (midpoint thresholds) over
-column blocks presorted once per fit, scanning every feature of a node in one
-vectorized pass, each split learning the routing direction for missing
-values; leaf weights are the Newton step -G/(H + lam) shrunk by eta. Splits
-must improve the structure score by more than gamma.
+column blocks presorted once per fit, one vectorized pass over a complex
+G + iH running sum scanning every feature of a node; each split learns the
+routing of missing values (scored both ways only where a feature has them).
+Leaf weights are the Newton step -G/(H + lam) shrunk by eta. Splits must
+improve the structure score by more than gamma.
 """
 
 from __future__ import annotations
@@ -80,69 +81,68 @@ def _best_split(
 
     idx holds the node's rows in ascending order; block[j] the same rows in
     the presorted order of feature feat_ids[j]. All features are scanned at
-    once: cumulative G/H run along each block's present rows, and the gain
+    once: one complex running sum (G real, H imaginary, each part bit-equal
+    to its own float cumsum) runs along each block, and the gain
 
         0.5 * (GL^2/(HL+lam) + GR^2/(HR+lam) - GT^2/(HT+lam))
 
-    is evaluated at every boundary between distinct values, once with the
-    missing rows sent left and once sent right. Ties keep the lowest
-    feature, then the lowest threshold, then missing routed left.
+    is evaluated at every boundary between distinct present values in one
+    pass, which is exact for both routings of a feature without missing rows
+    in the node. A feature with missing rows is scored with them sent right
+    first; its left sums then take the missing mass, so the shared pass
+    scores them sent left. Ties keep the lowest feature, then the lowest
+    threshold, then missing routed left.
     """
     n_feat, k = block.shape
-    # a boundary needs distinct values on both sides, and present rows only:
-    # missing rows sit at the end of each block
-    vals = X[block, feat_ids[:, None]]
-    valid = vals[:, :-1] != vals[:, 1:]
-    del vals  # freed before the G/H blocks to keep peak memory down
-    gl = g[block[:, :-1]]
-    hl = h[block[:, :-1]]
-    np.cumsum(gl, axis=1, out=gl)
-    np.cumsum(hl, axis=1, out=hl)
-    # a feature with no missing row in the node keeps exactly zero missing
-    # mass: g_total minus a re-summed total would leave rounding noise that
-    # can flip the missing-left tie
-    g_miss = np.zeros(n_feat)
-    h_miss = np.zeros(n_feat)
-    g_node, h_node = g[idx], h[idx]
-    for j in np.flatnonzero(missing[block[:, -1], feat_ids]):
-        present = ~missing[idx, feat_ids[j]]
-        valid[j, max(int(present.sum()) - 1, 0):] = False
-        g_miss[j] = g_total - float(g_node[present].sum())
-        h_miss[j] = h_total - float(h_node[present].sum())
-
+    # a boundary needs distinct values on both sides. The last column holds
+    # none, so a flat index of valid also indexes the running sum. A flat
+    # take from the C-ordered X is a cheaper gather than a 2-D fancy index
+    vals = X.take(block * X.shape[1] + feat_ids[:, None])
+    valid = np.zeros((n_feat, k), dtype=bool)
+    np.not_equal(vals[:, :-1], vals[:, 1:], out=valid[:, :-1])
+    del vals  # freed before the G/H block to keep peak memory down
     at = np.flatnonzero(valid)
     if at.shape[0] == 0:
         return None
-    feat, pos = np.divmod(at, k - 1)
-    gl, hl = gl.ravel()[at], hl.ravel()[at]
-    g_miss, h_miss = g_miss[feat], h_miss[feat]
+    gh = (g + 1j * h).take(block)
+    np.cumsum(gh, axis=1, out=gh)
+    gh = gh.ravel()[at]
+    gl, hl = gh.real, gh.imag
     parent = g_total * g_total / (h_total + lam)
-    gl_m = gl + g_miss
-    hl_m = hl + h_miss
-    gr = g_total - g_miss - gl
-    hr = h_total - h_miss - hl
+    # only a feature with missing rows in the node gets a missing mass; one
+    # without keeps exactly zero, since g_total minus a re-summed total would
+    # leave rounding noise that can flip the missing-left tie
+    routed = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        gain_left = 0.5 * (
-            gl_m**2 / (hl_m + lam)
-            + (g_total - gl_m) ** 2 / (h_total - hl_m + lam)
-            - parent
-        )
-        gain_right = 0.5 * (
-            gl**2 / (hl + lam)
-            + (gr + g_miss) ** 2 / (hr + h_miss + lam)
-            - parent
-        )
-    take_left = gain_left >= gain_right
-    gain = np.where(take_left, gain_left, gain_right)
+        for j in np.flatnonzero(missing[block[:, -1], feat_ids]):
+            present = idx[~missing[idx, feat_ids[j]]]
+            g_miss, h_miss = g_total - float(g[present].sum()), h_total - float(h[present].sum())
+            # missing rows sit at the end of the block: the boundaries next to
+            # and among them are no split
+            lo, mid, hi = np.searchsorted(at, (j * k, j * k + present.shape[0] - 1, j * k + k))
+            s = slice(lo, mid)
+            gr, hr = g_total - g_miss - gl[s], h_total - h_miss - hl[s]
+            gain_right = 0.5 * (
+                gl[s] ** 2 / (hl[s] + lam) + (gr + g_miss) ** 2 / (hr + h_miss + lam) - parent
+            )
+            gl[s] += g_miss
+            hl[s] += h_miss
+            routed.append((s, slice(mid, hi), gain_right))
+        gain = 0.5 * (gl**2 / (hl + lam) + (g_total - gl) ** 2 / (h_total - hl + lam) - parent)
+    take_left = np.ones(at.shape[0], dtype=bool)
+    for s, no_split, gain_right in routed:
+        take_left[s] = gain[s] >= gain_right
+        gain[s] = np.where(take_left[s], gain[s], gain_right)
+        gain[no_split] = -np.inf
     # a zero denominator (lam = 0) can give nan or inf; as in a scan of each
     # feature alone, a feature whose best gain is not finite offers no split
     bad = np.isnan(gain) | (gain == np.inf)
     if bad.any():
-        gain[np.isin(feat, feat[bad])] = -np.inf
+        gain[np.isin(at // k, at[bad] // k)] = -np.inf
     best = int(gain.argmax())
     if gain[best] <= -1.0:  # -1 is the no-split gain of a single-feature scan
         return None
-    j, p = feat[best], pos[best]
+    j, p = divmod(int(at[best]), k)
     f = int(feat_ids[j])
     thr = 0.5 * (X[block[j, p], f] + X[block[j, p + 1], f])
     return float(gain[best]), f, float(thr), bool(take_left[best])
@@ -217,7 +217,7 @@ def train(
     Only the training rows are scored; grid_search replays the fitted trees
     on its holdout to get the per-round RMSE curve.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)  # _best_split reads it by flat index
     y = np.asarray(y, dtype=np.float64)
     missing = _check_inputs(X, y, missing)
     n, m = X.shape
@@ -276,6 +276,8 @@ def predict_margin(model: TreeEnsemble, X: np.ndarray, missing: np.ndarray | Non
         missing = np.zeros(X.shape, dtype=bool)
     else:
         missing = np.atleast_2d(missing)
+    if missing.shape != X.shape:
+        raise ValueError(f"missing mask shape {missing.shape} does not match X {X.shape}")
     margins = np.full(X.shape[0], model.base_score)
     for tree in model.trees:
         margins += _margins_tree(tree, X, missing)

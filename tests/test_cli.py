@@ -244,6 +244,24 @@ def test_malformed_config_exits_2_naming_file(tmp_path, capsys, text, message):
     assert err.startswith(f"error: {path}: ") and message in err
 
 
+@pytest.mark.parametrize("stage", ["train", "evaluate"])
+def test_holdout_of_every_day_exits_2_naming_config_and_od(workspace, tmp_path, capsys, stage):
+    # KUL-SIN has fewer than 50 departure days, so 0.99 of them rounds to all
+    path = tmp_path / "run.ini"
+    path.write_text("[run]\nholdout_frac = 0.99\n", encoding="utf-8")
+    out = workspace / "out"
+    paths = {
+        "train": ["--out", str(tmp_path)],
+        "evaluate": ["--models", str(out), "--out", str(tmp_path / "c.csv")],
+    }
+    argv = ["--features", str(out), "--od", SMALL_ODS[0], *paths[stage]]
+    assert cli.main(["--config", str(path), stage, *argv]) == 2
+    err = capsys.readouterr().err
+    want = f"[run] holdout_frac = 0.99 holds out every departure day of {SMALL_ODS[0]}"
+    assert err == f"error: {want}\n"
+    assert not (tmp_path / SMALL_ODS[0]).exists() and not (tmp_path / "c.csv").exists()
+
+
 def test_config_lexicon_is_used(workspace, tmp_path):
     packaged = resources.files("farecast.data").joinpath("lexicon.csv").read_text("utf-8")
     lines = packaged.strip().splitlines()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import math
 from dataclasses import FrozenInstanceError, fields, replace
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 from farecast import gbt
-from farecast.gbt.train import _best_split, _holdout_curve, _margins_tree, holdout_split_by_day
+from farecast.gbt.train import (
+    _best_split, _holdout_curve, _keep_rows, _margins_tree, _presort, holdout_split_by_day,
+)
 
 
 def sigmoid(z):
@@ -256,6 +259,21 @@ def test_rejects_bad_inputs():
         gbt.GbtParams(subsample=0.0)
 
 
+def test_prediction_rejects_mask_of_another_shape():
+    X, y = _training_data(4, m=3)
+    model = gbt.train(X, y, gbt.GbtParams(n_trees=3, max_depth=2))
+    wide = np.zeros((X.shape[0], 4), dtype=bool)
+    wide[:, 3] = True  # a column the model does not have
+    for predict in (gbt.predict_margin, gbt.predict_proba, gbt.predict_label):
+        with pytest.raises(ValueError, match="missing mask shape"):
+            predict(model, X, wide)
+        with pytest.raises(ValueError, match="missing mask shape"):
+            predict(model, X, np.zeros((X.shape[0] - 1, 3), dtype=bool))
+    # a single row may come as 1-D arrays, mask included
+    one = gbt.predict_margin(model, X[0], np.zeros(3, dtype=bool))
+    assert np.array_equal(one, gbt.predict_margin(model, X[:1]))
+
+
 def test_rmse_curve_length_and_quick_descent():
     X, y = _training_data(6)
     params = gbt.GbtParams(n_trees=10, max_depth=3, eta=0.3)
@@ -368,6 +386,158 @@ def test_numpy_and_python_kernels_agree(seed):
                 want = (gain, int(f), thr, miss_left)
         got = _best_split(X, missing, g, h, idx, np.array(blocks), feat_ids, g_tot, h_tot, lam)
         assert got == (want if want[1] >= 0 else None)
+
+
+# The all-features kernel as it stood before the complex running sum and the
+# single-direction pass: two float cumsums and both missing routings at every
+# candidate. Kept verbatim as the oracle the current kernel must equal.
+def _best_split_oracle(
+    X: np.ndarray,
+    missing: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    idx: np.ndarray,
+    block: np.ndarray,
+    feat_ids: np.ndarray,
+    g_total: float,
+    h_total: float,
+    lam: float,
+) -> tuple[float, int, float, bool] | None:
+    """Best (gain, feature, threshold, missing_left) at one node, or None.
+
+    idx holds the node's rows in ascending order; block[j] the same rows in
+    the presorted order of feature feat_ids[j]. All features are scanned at
+    once: cumulative G/H run along each block's present rows, and the gain
+
+        0.5 * (GL^2/(HL+lam) + GR^2/(HR+lam) - GT^2/(HT+lam))
+
+    is evaluated at every boundary between distinct values, once with the
+    missing rows sent left and once sent right. Ties keep the lowest
+    feature, then the lowest threshold, then missing routed left.
+    """
+    n_feat, k = block.shape
+    # a boundary needs distinct values on both sides, and present rows only:
+    # missing rows sit at the end of each block
+    vals = X[block, feat_ids[:, None]]
+    valid = vals[:, :-1] != vals[:, 1:]
+    del vals  # freed before the G/H blocks to keep peak memory down
+    gl = g[block[:, :-1]]
+    hl = h[block[:, :-1]]
+    np.cumsum(gl, axis=1, out=gl)
+    np.cumsum(hl, axis=1, out=hl)
+    # a feature with no missing row in the node keeps exactly zero missing
+    # mass: g_total minus a re-summed total would leave rounding noise that
+    # can flip the missing-left tie
+    g_miss = np.zeros(n_feat)
+    h_miss = np.zeros(n_feat)
+    g_node, h_node = g[idx], h[idx]
+    for j in np.flatnonzero(missing[block[:, -1], feat_ids]):
+        present = ~missing[idx, feat_ids[j]]
+        valid[j, max(int(present.sum()) - 1, 0):] = False
+        g_miss[j] = g_total - float(g_node[present].sum())
+        h_miss[j] = h_total - float(h_node[present].sum())
+
+    at = np.flatnonzero(valid)
+    if at.shape[0] == 0:
+        return None
+    feat, pos = np.divmod(at, k - 1)
+    gl, hl = gl.ravel()[at], hl.ravel()[at]
+    g_miss, h_miss = g_miss[feat], h_miss[feat]
+    parent = g_total * g_total / (h_total + lam)
+    gl_m = gl + g_miss
+    hl_m = hl + h_miss
+    gr = g_total - g_miss - gl
+    hr = h_total - h_miss - hl
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain_left = 0.5 * (
+            gl_m**2 / (hl_m + lam)
+            + (g_total - gl_m) ** 2 / (h_total - hl_m + lam)
+            - parent
+        )
+        gain_right = 0.5 * (
+            gl**2 / (hl + lam)
+            + (gr + g_miss) ** 2 / (hr + h_miss + lam)
+            - parent
+        )
+    take_left = gain_left >= gain_right
+    gain = np.where(take_left, gain_left, gain_right)
+    # a zero denominator (lam = 0) can give nan or inf; as in a scan of each
+    # feature alone, a feature whose best gain is not finite offers no split
+    bad = np.isnan(gain) | (gain == np.inf)
+    if bad.any():
+        gain[np.isin(feat, feat[bad])] = -np.inf
+    best = int(gain.argmax())
+    if gain[best] <= -1.0:  # -1 is the no-split gain of a single-feature scan
+        return None
+    j, p = feat[best], pos[best]
+    f = int(feat_ids[j])
+    thr = 0.5 * (X[block[j, p], f] + X[block[j, p + 1], f])
+    return float(gain[best]), f, float(thr), bool(take_left[best])
+
+
+def _oracle_nodes(rng, n_nodes):
+    """_node_instance nodes with their presorted blocks, in three kinds: as
+    drawn, with no missing row anywhere, and with a missing row in every
+    selected feature; every other node also gets zero hessians on some rows,
+    so that lam = 0 meets zero denominators."""
+    for i in range(n_nodes):
+        X, missing, g, h, idx, feat_ids = _node_instance(rng)
+        if i % 3 == 1:
+            missing[:] = False
+        elif i % 3 == 2:
+            missing[idx[int(rng.integers(idx.shape[0]))], feat_ids] = True
+        if i % 2:
+            h[rng.random(h.shape[0]) < 0.3] = 0.0
+            h[idx[0]] = 0.1  # keeps the node's hessian mass positive
+        in_node = np.zeros(X.shape[0], dtype=bool)
+        in_node[idx] = True
+        block = _keep_rows(_presort(X, missing)[feat_ids], in_node)
+        yield X, missing, g, h, idx, block, feat_ids
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("seed", range(5))
+def test_kernel_equals_pre_rewrite_oracle(seed, lam):
+    rng = np.random.default_rng(seed)
+    kinds = {"none": 0, "split": 0}
+    for X, missing, g, h, idx, block, feat_ids in _oracle_nodes(rng, 60):
+        g_tot, h_tot = float(g[idx].sum()), float(h[idx].sum())
+        want = _best_split_oracle(X, missing, g, h, idx, block, feat_ids, g_tot, h_tot, lam)
+        got = _best_split(X, missing, g, h, idx, block, feat_ids, g_tot, h_tot, lam)
+        assert got == want
+        kinds["none" if want is None else "split"] += 1
+    assert min(kinds.values()) > 0
+
+
+def test_lam0_feature_with_infinite_gain_offers_no_split():
+    # at lam = 0, feature 0's first boundary leaves a zero-hessian row alone on
+    # the left: GL^2 / HL is inf, so feature 0 offers no split and feature 1's
+    # boundary (GL = 1, HL = 0.25, GR = -1, HR = 0.5, gain 3) wins
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 1.0]])
+    missing = np.zeros(X.shape, dtype=bool)
+    g = np.array([0.5, 0.5, -0.5, -0.5])
+    h = np.array([0.0, 0.25, 0.25, 0.25])
+    idx = np.arange(4)
+    block = _presort(X, missing)
+    args = (X, missing, g, h, idx, block, np.arange(2), 0.0, 0.75, 0.0)
+    assert _best_split(*args) == _best_split_oracle(*args) == (3.0, 1, 0.5, True)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_model_equals_pre_rewrite_oracle_model(pipeline, monkeypatch, lam):
+    X, missing, names = pipeline.tables["LHR-JFK"].model_matrix()
+    y = pipeline.tables["LHR-JFK"].labels()
+    X, missing, y = X[:500], missing[:500], y[:500]
+    params = gbt.GbtParams(subsample=0.7, colsample=0.6, lam=lam, seed=1)
+    got = gbt.train(X, y, params, feature_names=names, missing=missing)
+    # the kernel reads X by flat index; any memory layout gives the same model
+    fortran = gbt.train(np.asfortranarray(X), y, params, feature_names=names, missing=missing)
+    assert fortran.to_json() == got.to_json()
+    kernel_module = importlib.import_module("farecast.gbt.train")
+    monkeypatch.setattr(kernel_module, "_best_split", _best_split_oracle)
+    want = gbt.train(X, y, params, feature_names=names, missing=missing)
+    assert got.n_leaves() > 2 * len(got.trees)
+    assert got.to_json() == want.to_json()
 
 
 def test_every_node_gain_matches_oracle_at_depth_3():

@@ -15,6 +15,7 @@ from pathlib import Path
 from . import __version__, evaluate, explain, gbt, logit, sentiment, synth
 from .config import RunConfig, config_hash, load_config, read_scenario, write_scenario
 from .features import (
+    MODEL_FEATURES,
     FeatureTable,
     airline_widebody_flags,
     assemble_feature_vectors,
@@ -113,12 +114,20 @@ def _load_features(features_root: Path, od: str) -> FeatureTable:
 
 
 def _load_model(path: Path, cls):
+    """A model file whose feature_names are the feature table's model
+    columns, in order; anything else is a CliError naming the file."""
     if not path.is_file():
         raise CliError(f"missing {path}; run `farecast train` first")
     try:
-        return cls.from_json(path.read_text(encoding="utf-8"))
+        model = cls.from_json(path.read_text(encoding="utf-8"))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CliError(f"{path}: not a readable model file ({type(exc).__name__}: {exc})") from None
+    if model.feature_names != MODEL_FEATURES:
+        raise CliError(
+            f"{path}: feature_names are not the {len(MODEL_FEATURES)} model columns of "
+            "features.csv in order; run `farecast train` again"
+        )
+    return model
 
 
 def _holdout(days, cfg: RunConfig, od: str):
@@ -131,16 +140,11 @@ def _holdout(days, cfg: RunConfig, od: str):
         ) from None
 
 
-def _train_one(od: str, table: FeatureTable, cfg: RunConfig, do_grid: bool):
+def _train_one(od: str, table: FeatureTable, cfg: RunConfig):
     X, missing, names = table.model_matrix()
     y = table.labels()
-    days = table.column("dep_day_id")
-    tr = ~_holdout(days, cfg, od)
-    params = cfg.gbt
-    if do_grid:
-        result = gbt.grid_search(X[tr], y[tr], days[tr], base_params=params, missing=missing[tr])
-        params = result.best_params
-    model = gbt.train(X[tr], y[tr], params, feature_names=names, missing=missing[tr])
+    tr = ~_holdout(table.column("dep_day_id"), cfg, od)
+    model = gbt.train(X[tr], y[tr], cfg.gbt, feature_names=names, missing=missing[tr])
     baseline = logit.fit_logit(X[tr], y[tr], feature_names=names, missing=missing[tr])
     return model, baseline
 
@@ -151,7 +155,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     ods = args.od or _select_ods(cfg, features_root, "features.csv", "features")
     for od in ods:
         table = _load_features(features_root, od)
-        model, baseline = _train_one(od, table, cfg, args.grid)
+        model, baseline = _train_one(od, table, cfg)
         od_dir = out_root / od
         atomic_write_text(od_dir / "gbt.json", model.to_json() + "\n")
         atomic_write_text(od_dir / "logit.json", baseline.to_json() + "\n")
@@ -275,9 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", help="directory with per-OD features.csv")
     p.add_argument("--out", help="output directory for model files")
     p.add_argument("--od", action="append")
-    p.add_argument("--grid", action="store_true",
-                   help="exhaustive grid search (21,060 cells read from 2,106 fits of "
-                        "up to 500 trees per OD) before the final fit")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="holdout confusion comparison of both models")

@@ -129,7 +129,8 @@ MODEL_FEATURES = FEATURE_COLUMNS
 ALL_COLUMNS = KEY_COLUMNS + FEATURE_COLUMNS + ["is_bought"]
 
 _XX_ALIAS = re.compile(r"_xx$")
-_ZZ_ALIAS = re.compile(r"_zz$")
+# features.csv's header: the *_xx columns are written as *_zz
+_CSV_HEADER = ["od"] + [_XX_ALIAS.sub("_zz", c) for c in ALL_COLUMNS]
 
 
 @dataclass
@@ -173,15 +174,21 @@ class FeatureTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "FeatureTable":
-        """Read a table written by to_csv. A header that does not start with
-        `od` raises ParseError naming the file; a row with the wrong field
-        count or a cell that is neither empty nor a number, naming the file
-        and the line."""
+        """Read a table that `farecast features` wrote. A header other than
+        `od` followed by ALL_COLUMNS (as to_csv writes them) raises
+        ParseError naming the file; a row with the wrong field count or a
+        cell that is neither empty nor a number, naming the file and the
+        line."""
         rows = read_csv(path)
         _, header = next(rows, (0, []))
         if header[:1] != ["od"]:
             raise ParseError(f"{path}: header must start with an 'od' column")
-        columns = [_ZZ_ALIAS.sub("_xx", c) for c in header[1:]]
+        if header != _CSV_HEADER:
+            absent = [c for c in _CSV_HEADER if c not in header]
+            detail = (f"{len(absent)} missing, the first {absent[0]!r}" if absent
+                      else "unknown or reordered columns")
+            raise ParseError(f"{path}: header is not the feature table's columns ({detail})")
+        columns = list(ALL_COLUMNS)
         ods: list[str] = []
         cells: list[list[float]] = []
         n_fields = len(header)

@@ -7,10 +7,8 @@ from .train import (
     predict_label,
     predict_margin,
     feature_gain,
-    grid_search,
     refit_leaf_weights,
     holdout_split_by_day,
-    GridResult,
 )
 
 
@@ -23,13 +21,11 @@ __all__ = [
     "GbtParams",
     "TreeNode",
     "TreeEnsemble",
-    "GridResult",
     "train",
     "predict_proba",
     "predict_label",
     "predict_margin",
     "feature_gain",
-    "grid_search",
     "refit_leaf_weights",
     "holdout_split_by_day",
     "numba_enabled",

@@ -1,4 +1,4 @@
-"""Training, prediction, gain reporting and grid search for the boosted model.
+"""Training, prediction and gain reporting for the boosted model.
 
 Second-order boosting on the binary logistic loss: per round, gradients
 g_i = p_i - y_i and hessians h_i = p_i (1 - p_i) at the current margin;
@@ -12,14 +12,13 @@ improve the structure score by more than gamma.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
-from .model import GbtParams, TreeEnsemble, TreeNode, sigmoid
+from .model import GbtParams, TreeEnsemble, TreeNode
 
 __all__ = [
     "train",
@@ -28,8 +27,6 @@ __all__ = [
     "predict_label",
     "feature_gain",
     "refit_leaf_weights",
-    "grid_search",
-    "GridResult",
     "holdout_split_by_day",
 ]
 
@@ -212,11 +209,7 @@ def train(
     feature_names: Sequence[str] | None = None,
     missing: np.ndarray | None = None,
 ) -> TreeEnsemble:
-    """Fit the boosted ensemble; deterministic given (data, params, seed).
-
-    Only the training rows are scored; grid_search replays the fitted trees
-    on its holdout to get the per-round RMSE curve.
-    """
+    """Fit the boosted ensemble; deterministic given (data, params, seed)."""
     X = np.ascontiguousarray(X, dtype=np.float64)  # _best_split reads it by flat index
     y = np.asarray(y, dtype=np.float64)
     missing = _check_inputs(X, y, missing)
@@ -333,7 +326,7 @@ def refit_leaf_weights(model: TreeEnsemble, lam: float) -> TreeEnsemble:
     return out
 
 
-def holdout_split_by_day(dep_day_ids: np.ndarray, holdout_frac: float = 0.2) -> np.ndarray:
+def holdout_split_by_day(dep_day_ids: np.ndarray, holdout_frac: float) -> np.ndarray:
     """Boolean holdout mask: the latest holdout_frac of departure days.
 
     Splitting on departure day prevents itineraries of one flight from
@@ -345,79 +338,3 @@ def holdout_split_by_day(dep_day_ids: np.ndarray, holdout_frac: float = 0.2) -> 
         raise ValueError("holdout would swallow every departure day")
     cutoff = days[-n_hold]
     return dep_day_ids >= cutoff
-
-
-@dataclass
-class GridResult:
-    best_params: GbtParams
-    best_rmse: float
-    curves: dict[tuple, list[float]]
-    cells: list[tuple[GbtParams, float]]
-
-
-DEFAULT_GRIDS: dict[str, tuple] = {
-    "eta": tuple(round(0.01 * k, 2) for k in range(1, 11)) + (0.2, 0.3, 0.5),
-    "n_trees": tuple(range(50, 501, 50)),
-    "max_depth": tuple(range(3, 21)),
-    "subsample": tuple(round(0.1 * k, 1) for k in range(2, 11)),
-    "colsample": (1.0,),
-}
-
-
-def _holdout_curve(model: TreeEnsemble, X: np.ndarray, y: np.ndarray, missing: np.ndarray) -> list[float]:
-    """Holdout RMSE of the predicted probability after each boosting round."""
-    margins = np.full(X.shape[0], model.base_score)
-    curve = []
-    for tree in model.trees:
-        margins += _margins_tree(tree, X, missing)
-        p = 1.0 / (1.0 + np.exp(-margins))
-        curve.append(float(np.sqrt(np.mean((p - y) ** 2))))
-    return curve
-
-
-def grid_search(
-    X: np.ndarray,
-    y: np.ndarray,
-    dep_day_ids: np.ndarray,
-    grids: Mapping[str, Sequence] | None = None,
-    base_params: GbtParams = GbtParams(),
-    missing: np.ndarray | None = None,
-) -> GridResult:
-    """Exhaustive search over the hyperparameter grid, holding out the latest
-    20% of departure days (holdout_split_by_day's default).
-
-    Cell score is the minimum holdout RMSE across boosting rounds; ties break
-    toward cheaper configurations (smaller max_depth, then fewer trees, then
-    larger subsample). With a fixed seed the first k rounds of a fit do not
-    depend on n_trees, so each combination of the other parameters is fit
-    once at the largest n_trees and every cell reads a prefix of its curve.
-    """
-    grids = dict(DEFAULT_GRIDS if grids is None else grids)
-    hold = holdout_split_by_day(np.asarray(dep_day_ids))
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    if missing is None:
-        missing = np.zeros(X.shape, dtype=bool)
-    X_tr, y_tr, m_tr = X[~hold], y[~hold], missing[~hold]
-    X_va, y_va, m_va = X[hold], y[hold], missing[hold]
-
-    keys = sorted(grids)
-    n_max = max(grids.get("n_trees", (base_params.n_trees,)))
-    fits: dict[GbtParams, list[float]] = {}
-    curves: dict[tuple, list[float]] = {}
-    cells: list[tuple[GbtParams, float]] = []
-    best: tuple | None = None
-    for combo in itertools.product(*(grids[k] for k in keys)):
-        cell = dict(zip(keys, combo))
-        params = replace(base_params, **cell)
-        full = replace(params, n_trees=n_max)
-        if full not in fits:
-            fits[full] = _holdout_curve(train(X_tr, y_tr, full, missing=m_tr), X_va, y_va, m_va)
-        curve = fits[full][: params.n_trees]
-        score = min(curve)
-        curves[combo] = curve
-        cells.append((params, score))
-        rank = (score, params.max_depth, params.n_trees, -params.subsample)
-        if best is None or rank < best[0]:
-            best = (rank, params, score)
-    return GridResult(best_params=best[1], best_rmse=best[2], curves=curves, cells=cells)

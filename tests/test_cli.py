@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -353,6 +354,36 @@ def test_malformed_model_file_exits_2_naming_file(workspace, tmp_path, capsys, n
     path.write_text(rewrite(path.read_text(encoding="utf-8")), encoding="utf-8")
     err = _evaluate_err(tmp_path, capsys)
     assert err.startswith(f"error: {path}: not a readable model file") and message in err
+
+
+def _with_feature_names(edit):
+    def rewrite(text):
+        obj = json.loads(text)
+        obj["feature_names"] = edit(obj["feature_names"])
+        return json.dumps(obj)
+    return rewrite
+
+
+@pytest.mark.parametrize("name, rewrite", [
+    pytest.param("gbt.json", _with_feature_names(lambda names: names[:5]), id="gbt-truncated"),
+    pytest.param("logit.json", _with_feature_names(lambda names: [names[1], names[0], *names[2:]]),
+                 id="logit-swapped"),
+])
+def test_model_of_other_features_exits_2_naming_file(workspace, tmp_path, capsys, name, rewrite):
+    path = _copy_stage_outputs(workspace, tmp_path) / name
+    path.write_text(rewrite(path.read_text(encoding="utf-8")), encoding="utf-8")
+    err = _evaluate_err(tmp_path, capsys)
+    assert err.startswith(f"error: {path}: feature_names are not the 93 model columns")
+
+
+def test_readme_walkthrough_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    walkthrough = readme.split("## Command-line walkthrough", 1)[1].split("```sh\n", 1)[1]
+    lines = [line for line in walkthrough.split("```", 1)[0].splitlines()
+             if line.startswith("farecast ")]
+    parser = cli.build_parser()
+    commands = {parser.parse_args(shlex.split(line, comments=True)[1:]).command for line in lines}
+    assert commands == {"synth", "features", "train", "evaluate", "explain", "simulate"}
 
 
 def test_version_flag(capsys):

@@ -279,6 +279,7 @@ def test_feature_csv_roundtrip_with_missing(tmp_path):
     (lambda lines: lines[:2] + [lines[2].replace("XX-YY,1,", "XX-YY,one,", 1)] + lines[3:],
      "line 3: could not convert string to float: 'one'"),
     (lambda lines: ["price,od"] + lines[2:], "header must start with an 'od' column"),
+    (lambda lines: ["od,price,is_bought", "XX-YY,100,1"], "header is not the feature table's"),
 ])
 def test_feature_csv_malformed_names_file_and_line(tmp_path, edit, message):
     bookings, fares = _tiny_market()

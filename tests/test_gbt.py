@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import importlib
-import itertools
 import math
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
 
 from farecast import gbt
 from farecast.gbt.train import (
-    _best_split, _holdout_curve, _keep_rows, _margins_tree, _presort, holdout_split_by_day,
+    _best_split, _keep_rows, _margins_tree, _presort, holdout_split_by_day,
 )
 
 
@@ -272,15 +271,6 @@ def test_prediction_rejects_mask_of_another_shape():
     # a single row may come as 1-D arrays, mask included
     one = gbt.predict_margin(model, X[0], np.zeros(3, dtype=bool))
     assert np.array_equal(one, gbt.predict_margin(model, X[:1]))
-
-
-def test_rmse_curve_length_and_quick_descent():
-    X, y = _training_data(6)
-    params = gbt.GbtParams(n_trees=10, max_depth=3, eta=0.3)
-    model = gbt.train(X, y, params)
-    curve = _holdout_curve(model, X, y, np.zeros(X.shape, dtype=bool))
-    assert len(curve) == 10
-    assert curve[-1] <= curve[0]
 
 
 # --- node scan ----------------------------------------------------------------
@@ -603,58 +593,10 @@ def test_mask_routing_matches_per_row_walk():
         assert np.array_equal(_margins_tree(tree, X_eval, miss_eval), want)
 
 
-# --- holdout & grid search ------------------------------------------------------
+# --- holdout ------------------------------------------------------------------
 
 def test_holdout_takes_latest_days():
     days = np.array([1, 1, 2, 2, 3, 3, 4, 4, 5, 5])
     mask = holdout_split_by_day(days, 0.2)
     assert set(days[mask]) == {5}
     assert set(days[~mask]) == {1, 2, 3, 4}
-
-
-def test_grid_search_single_cell_and_dominance():
-    X, y = _training_data(7, n=300)
-    days = np.repeat(np.arange(10), 30)
-    grids = {"n_trees": [5], "max_depth": [2]}
-    result = gbt.grid_search(X, y, days, grids=grids)
-    assert result.best_params.n_trees == 5
-    assert result.best_params.max_depth == 2
-
-    grids = {"n_trees": [1, 10], "max_depth": [3]}
-    result = gbt.grid_search(X, y, days, grids=grids)
-    assert result.best_params.n_trees == 10
-
-
-def test_grid_search_prefix_curves_equal_per_cell_fits():
-    X, y = _training_data(9, n=300)
-    missing = np.random.default_rng(9).random(X.shape) < 0.1
-    days = np.repeat(np.arange(10), 30)
-    grids = {"n_trees": [3, 7], "max_depth": [1, 3], "subsample": [0.6, 0.8]}
-    base = gbt.GbtParams(seed=5)
-    result = gbt.grid_search(X, y, days, grids=grids, base_params=base, missing=missing)
-
-    hold = holdout_split_by_day(days, 0.2)
-    keys = sorted(grids)
-    curves, cells, best = {}, [], None
-    for combo in itertools.product(*(grids[k] for k in keys)):
-        params = replace(base, **dict(zip(keys, combo)))
-        model = gbt.train(X[~hold], y[~hold], params, missing=missing[~hold])
-        curve = _holdout_curve(model, X[hold], y[hold], missing[hold])
-        curves[combo] = curve
-        cells.append((params, min(curve)))
-        rank = (min(curve), params.max_depth, params.n_trees, -params.subsample)
-        if best is None or rank < best[0]:
-            best = (rank, params, min(curve))
-    assert result == gbt.GridResult(
-        best_params=best[1], best_rmse=best[2], curves=curves, cells=cells
-    )
-
-
-def test_grid_search_prefers_depth2_for_interaction_label():
-    rng = np.random.default_rng(8)
-    n = 600
-    X = rng.normal(size=(n, 2))
-    y = ((X[:, 0] > 0) ^ (X[:, 1] > 0)).astype(float)  # pure interaction
-    days = np.repeat(np.arange(10), 60)
-    result = gbt.grid_search(X, y, days, grids={"max_depth": [1, 2], "n_trees": [30]})
-    assert result.best_params.max_depth == 2

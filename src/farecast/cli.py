@@ -9,6 +9,7 @@ fail with a message naming the command to run first.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -49,6 +50,8 @@ def _select_ods(cfg: RunConfig, root: Path, marker: str, stage: str) -> list[str
 
 def cmd_synth(args, cfg: RunConfig) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
+    if seed < 0:  # a config seed is checked when the file is read
+        raise CliError(f"--seed must be >= 0, got {seed}")
     out = Path(args.out or cfg.data_dir)
     markets, scenario = synth.standard_fixture(seed=seed)
     for od, data in markets.items():
@@ -113,16 +116,30 @@ def _load_features(features_root: Path, od: str) -> FeatureTable:
     return FeatureTable.from_csv(path)
 
 
+def _feature_names(text: str):
+    """The feature_names of a model file's text, or None where it has none."""
+    try:
+        return json.loads(text)["feature_names"]
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
 def _load_model(path: Path, cls):
     """A model file whose feature_names are the feature table's model
-    columns, in order; anything else is a CliError naming the file."""
+    columns, in order; anything else is a CliError naming the file. Other
+    feature_names are reported as such even where they make the file fail
+    to load (a split or coefficient then has no name)."""
     if not path.is_file():
         raise CliError(f"missing {path}; run `farecast train` first")
+    text = path.read_text(encoding="utf-8")
     try:
-        model = cls.from_json(path.read_text(encoding="utf-8"))
+        model = cls.from_json(text)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise CliError(f"{path}: not a readable model file ({type(exc).__name__}: {exc})") from None
-    if model.feature_names != MODEL_FEATURES:
+        if _feature_names(text) in (None, MODEL_FEATURES):
+            raise CliError(
+                f"{path}: not a readable model file ({type(exc).__name__}: {exc})") from None
+        model = None
+    if model is None or model.feature_names != MODEL_FEATURES:
         raise CliError(
             f"{path}: feature_names are not the {len(MODEL_FEATURES)} model columns of "
             "features.csv in order; run `farecast train` again"

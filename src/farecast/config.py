@@ -17,7 +17,7 @@ import io
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import get_type_hints
+from typing import Sequence, get_type_hints
 
 from .gbt import GbtParams
 from .ingest import ParseError, atomic_write_text
@@ -43,9 +43,27 @@ class RunConfig:
     gbt: GbtParams = field(default_factory=GbtParams)
 
 
+_RUN_KEYS = ("data_dir", "out_dir", "seed", "holdout_frac", "lexicon", "scenario", "ods")
+_OD_KEYS = ("fares", "brand_mix", "mean_demand", "history", "covered")
+
+
+def _reject_unknown(parser: configparser.ConfigParser, known: dict[str, Sequence[str]]) -> None:
+    """ValueError for a section that `known` lacks ("od:" stands for every
+    od:NAME section) or a key outside its list; [DEFAULT] keys count as set
+    in every section."""
+    for section in parser.sections():
+        keys = known.get("od:" if section.startswith("od:") else section)
+        if keys is None:
+            raise ValueError(f"unknown section [{section}]")
+        unknown = [key for key in parser[section] if key not in keys]
+        if unknown:
+            raise ValueError(f"section [{section}] has unknown key '{unknown[0]}'")
+
+
 def load_config(path: str | Path | None) -> RunConfig:
     """Load a run config; absent keys fall back to defaults. A missing file
-    raises FileNotFoundError, a value that does not parse ParseError."""
+    raises FileNotFoundError; an unknown section or key, or a value that does
+    not parse or is out of range, ParseError."""
     cfg = RunConfig()
     if path is None:
         return cfg
@@ -55,11 +73,17 @@ def load_config(path: str | Path | None) -> RunConfig:
     parser = configparser.ConfigParser()
     try:
         parser.read(path, encoding="utf-8")
+        _reject_unknown(parser, {
+            "run": _RUN_KEYS,
+            "gbt": [n for n, _ in _scalar_fields(GbtParams)],
+        })
         if parser.has_section("run"):
             run = parser["run"]
             cfg.data_dir = run.get("data_dir", cfg.data_dir)
             cfg.out_dir = run.get("out_dir", cfg.out_dir)
             cfg.seed = run.getint("seed", cfg.seed)
+            if cfg.seed < 0:
+                raise ValueError(f"[run] seed must be >= 0, got {cfg.seed}")
             cfg.holdout_frac = run.getfloat("holdout_frac", cfg.holdout_frac)
             if not 0 < cfg.holdout_frac < 1:  # also rejects nan
                 raise ValueError(f"holdout_frac must be in (0, 1), got {cfg.holdout_frac}")
@@ -129,8 +153,9 @@ def write_scenario(scenario: SimScenario, path: str | Path) -> None:
 
 
 def read_scenario(path: str | Path) -> SimScenario:
-    """Read a scenario file. A missing section or key, a value that does not
-    parse and a value the scenario rejects raise ParseError naming the file."""
+    """Read a scenario file. A missing or unknown section or key, a value that
+    does not parse and a value the scenario rejects raise ParseError naming
+    the file."""
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"scenario file not found: {path}")
@@ -145,6 +170,10 @@ def read_scenario(path: str | Path) -> SimScenario:
 
     try:
         parser.read(path, encoding="utf-8")
+        _reject_unknown(parser, {
+            "scenario": [n for n, _ in _scalar_fields(SimScenario)] + ["forecast_day"],
+            "od:": _OD_KEYS,
+        })
         get("scenario", "capacity")  # the one scenario field without a default
         ods = [
             OdMarket(

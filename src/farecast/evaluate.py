@@ -68,10 +68,11 @@ def compare_models(logit_triple: ConfusionTriple, xgb_triple: ConfusionTriple) -
     """Per-metric winner of the logit baseline and the boosted trees: lower
     share wins FN and FP, higher wins TP.
 
-    Returns {"fn": "logit"|"xgb"|"tie", "fp": ..., "tp": ...}.
+    Returns {"fn": "logit"|"xgb"|"tie", "fp": ..., "tp": ...}, every
+    winner "undefined" when either triple's shares are.
     """
     if not (logit_triple.defined and xgb_triple.defined):
-        raise ValueError("both triples must have defined shares")
+        return dict.fromkeys(("fn", "fp", "tp"), "undefined")
     out = {}
     for metric, better_low in (("fn", True), ("fp", True), ("tp", False)):
         a = getattr(logit_triple, f"{metric}_share")

@@ -11,7 +11,7 @@ so one explanation only walks the prediction path of each tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +24,13 @@ __all__ = ["Explanation", "explain_prediction", "render_waterfall", "write_water
 
 @dataclass
 class Explanation:
+    """contributions are in display order: explain_prediction puts them by
+    descending |log-odds|, ties by name."""
+
     base: float
     contributions: dict[str, float]
     final_log_odds: float
     final_probability: float
-    ordering: list[str] = field(default_factory=list)
 
 
 def explain_prediction(
@@ -57,14 +59,12 @@ def explain_prediction(
             contributions[name] = contributions.get(name, 0.0) + (child.expected - node.expected)
             node = child
 
-    final = base + sum(contributions.values())
-    ordering = sorted(contributions, key=lambda k: (-abs(contributions[k]), k))
+    final = base + sum(contributions.values())  # summed in path order, before sorting
     return Explanation(
         base=base,
-        contributions=contributions,
+        contributions=dict(sorted(contributions.items(), key=lambda kv: (-abs(kv[1]), kv[0]))),
         final_log_odds=final,
         final_probability=sigmoid(final),
-        ordering=ordering,
     )
 
 
@@ -72,9 +72,9 @@ def _trace(explanation: Explanation) -> list[tuple[str, float, float]]:
     """(feature, log-odds contribution, cumulative probability) rows."""
     rows = [("(base)", explanation.base, sigmoid(explanation.base))]
     running = explanation.base
-    for name in explanation.ordering:
-        running += explanation.contributions[name]
-        rows.append((name, explanation.contributions[name], sigmoid(running)))
+    for name, lo in explanation.contributions.items():
+        running += lo
+        rows.append((name, lo, sigmoid(running)))
     return rows
 
 

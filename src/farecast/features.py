@@ -28,6 +28,7 @@ import statistics
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -128,32 +129,31 @@ MODEL_FEATURES = FEATURE_COLUMNS
 
 ALL_COLUMNS = KEY_COLUMNS + FEATURE_COLUMNS + ["is_bought"]
 
-_XX_ALIAS = re.compile(r"_xx$")
 # features.csv's header: the *_xx columns are written as *_zz
-_CSV_HEADER = ["od"] + [_XX_ALIAS.sub("_zz", c) for c in ALL_COLUMNS]
+_CSV_HEADER = ["od"] + [re.sub(r"_xx$", "_zz", c) for c in ALL_COLUMNS]
 
 
 @dataclass
 class FeatureTable:
     """Feature matrix with one row per displayed itinerary.
 
-    `values` is float64 with NaN marking missing fields; `ods` carries the
-    per-row OD string separately from the numeric block.
+    `values` is float64 with one column per ALL_COLUMNS name, in that order,
+    and NaN marking missing fields; `ods` carries the per-row OD string
+    separately from the numeric block.
     """
 
     ods: list[str]
-    columns: list[str]
     values: np.ndarray
 
     def __len__(self) -> int:
         return self.values.shape[0]
 
     def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.columns.index(name)]
+        return self.values[:, ALL_COLUMNS.index(name)]
 
     def model_matrix(self) -> tuple[np.ndarray, np.ndarray, list[str]]:
         """Return (X, missing_mask, names) for the learner-facing columns."""
-        idx = [self.columns.index(c) for c in MODEL_FEATURES]
+        idx = [ALL_COLUMNS.index(c) for c in MODEL_FEATURES]
         X = self.values[:, idx].copy()
         missing = np.isnan(X)
         X[missing] = 0.0
@@ -163,22 +163,20 @@ class FeatureTable:
         return self.column("is_bought").astype(np.int64)
 
     def to_csv(self, path: str | Path, header_comment: str | None = None) -> None:
-        header = ["od"] + [_XX_ALIAS.sub("_zz", c) for c in self.columns]
-
         def rows():
             for start in range(0, len(self), _CSV_BLOCK_ROWS):
                 stop = start + _CSV_BLOCK_ROWS
                 yield from zip(self.ods[start:stop], *map(_fmt_column, self.values[start:stop].T))
 
-        write_csv(path, header, rows(), header_comment)
+        write_csv(path, _CSV_HEADER, rows(), header_comment)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "FeatureTable":
         """Read a table that `farecast features` wrote. A header other than
         `od` followed by ALL_COLUMNS (as to_csv writes them) raises
         ParseError naming the file; a row with the wrong field count or a
-        cell that is neither empty nor a number, naming the file and the
-        line."""
+        cell that is neither empty nor a finite number, naming the file and
+        the line."""
         rows = read_csv(path)
         _, header = next(rows, (0, []))
         if header[:1] != ["od"]:
@@ -188,7 +186,6 @@ class FeatureTable:
             detail = (f"{len(absent)} missing, the first {absent[0]!r}" if absent
                       else "unknown or reordered columns")
             raise ParseError(f"{path}: header is not the feature table's columns ({detail})")
-        columns = list(ALL_COLUMNS)
         ods: list[str] = []
         cells: list[list[float]] = []
         n_fields = len(header)
@@ -200,8 +197,13 @@ class FeatureTable:
                 cells.append([float(v) if v != "" else math.nan for v in row[1:]])
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
-        values = np.array(cells, dtype=np.float64) if cells else np.empty((0, len(columns)))
-        return cls(ods=ods, columns=columns, values=values)
+        values = np.array(cells, dtype=np.float64) if cells else np.empty((0, len(ALL_COLUMNS)))
+        inf = np.argwhere(np.isinf(values))
+        if inf.size:  # the line is looked up again only on this error path
+            row, col = inf[0]
+            lineno, _ = next(islice(read_csv(path), row + 1, None))
+            raise ParseError(f"{path}: line {lineno}: {_CSV_HEADER[col + 1]} is infinite")
+        return cls(ods=ods, values=values)
 
 
 # features.csv is formatted in blocks of rows, a column at a time within a
@@ -531,4 +533,4 @@ def assemble_feature_vectors(
         for name, v in agg.items():
             values[hit, agg_col[name]] = v
 
-    return FeatureTable(ods=ods, columns=list(ALL_COLUMNS), values=values)
+    return FeatureTable(ods=ods, values=values)

@@ -1,12 +1,11 @@
 """From-scratch gradient boosted trees with a binary logistic objective."""
 
-from .model import TreeNode, TreeEnsemble, GbtParams
+from .model import TreeNode, TreeEnsemble, GbtParams, feature_gain
 from .train import (
     train,
     predict_proba,
     predict_label,
     predict_margin,
-    feature_gain,
     refit_leaf_weights,
     holdout_split_by_day,
 )

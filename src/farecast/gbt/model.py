@@ -1,4 +1,4 @@
-"""Boosted-ensemble model structures and self-describing serialization."""
+"""Boosted-ensemble model structures, gain table and self-describing serialization."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field, asdict
 from typing import Optional
 
-__all__ = ["GbtParams", "TreeNode", "TreeEnsemble", "sigmoid"]
+__all__ = ["GbtParams", "TreeNode", "TreeEnsemble", "feature_gain", "sigmoid"]
 
 
 def sigmoid(x: float) -> float:
@@ -29,6 +29,10 @@ class GbtParams:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.eta, self.gamma, self.lam)):
+            raise ValueError("eta, gamma and lam must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.n_trees < 1 or self.max_depth < 1:
@@ -105,17 +109,25 @@ class TreeNode:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TreeNode":
+    def from_dict(cls, d: dict, n_features: int) -> "TreeNode":
+        """The node and its subtree. A split whose feature is not an index
+        below n_features, or whose threshold is not finite, raises ValueError."""
         if "left" in d:
+            feature, threshold = d["feature"], d["threshold"]
+            if type(feature) is not int or not 0 <= feature < n_features:
+                raise ValueError(
+                    f"split feature {feature!r} is not an index into {n_features} feature_names")
+            if not math.isfinite(threshold):
+                raise ValueError(f"split threshold {threshold!r} is not finite")
             return cls(
                 cover=d["cover"],
                 grad_sum=d["grad_sum"],
-                feature=d["feature"],
-                threshold=d["threshold"],
+                feature=feature,
+                threshold=threshold,
                 missing_left=d["missing_left"],
                 gain=d["gain"],
-                left=cls.from_dict(d["left"]),
-                right=cls.from_dict(d["right"]),
+                left=cls.from_dict(d["left"], n_features),
+                right=cls.from_dict(d["right"], n_features),
             )
         return cls(cover=d["cover"], grad_sum=d["grad_sum"], weight=d["weight"])
 
@@ -126,7 +138,11 @@ class TreeEnsemble:
     base_score: float
     params: GbtParams
     feature_names: list[str]
-    gain_table: dict[str, float] = field(default_factory=dict)
+
+    @property
+    def gain_table(self) -> dict[str, float]:
+        """feature_gain of the trees: computed on each read, never stored."""
+        return feature_gain(self)
 
     def n_leaves(self) -> int:
         return sum(t.n_leaves() for t in self.trees)
@@ -151,10 +167,31 @@ class TreeEnsemble:
         d = json.loads(text)
         if d.get("format") != "farecast-gbt":
             raise ValueError("not a farecast gbt model file")
+        names = list(d["feature_names"])
         return cls(
-            trees=[TreeNode.from_dict(t) for t in d["trees"]],
+            trees=[TreeNode.from_dict(t, len(names)) for t in d["trees"]],
             base_score=d["base_score"],
             params=GbtParams(**d["params"]),
-            feature_names=list(d["feature_names"]),
-            gain_table={k: float(v) for k, v in d["gain_table"].items()},
+            feature_names=names,
         )
+
+
+def feature_gain(model: TreeEnsemble) -> dict[str, float]:
+    """Per-feature realized split gain, normalized to sum 1 and ordered by
+    descending share. Ensembles without splits give an empty table."""
+    totals: dict[str, float] = {}
+
+    def walk(node: TreeNode):
+        if node.is_leaf:
+            return
+        name = model.feature_names[node.feature]
+        totals[name] = totals.get(name, 0.0) + node.gain
+        walk(node.left)
+        walk(node.right)
+
+    for tree in model.trees:
+        walk(tree)
+    total = sum(totals.values())
+    if total <= 0:
+        return {}
+    return {k: v / total for k, v in sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))}

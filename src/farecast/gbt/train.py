@@ -1,4 +1,4 @@
-"""Training, prediction and gain reporting for the boosted model.
+"""Training and prediction for the boosted model.
 
 Second-order boosting on the binary logistic loss: per round, gradients
 g_i = p_i - y_i and hessians h_i = p_i (1 - p_i) at the current margin;
@@ -25,7 +25,6 @@ __all__ = [
     "predict_margin",
     "predict_proba",
     "predict_label",
-    "feature_gain",
     "refit_leaf_weights",
     "holdout_split_by_day",
 ]
@@ -248,15 +247,7 @@ def train(
         trees.append(tree)
         margins += _margins_tree(tree, X, missing)
 
-    ensemble = TreeEnsemble(
-        trees=trees,
-        base_score=base_score,
-        params=params,
-        feature_names=names,
-        gain_table={},
-    )
-    ensemble.gain_table = feature_gain(ensemble)
-    return ensemble
+    return TreeEnsemble(trees=trees, base_score=base_score, params=params, feature_names=names)
 
 
 def predict_margin(model: TreeEnsemble, X: np.ndarray, missing: np.ndarray | None = None) -> np.ndarray:
@@ -287,27 +278,6 @@ def predict_label(model: TreeEnsemble, X: np.ndarray, missing: np.ndarray | None
     return predict_proba(model, X, missing) >= 0.5
 
 
-def feature_gain(model: TreeEnsemble) -> dict[str, float]:
-    """Per-feature realized split gain, normalized to sum 1 and ordered by
-    descending share. Ensembles without splits give an empty table."""
-    totals: dict[str, float] = {}
-
-    def walk(node: TreeNode):
-        if node.is_leaf:
-            return
-        name = model.feature_names[node.feature]
-        totals[name] = totals.get(name, 0.0) + node.gain
-        walk(node.left)
-        walk(node.right)
-
-    for tree in model.trees:
-        walk(tree)
-    total = sum(totals.values())
-    if total <= 0:
-        return {}
-    return {k: v / total for k, v in sorted(totals.items(), key=lambda kv: (-kv[1], kv[0]))}
-
-
 def refit_leaf_weights(model: TreeEnsemble, lam: float) -> TreeEnsemble:
     """Recompute leaf weights -G/(H+lam)*eta on the fixed tree structures."""
 
@@ -316,14 +286,12 @@ def refit_leaf_weights(model: TreeEnsemble, lam: float) -> TreeEnsemble:
             return replace(node, weight=-node.grad_sum / (node.cover + lam) * model.params.eta)
         return replace(node, left=rebuild(node.left), right=rebuild(node.right))
 
-    out = TreeEnsemble(
+    return TreeEnsemble(
         trees=[rebuild(t) for t in model.trees],
         base_score=model.base_score,
         params=replace(model.params, lam=lam),
         feature_names=list(model.feature_names),
-        gain_table=dict(model.gain_table),
     )
-    return out
 
 
 def holdout_split_by_day(dep_day_ids: np.ndarray, holdout_frac: float) -> np.ndarray:

@@ -8,6 +8,7 @@ shared with the boosted model: p >= 0.5 predicts purchase.
 
 from __future__ import annotations
 
+import json
 import logging
 from dataclasses import dataclass
 
@@ -36,8 +37,6 @@ class LogitModel:
     converged: bool
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps(
             {
                 "format": "farecast-logit",
@@ -57,12 +56,13 @@ class LogitModel:
 
     @classmethod
     def from_json(cls, text: str) -> "LogitModel":
-        import json
-
+        """Read a model to_json wrote. A file of another format, or whose
+        coef, mean or scale has not one value per feature name, raises
+        ValueError."""
         obj = json.loads(text)
         if obj.get("format") != "farecast-logit":
             raise ValueError("not a logistic-baseline model file")
-        return cls(
+        model = cls(
             intercept=float(obj["intercept"]),
             coef=np.array(obj["coef"], dtype=float),
             mean=np.array(obj["mean"], dtype=float),
@@ -72,21 +72,31 @@ class LogitModel:
             grad_norm=float(obj["grad_norm"]),
             converged=bool(obj["converged"]),
         )
+        for name in ("coef", "mean", "scale"):
+            if getattr(model, name).shape != (len(model.feature_names),):
+                raise ValueError(f"{name} needs one value per feature name")
+        return model
 
 
-def _standardize(X: np.ndarray, missing: np.ndarray | None):
-    X = np.asarray(X, dtype=np.float64).copy()
-    if missing is not None:
-        for j in range(X.shape[1]):
-            col_missing = missing[:, j]
-            observed = X[~col_missing, j]
-            fill = observed.mean() if observed.size else 0.0
-            X[col_missing, j] = fill
-    mean = X.mean(axis=0)
-    sd = X.std(axis=0)
-    scale = np.where(sd > 0, sd, 0.0)
-    Z = np.zeros_like(X)
+def _impute_and_scale(X, missing, mean=None, scale=None):
+    """(Z, mean, scale) of X after imputing its missing cells: with the model's
+    mean when predicting, with each column's observed mean (0 with none) when
+    fitting, where mean and scale are then the filled columns' own. A scale
+    of 0 marks a dropped constant column, whose Z stays 0."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if mean is None:
+        if missing is not None:
+            X = X.copy()
+            for j in range(X.shape[1]):
+                observed = X[~missing[:, j], j]
+                X[missing[:, j], j] = observed.mean() if observed.size else 0.0
+        mean = X.mean(axis=0)
+        sd = X.std(axis=0)
+        scale = np.where(sd > 0, sd, 0.0)
+    elif missing is not None:
+        X = np.where(missing, mean, X)
     active = scale > 0
+    Z = np.zeros_like(X)
     Z[:, active] = (X[:, active] - mean[active]) / scale[active]
     return Z, mean, scale
 
@@ -106,7 +116,7 @@ def fit_logit(
     y = np.asarray(y, dtype=np.float64)
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
-    Z, mean, scale = _standardize(X, missing)
+    Z, mean, scale = _impute_and_scale(X, missing)
     n, m = Z.shape
     names = feature_names if feature_names is not None else [f"f{j}" for j in range(m)]
 
@@ -146,18 +156,11 @@ def fit_logit(
 
 
 def predict_logit(model: LogitModel, X: np.ndarray, missing: np.ndarray | None = None) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64)).copy()
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.coef.shape[0]:
         raise ValueError(f"expected {model.coef.shape[0]} features, got {X.shape[1]}")
-    if missing is not None:
-        missing = np.atleast_2d(missing)
-        for j in range(X.shape[1]):
-            X[missing[:, j], j] = model.mean[j]
-    active = model.scale > 0
-    Z = np.zeros_like(X)
-    Z[:, active] = (X[:, active] - model.mean[active]) / model.scale[active]
-    eta = model.intercept + Z @ model.coef
-    return expit(eta)
+    Z, _, _ = _impute_and_scale(X, missing, model.mean, model.scale)
+    return expit(model.intercept + Z @ model.coef)
 
 
 def predict_logit_label(model: LogitModel, X: np.ndarray, missing: np.ndarray | None = None) -> np.ndarray:

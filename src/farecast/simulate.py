@@ -126,6 +126,8 @@ class SimScenario:
             raise ValueError("capacity must be >= 1")
         if self.n_reps < 1:
             raise ValueError("n_reps must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if sum(od.mean_demand for od in self.ods) <= 0:
             raise ValueError("total mean_demand over the ODs must be positive")
         if not (0 < self.holt_alpha < 1 and 0 < self.holt_beta < 1):

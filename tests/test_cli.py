@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import shlex
 import shutil
@@ -15,8 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from farecast import cli
-from farecast.config import read_scenario, write_scenario
+from farecast import cli, gbt
+from farecast.config import load_config, read_scenario, write_scenario
 from farecast.features import FeatureTable
 
 SMALL_ODS = ["KUL-SIN", "LHR-JFK"]
@@ -164,6 +165,11 @@ _LADDER = ",".join(str(1200 - 100 * k) for k in range(12))
         ("demand_cv = inf", "demand_factor_sd and demand_cv must be finite and >= 0"),
         ("demand_factor_mean = nan", "demand_factor_mean must be finite"),
         ("cheap_early_prob = 2", "cheap_early_prob must lie in [0, 1]"),
+        ("seed = -1", "seed must be >= 0"),
+        ("capcity = 9", "section [scenario] has unknown key 'capcity'"),
+        ("[flight]", "unknown section [flight]"),
+        ("[od:Y]\ncoverd = 1", "section [od:Y] has unknown key 'coverd'"),
+        ("[DEFAULT]\nseed = 3", "section [od:X] has unknown key 'seed'"),
     ]],
 ])
 def test_malformed_scenario_exits_2_naming_file(tmp_path, capsys, text, message):
@@ -236,6 +242,14 @@ def test_config_file_loading(workspace, tmp_path, capsys):
     ("[run\nseed = 1\n", "File contains no section headers"),
     *[(f"[run]\nholdout_frac = {v}\n", "holdout_frac must be in (0, 1)")
       for v in ("1.5", "0", "-0.1", "nan")],
+    *[(f"[gbt]\n{setting}\n", "eta, gamma and lam must be finite")
+      for setting in ("eta = nan", "eta = inf", "gamma = inf", "lam = nan")],
+    ("[gbt]\nseed = -1\n", "seed must be >= 0"),
+    ("[run]\nseed = -1\n[gbt]\nseed = 1\n", "[run] seed must be >= 0, got -1"),
+    ("[gbt]\nn_tree = 50\n", "section [gbt] has unknown key 'n_tree'"),
+    ("[run]\nseeds = 3\n", "section [run] has unknown key 'seeds'"),
+    ("[gtb]\nn_trees = 50\n", "unknown section [gtb]"),
+    ("[DEFAULT]\nn_trees = 5\n[run]\nseed = 1\n[gbt]\n", "section [run] has unknown key 'n_trees'"),
 ])
 def test_malformed_config_exits_2_naming_file(tmp_path, capsys, text, message):
     path = tmp_path / "run.ini"
@@ -243,6 +257,19 @@ def test_malformed_config_exits_2_naming_file(tmp_path, capsys, text, message):
     assert cli.main(["--config", str(path), "features", "--data", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and message in err
+
+
+def test_default_section_sets_keys_in_every_section(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[DEFAULT]\nseed = 3\n[run]\n[gbt]\nn_trees = 5\n", encoding="utf-8")
+    cfg = load_config(path)
+    assert (cfg.seed, cfg.gbt.seed, cfg.gbt.n_trees) == (3, 3, 5)
+
+
+def test_synth_negative_seed_exits_2(tmp_path, capsys):
+    assert cli.main(["synth", "--out", str(tmp_path / "data"), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("stage", ["train", "evaluate"])
@@ -326,6 +353,8 @@ def _evaluate_err(tmp_path, capsys):
     pytest.param(3, lambda row: row.rsplit(",", 1)[0], "expected 97 fields, got 96", id="short-row"),
     pytest.param(5, lambda row: row.replace(",", ",abc,", 1).rsplit(",", 1)[0],
                  "could not convert string to float: 'abc'", id="non-numeric"),
+    pytest.param(4, lambda row: row.replace(",", ",inf,", 1).rsplit(",", 1)[0],
+                 "airline_id is infinite", id="inf"),
 ])
 def test_malformed_features_csv_exits_2_naming_file_and_line(
     workspace, tmp_path, capsys, line, edit, message
@@ -338,6 +367,22 @@ def test_malformed_features_csv_exits_2_naming_file_and_line(
     assert err.startswith(f"error: {path}: line {line}: ") and message in err
 
 
+def _with_first_split(text, **changes):
+    """A gbt.json whose first split node has `changes` applied."""
+    obj = json.loads(text)
+    node = next(tree for tree in obj["trees"] if "left" in tree)
+    node.update(changes)
+    return json.dumps(obj)
+
+
+def _with_entry(key, edit):
+    def rewrite(text):
+        obj = json.loads(text)
+        obj[key] = edit(obj[key])
+        return json.dumps(obj)
+    return rewrite
+
+
 @pytest.mark.parametrize("name, rewrite, message", [
     pytest.param("gbt.json", lambda text: json.dumps(
         {k: v for k, v in json.loads(text).items() if k != "trees"}), "KeyError: 'trees'",
@@ -348,6 +393,16 @@ def test_malformed_features_csv_exits_2_naming_file_and_line(
                  "TypeError", id="unknown-param"),
     pytest.param("logit.json", lambda text: text.replace("farecast-logit", "other"),
                  "not a logistic-baseline", id="wrong-format"),
+    pytest.param("gbt.json", lambda text: _with_first_split(text, feature=93),
+                 "ValueError: split feature 93 is not an index into 93 feature_names",
+                 id="feature-out-of-range"),
+    pytest.param("gbt.json", lambda text: _with_first_split(text, feature=-1),
+                 "ValueError: split feature -1 is not an index", id="negative-feature"),
+    pytest.param("gbt.json", lambda text: _with_first_split(text, threshold=math.nan),
+                 "ValueError: split threshold nan is not finite", id="nan-threshold"),
+    *[pytest.param("logit.json", _with_entry(key, lambda v: v[:-1]),
+                   f"ValueError: {key} needs one value per feature name", id=f"short-{key}")
+      for key in ("coef", "mean", "scale")],
 ])
 def test_malformed_model_file_exits_2_naming_file(workspace, tmp_path, capsys, name, rewrite, message):
     path = _copy_stage_outputs(workspace, tmp_path) / name
@@ -356,17 +411,37 @@ def test_malformed_model_file_exits_2_naming_file(workspace, tmp_path, capsys, n
     assert err.startswith(f"error: {path}: not a readable model file") and message in err
 
 
-def _with_feature_names(edit):
-    def rewrite(text):
-        obj = json.loads(text)
-        obj["feature_names"] = edit(obj["feature_names"])
-        return json.dumps(obj)
-    return rewrite
+def test_loaded_gain_table_is_in_share_order(workspace):
+    text = (workspace / "out" / SMALL_ODS[0] / "gbt.json").read_text(encoding="utf-8")
+    model = gbt.TreeEnsemble.from_json(text)
+    assert list(model.gain_table) == list(gbt.feature_gain(model))
+    shares = list(model.gain_table.values())
+    assert len(shares) > 1 and shares == sorted(shares, reverse=True)
+    assert json.loads(text)["gain_table"] == model.gain_table  # to_json still writes it
+
+
+def test_evaluate_without_purchases_reports_undefined_winners(workspace, tmp_path, capsys):
+    od = SMALL_ODS[0]
+    path = _copy_stage_outputs(workspace, tmp_path) / "features.csv"
+    table = FeatureTable.from_csv(path)
+    table.column("is_bought")[:] = 0
+    table.to_csv(path)
+    flags = ["--features", str(tmp_path), "--od", od]
+    assert cli.main(["train", *flags, "--out", str(tmp_path)]) == 0
+    out = tmp_path / "comparison.csv"
+    assert cli.main(["evaluate", *flags, "--models", str(tmp_path), "--out", str(out)]) == 0
+    undefined = dict.fromkeys(("fn", "fp", "tp"), "undefined")
+    assert f"winners: {undefined}" in capsys.readouterr().out
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[1:] == ["od,method,fn,fp,tp"] + [
+        f"{od},{method},undefined,undefined,undefined" for method in ("logit", "xgb")]
 
 
 @pytest.mark.parametrize("name, rewrite", [
-    pytest.param("gbt.json", _with_feature_names(lambda names: names[:5]), id="gbt-truncated"),
-    pytest.param("logit.json", _with_feature_names(lambda names: [names[1], names[0], *names[2:]]),
+    pytest.param("gbt.json", _with_entry("feature_names", lambda names: names[:5]),
+                 id="gbt-truncated"),
+    pytest.param("logit.json",
+                 _with_entry("feature_names", lambda names: [names[1], names[0], *names[2:]]),
                  id="logit-swapped"),
 ])
 def test_model_of_other_features_exits_2_naming_file(workspace, tmp_path, capsys, name, rewrite):

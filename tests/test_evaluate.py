@@ -40,6 +40,12 @@ def test_compare_models_winners_and_ties():
     assert winners == {"fn": "xgb", "fp": "logit", "tp": "tie"}
 
 
+def test_compare_models_undefined_when_either_triple_is():
+    defined, undefined = ConfusionTriple(0, 1, 1, 2), ConfusionTriple(10, 0, 0, 0)
+    for a, b in ((defined, undefined), (undefined, defined), (undefined, undefined)):
+        assert compare_models(a, b) == {"fn": "undefined", "fp": "undefined", "tp": "undefined"}
+
+
 def test_comparison_table_format(tmp_path):
     rows = [
         ("AMS-LHR", "logit", ConfusionTriple(0, 4, 1, 5)),

@@ -14,6 +14,7 @@ from farecast import cli, synth
 from farecast.config import RunConfig
 from farecast.features import (
     AGGREGATE_COLUMNS,
+    ALL_COLUMNS,
     FeatureTable,
     MODEL_FEATURES,
     ROLL_WINDOWS,
@@ -269,7 +270,7 @@ def test_feature_csv_roundtrip_with_missing(tmp_path):
     assert text.startswith("# config_hash=abc seed=1\n")
     assert "_zz" in text.splitlines()[1] and "_xx" not in text.splitlines()[1]
     back = FeatureTable.from_csv(path)
-    assert back.columns == table.columns
+    assert back.values.shape == (len(table), len(ALL_COLUMNS))
     assert back.ods == table.ods
     assert np.allclose(back.values, table.values, equal_nan=True)
 
@@ -304,7 +305,7 @@ def _fmt(v: float) -> str:
 
 def _write_per_cell(table, path, comment):
     """The per-cell reference writer for FeatureTable.to_csv."""
-    header = ["od"] + [c[:-3] + "_zz" if c.endswith("_xx") else c for c in table.columns]
+    header = ["od"] + [c[:-3] + "_zz" if c.endswith("_xx") else c for c in ALL_COLUMNS]
     rows = ([od] + [_fmt(v) for v in row] for od, row in zip(table.ods, table.values))
     write_csv(path, header, rows, comment)
 
@@ -325,12 +326,16 @@ def test_to_csv_equals_per_cell_oracle(tmp_path):
         "small": rng.normal(scale=1e-3, size=n),
     }
     reps = 250  # more rows than one formatting block
-    table = FeatureTable(ods=[f"OD-{i % 7}" for i in range(n * reps)], columns=list(columns),
-                         values=np.tile(np.column_stack(list(columns.values())), (reps, 1)))
+    # the six kinds of column repeat across the table, with mixed_xx under each *_xx name
+    cycle = list(columns.values())
+    kinds = [columns["mixed_xx"] if c.endswith("_xx") else cycle[j % len(cycle)]
+             for j, c in enumerate(ALL_COLUMNS)]
+    table = FeatureTable(ods=[f"OD-{i % 7}" for i in range(n * reps)],
+                         values=np.tile(np.column_stack(kinds), (reps, 1)))
     table.to_csv(tmp_path / "got.csv", header_comment="seed=1")
     _write_per_cell(table, tmp_path / "want.csv", "seed=1")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-    assert b",mixed_zz," in (tmp_path / "got.csv").read_bytes()
+    assert b",mean3d_zz," in (tmp_path / "got.csv").read_bytes()
 
 
 def test_columns_and_records_give_one_table(tmp_path):
@@ -352,7 +357,6 @@ def test_columns_and_records_give_one_table(tmp_path):
     from_records = assemble_feature_vectors(
         parsed["bookings"].records, parsed["fares"].records, aggregates, widebody=widebody)
     assert from_columns.ods == from_records.ods
-    assert from_columns.columns == from_records.columns
     np.testing.assert_array_equal(from_columns.values, from_records.values)
 
     assert cli.main(["features", "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out"),
@@ -383,8 +387,7 @@ def _expected_rows(bookings, fares, aggregates, widebody):
     """Recompute every column row by row from the raw fare rows: the scalar
     pricing functions for pricing and rolling columns, plain min/max/any over
     the matching fare rows for the schedule columns."""
-    columns = assemble_feature_vectors([], [], {}).columns
-    out = np.full((len(bookings), len(columns)), np.nan)
+    out = np.full((len(bookings), len(ALL_COLUMNS)), np.nan)
     for i, b in enumerate(bookings):
         want = {
             "airline_id": b.airline_id, "dep_day_id": b.dep_day_id, "dbd": b.dbd,
@@ -401,7 +404,7 @@ def _expected_rows(bookings, fares, aggregates, widebody):
             if agg is not None:
                 want.update(agg)
         for name, v in want.items():
-            out[i, columns.index(name)] = v
+            out[i, ALL_COLUMNS.index(name)] = v
     return out
 
 
@@ -512,5 +515,5 @@ def test_assembly_equals_per_row_oracle(seed):
     table = assemble_feature_vectors(bookings, fares, aggregates, widebody=widebody)
     assert table.ods == [b.od for b in bookings]
     want = _expected_rows(bookings, fares, aggregates, widebody)
-    for name, got, exp in zip(table.columns, table.values.T, want.T):
+    for name, got, exp in zip(ALL_COLUMNS, table.values.T, want.T):
         np.testing.assert_array_equal(got, exp, err_msg=name)

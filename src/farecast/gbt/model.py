@@ -110,8 +110,13 @@ class TreeNode:
 
     @classmethod
     def from_dict(cls, d: dict, n_features: int) -> "TreeNode":
-        """The node and its subtree. A split whose feature is not an index
-        below n_features, or whose threshold is not finite, raises ValueError."""
+        """The node and its subtree. A node whose cover, grad_sum, weight (at
+        a leaf) or gain (at a split) is not finite, or a split whose feature
+        is not an index below n_features or whose threshold is not finite,
+        raises ValueError."""
+        for key in ("cover", "grad_sum", "weight", "gain"):
+            if key in d and not math.isfinite(d[key]):
+                raise ValueError(f"node {key} {d[key]!r} is not finite")
         if "left" in d:
             feature, threshold = d["feature"], d["threshold"]
             if type(feature) is not int or not 0 <= feature < n_features:
@@ -168,6 +173,8 @@ class TreeEnsemble:
         if d.get("format") != "farecast-gbt":
             raise ValueError("not a farecast gbt model file")
         names = list(d["feature_names"])
+        if not math.isfinite(d["base_score"]):
+            raise ValueError(f"base_score {d['base_score']!r} is not finite")
         return cls(
             trees=[TreeNode.from_dict(t, len(names)) for t in d["trees"]],
             base_score=d["base_score"],

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
+import sys
 from dataclasses import dataclass
-
-from scipy.special import expit
 
 import numpy as np
 
@@ -23,6 +23,22 @@ log = logging.getLogger(__name__)
 L2_PENALTY = 1e-6
 MAX_ITER = 100
 TOL = 1e-10
+
+# Largest argument for which math.exp is finite; above it, it raises.
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+
+
+def _expit(x):
+    """1 / (1 + exp(-x)) elementwise, in x's shape, bit-equal to
+    scipy.special.expit: exp is libm's, via math.exp, because numpy's SIMD
+    np.exp differs from it in the last bit on some inputs and would move the
+    fitted coefficients. Where exp(-x) overflows it counts as inf, giving 0."""
+    neg = -np.asarray(x, dtype=np.float64)
+    over = neg > _LOG_DBL_MAX
+    e = np.fromiter(map(math.exp, np.where(over, 0.0, neg).ravel().tolist()),
+                    dtype=np.float64, count=neg.size).reshape(neg.shape)
+    e[over] = np.inf
+    return 1.0 / (1.0 + e)
 
 
 @dataclass
@@ -56,9 +72,10 @@ class LogitModel:
 
     @classmethod
     def from_json(cls, text: str) -> "LogitModel":
-        """Read a model to_json wrote. A file of another format, or whose
-        coef, mean or scale has not one value per feature name, raises
-        ValueError."""
+        """Read a model to_json wrote. A file of another format, whose
+        coef, mean or scale has not one value per feature name, or whose
+        intercept, coef, mean or scale holds a value that is not finite,
+        raises ValueError."""
         obj = json.loads(text)
         if obj.get("format") != "farecast-logit":
             raise ValueError("not a logistic-baseline model file")
@@ -72,9 +89,14 @@ class LogitModel:
             grad_norm=float(obj["grad_norm"]),
             converged=bool(obj["converged"]),
         )
+        if not math.isfinite(model.intercept):
+            raise ValueError(f"intercept {model.intercept!r} is not finite")
         for name in ("coef", "mean", "scale"):
-            if getattr(model, name).shape != (len(model.feature_names),):
+            values = getattr(model, name)
+            if values.shape != (len(model.feature_names),):
                 raise ValueError(f"{name} needs one value per feature name")
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} has a value that is not finite")
         return model
 
 
@@ -129,7 +151,7 @@ def fit_logit(
     it = 0
     for it in range(1, MAX_ITER + 1):
         eta = A @ beta
-        p = expit(eta)
+        p = _expit(eta)
         grad = A.T @ (p - y) + penalty * beta
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < TOL:
@@ -160,7 +182,7 @@ def predict_logit(model: LogitModel, X: np.ndarray, missing: np.ndarray | None =
     if X.shape[1] != model.coef.shape[0]:
         raise ValueError(f"expected {model.coef.shape[0]} features, got {X.shape[1]}")
     Z, _, _ = _impute_and_scale(X, missing, model.mean, model.scale)
-    return expit(model.intercept + Z @ model.coef)
+    return _expit(model.intercept + Z @ model.coef)
 
 
 def predict_logit_label(model: LogitModel, X: np.ndarray, missing: np.ndarray | None = None) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -375,6 +376,16 @@ def _with_first_split(text, **changes):
     return json.dumps(obj)
 
 
+def _with_first_leaf(text, **changes):
+    """A gbt.json whose first tree's leftmost leaf has `changes` applied."""
+    obj = json.loads(text)
+    node = obj["trees"][0]
+    while "left" in node:
+        node = node["left"]
+    node.update(changes)
+    return json.dumps(obj)
+
+
 def _with_entry(key, edit):
     def rewrite(text):
         obj = json.loads(text)
@@ -402,6 +413,20 @@ def _with_entry(key, edit):
                  "ValueError: split threshold nan is not finite", id="nan-threshold"),
     *[pytest.param("logit.json", _with_entry(key, lambda v: v[:-1]),
                    f"ValueError: {key} needs one value per feature name", id=f"short-{key}")
+      for key in ("coef", "mean", "scale")],
+    *[pytest.param("gbt.json", lambda text, key=key: _with_first_leaf(text, **{key: math.nan}),
+                   f"ValueError: node {key} nan is not finite", id=f"nan-leaf-{key}")
+      for key in ("weight", "cover", "grad_sum")],
+    pytest.param("gbt.json", lambda text: _with_first_split(text, grad_sum=-math.inf),
+                 "ValueError: node grad_sum -inf is not finite", id="inf-split-grad_sum"),
+    pytest.param("gbt.json", lambda text: _with_first_split(text, gain=math.nan),
+                 "ValueError: node gain nan is not finite", id="nan-split-gain"),
+    pytest.param("gbt.json", _with_entry("base_score", lambda v: math.nan),
+                 "ValueError: base_score nan is not finite", id="nan-base_score"),
+    pytest.param("logit.json", _with_entry("intercept", lambda v: math.nan),
+                 "ValueError: intercept nan is not finite", id="nan-intercept"),
+    *[pytest.param("logit.json", _with_entry(key, lambda v: [*v[:-1], math.inf]),
+                   f"ValueError: {key} has a value that is not finite", id=f"inf-{key}")
       for key in ("coef", "mean", "scale")],
 ])
 def test_malformed_model_file_exits_2_naming_file(workspace, tmp_path, capsys, name, rewrite, message):
@@ -467,13 +492,22 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about half a second to import and only its normal
-    # quantile was ever used; scipy.special.ndtri gives the same value.
-    src = Path(cli.__file__).resolve().parents[1]
-    code = "import sys, farecast.cli; print('scipy.stats' in sys.modules)"
+def test_import_loads_no_scipy():
+    # The runtime depends on numpy alone: scipy is a test-only dependency,
+    # and importing scipy.special would add about 16 MiB to every process.
+    # The modules are the CLI and every farecast module the benchmark imports.
+    repo = Path(__file__).resolve().parents[1]
+    tree = ast.parse((repo / "perfbench" / "workloads.py").read_text(encoding="utf-8"))
+    modules = {"farecast.cli"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "farecast":
+            modules.update(f"{node.module}.{alias.name}" if node.module == "farecast"
+                           else node.module for alias in node.names)
+    assert {"farecast.logit", "farecast.simulate"} <= modules
+    code = (f"import sys, {', '.join(sorted(modules))}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(repo / "src")),
         capture_output=True, text=True, check=True,
     ).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 import pytest
+from scipy import special
 from scipy.optimize import minimize
 
-from farecast.logit import fit_logit, predict_logit, predict_logit_label
+from farecast import logit
+from farecast.logit import _expit, fit_logit, predict_logit, predict_logit_label
 
 
 def _oracle_fit(Z, y, l2):
@@ -111,3 +116,52 @@ def test_json_roundtrip():
     back = LogitModel.from_json(model.to_json())
     assert np.array_equal(predict_logit(model, X), predict_logit(back, X))
     assert back.feature_names == ["a", "b", "c"]
+
+
+def _assert_bit_equal(ours, oracle):
+    assert np.shape(ours) == np.shape(oracle)
+    assert np.array_equal(ours, oracle, equal_nan=True)
+    # the sign of a zero must match too; a nan's sign bit means nothing
+    assert np.array_equal(np.signbit(ours) & ~np.isnan(ours),
+                          np.signbit(oracle) & ~np.isnan(oracle))
+
+
+def test_expit_equals_scipy_expit_oracle():
+    # exp(-x) overflows for x below -log(DBL_MAX) = -709.78...: walk across
+    # that point one ulp at a time, where a cut-off even one ulp off shows.
+    edge = -math.log(sys.float_info.max)
+    ulps = [edge]
+    for _ in range(8):
+        ulps = [math.nextafter(ulps[0], 0.0), *ulps, math.nextafter(ulps[-1], -math.inf)]
+    x = np.concatenate([
+        np.random.default_rng(0).normal(0.0, 300.0, 100_000),
+        np.linspace(-760.0, 760.0, 50_001),
+        -np.logspace(-320, 3, 2_000), np.logspace(-320, 3, 2_000),
+        ulps, [0.0, -0.0, np.inf, -np.inf, np.nan],
+    ])
+    _assert_bit_equal(_expit(x), special.expit(x))
+    grid = x[:60].reshape(3, 4, 5)
+    _assert_bit_equal(_expit(grid), special.expit(grid))
+    for scalar in (0.3, np.float64(-800.0), np.array(-0.0), np.array(np.nan)):
+        _assert_bit_equal(_expit(scalar), special.expit(scalar))
+
+
+def test_fixture_fits_equal_scipy_expit_fits(pipeline, monkeypatch):
+    """Every margin IRLS computes on the fixture maps to scipy's expit bit for
+    bit, so each baseline, and its logit.json, is the one scipy would give."""
+    margins = []
+
+    def recording(eta):
+        margins.append(eta)
+        return _expit(eta)
+
+    for od, table in pipeline.tables.items():
+        X, missing, names = table.model_matrix()
+        tr = ~pipeline.holdouts[od]
+        monkeypatch.setattr(logit, "_expit", recording)
+        ours = fit_logit(X[tr], table.labels()[tr], feature_names=names, missing=missing[tr])
+        monkeypatch.setattr(logit, "_expit", special.expit)
+        oracle = fit_logit(X[tr], table.labels()[tr], feature_names=names, missing=missing[tr])
+        assert ours.to_json() == oracle.to_json() == pipeline.baselines[od].to_json()
+    eta = np.concatenate(margins)
+    _assert_bit_equal(_expit(eta), special.expit(eta))

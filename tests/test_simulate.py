@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from functools import lru_cache
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import norm
 
 from farecast.config import read_scenario, write_scenario
@@ -21,6 +23,7 @@ from farecast.simulate import (
     OdMarket,
     Policy,
     SimScenario,
+    _ndtri,
     aggregate_class_forecasts,
     allocate_to_classes,
     compare_policies,
@@ -266,6 +269,36 @@ def test_protections_equal_norm_ppf_oracle(fixture_flight):
         assert policy.protections == oracle
         # the Gaussian quantile branch, not a clamp, sets most levels
         assert sum(0.0 < p < scenario.capacity for p in oracle) >= 6
+
+
+def test_ndtri_equals_scipy_ndtri_oracle():
+    # Cephes switches approximation at y = exp(-2) and at y = exp(-32) (and
+    # at their mirror images 1 - y): each break point and the ulps around it.
+    breaks = []
+    for b in (math.exp(-2), math.exp(-32)):
+        for point in (b, 1.0 - b):
+            lo = hi = point
+            for _ in range(4):
+                lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)
+                breaks += [lo, hi]
+            breaks.append(point)
+    rng = np.random.default_rng(0)
+    y = np.concatenate([
+        rng.random(100_000),
+        np.linspace(0.0, 1.0, 100_001),
+        np.logspace(-300, -1, 60_000),            # lower tail
+        1.0 - np.logspace(-16, -1, 30_000),        # upper tail, to the last ulp below 1
+        1.0 - rng.random(10_000) * 1e-15,
+        breaks,
+        [0.0, -0.0, 1.0, 5e-324, 1e-310, np.nan, -1e-300, -1.0, 1.0 + 2**-52, 2.0,
+         np.inf, -np.inf],
+    ])
+    ours = np.array([_ndtri(v) for v in y.tolist()])
+    oracle = ndtri(y)
+    assert np.array_equal(ours, oracle, equal_nan=True)
+    # the sign of a zero must match too; a nan's sign bit means nothing
+    assert np.array_equal(np.signbit(ours) & ~np.isnan(ours),
+                          np.signbit(oracle) & ~np.isnan(oracle))
 
 
 def test_optimize_policy_rejects_bad_input():

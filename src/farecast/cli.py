@@ -310,8 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", help="directory with per-OD model files")
     p.add_argument("--od", required=True)
     p.add_argument("--row", type=int, required=True, help="row index within the OD's feature table")
-    p.add_argument("--top", type=int, default=None, help="show only the top-N contributions")
-    p.add_argument("--out", help="optional waterfall plot-data CSV")
+    p.add_argument("--top", type=int, default=None, help="print only the top-N contributions")
+    p.add_argument("--out", help="optional waterfall plot-data CSV with every contribution "
+                   "(--top limits only the printed rows)")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("simulate", help="EMSR-b revenue comparison of both forecast pipelines")

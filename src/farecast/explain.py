@@ -12,6 +12,7 @@ so one explanation only walks the prediction path of each tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -47,15 +48,19 @@ def explain_prediction(
         if len(absent) != len(values):
             raise ValueError(f"missing mask has {len(absent)} entries, row has {len(values)}")
 
+    names = model.feature_names
     base = model.base_score
     contributions: dict[str, float] = {}
     for tree in model.trees:
         base += tree.expected
         node = tree
-        while not node.is_leaf:
+        while node.left is not None:  # TreeNode.route, inlined
             f = node.feature
-            child = node.route(values[f], absent[f])
-            name = model.feature_names[f]
+            if absent[f]:
+                child = node.left if node.missing_left else node.right
+            else:
+                child = node.left if values[f] < node.threshold else node.right
+            name = names[f]
             contributions[name] = contributions.get(name, 0.0) + (child.expected - node.expected)
             node = child
 
@@ -68,32 +73,33 @@ def explain_prediction(
     )
 
 
-def _trace(explanation: Explanation) -> list[tuple[str, float, float]]:
-    """(feature, log-odds contribution, cumulative probability) rows."""
-    rows = [("(base)", explanation.base, sigmoid(explanation.base))]
-    running = explanation.base
-    for name, lo in explanation.contributions.items():
-        running += lo
-        rows.append((name, lo, sigmoid(running)))
-    return rows
+def _trace(explanation: Explanation) -> tuple[list[str], list[float], list[float]]:
+    """Parallel lists: feature, log-odds contribution, cumulative probability.
+    accumulate adds in row order, as a running sum would."""
+    names = ["(base)", *explanation.contributions]
+    los = [explanation.base, *explanation.contributions.values()]
+    return names, los, [sigmoid(r) for r in accumulate(los)]
 
 
 def render_waterfall(explanation: Explanation, max_features: int | None = None) -> str:
     """Text waterfall: features by descending |log-odds|, with the cumulative
     probability trace and the 0.5 purchase cut-off marked. max_features
     caps the contribution rows shown; a negative value raises ValueError."""
-    rows = _trace(explanation)
+    names, los, probs = _trace(explanation)
+    end = None
     if max_features is not None:
         if max_features < 0:
             raise ValueError(f"max_features must be >= 0, got {max_features}")
-        rows = rows[: max_features + 1]
-    lines = ["feature                      log_odds   delta_prob  cum_prob"]
-    prev_p = None
-    for name, lo, p in rows:
-        delta = "" if prev_p is None else f"{p - prev_p:+10.4f}"
-        marker = " <-- crosses 0.5" if prev_p is not None and (prev_p < 0.5) != (p < 0.5) else ""
-        lines.append(f"{name:<28} {lo:+9.4f} {delta:>10}  {p:8.4f}{marker}")
-        prev_p = p
+        end = max_features + 1
+    lines = [
+        "feature                      log_odds   delta_prob  cum_prob",
+        "%-28s %+9.4f %10s  %8.4f" % (names[0], los[0], "", probs[0]),
+    ]
+    lines += [
+        "%-28s %+9.4f %+10.4f  %8.4f%s"
+        % (name, lo, p - prev_p, p, " <-- crosses 0.5" if (prev_p < 0.5) != (p < 0.5) else "")
+        for name, lo, prev_p, p in zip(names[1:end], los[1:end], probs, probs[1:end])
+    ]
     verdict = "purchase" if explanation.final_probability >= 0.5 else "no purchase"
     lines.append(
         f"final: log_odds={explanation.final_log_odds:+.4f} "
@@ -106,5 +112,5 @@ def write_waterfall_data(
     explanation: Explanation, path: str | Path, header_comment: str | None = None
 ) -> None:
     """Plot-data file: ordered (feature, log_odds, cumulative_probability)."""
-    rows = ([name, f"{lo:.10g}", f"{p:.10g}"] for name, lo, p in _trace(explanation))
+    rows = ([name, f"{lo:.10g}", f"{p:.10g}"] for name, lo, p in zip(*_trace(explanation)))
     write_csv(path, ["feature", "log_odds", "cumulative_probability"], rows, header_comment)

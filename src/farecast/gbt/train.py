@@ -269,8 +269,11 @@ def predict_margin(model: TreeEnsemble, X: np.ndarray, missing: np.ndarray | Non
 
 
 def predict_proba(model: TreeEnsemble, X: np.ndarray, missing: np.ndarray | None = None) -> np.ndarray:
-    """Purchase probability, strictly inside (0, 1)."""
-    return 1.0 / (1.0 + np.exp(-predict_margin(model, X, missing)))
+    """Purchase probability in [0, 1]: a margin of 36.8 or more gives exactly 1.0,
+    and one below about -709.78 overflows exp to inf and gives exactly 0.0."""
+    margin = predict_margin(model, X, missing)
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-margin))
 
 
 def predict_label(model: TreeEnsemble, X: np.ndarray, missing: np.ndarray | None = None) -> np.ndarray:

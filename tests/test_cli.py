@@ -19,6 +19,7 @@ import pytest
 
 from farecast import cli, gbt
 from farecast.config import load_config, read_scenario, write_scenario
+from farecast.explain import explain_prediction
 from farecast.features import FeatureTable
 
 SMALL_ODS = ["KUL-SIN", "LHR-JFK"]
@@ -109,6 +110,29 @@ def test_explain_writes_waterfall_data(workspace, tmp_path):
     assert lines[0].startswith("# config_hash=")
     assert lines[1] == "feature,log_odds,cumulative_probability"
     assert lines[2].startswith("(base),")
+
+
+def test_explain_top_limits_printed_rows_not_out_file(workspace, tmp_path, capsys):
+    features = FeatureTable.from_csv(workspace / "out" / SMALL_ODS[0] / "features.csv")
+    X, missing, _ = features.model_matrix()
+    model = gbt.TreeEnsemble.from_json(
+        (workspace / "out" / SMALL_ODS[0] / "gbt.json").read_text(encoding="utf-8"))
+    n_contributions = len(explain_prediction(model, X[0], missing[0]).contributions)
+    assert n_contributions > 2
+    out = tmp_path / "w.csv"
+    capsys.readouterr()
+    assert cli.main([
+        "explain", "--features", str(workspace / "out"),
+        "--models", str(workspace / "out"),
+        "--od", SMALL_ODS[0], "--row", "0", "--top", "2", "--out", str(out),
+    ]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0].startswith("feature ")
+    assert printed[1].startswith("(base) ")
+    assert printed[4].startswith("final: ")
+    assert printed[5:] == [f"wrote waterfall data to {out}"]
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2 + 1 + n_contributions  # comment, header, base, every contribution
 
 
 def test_simulate_writes_report_and_replications(workspace, tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from functools import lru_cache
 
@@ -15,6 +17,7 @@ from farecast.explain import (
     render_waterfall,
     write_waterfall_data,
 )
+from farecast.gbt.model import sigmoid as model_sigmoid
 
 
 def sigmoid(z):
@@ -197,6 +200,23 @@ def test_stored_expectations_and_explanations_equal_oracle(seed, variant):
             assert exp.final_log_odds == final
 
 
+def test_rows_on_a_threshold_route_as_tree_node_route():
+    # a value equal to a split threshold goes right; the oracle routes with
+    # TreeNode.route, so this pins the inlined routing at ties
+    model, X, missing = _oracle_case(0)
+    splits = {(n.feature, n.threshold) for t in model.trees for n in _nodes(t) if not n.is_leaf}
+    assert splits
+    for f, threshold in sorted(splits):
+        row = X[0].copy()
+        row[f] = threshold
+        mask = missing[0].copy()
+        mask[f] = False
+        exp = explain_prediction(model, row, mask)
+        base, contributions, ordering, final = _explain_oracle(model, row, mask)
+        assert list(exp.contributions.items()) == [(k, contributions[k]) for k in ordering]
+        assert (exp.base, exp.final_log_odds) == (base, final)
+
+
 def test_zero_cover_split_expects_midpoint_of_children():
     left = gbt.TreeNode(cover=0.0, grad_sum=0.0, weight=0.3)
     right = gbt.TreeNode(cover=0.0, grad_sum=0.0, weight=-0.1)
@@ -209,3 +229,108 @@ def test_missing_mask_length_must_match_row():
     for mask in (np.zeros(7, dtype=bool), np.zeros(5, dtype=bool)):
         with pytest.raises(ValueError, match=f"missing mask has {len(mask)} entries, row has 6"):
             explain_prediction(model, X[0], mask)
+
+
+# ------------------------------------------------------ render, scalar oracle
+
+def _trace_oracle(explanation):
+    """(feature, log-odds contribution, cumulative probability) rows."""
+    rows = [("(base)", explanation.base, model_sigmoid(explanation.base))]
+    running = explanation.base
+    for name, lo in explanation.contributions.items():
+        running += lo
+        rows.append((name, lo, model_sigmoid(running)))
+    return rows
+
+
+def _render_oracle(explanation, max_features=None):
+    """Row-at-a-time waterfall with a running sum and a four-spec f-string."""
+    rows = _trace_oracle(explanation)
+    if max_features is not None:
+        if max_features < 0:
+            raise ValueError(f"max_features must be >= 0, got {max_features}")
+        rows = rows[: max_features + 1]
+    lines = ["feature                      log_odds   delta_prob  cum_prob"]
+    prev_p = None
+    for name, lo, p in rows:
+        delta = "" if prev_p is None else f"{p - prev_p:+10.4f}"
+        marker = " <-- crosses 0.5" if prev_p is not None and (prev_p < 0.5) != (p < 0.5) else ""
+        lines.append(f"{name:<28} {lo:+9.4f} {delta:>10}  {p:8.4f}{marker}")
+        prev_p = p
+    verdict = "purchase" if explanation.final_probability >= 0.5 else "no purchase"
+    lines.append(
+        f"final: log_odds={explanation.final_log_odds:+.4f} "
+        f"p={explanation.final_probability:.4f} -> {verdict} (cut-off 0.5)"
+    )
+    return "\n".join(lines)
+
+
+_MAX_FEATURES = (None, 0, 1, 3, 99)
+
+
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_render_equals_oracle_on_every_row(seed, variant):
+    trained, X, missing = _oracle_case(seed)
+    model = _VARIANTS[variant](trained)
+    for i in range(len(X)):
+        for mask in (missing[i], None):
+            exp = explain_prediction(model, X[i], mask)
+            for top in _MAX_FEATURES:
+                assert render_waterfall(exp, top) == _render_oracle(exp, top)
+
+
+def _hand(base, contributions):
+    final = base + sum(contributions.values())
+    return Explanation(base=base, contributions=contributions,
+                       final_log_odds=final, final_probability=model_sigmoid(final))
+
+
+_HAND_BUILT = {
+    "crosses_up_then_down": _hand(-0.2, {"up": 0.5, "down": -0.6, "flat": 0.05}),
+    "base_at_half": _hand(0.0, {"a": -0.1, "b": 0.3}),
+    "final_at_half": _hand(0.25, {"a": 0.5, "b": -0.75}),
+    "empty": _hand(-1.5, {}),
+    "long_name": _hand(0.4, {"x" * 40: -0.9, "short": 0.1}),
+    "non_finite": _hand(0.3, {"nan": math.nan, "pos_inf": math.inf, "neg_inf": -math.inf,
+                              "neg_zero": -0.0, "huge": 1e300}),
+    "signed_zeros": _hand(-0.0, {"z": -0.0, "inf": math.inf, "back": -math.inf}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HAND_BUILT))
+def test_render_equals_oracle_on_hand_built_explanations(case):
+    exp = _HAND_BUILT[case]
+    for top in _MAX_FEATURES:
+        assert render_waterfall(exp, top) == _render_oracle(exp, top)
+
+
+def test_hand_built_edges_render_as_intended():
+    lines = render_waterfall(_HAND_BUILT["crosses_up_then_down"]).splitlines()
+    assert [line.split()[0] for line in lines if line.endswith("<-- crosses 0.5")] == ["up", "down"]
+    base_row = render_waterfall(_HAND_BUILT["base_at_half"]).splitlines()[1]
+    assert base_row == f"{'(base)':<28} {0.0:+9.4f} {'':>10}  {0.5:8.4f}"
+    exp = _HAND_BUILT["final_at_half"]
+    assert exp.final_probability == 0.5
+    assert render_waterfall(exp).endswith("p=0.5000 -> purchase (cut-off 0.5)")
+    assert len(render_waterfall(_HAND_BUILT["empty"]).splitlines()) == 3
+    assert render_waterfall(_HAND_BUILT["long_name"]).splitlines()[2].startswith("x" * 40 + " ")
+
+
+def _oracle_file(explanation, comment):
+    buf = io.StringIO()
+    buf.write(f"# {comment}\n")
+    writer = csv.writer(buf)
+    writer.writerow(["feature", "log_odds", "cumulative_probability"])
+    writer.writerows([name, f"{lo:.10g}", f"{p:.10g}"] for name, lo, p in _trace_oracle(explanation))
+    return buf.getvalue().encode("utf-8")
+
+
+def test_waterfall_data_file_equals_oracle(tmp_path):
+    trained, X, missing = _oracle_case(0)
+    cases = [explain_prediction(trained, X[i], missing[i]) for i in range(0, len(X), 30)]
+    cases += [_HAND_BUILT[case] for case in sorted(_HAND_BUILT)]
+    path = tmp_path / "waterfall.csv"
+    for exp in cases:
+        write_waterfall_data(exp, path, header_comment="seed=0")
+        assert path.read_bytes() == _oracle_file(exp, "seed=0")

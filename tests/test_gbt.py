@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import math
+import warnings
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -121,6 +122,25 @@ def test_label_boundary_counts_as_purchase():
     y = np.array([0.0, 1.0])
     model = gbt.train(X, y, gbt.GbtParams(n_trees=1, max_depth=1, gamma=10.0))
     assert gbt.predict_label(model, X).tolist() == [1, 1]  # p = 0.5 exactly
+
+
+def test_extreme_margins_give_closed_interval_without_warning():
+    # margins -800, 0 and 40: exp(800) overflows to inf, so p is exactly 0.0,
+    # and 1 + exp(-40) rounds to 1, so p is exactly 1.0
+    def leaf(weight):
+        return gbt.TreeNode(cover=1.0, grad_sum=0.0, weight=weight)
+
+    inner = gbt.TreeNode(cover=2.0, grad_sum=0.0, feature=0, threshold=1.5,
+                         left=leaf(0.0), right=leaf(40.0))
+    root = gbt.TreeNode(cover=3.0, grad_sum=0.0, feature=0, threshold=0.5,
+                        left=leaf(-800.0), right=inner)
+    model = gbt.TreeEnsemble([root], 0.0, gbt.GbtParams(), ["x"])
+    X = np.array([[0.0], [1.0], [2.0]])
+    assert gbt.predict_margin(model, X).tolist() == [-800.0, 0.0, 40.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gbt.predict_proba(model, X).tolist() == [0.0, 0.5, 1.0]
+        assert gbt.predict_label(model, X).tolist() == [False, True, True]
 
 
 # --- invariants ---------------------------------------------------------------

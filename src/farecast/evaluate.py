@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ingest import write_csv
+from .ingest import quote_cells, write_csv
 
 __all__ = ["ConfusionTriple", "confusion", "compare_models", "write_comparison_table"]
 
@@ -93,14 +93,15 @@ def write_comparison_table(
 ) -> None:
     """CSV report with columns od, method, fn, fp, tp (shares)."""
 
-    def cells(triple: ConfusionTriple) -> list[str]:
-        if not triple.defined:
-            return ["undefined"] * 3
-        return [f"{triple.fn_share:.4f}", f"{triple.fp_share:.4f}", f"{triple.tp_share:.4f}"]
+    def shares(name: str) -> list[str]:
+        return [f"{getattr(t, name):.4f}" if t.defined else "undefined" for _, _, t in rows]
 
-    write_csv(
-        path,
-        ["od", "method", "fn", "fp", "tp"],
-        ([od, method, *cells(triple)] for od, method, triple in rows),
-        header_comment,
-    )
+    memo: dict[str, str] = {}
+    columns = [
+        quote_cells((od for od, _, _ in rows), memo),
+        quote_cells((method for _, method, _ in rows), memo),
+        shares("fn_share"),
+        shares("fp_share"),
+        shares("tp_share"),
+    ]
+    write_csv(path, ["od", "method", "fn", "fp", "tp"], [columns], header_comment)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .gbt.model import TreeEnsemble, sigmoid
-from .ingest import write_csv
+from .ingest import quote_cells, write_csv
 
 __all__ = ["Explanation", "explain_prediction", "render_waterfall", "write_waterfall_data"]
 
@@ -112,5 +112,6 @@ def write_waterfall_data(
     explanation: Explanation, path: str | Path, header_comment: str | None = None
 ) -> None:
     """Plot-data file: ordered (feature, log_odds, cumulative_probability)."""
-    rows = ([name, f"{lo:.10g}", f"{p:.10g}"] for name, lo, p in zip(*_trace(explanation)))
-    write_csv(path, ["feature", "log_odds", "cumulative_probability"], rows, header_comment)
+    names, los, probs = _trace(explanation)
+    columns = [quote_cells(names, {}), [f"{v:.10g}" for v in los], [f"{v:.10g}" for v in probs]]
+    write_csv(path, ["feature", "log_odds", "cumulative_probability"], [columns], header_comment)

@@ -36,6 +36,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .ingest import (
+    CSV_BLOCK_ROWS,
     REVIEW_SCORES,
     FareObservation,
     FleetRecord,
@@ -44,6 +45,8 @@ from .ingest import (
     ReviewRecord,
     SafetyRecord,
     TweetRecord,
+    format_floats,
+    quote_cells,
     read_csv,
     write_csv,
 )
@@ -163,12 +166,19 @@ class FeatureTable:
         return self.column("is_bought").astype(np.int64)
 
     def to_csv(self, path: str | Path, header_comment: str | None = None) -> None:
-        def rows():
-            for start in range(0, len(self), _CSV_BLOCK_ROWS):
-                stop = start + _CSV_BLOCK_ROWS
-                yield from zip(self.ods[start:stop], *map(_fmt_column, self.values[start:stop].T))
+        """Write the table through `write_csv` a block of CSV_BLOCK_ROWS rows
+        at a time: the `od` column quoted by `quote_cells` (csv.writer's rule,
+        once per distinct OD), each numeric column by `_feature_cells` through
+        `format_floats`, once per distinct value."""
+        memo: dict[str, str] = {}
 
-        write_csv(path, _CSV_HEADER, rows(), header_comment)
+        def blocks():
+            for start in range(0, len(self), CSV_BLOCK_ROWS):
+                stop = start + CSV_BLOCK_ROWS
+                yield [quote_cells(self.ods[start:stop], memo),
+                       *(format_floats(col, _feature_cells) for col in self.values[start:stop].T)]
+
+        write_csv(path, _CSV_HEADER, blocks(), header_comment)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "FeatureTable":
@@ -206,21 +216,15 @@ class FeatureTable:
         return cls(ods=ods, values=values)
 
 
-# features.csv is formatted in blocks of rows, a column at a time within a
-# block, so only one block's cell strings are alive at once.
-_CSV_BLOCK_ROWS = 1024
-
-
-def _fmt_column(col: np.ndarray) -> list[str]:
-    """One column's CSV cells: "" for NaN, an integer value below 1e15 in
-    magnitude through `str` of its int64, any other value as "%.6g". Each
-    distinct value is formatted once."""
-    uniq, inverse = np.unique(col, return_inverse=True)
+def _feature_cells(uniq: np.ndarray) -> np.ndarray:
+    """The cells of a numeric column's distinct values (see `format_floats`):
+    "" for NaN, an integer value below 1e15 in magnitude through `str` of its
+    int64, any other value as "%.6g"."""
     text = np.array(["%.6g" % v for v in uniq.tolist()], dtype=object)
     whole = (np.abs(uniq) < 1e15) & (uniq == np.trunc(uniq))  # False for NaN
     text[whole] = list(map(str, uniq[whole].astype(np.int64).tolist()))
     text[np.isnan(uniq)] = ""
-    return text[inverse].tolist()
+    return text
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,12 @@ are held as columns (`ParseResult.columns`). The record objects
 Each schema decision is made here once (`SCHEMAS`, `DATASETS`,
 `REVIEW_SCORES`). `read_csv` and `write_csv` are the package's one CSV reader
 and writer: every CSV input (datasets, lexicon, feature tables) and every
-artifact goes through them, the artifacts via `atomic_write_text`'s temp
-file + rename.
+artifact goes through them. Writing also works a column at a time: a writer
+formats a block of rows as columns of finished cells, each numeric column
+with its artifact's own rule once per distinct value (`format_floats`) and
+each text column through `quote_cells`, the one place csv.writer's quoting
+rule is applied; `write_csv` joins the block's rows with "," and CRLF into a
+temp file that replaces the target only once the last block is written.
 """
 
 from __future__ import annotations
@@ -24,11 +28,13 @@ import io
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, fields as dc_fields
 from functools import cached_property
-from itertools import compress
+from itertools import compress, islice
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, get_type_hints
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, get_type_hints
 
 import numpy as np
 
@@ -47,6 +53,8 @@ __all__ = [
     "REVIEW_SCORES",
     "parse_dataset",
     "serialize_dataset",
+    "format_floats",
+    "quote_cells",
     "filter_tweets",
     "atomic_write_text",
     "read_csv",
@@ -329,19 +337,75 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
     return ParseResult(schema=schema, columns=columns, rejected=rejected)
 
 
-def _format_value(val) -> str:
-    if isinstance(val, bool):
-        return "1" if val else "0"
-    if isinstance(val, float):
-        return f"{val:.6g}"
-    return str(val)
+# Rows per formatted block: serialize_dataset and FeatureTable.to_csv format
+# and write one block of rows at a time, so only one block's cells are alive.
+CSV_BLOCK_ROWS = 1024
+
+_BOOL_CELLS = {True: "1", False: "0"}
+
+
+def _g6(values: np.ndarray) -> list[str]:
+    return ["%.6g" % v for v in values.tolist()]
 
 
 def serialize_dataset(records: Iterable, schema: str, path: str | Path) -> None:
-    """Write records back out in the schema's canonical column order."""
-    columns = schema_columns(schema)
-    rows = ([_format_value(getattr(rec, col)) for col in columns] for rec in records)
-    write_csv(path, columns, rows)
+    """Write records in the schema's canonical column order, a block of rows
+    at a time and a column at a time within a block, each column by its field's
+    type: bool as "1"/"0", int through `str`, float as "%.6g" once per distinct
+    value, str quoted by `quote_cells`. A value whose type is not exactly its
+    field's type (a bool in an int field, an int in a float field) raises
+    TypeError naming the schema and field."""
+    rec_type, _ = SCHEMAS[schema]
+    hints = get_type_hints(rec_type)
+    names = schema_columns(schema)
+    row_of = attrgetter(*names)
+    memo: dict[str, str] = {}
+
+    def cells(name: str, col: tuple) -> list[str]:
+        typ = hints[name]
+        if set(map(type, col)) != {typ}:
+            bad = next(type(v) for v in col if type(v) is not typ)
+            raise TypeError(
+                f"{schema}.{name} holds a {bad.__name__} value; the field is {typ.__name__}")
+        if typ is bool:
+            return list(map(_BOOL_CELLS.__getitem__, col))
+        if typ is int:
+            return list(map(str, col))
+        if typ is float:
+            return format_floats(np.array(col, dtype=np.float64), _g6)
+        return quote_cells(col, memo)
+
+    def blocks():
+        rows = iter(records)
+        while block := list(islice(rows, CSV_BLOCK_ROWS)):
+            yield [cells(name, col) for name, col in zip(names, zip(*map(row_of, block)))]
+
+    write_csv(path, names, blocks())
+
+
+def format_floats(col: np.ndarray, rule: Callable[[np.ndarray], Sequence[str]]) -> list[str]:
+    """A float column's cells, with `rule` mapping its sorted distinct values
+    to their cells in one call. Values are told apart by their bits, so 0.0
+    and -0.0, which np.unique and dict keys merge, each get their own cell."""
+    uniq, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    return np.array(rule(uniq.view(np.float64)), dtype=object)[inverse].tolist()
+
+
+def quote_cells(cells: Iterable[str], memo: dict[str, str]) -> list[str]:
+    """str cells as CSV fields, quoted as csv.writer's default dialect quotes
+    a field in a row of two or more. csv.writer itself formats each value not
+    yet in `memo`, the caller's value -> field map, kept for one file."""
+    cells = list(cells)
+    new = set(cells).difference(memo)
+    if new:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        for value in new:
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow((value, ""))  # a second, empty field, then ",\r\n"
+            memo[value] = buf.getvalue()[:-3]
+    return list(map(memo.__getitem__, cells))
 
 
 def filter_tweets(tweets: Iterable[TweetRecord]) -> list[TweetRecord]:
@@ -352,19 +416,28 @@ def filter_tweets(tweets: Iterable[TweetRecord]) -> list[TweetRecord]:
     ]
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write whole-file content via a temp file + rename in the same dir."""
+@contextmanager
+def _atomic_open(path: str | Path) -> Iterator[TextIO]:
+    """A text file to write whole-file content to: a temp file in the same
+    directory, renamed over `path` only when the block ends without error and
+    deleted when it raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write whole-file content via a temp file + rename in the same dir."""
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
 def read_csv(path: str | Path) -> Iterator[tuple[int, list[str]]]:
@@ -381,15 +454,27 @@ def read_csv(path: str | Path) -> Iterator[tuple[int, list[str]]]:
 
 
 def write_csv(
-    path: str | Path, header: Sequence[str], rows: Iterable[Sequence], comment: str | None = None
+    path: str | Path,
+    header: Sequence[str],
+    blocks: Iterable[Sequence[Sequence[str]]],
+    comment: str | None = None,
 ) -> None:
-    """The one CSV writer: optional `# comment` line, header, rows (csv's
-    default dialect, so lines end in CRLF), written atomically. The file is
-    only replaced once every row has been formatted."""
-    buf = io.StringIO()
-    if comment:
-        buf.write(f"# {comment}\n")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    """The one CSV writer: optional `# comment` line, header, then each block
+    of rows, written atomically. A block is a list of columns, one per header
+    name, of finished cells: numbers already formatted, and text already
+    passed through `quote_cells`, where csv.writer's quoting rule is applied.
+    Each block's rows are joined with "," and "\r\n" (csv's default dialect)
+    and written to the temp file before the next block is asked for, so only
+    one block's text is alive; the file is replaced after the last block."""
+    with _atomic_open(path) as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(quote_cells(header, {})) + "\r\n")
+        for columns in blocks:
+            if len(columns) != len(header) or len(set(map(len, columns))) > 1:
+                raise ValueError(f"{path}: a block needs {len(header)} columns of equal length")
+            if len(columns) == 1 and "" in columns[0]:
+                raise ValueError(f"{path}: an empty cell in a one-column table reads back as no row")
+            lines = list(map(",".join, zip(*columns)))
+            if lines:
+                fh.write("\r\n".join(lines) + "\r\n")

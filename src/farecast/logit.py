@@ -23,6 +23,11 @@ log = logging.getLogger(__name__)
 L2_PENALTY = 1e-6
 MAX_ITER = 100
 TOL = 1e-10
+# A Newton step is halved while it raises the penalized objective by more than
+# RISE_TOL relative (rounding on a converged fit stays far below it), at most
+# MAX_HALVINGS times.
+RISE_TOL = 1e-9
+MAX_HALVINGS = 50
 
 # Largest argument for which math.exp is finite; above it, it raises.
 _LOG_DBL_MAX = math.log(sys.float_info.max)
@@ -123,17 +128,25 @@ def _impute_and_scale(X, missing, mean=None, scale=None):
     return Z, mean, scale
 
 
+def _penalized_nll(eta, y, beta, penalty) -> float:
+    """sum(log(1 + exp(eta)) - y * eta) + 0.5 * sum(penalty * beta**2)."""
+    return float(np.sum(np.logaddexp(0.0, eta) - y * eta) + 0.5 * np.sum(penalty * beta * beta))
+
+
 def fit_logit(
     X: np.ndarray,
     y: np.ndarray,
     feature_names: list[str] | None = None,
     missing: np.ndarray | None = None,
 ) -> LogitModel:
-    """Penalized maximum-likelihood fit via IRLS (Newton steps).
+    """Penalized maximum-likelihood fit via IRLS (damped Newton steps).
 
-    The ridge penalty on the standardized slopes is L2_PENALTY; IRLS stops
-    once the gradient norm is below TOL, or after MAX_ITER steps: that is
-    reported, not raised, as converged=False and a warning.
+    The ridge penalty on the standardized slopes is L2_PENALTY. Each Newton
+    step is halved while it raises the penalized objective (step-halving IRLS),
+    so a quasi-separable market cannot diverge. IRLS stops once the gradient
+    norm is below TOL, after MAX_ITER steps, or when no halved step lowers the
+    objective; short of TOL, that is reported, not raised, as converged=False
+    and a warning.
     """
     y = np.asarray(y, dtype=np.float64)
     if not np.isin(y, (0, 1)).all():
@@ -147,10 +160,11 @@ def fit_logit(
     penalty = np.full(m + 1, L2_PENALTY)
     penalty[0] = 0.0  # intercept unpenalized
 
+    eta = np.zeros(n)
+    objective = _penalized_nll(eta, y, beta, penalty)
     grad_norm = np.inf
     it = 0
     for it in range(1, MAX_ITER + 1):
-        eta = A @ beta
         p = _expit(eta)
         grad = A.T @ (p - y) + penalty * beta
         grad_norm = float(np.linalg.norm(grad))
@@ -158,12 +172,24 @@ def fit_logit(
             break
         w = np.clip(p * (1.0 - p), 1e-12, None)
         hess = (A * w[:, None]).T @ A + np.diag(penalty)
-        beta = beta - np.linalg.solve(hess, grad)
+        step = np.linalg.solve(hess, grad)
+        # Damped Newton: halve the step while it raises the objective by more
+        # than rounding; a full step that does not is taken unchanged.
+        for _ in range(MAX_HALVINGS):
+            new_beta = beta - step
+            new_eta = A @ new_beta
+            new_objective = _penalized_nll(new_eta, y, new_beta, penalty)
+            if new_objective <= objective + RISE_TOL * abs(objective):
+                break
+            step = 0.5 * step
+        else:
+            break  # no step along the Newton direction lowers the objective
+        beta, eta, objective = new_beta, new_eta, new_objective
 
     converged = grad_norm < TOL
     if not converged:
         log.warning(
-            "IRLS did not converge in %d iterations (grad norm %.3g)", MAX_ITER, grad_norm
+            "IRLS did not converge in %d iterations (grad norm %.3g)", it, grad_norm
         )
     return LogitModel(
         intercept=float(beta[0]),

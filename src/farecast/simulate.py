@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ingest import write_csv
+from .ingest import quote_cells, write_csv
 
 __all__ = [
     "N_CLASSES",
@@ -421,29 +421,30 @@ class ComparisonReport:
     bookings: dict[tuple[bool, str], list[int]]
 
     def to_csv(self, path: str | Path, header_comment: str | None = None) -> None:
-        rows = []
-        for ds in (False, True):
-            lo, hi = self.gain_ci95[ds]
-            rows.append([
-                "Yes" if ds else "No",
-                f"{self.mean_revenue[(ds, 'std')]:.2f}",
-                f"{self.mean_revenue[(ds, 'xgb')]:.2f}",
-                f"{self.gain_pct[ds]:.2f}",
-                f"{lo:.2f}",
-                f"{hi:.2f}",
-            ])
+        both = (False, True)
+        values = [
+            [self.mean_revenue[(ds, "std")] for ds in both],
+            [self.mean_revenue[(ds, "xgb")] for ds in both],
+            [self.gain_pct[ds] for ds in both],
+            [self.gain_ci95[ds][0] for ds in both],
+            [self.gain_ci95[ds][1] for ds in both],
+        ]
         write_csv(
             path, ["downsell", "std", "xgb", "gain_pct", "gain_ci_low", "gain_ci_high"],
-            rows, header_comment,
+            [[["No", "Yes"], *([f"{v:.2f}" for v in col] for col in values)]], header_comment,
         )
 
     def write_replication_log(self, path: str | Path) -> None:
-        rows = (
-            [rep, "Yes" if ds else "No", method, f"{rev:.2f}", sold]
-            for (ds, method), revs in sorted(self.per_rep.items())
-            for rep, (rev, sold) in enumerate(zip(revs, self.bookings[(ds, method)]))
-        )
-        write_csv(path, ["rep", "downsell", "method", "revenue", "bookings"], rows)
+        reps, downsell, methods, revenue, bookings = [], [], [], [], []
+        for (ds, method), revs in sorted(self.per_rep.items()):
+            sold = self.bookings[(ds, method)]
+            reps += map(str, range(len(revs)))
+            downsell += ["Yes" if ds else "No"] * len(revs)
+            methods += [method] * len(revs)
+            revenue += [f"{rev:.2f}" for rev in revs]
+            bookings += map(str, sold)
+        columns = [reps, downsell, quote_cells(methods, {}), revenue, bookings]
+        write_csv(path, ["rep", "downsell", "method", "revenue", "bookings"], [columns])
 
 
 def compare_policies(

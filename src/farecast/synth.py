@@ -97,11 +97,12 @@ def _clip_rating(x: float) -> int:
 def _review_text(rng: np.random.Generator, quality: float) -> str:
     n_pos = rng.binomial(4, quality)
     n_neg = rng.binomial(4, 1.0 - quality)
-    words = (
-        list(rng.choice(_POSITIVE_WORDS, size=n_pos))
-        + list(rng.choice(_NEGATIVE_WORDS, size=n_neg))
-        + list(rng.choice(_FILLER, size=3))
-    )
+    # each list indexed by rng.integers, the draws rng.choice(list, size=n) makes
+    words = [
+        vocab[i]
+        for vocab, n in ((_POSITIVE_WORDS, n_pos), (_NEGATIVE_WORDS, n_neg), (_FILLER, 3))
+        for i in rng.integers(0, len(vocab), size=n).tolist()
+    ]
     rng.shuffle(words)
     return "The " + " ".join(words)
 
@@ -201,7 +202,7 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
             data.fleet.append(
                 FleetRecord(
                     airline_id=a,
-                    aircraft_type=str(rng.choice(types)),
+                    aircraft_type=types[rng.integers(len(types))],  # as rng.choice(types)
                     aircraft_cost=float(round(rng.uniform(80, 350), 1)),
                     registration=f"PH-{a:02d}{k:03d}",
                     aircraft_age=float(round(rng.uniform(0.5, 22.0), 1)),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import statistics
 
@@ -27,6 +28,7 @@ from farecast.features import (
     rolling_price_features,
 )
 from farecast.ingest import (
+    CSV_BLOCK_ROWS,
     FareObservation,
     FleetRecord,
     ItineraryRecord,
@@ -37,7 +39,6 @@ from farecast.ingest import (
     filter_tweets,
     parse_dataset,
     serialize_dataset,
-    write_csv,
 )
 from farecast.sentiment import load_default_lexicon
 
@@ -304,10 +305,13 @@ def _fmt(v: float) -> str:
 
 
 def _write_per_cell(table, path, comment):
-    """The per-cell reference writer for FeatureTable.to_csv."""
+    """The per-cell reference writer for FeatureTable.to_csv: csv.writer rows."""
     header = ["od"] + [c[:-3] + "_zz" if c.endswith("_xx") else c for c in ALL_COLUMNS]
-    rows = ([od] + [_fmt(v) for v in row] for od, row in zip(table.ods, table.values))
-    write_csv(path, header, rows, comment)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([od] + [_fmt(v) for v in row] for od, row in zip(table.ods, table.values))
 
 
 EDGE_VALUES = [-0.0, 0.5, -3.0, 1e15 - 1, 1e15, 1e16, 1234567.5, 1e-7, 123456789.0]
@@ -336,6 +340,18 @@ def test_to_csv_equals_per_cell_oracle(tmp_path):
     _write_per_cell(table, tmp_path / "want.csv", "seed=1")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     assert b",mean3d_zz," in (tmp_path / "got.csv").read_bytes()
+
+
+def test_to_csv_quotes_ods_as_the_per_cell_oracle(tmp_path):
+    ods = ['AMS,LHR', 'say "KUL"', "AMS-LHR", " FRA-SYD"]
+    n = CSV_BLOCK_ROWS + 5  # the quoting memo carries over into the second block
+    values = np.random.default_rng(1).normal(size=(n, len(ALL_COLUMNS)))
+    table = FeatureTable(ods=[ods[i % len(ods)] for i in range(n)], values=values)
+    table.to_csv(tmp_path / "got.csv", header_comment="seed=1")
+    _write_per_cell(table, tmp_path / "want.csv", "seed=1")
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert b'\r\n"AMS,LHR",' in got and b'\r\n"say ""KUL""",' in got
 
 
 def test_columns_and_records_give_one_table(tmp_path):

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import astuple, fields
+import csv
+from dataclasses import astuple, fields, replace
 from importlib import resources
 from typing import get_type_hints
 
 import numpy as np
 import pytest
 
+from farecast import synth
 from farecast.ingest import (
     _COERCERS,
+    CSV_BLOCK_ROWS,
     DATASETS,
     REVIEW_SCORES,
     SCHEMAS,
@@ -20,6 +23,7 @@ from farecast.ingest import (
     TweetRecord,
     filter_tweets,
     parse_dataset,
+    quote_cells,
     read_csv,
     schema_columns,
     serialize_dataset,
@@ -166,23 +170,104 @@ def test_review_rating_bounds(tmp_path):
 
 def test_write_csv_comment_header_and_crlf(tmp_path):
     path = tmp_path / "sub" / "t.csv"
-    write_csv(path, ["a", "b"], [[1, "x,y"], [2, ""]], comment="seed=1")
+    write_csv(path, ["a", "b"], [[["1", "2"], quote_cells(["x,y", ""], {})]], comment="seed=1")
     assert path.read_bytes() == b'# seed=1\na,b\r\n1,"x,y"\r\n2,\r\n'
 
 
 def test_write_csv_failure_leaves_existing_file(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["a"], [[1], [2]])
+    write_csv(path, ["a"], [[["1", "2"]]])
     before = path.read_bytes()
 
     def rows():
-        yield [3]
+        yield [["3"]]
         raise RuntimeError("row formatting failed")
 
     with pytest.raises(RuntimeError, match="row formatting failed"):
         write_csv(path, ["a"], rows(), comment="new")
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
+
+# ------------------------------------- column-wise serialize vs per-record oracle
+
+def _format_value(val) -> str:
+    if isinstance(val, bool):
+        return "1" if val else "0"
+    if isinstance(val, float):
+        return f"{val:.6g}"
+    return str(val)
+
+
+def _serialize_oracle(records, schema, path):
+    """The per-record reference writer for serialize_dataset."""
+    names = schema_columns(schema)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows([_format_value(getattr(rec, n)) for n in names] for rec in records)
+
+
+@pytest.mark.parametrize("kind", DATASETS)
+def test_serialize_equals_per_record_oracle_on_a_fixture_market(tmp_path, kind):
+    od, archetype, n_air = synth.FIXTURE_ODS[0]
+    data = synth.generate_market(synth.ArchetypeSpec(od, archetype, n_air), seed=42 + 1000)
+    records = getattr(data, kind)
+    serialize_dataset(records, kind, tmp_path / "got.csv")
+    _serialize_oracle(records, kind, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+EDGE_FLOATS = [0.0, -0.0, 1e-7, 123456.5, 1234567.0, -2.5, 1e16, 0.1]
+EDGE_TEXT = ["a,b", 'say "hi"', "cr\rhere", "lf\nhere", " leading", "", "plain", "AMS-LHR"]
+
+
+def test_serialize_equals_per_record_oracle_across_blocks(tmp_path):
+    n = 2 * CSV_BLOCK_ROWS + 37  # more rows than one formatting block
+    bookings = [
+        ItineraryRecord(
+            od=EDGE_TEXT[i % len(EDGE_TEXT)], airline_id=i % 5 - 2, dep_day_id=1000 + i,
+            dbd=-(i % 40), dep_time_mam=i % 1440, travel_time=EDGE_FLOATS[i % len(EDGE_FLOATS)],
+            price=EDGE_FLOATS[(i * 3) % len(EDGE_FLOATS)], is_bought=i % 3 == 0,
+        )
+        for i in range(n)
+    ]
+    tweets = [
+        TweetRecord(i, EDGE_TEXT[i % len(EDGE_TEXT)], i % 2 == 0, i % 5 == 0,
+                    EDGE_TEXT[(i + 3) % len(EDGE_TEXT)])
+        for i in range(n)
+    ]
+    for kind, records in (("bookings", bookings), ("tweets", tweets)):
+        serialize_dataset(records, kind, tmp_path / f"{kind}.csv")
+        _serialize_oracle(records, kind, tmp_path / "want.csv")
+        assert (tmp_path / f"{kind}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    # 0.0 and -0.0 share one float column and must still be written "0" and "-0"
+    travel_time = [row[5] for _, row in list(read_csv(tmp_path / "bookings.csv"))[1:]]
+    assert {"0", "-0", "1e-07", "123456", "1.23457e+06"} <= set(travel_time)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("airline_id", True),   # a bool in an int field
+    ("price", 120),         # an int in a float field
+    ("is_bought", 1),       # an int in a bool field
+    ("od", 7),              # an int in a str field
+])
+def test_serialize_rejects_a_value_of_another_type(tmp_path, field, value):
+    records = [BOOKING] * (CSV_BLOCK_ROWS + 1) + [replace(BOOKING, **{field: value})]
+    with pytest.raises(TypeError, match=rf"bookings\.{field}\b"):
+        serialize_dataset(records, "bookings", tmp_path / "bookings.csv")
+    assert not (tmp_path / "bookings.csv").exists()
+
+
+@pytest.mark.parametrize("header, block", [
+    (["a", "b"], [["1"]]),                  # a column short
+    (["a", "b"], [["1", "2"], ["3"]]),      # columns of unequal length
+    (["a"], [["1", ""]]),                   # an empty one-column row is a blank line
+])
+def test_write_csv_rejects_a_malformed_block(tmp_path, header, block):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", header, [block])
+    assert list(tmp_path.iterdir()) == []
 
 
 # ------------------------------------------- column-wise parse vs per-row oracle

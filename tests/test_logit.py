@@ -10,8 +10,16 @@ import pytest
 from scipy import special
 from scipy.optimize import minimize
 
-from farecast import logit
+from farecast import logit, synth
+from farecast.features import (
+    airline_widebody_flags,
+    assemble_feature_vectors,
+    build_airline_aggregates,
+)
+from farecast.gbt import holdout_split_by_day
+from farecast.ingest import filter_tweets
 from farecast.logit import _expit, fit_logit, predict_logit, predict_logit_label
+from farecast.sentiment import load_default_lexicon
 
 
 def _oracle_fit(Z, y, l2):
@@ -83,6 +91,30 @@ def test_separable_data_stays_finite():
     model = fit_logit(X, y)
     assert np.isfinite(model.intercept)
     assert np.isfinite(model.coef).all()
+
+
+def test_quasi_separable_market_converges():
+    """Synth seed 5's KUL-SIN training rows (440, 98 purchases), where full
+    Newton steps raise the penalized NLL after it reaches 126.8 at step 13
+    and the iterates then diverge to |beta| ~ 1e10 without converging."""
+    i, (od, archetype, n_air) = next(
+        (i, spec) for i, spec in enumerate(synth.FIXTURE_ODS) if spec[0] == "KUL-SIN")
+    data = synth.generate_market(synth.ArchetypeSpec(od, archetype, n_air), seed=5 + 1000 * (i + 1))
+    aggregates = build_airline_aggregates(
+        data.reviews, filter_tweets(data.tweets), data.safety, data.fleet, load_default_lexicon())
+    table = assemble_feature_vectors(
+        data.bookings, data.fares, aggregates, widebody=airline_widebody_flags(data.fleet))
+    X, missing, names = table.model_matrix()
+    tr = ~holdout_split_by_day(table.column("dep_day_id"), 0.2)
+    y = table.labels()[tr].astype(float)
+    model = fit_logit(X[tr], y, feature_names=names, missing=missing[tr])
+    assert model.converged and model.grad_norm < logit.TOL
+
+    Z, _, _ = logit._impute_and_scale(X[tr], missing[tr])
+    eta = model.intercept + Z @ model.coef
+    objective = np.sum(np.logaddexp(0.0, eta) - y * eta) + 0.5 * logit.L2_PENALTY * np.sum(model.coef ** 2)
+    assert (len(y), int(y.sum())) == (440, 98)
+    assert objective <= 126.8 < len(y) * math.log(2)
 
 
 def test_monotone_in_positive_coefficient_feature():

@@ -182,7 +182,7 @@ def read_scenario(path: str | Path) -> SimScenario:
                 mix=DemandMix(tuple(_parse_list(get(section, "brand_mix")))),  # type: ignore[arg-type]
                 mean_demand=float(get(section, "mean_demand")),
                 history=_parse_list(get(section, "history")),
-                covered=parser[section].get("covered", "0").strip() == "1",
+                covered=parser[section].getboolean("covered", False),
             )
             for section in parser.sections()
             if section.startswith("od:")

@@ -54,7 +54,7 @@ def explain_prediction(
     for tree in model.trees:
         base += tree.expected
         node = tree
-        while node.left is not None:  # TreeNode.route, inlined
+        while node.left is not None:  # missing goes by missing_left, ties go right
             f = node.feature
             if absent[f]:
                 child = node.left if node.missing_left else node.right

@@ -55,14 +55,9 @@ from . import sentiment as sent
 __all__ = [
     "ROLL_WINDOWS",
     "ROLL_REFS",
-    "MarketRefs",
     "FeatureTable",
     "FEATURE_COLUMNS",
     "MODEL_FEATURES",
-    "market_reference_fares",
-    "fare_differences",
-    "rolling_price_features",
-    "bucket_t",
     "build_airline_aggregates",
     "assemble_feature_vectors",
 ]
@@ -227,67 +222,6 @@ def _feature_cells(uniq: np.ndarray) -> np.ndarray:
     return text
 
 
-@dataclass(frozen=True)
-class MarketRefs:
-    yy_fare: float
-    yy_airline: int
-    xx_fare: float | None
-    xx_airline: int | None
-
-
-def market_reference_fares(per_airline_fares: Mapping[int, float]) -> MarketRefs:
-    """Cheapest (yy) and second-cheapest (xx) per-airline fares at one key.
-
-    Airlines are ordered by (fare, airline_id); xx is the second airline's
-    fare, so equal-fare airlines yield xx == yy. With a single airline, xx
-    is absent.
-    """
-    if not per_airline_fares:
-        raise ValueError("no airline fares at this key")
-    ordered = sorted(per_airline_fares.items(), key=lambda kv: (kv[1], kv[0]))
-    yy_airline, yy_fare = ordered[0]
-    if len(ordered) < 2:
-        return MarketRefs(yy_fare, yy_airline, None, None)
-    xx_airline, xx_fare = ordered[1]
-    return MarketRefs(yy_fare, yy_airline, xx_fare, xx_airline)
-
-
-def fare_differences(
-    own_fare: float, yy_fare: float, xx_fare: float | None
-) -> tuple[bool, float, float | None]:
-    """(is_cheapest, own - yy, own - xx); xx diff absent when xx is."""
-    is_cheapest = own_fare == yy_fare
-    yy_diff = own_fare - yy_fare
-    xx_diff = None if xx_fare is None else own_fare - xx_fare
-    return is_cheapest, yy_diff, xx_diff
-
-
-def rolling_price_features(
-    diff_by_dbd: Mapping[int, float], dbd: int, window: int
-) -> tuple[float, float, float, float] | None:
-    """(mean, sd, min, max) of diffs over the window days strictly before dbd.
-
-    Requires every day dbd-window .. dbd-1 to be present; otherwise the
-    feature is missing (None). sd uses the n-1 denominator.
-    """
-    days = range(dbd - window, dbd)
-    vals = []
-    for d in days:
-        v = diff_by_dbd.get(d)
-        if v is None:
-            return None
-        vals.append(v)
-    mean = sum(vals) / window
-    squares = sum((v - mean) * (v - mean) for v in vals)
-    sd = math.sqrt(squares / (window - 1)) if window > 1 else 0.0
-    return mean, sd, min(vals), max(vals)
-
-
-def bucket_t(dbd: int) -> int:
-    """DBD grouped in multiples of 10 toward minus infinity."""
-    return math.floor(dbd / 10) * 10
-
-
 _CODE_DIGITS = re.compile(r"(\d+)$")
 
 
@@ -412,8 +346,9 @@ def _rolling(series: np.ndarray, w: int) -> np.ndarray:
     """(mean, sd, min, max) of the w values strictly before each position of
     the last axis, stacked on a new first axis.
 
-    The sums are rolling_price_features' own, run in window order, so the two
-    agree bit for bit. Any absent value in the window gives NaN.
+    The sums are those of the scalar oracle (tests/oracles.py,
+    rolling_price_features), run in window order, so the two agree bit for
+    bit. Any absent value in the window gives NaN.
     """
     n = series.shape[-1]
     window = [series[..., k:n - w + k] for k in range(w)]

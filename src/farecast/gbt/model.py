@@ -83,11 +83,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.left is None
 
-    def route(self, value: float, missing: bool) -> "TreeNode":
-        if missing:
-            return self.left if self.missing_left else self.right
-        return self.left if value < self.threshold else self.right
-
     def n_leaves(self) -> int:
         if self.is_leaf:
             return 1

@@ -443,14 +443,22 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 def read_csv(path: str | Path) -> Iterator[tuple[int, list[str]]]:
     """The one CSV reader: (physical line number, fields) for each non-empty
     row, the number being the line the row ends on. `# comment` lines are
-    skipped but still counted. The file is read and closed before the first
-    row is yielded, so a caller that stops early leaves nothing open."""
+    skipped but still counted, where a row may start: a `#` line that
+    continues a quoted field is data. The file is read and closed before the
+    first row is yielded, so a caller that stops early leaves nothing open."""
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        lines = ["\n" if line.startswith("#") else line for line in fh]
-    reader = csv.reader(lines)
+        lines = fh.readlines()
+    done = 0  # lines that the rows read so far took up
+
+    def source():
+        for i, line in enumerate(lines):
+            yield "\n" if i == done and line.startswith("#") else line
+
+    reader = csv.reader(source())
     for row in reader:
+        done = reader.line_num
         if row:
-            yield reader.line_num, row
+            yield done, row
 
 
 def write_csv(

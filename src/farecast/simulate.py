@@ -78,6 +78,8 @@ class DemandMix:
     shares: tuple[float, float, float]
 
     def __post_init__(self):
+        if len(self.shares) != len(FARE_BRANDS):
+            raise ValueError(f"need {len(FARE_BRANDS)} brand shares, got {len(self.shares)}")
         if not all(math.isfinite(s) and s >= 0 for s in self.shares):
             raise ValueError("brand shares must be finite and nonnegative")
         total = sum(self.shares)

@@ -1,0 +1,102 @@
+"""Scalar reference versions of code the package runs in vectorized form.
+
+The feature assembly derives competitor pricing from fare cubes
+(`features._market`, `features._rolling`) and the explanation walk routes
+rows inline; the plain per-key functions here are what the tests hold them
+to.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Mapping
+
+# Four airlines' fares at t = -103..-100; airline 1 is the one under study.
+WORKED_FARES = {
+    -103: {1: 450, 2: 600, 3: 500, 4: 1000},
+    -102: {1: 475, 2: 600, 3: 500, 4: 1100},
+    -101: {1: 450, 2: 625, 3: 360, 4: 1100},
+    -100: {1: 450, 2: 750, 3: 500, 4: 300},
+}
+
+
+@dataclass(frozen=True)
+class MarketRefs:
+    yy_fare: float
+    yy_airline: int
+    xx_fare: float | None
+    xx_airline: int | None
+
+
+def market_reference_fares(per_airline_fares: Mapping[int, float]) -> MarketRefs:
+    """Cheapest (yy) and second-cheapest (xx) per-airline fares at one key.
+
+    Airlines are ordered by (fare, airline_id); xx is the second airline's
+    fare, so equal-fare airlines yield xx == yy. With a single airline, xx
+    is absent.
+    """
+    if not per_airline_fares:
+        raise ValueError("no airline fares at this key")
+    ordered = sorted(per_airline_fares.items(), key=lambda kv: (kv[1], kv[0]))
+    yy_airline, yy_fare = ordered[0]
+    if len(ordered) < 2:
+        return MarketRefs(yy_fare, yy_airline, None, None)
+    xx_airline, xx_fare = ordered[1]
+    return MarketRefs(yy_fare, yy_airline, xx_fare, xx_airline)
+
+
+def fare_differences(
+    own_fare: float, yy_fare: float, xx_fare: float | None
+) -> tuple[bool, float, float | None]:
+    """(is_cheapest, own - yy, own - xx); xx diff absent when xx is."""
+    is_cheapest = own_fare == yy_fare
+    yy_diff = own_fare - yy_fare
+    xx_diff = None if xx_fare is None else own_fare - xx_fare
+    return is_cheapest, yy_diff, xx_diff
+
+
+def rolling_price_features(
+    diff_by_dbd: Mapping[int, float], dbd: int, window: int
+) -> tuple[float, float, float, float] | None:
+    """(mean, sd, min, max) of diffs over the window days strictly before dbd.
+
+    Requires every day dbd-window .. dbd-1 to be present; otherwise the
+    feature is missing (None). sd uses the n-1 denominator.
+    """
+    days = range(dbd - window, dbd)
+    vals = []
+    for d in days:
+        v = diff_by_dbd.get(d)
+        if v is None:
+            return None
+        vals.append(v)
+    mean = sum(vals) / window
+    squares = sum((v - mean) * (v - mean) for v in vals)
+    sd = math.sqrt(squares / (window - 1)) if window > 1 else 0.0
+    return mean, sd, min(vals), max(vals)
+
+
+def bucket_t(dbd: int) -> int:
+    """DBD grouped in multiples of 10 toward minus infinity."""
+    return math.floor(dbd / 10) * 10
+
+
+def diff_series(fares_by_dbd, airline, ref):
+    """{dbd: own fare - yy (ref "yy") or - xx (ref "xx")} for one airline,
+    from {dbd: {airline: fare}}; a dbd with no xx maps to None under "xx"."""
+    out = {}
+    for dbd, fares in fares_by_dbd.items():
+        refs = market_reference_fares(fares)
+        _, yy, xx = fare_differences(fares[airline], refs.yy_fare, refs.xx_fare)
+        out[dbd] = yy if ref == "yy" else xx
+    return out
+
+
+def route(node, value: float, missing: bool):
+    """The child of a split TreeNode that a row goes to: by missing_left when
+    the feature is missing, else left below the threshold and right from it
+    upward."""
+    if missing:
+        return node.left if node.missing_left else node.right
+    return node.left if value < node.threshold else node.right

@@ -25,12 +25,9 @@ from farecast.features import (
     airline_widebody_flags,
     assemble_feature_vectors,
     build_airline_aggregates,
-    fare_differences,
-    market_reference_fares,
-    rolling_price_features,
 )
 from farecast.gbt.train import refit_leaf_weights
-from farecast.ingest import filter_tweets
+from farecast.ingest import FareObservation, ItineraryRecord, filter_tweets
 from farecast.sentiment import load_default_lexicon, scale_to_10, score_text
 from farecast.simulate import (
     N_CLASSES,
@@ -42,6 +39,7 @@ from farecast.simulate import (
     optimize_policy,
     replay,
 )
+from oracles import WORKED_FARES, diff_series, rolling_price_features
 
 
 @contextlib.contextmanager
@@ -60,42 +58,54 @@ def _sigmoid(z):
 
 # ----------------------------------------------------------------- criterion 1
 
-WORKED_FARES = {
-    -103: {1: 450, 2: 600, 3: 500, 4: 1000},
-    -102: {1: 475, 2: 600, 3: 500, 4: 1100},
-    -101: {1: 450, 2: 625, 3: 360, 4: 1100},
-    -100: {1: 450, 2: 750, 3: 500, 4: 300},
-}
-
-
-def _diff_series(fares_by_dbd, airline, ref):
-    out = {}
-    for dbd, fares in fares_by_dbd.items():
-        refs = market_reference_fares(fares)
-        _, yy, xx = fare_differences(fares[airline], refs.yy_fare, refs.xx_fare)
-        out[dbd] = yy if ref == "yy" else xx
-    return out
+def _assemble_one_booking_per_key(od, fares_by_dbd):
+    """The feature table of one market given as {dbd: {airline: fare}} on
+    departure day 1, with one booking on each observed (airline, dbd) key."""
+    keys = [(a, dbd, price) for dbd, by_airline in fares_by_dbd.items()
+            for a, price in by_airline.items()]
+    fares = [FareObservation(od, a, 1, dbd, 600, 2.0, float(price)) for a, dbd, price in keys]
+    bookings = [ItineraryRecord(od, a, 1, dbd, 600, 2.0, float(price), False)
+                for a, dbd, price in keys]
+    return bookings, assemble_feature_vectors(bookings, fares, {})
 
 
 def test_criterion_01_worked_pricing_example():
     with criterion(1, "worked four-airline example: mean3d_yy=30, mean3d_xx=-25"):
         t0 = time.perf_counter()
-        yy = _diff_series(WORKED_FARES, 1, "yy")
-        xx = _diff_series(WORKED_FARES, 1, "xx")
-        mean_yy = rolling_price_features(yy, -100, 3)[0]
-        mean_xx = rolling_price_features(xx, -100, 3)[0]
-        assert mean_yy == 30       # (0 + 0 + 90) / 3, exact
-        assert mean_xx == -25      # (-50 - 25 + 0) / 3, exact
+        bookings, table = _assemble_one_booking_per_key("AAA-BBB", WORKED_FARES)
+        row = next(i for i, b in enumerate(bookings) if (b.airline_id, b.dbd) == (1, -100))
+        assert table.column("mean3d_yy")[row] == 30    # (0 + 0 + 90) / 3, exact
+        assert table.column("mean3d_xx")[row] == -25   # (-50 - 25 + 0) / 3, exact
+        # the scalar oracle agrees
+        yy = diff_series(WORKED_FARES, 1, "yy")
+        xx = diff_series(WORKED_FARES, 1, "xx")
+        assert rolling_price_features(yy, -100, 3)[0] == 30
+        assert rolling_price_features(xx, -100, 3)[0] == -25
         assert time.perf_counter() - t0 < 1.0
 
 
 # ----------------------------------------------------------------- criterion 2
 
+def _check_window(got, window, w):
+    """got is (mean, sd, min, max) of the w diffs in window, or None when a
+    day is absent. Returns 1 for a complete window, else 0."""
+    if any(v is None for v in window):
+        assert got is None
+        return 0
+    mean = sum(window) / w
+    sd = statistics.stdev(window)
+    assert abs(got[0] - mean) <= 1e-9
+    assert abs(got[1] - sd) <= 1e-9
+    assert got[2] == min(window) and got[3] == max(window)
+    return 1
+
+
 def test_criterion_02_rolling_feature_oracle():
     with criterion(2, "rolling windows equal brute-force recompute on 50 random markets"):
         t0 = time.perf_counter()
         rng = np.random.default_rng(2024)
-        for _ in range(50):
+        complete = 0
+        for m in range(50):
             n_air = int(rng.integers(2, 6))
             fares = {
                 dbd: {a: float(rng.integers(50, 999)) for a in range(1, n_air + 1)}
@@ -104,20 +114,30 @@ def test_criterion_02_rolling_feature_oracle():
             }
             if not fares:
                 continue
+            # brute force: own fare minus the cheapest fare, per observed day
+            yy = {a: {dbd: f[a] - min(f.values()) for dbd, f in fares.items()}
+                  for a in range(1, n_air + 1)}
+
+            # the assembly, at every observed (airline, dbd) key
+            bookings, table = _assemble_one_booking_per_key(f"M{m:02d}-YY", fares)
+            stats = {w: np.stack([table.column(f"{s}{w}d_yy") for s in ("mean", "sd", "min", "max")],
+                                 axis=1).tolist() for w in ROLL_WINDOWS}
+            for i, b in enumerate(bookings):
+                for w in ROLL_WINDOWS:
+                    window = [yy[b.airline_id].get(d) for d in range(b.dbd - w, b.dbd)]
+                    got = stats[w][i]
+                    if all(math.isnan(v) for v in got):  # missing cells read as None
+                        got = None
+                    complete += _check_window(got, window, w)
+
+            # the scalar oracle, at every (airline, dbd)
             for a in range(1, n_air + 1):
-                series = _diff_series(fares, a, "yy")
+                series = diff_series(fares, a, "yy")
                 for dbd in range(-40, 0):
                     for w in ROLL_WINDOWS:
-                        got = rolling_price_features(series, dbd, w)
-                        window = [series.get(d) for d in range(dbd - w, dbd)]
-                        if any(v is None for v in window):
-                            assert got is None
-                            continue
-                        mean = sum(window) / w
-                        sd = statistics.stdev(window)
-                        assert abs(got[0] - mean) <= 1e-9
-                        assert abs(got[1] - sd) <= 1e-9
-                        assert got[2] == min(window) and got[3] == max(window)
+                        window = [yy[a].get(d) for d in range(dbd - w, dbd)]
+                        _check_window(rolling_price_features(series, dbd, w), window, w)
+        assert complete > 0
         assert time.perf_counter() - t0 < 10.0
 
 

@@ -179,6 +179,12 @@ _LADDER = ",".join(str(1200 - 100 * k) for k in range(12))
      "mean_demand = -3\nhistory = 5,6\n", "OD X: mean_demand must be finite and >= 0"),
     (f"[scenario]\ncapacity = 9\n[od:X]\nfares = {_LADDER}\nbrand_mix = nan,1,1\n",
      "brand shares must be finite and nonnegative"),
+    (f"[scenario]\ncapacity = 9\n[od:X]\nfares = {_LADDER}\nbrand_mix = 0.5,0.5\n",
+     "need 3 brand shares, got 2"),
+    (f"[scenario]\ncapacity = 9\n[od:X]\nfares = {_LADDER}\nbrand_mix = 0.2,0.3,0.3,0.2\n",
+     "need 3 brand shares, got 4"),
+    (f"[scenario]\ncapacity = 9\n[od:X]\nfares = {_LADDER}\nbrand_mix = 1,1,1\n"
+     "mean_demand = 4\nhistory = 5,6\ncovered = maybe\n", "Not a boolean: maybe"),
     ("[scenario]\ncapacity = 9\n[od:X]\nfares = nan," + _LADDER.split(",", 1)[1] + "\n",
      "fares must be finite and positive"),
     *[(f"[scenario]\ncapacity = 9\n{setting}\n[od:X]\nfares = {_LADDER}\nbrand_mix = 1,1,1\n"

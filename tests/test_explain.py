@@ -18,6 +18,7 @@ from farecast.explain import (
     write_waterfall_data,
 )
 from farecast.gbt.model import sigmoid as model_sigmoid
+from oracles import route
 
 
 def sigmoid(z):
@@ -143,7 +144,7 @@ def _explain_oracle(model, row, missing=None):
         node = tree
         current = _expected_value(node, cache)
         while not node.is_leaf:
-            child = node.route(row[node.feature], bool(missing[node.feature]))
+            child = route(node, row[node.feature], bool(missing[node.feature]))
             child_val = _expected_value(child, cache)
             name = model.feature_names[node.feature]
             contributions[name] = contributions.get(name, 0.0) + (child_val - current)
@@ -202,7 +203,7 @@ def test_stored_expectations_and_explanations_equal_oracle(seed, variant):
 
 def test_rows_on_a_threshold_route_as_tree_node_route():
     # a value equal to a split threshold goes right; the oracle routes with
-    # TreeNode.route, so this pins the inlined routing at ties
+    # oracles.route, so this pins the inlined routing at ties
     model, X, missing = _oracle_case(0)
     splits = {(n.feature, n.threshold) for t in model.trees for n in _nodes(t) if not n.is_leaf}
     assert splits

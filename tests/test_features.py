@@ -21,11 +21,7 @@ from farecast.features import (
     ROLL_WINDOWS,
     airline_widebody_flags,
     assemble_feature_vectors,
-    bucket_t,
     build_airline_aggregates,
-    fare_differences,
-    market_reference_fares,
-    rolling_price_features,
 )
 from farecast.ingest import (
     CSV_BLOCK_ROWS,
@@ -41,30 +37,21 @@ from farecast.ingest import (
     serialize_dataset,
 )
 from farecast.sentiment import load_default_lexicon
-
-# Four airlines' fares at t = -103..-100; airline 1 is the one under study.
-EXAMPLE_FARES = {
-    -103: {1: 450, 2: 600, 3: 500, 4: 1000},
-    -102: {1: 475, 2: 600, 3: 500, 4: 1100},
-    -101: {1: 450, 2: 625, 3: 360, 4: 1100},
-    -100: {1: 450, 2: 750, 3: 500, 4: 300},
-}
-
-
-def _diff_series(fares_by_dbd, airline, ref):
-    out = {}
-    for dbd, fares in fares_by_dbd.items():
-        refs = market_reference_fares(fares)
-        _, yy, xx = fare_differences(fares[airline], refs.yy_fare, refs.xx_fare)
-        out[dbd] = yy if ref == "yy" else xx
-    return out
+from oracles import (
+    WORKED_FARES,
+    bucket_t,
+    diff_series,
+    fare_differences,
+    market_reference_fares,
+    rolling_price_features,
+)
 
 
 def test_worked_example_reference_fares():
-    refs = market_reference_fares(EXAMPLE_FARES[-103])
+    refs = market_reference_fares(WORKED_FARES[-103])
     assert (refs.yy_fare, refs.yy_airline) == (450, 1)
     assert (refs.xx_fare, refs.xx_airline) == (500, 3)
-    refs = market_reference_fares(EXAMPLE_FARES[-100])
+    refs = market_reference_fares(WORKED_FARES[-100])
     assert (refs.yy_fare, refs.yy_airline) == (300, 4)
     assert (refs.xx_fare, refs.xx_airline) == (450, 1)
 
@@ -72,14 +59,14 @@ def test_worked_example_reference_fares():
 def test_worked_example_is_cheapest_flags():
     expected = {-103: True, -102: True, -101: False, -100: False}
     for dbd, want in expected.items():
-        refs = market_reference_fares(EXAMPLE_FARES[dbd])
-        cheap, _, _ = fare_differences(EXAMPLE_FARES[dbd][1], refs.yy_fare, refs.xx_fare)
+        refs = market_reference_fares(WORKED_FARES[dbd])
+        cheap, _, _ = fare_differences(WORKED_FARES[dbd][1], refs.yy_fare, refs.xx_fare)
         assert cheap is want
 
 
 def test_worked_example_rolling_means():
-    yy = _diff_series(EXAMPLE_FARES, 1, "yy")
-    xx = _diff_series(EXAMPLE_FARES, 1, "xx")
+    yy = diff_series(WORKED_FARES, 1, "yy")
+    xx = diff_series(WORKED_FARES, 1, "xx")
     mean_yy, _, _, _ = rolling_price_features(yy, -100, 3)
     mean_xx, _, _, _ = rolling_price_features(xx, -100, 3)
     assert mean_yy == 30
@@ -90,7 +77,7 @@ def test_worked_example_through_assembly():
     fares = [
         FareObservation(od="AAA-BBB", airline_id=a, dep_day_id=1, dbd=dbd,
                         dep_time_mam=600, travel_time=2.0, price=float(price))
-        for dbd, by_airline in EXAMPLE_FARES.items() for a, price in by_airline.items()
+        for dbd, by_airline in WORKED_FARES.items() for a, price in by_airline.items()
     ]
     booking = ItineraryRecord(od="AAA-BBB", airline_id=1, dep_day_id=1, dbd=-100,
                               dep_time_mam=600, travel_time=2.0, price=450.0, is_bought=True)
@@ -153,7 +140,7 @@ def test_rolling_brute_force_oracle(seed):
         if rng.random() > 0.1  # some days unobserved
     }
     for a in range(1, n_air + 1):
-        series = _diff_series(fares, a, "yy")
+        series = diff_series(fares, a, "yy")
         for dbd in dbds:
             for w in ROLL_WINDOWS:
                 got = rolling_price_features(series, dbd, w)
@@ -172,6 +159,10 @@ def test_bucket_t_groups_toward_minus_infinity():
     assert bucket_t(-10) == -10
     assert bucket_t(-11) == -20
     assert bucket_t(-100) == -100
+    dbds = [-100, -11, -10, -9, -1, 0, 3, 10]
+    bookings = [ItineraryRecord("AAA-BBB", 1, 1, dbd, 600, 2.0, 100.0, False) for dbd in dbds]
+    table = assemble_feature_vectors(bookings, [], {})
+    assert table.column("bucket_t").tolist() == [bucket_t(dbd) for dbd in dbds]
 
 
 def _review(aid, ife, rec=True):

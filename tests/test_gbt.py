@@ -14,6 +14,7 @@ from farecast import gbt
 from farecast.gbt.train import (
     _best_split, _keep_rows, _margins_tree, _presort, holdout_split_by_day,
 )
+from oracles import route
 
 
 def sigmoid(z):
@@ -573,7 +574,7 @@ def test_every_node_gain_matches_oracle_at_depth_3():
                 continue
             assert node.gain == pytest.approx(want, abs=1e-9)
             checked += 1
-            left = np.array([node.route(X[i, node.feature], missing[i, node.feature]) is node.left
+            left = np.array([route(node, X[i, node.feature], missing[i, node.feature]) is node.left
                              for i in rows], dtype=bool)
             stack += [(node.left, rows[left], depth + 1), (node.right, rows[~left], depth + 1)]
     assert checked >= 8
@@ -605,7 +606,7 @@ def test_mask_routing_matches_per_row_walk():
     def walk(tree, x, miss):
         node = tree
         while not node.is_leaf:
-            node = node.route(x[node.feature], bool(miss[node.feature]))
+            node = route(node, x[node.feature], bool(miss[node.feature]))
         return node.weight
 
     for tree in model.trees:

@@ -107,6 +107,22 @@ def test_read_csv_yields_physical_line_numbers(tmp_path):
     assert list(read_csv(path)) == [(2, ["a", "b"]), (5, ["1", "x\r\ny"]), (7, ["2", "z"])]
 
 
+def test_hash_line_inside_a_quoted_field_is_data(tmp_path):
+    records = [
+        TweetRecord(1, "great flight\n#KLM rocks", False, False, "en"),
+        TweetRecord(2, 'say "hi"\n# no comment "here', False, True, "en"),
+        TweetRecord(3, "plain", True, False, "nl"),
+    ]
+    path = tmp_path / "tweets.csv"
+    serialize_dataset(records, "tweets", path)
+    result = parse_dataset(path, "tweets")
+    assert result.records == records
+    assert result.rejected == []
+    # a comment's own quotes open no field, nor does a quote inside an unquoted field
+    path.write_bytes(b'a,b\r\n1,"x\r\n#y"\r\n# note "\r\n2,z"w\r\n#\r\n')
+    assert list(read_csv(path)) == [(1, ["a", "b"]), (3, ["1", "x\r\n#y"]), (5, ["2", 'z"w'])]
+
+
 def test_datasets_are_the_market_data_record_fields():
     record_types = {rec_type: kind for kind, (rec_type, _) in SCHEMAS.items()}
     hints = get_type_hints(MarketData)

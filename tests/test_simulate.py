@@ -201,6 +201,9 @@ def test_demand_mix_renormalizes():
         DemandMix((float("nan"), 0.6, 0.5))
     with pytest.raises(ValueError):
         DemandMix((0.0, 0.0, 0.0))
+    for shares in ((0.5, 0.5), (0.2, 0.3, 0.3, 0.2)):
+        with pytest.raises(ValueError, match="need 3 brand shares"):
+            DemandMix(shares)
 
 
 def test_allocate_uniform_within_brand():
@@ -594,3 +597,15 @@ def test_scenario_missing_keys_take_dataclass_defaults(tmp_path):
     assert back.forecast_day is None
     (od,) = back.ods
     assert od.name == "AMS-SYD" and od.covered is False
+
+
+def test_scenario_covered_true_reads_as_covered(tmp_path):
+    path = tmp_path / "scenario.ini"
+    path.write_text(
+        "[scenario]\ncapacity = 12\n\n"
+        "[od:AMS-SYD]\nfares = " + ",".join(str(f) for f in range(600, 0, -50)) + "\n"
+        "brand_mix = 0.2,0.3,0.5\nmean_demand = 40\nhistory = 38,41,40\ncovered = true\n",
+        encoding="utf-8",
+    )
+    (od,) = read_scenario(path).ods
+    assert od.covered is True

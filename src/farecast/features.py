@@ -451,9 +451,13 @@ def assemble_feature_vectors(
         values[rows, col["min_travel_time"]] = mintt[d, t]
         values[rows, col["tt_delta"]] = np.maximum(0.0, tt[rows] - mintt[d, t])
 
-        # distinct departure times per airline; the trailing 0 is for absent airlines
-        pairs = np.unique(np.stack([fa, fdep], axis=1), axis=0)
-        freq = np.bincount(_lookup(m.airlines, pairs[:, 0]), minlength=len(m.airlines) + 1)
+        # distinct departure times per airline, counted on the fares sorted by
+        # (airline, dep_time); the trailing 0 is for absent airlines
+        by_pair = np.lexsort((fdep, key[0]))
+        pa, pdep = key[0][by_pair], fdep[by_pair]
+        first = np.ones(len(by_pair), dtype=bool)
+        first[1:] = (pa[1:] != pa[:-1]) | (pdep[1:] != pdep[:-1])
+        freq = np.bincount(pa[first], minlength=len(m.airlines) + 1)
         values[rows, col["num_frequencies"]] = freq[a]
         values[rows, col["home_carrier"]] = airline[rows] == m.airlines[np.argmax(freq)]
         values[rows, col["direct_flight"]] = tt[rows] - base < DIRECT_SLACK_HOURS

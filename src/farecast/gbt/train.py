@@ -8,6 +8,11 @@ G + iH running sum scanning every feature of a node; each split learns the
 routing of missing values (scored both ways only where a feature has them).
 Leaf weights are the Newton step -G/(H + lam) shrunk by eta. Splits must
 improve the structure score by more than gamma.
+
+Work whose result no split can use is skipped, so every model is the same as
+with it: a feature missing on every training row gets no block (it has no
+boundary, so it could never split), and a child that will be a leaf at once
+(at max_depth, or with fewer than 2 rows) gets no block either.
 """
 
 from __future__ import annotations
@@ -55,10 +60,12 @@ def _presort(X: np.ndarray, missing: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.argsort(keyed, axis=0, kind="stable").T)
 
 
-def _keep_rows(block: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """The blocks restricted to the rows where keep is set. A stable filter
-    keeps every block sorted, so no block is ever sorted again."""
-    return block[keep[block]].reshape(block.shape[0], -1)
+def _keep_rows(block: np.ndarray, kept: np.ndarray, width: int) -> np.ndarray:
+    """The blocks restricted to the `width` rows where kept (one flag per
+    block entry, the same rows set in every block) is set. A stable filter
+    keeps every block sorted, so no block is ever sorted again. The width is
+    explicit because a block of no features has no row count to infer."""
+    return np.compress(kept.ravel(), block).reshape(block.shape[0], width)
 
 
 def _best_split(
@@ -150,16 +157,19 @@ def _grow_node(
     g: np.ndarray,
     h: np.ndarray,
     idx: np.ndarray,
-    block: np.ndarray,
+    block: np.ndarray | None,
     depth: int,
     feat_ids: np.ndarray,
     params: GbtParams,
 ) -> TreeNode:
+    """Grow the subtree over rows idx. block holds the node's rows in the
+    presorted order of each feature of feat_ids; it is None for a node that
+    is never scanned because it sits at max_depth or has fewer than 2 rows."""
     g_total = float(g[idx].sum())
     h_total = float(h[idx].sum())
 
     split = None
-    if depth < params.max_depth and idx.shape[0] >= 2:
+    if block is not None:
         split = _best_split(
             X, missing, g, h, idx, block, feat_ids, g_total, h_total, params.lam
         )
@@ -169,16 +179,30 @@ def _grow_node(
 
     gain, feature, threshold, missing_left = split
     goes_left = np.where(missing[idx, feature], missing_left, X[idx, feature] < threshold)
-    left_rows = np.zeros(X.shape[0], dtype=bool)
-    left_rows[idx[goes_left]] = True
-    left = _grow_node(
-        X, missing, g, h, idx[goes_left], _keep_rows(block, left_rows),
-        depth + 1, feat_ids, params,
-    )
-    right = _grow_node(
-        X, missing, g, h, idx[~goes_left], _keep_rows(block, ~left_rows),
-        depth + 1, feat_ids, params,
-    )
+    rows = idx[goes_left], idx[~goes_left]
+    # a child at max_depth or with fewer than 2 rows is a leaf: it gets no block
+    scan = [depth + 1 < params.max_depth and r.shape[0] >= 2 for r in rows]
+    left_block = right_flags = right_block = None
+    if any(scan):
+        # one gather serves both children. The right child's flags wait
+        # through the left subtree packed, one bit per block entry: every
+        # left-spine ancestor holds its flags at once, and a byte per entry
+        # would raise the fit's peak memory
+        left_rows = np.zeros(X.shape[0], dtype=bool)
+        left_rows[rows[0]] = True
+        flags = left_rows[block]
+        if scan[0]:
+            left_block = _keep_rows(block, flags, rows[0].shape[0])
+        if scan[1]:
+            right_flags = np.packbits(np.logical_not(flags, out=flags))
+        del flags
+    left = _grow_node(X, missing, g, h, rows[0], left_block, depth + 1, feat_ids, params)
+    del left_block  # not kept through the right subtree
+    if scan[1]:
+        flags = np.unpackbits(right_flags, count=block.size).view(bool)
+        right_block = _keep_rows(block, flags, rows[1].shape[0])
+        del flags, right_flags
+    right = _grow_node(X, missing, g, h, rows[1], right_block, depth + 1, feat_ids, params)
     return TreeNode(
         cover=h_total, grad_sum=g_total, feature=feature, threshold=threshold,
         missing_left=missing_left, gain=gain, left=left, right=right,
@@ -223,7 +247,12 @@ def train(
 
     margins = np.full(n, base_score)
     trees: list[TreeNode] = []
+    # a feature missing on every row has no boundary, so it can never split;
+    # order keeps rows only for the features with values, in feature order
+    kept = np.flatnonzero(~missing.all(axis=0))
     order = _presort(X, missing)
+    if kept.shape[0] < m:
+        order = order[kept]
     n_sub = max(1, round(params.subsample * n))
     m_sub = max(1, round(params.colsample * m))
     for _ in range(params.n_trees):
@@ -238,11 +267,13 @@ def train(
             np.sort(rng.choice(m, size=m_sub, replace=False))
             if m_sub < m else np.arange(m)
         )
-        block = order[cols] if m_sub < m else order
+        # filtered after the draw, so the rng stream does not depend on it
+        cols = np.intersect1d(cols, kept, assume_unique=True)
+        block = order[np.searchsorted(kept, cols)] if cols.shape[0] < kept.shape[0] else order
         if n_sub < n:
             in_tree = np.zeros(n, dtype=bool)
             in_tree[rows] = True
-            block = _keep_rows(block, in_tree)
+            block = _keep_rows(block, in_tree[block], n_sub)
         tree = _grow_node(X, missing, g, h, rows, block, 0, cols, params)
         trees.append(tree)
         margins += _margins_tree(tree, X, missing)

@@ -524,3 +524,38 @@ def test_assembly_equals_per_row_oracle(seed):
     want = _expected_rows(bookings, fares, aggregates, widebody)
     for name, got, exp in zip(ALL_COLUMNS, table.values.T, want.T):
         np.testing.assert_array_equal(got, exp, err_msg=name)
+
+
+def test_frequencies_count_departure_times_that_move_per_day():
+    """Synth's schedule pattern: each airline's departure times move from one
+    departure day to the next and can collide with another airline's. Airline
+    5 (whose fares come first) and airline 2 tie on four distinct times, so
+    the lower id is the home carrier; airline 7 has no fares."""
+    schedule = {
+        5: {100: [480, 600], 107: [495, 600], 114: [480, 1000]},
+        2: {100: [600, 720], 107: [480, 720], 114: [735]},
+        3: {100: [600], 107: [600], 114: [610]},
+    }
+    rng = np.random.default_rng(0)
+    fares = [
+        FareObservation("AAA-BBB", a, day, dbd, dep, 2.5 + k, float(rng.integers(60, 90)))
+        for a, days in schedule.items()
+        for day, times in days.items()
+        for k, dep in enumerate(times)
+        for dbd in range(-12, 0)
+    ]
+    bookings = [
+        ItineraryRecord("AAA-BBB", a, day, int(rng.integers(-14, 0)), int(rng.integers(0, 1440)),
+                        2.5, 75.0, bool(rng.random() < 0.3))
+        for a in (5, 2, 3, 7)
+        for day in (100, 107, 114)
+    ]
+    table = assemble_feature_vectors(bookings, fares, {})
+    want = _expected_rows(bookings, fares, {}, {})
+    for name in ("num_frequencies", "home_carrier"):
+        col = ALL_COLUMNS.index(name)
+        np.testing.assert_array_equal(table.values[:, col], want[:, col], err_msg=name)
+    freq = dict(zip(table.column("airline_id"), table.column("num_frequencies")))
+    assert freq == {5: 4.0, 2: 4.0, 3: 2.0, 7: 0.0}
+    home = table.column("airline_id")[table.column("home_carrier") == 1.0]
+    assert set(home) == {2}

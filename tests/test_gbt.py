@@ -12,7 +12,8 @@ import pytest
 
 from farecast import gbt
 from farecast.gbt.train import (
-    _best_split, _keep_rows, _margins_tree, _presort, holdout_split_by_day,
+    _PREVALENCE_CLIP, _best_split, _check_inputs, _keep_rows, _margins_tree, _presort,
+    holdout_split_by_day,
 )
 from oracles import route
 
@@ -502,7 +503,8 @@ def _oracle_nodes(rng, n_nodes):
             h[idx[0]] = 0.1  # keeps the node's hessian mass positive
         in_node = np.zeros(X.shape[0], dtype=bool)
         in_node[idx] = True
-        block = _keep_rows(_presort(X, missing)[feat_ids], in_node)
+        block = _presort(X, missing)[feat_ids]
+        block = _keep_rows(block, in_node[block], idx.shape[0])
         yield X, missing, g, h, idx, block, feat_ids
 
 
@@ -549,6 +551,198 @@ def test_model_equals_pre_rewrite_oracle_model(pipeline, monkeypatch, lam):
     want = gbt.train(X, y, params, feature_names=names, missing=missing)
     assert got.n_leaves() > 2 * len(got.trees)
     assert got.to_json() == want.to_json()
+
+
+# Tree growing as it stood before features without values were left out of
+# the blocks and each split gathered its children's rows once: every feature
+# drawn gets a block, and each child gets one whether or not it is scanned.
+# Kept verbatim (the names aside) as the oracle the current train must equal.
+def _keep_rows_oracle(block: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The blocks restricted to the rows where keep is set. A stable filter
+    keeps every block sorted, so no block is ever sorted again."""
+    return block[keep[block]].reshape(block.shape[0], -1)
+
+
+def _grow_node_oracle(
+    X: np.ndarray,
+    missing: np.ndarray,
+    g: np.ndarray,
+    h: np.ndarray,
+    idx: np.ndarray,
+    block: np.ndarray,
+    depth: int,
+    feat_ids: np.ndarray,
+    params: gbt.GbtParams,
+) -> gbt.TreeNode:
+    g_total = float(g[idx].sum())
+    h_total = float(h[idx].sum())
+
+    split = None
+    if depth < params.max_depth and idx.shape[0] >= 2:
+        split = _best_split(
+            X, missing, g, h, idx, block, feat_ids, g_total, h_total, params.lam
+        )
+    if split is None or split[0] - params.gamma <= 0.0:
+        weight = -g_total / (h_total + params.lam) * params.eta
+        return gbt.TreeNode(cover=h_total, grad_sum=g_total, weight=weight)
+
+    gain, feature, threshold, missing_left = split
+    goes_left = np.where(missing[idx, feature], missing_left, X[idx, feature] < threshold)
+    left_rows = np.zeros(X.shape[0], dtype=bool)
+    left_rows[idx[goes_left]] = True
+    left = _grow_node_oracle(
+        X, missing, g, h, idx[goes_left], _keep_rows_oracle(block, left_rows),
+        depth + 1, feat_ids, params,
+    )
+    right = _grow_node_oracle(
+        X, missing, g, h, idx[~goes_left], _keep_rows_oracle(block, ~left_rows),
+        depth + 1, feat_ids, params,
+    )
+    return gbt.TreeNode(
+        cover=h_total, grad_sum=g_total, feature=feature, threshold=threshold,
+        missing_left=missing_left, gain=gain, left=left, right=right,
+    )
+
+
+def _train_oracle(
+    X: np.ndarray,
+    y: np.ndarray,
+    params: gbt.GbtParams,
+    feature_names=None,
+    missing: np.ndarray | None = None,
+) -> gbt.TreeEnsemble:
+    """Fit the boosted ensemble; deterministic given (data, params, seed)."""
+    X = np.ascontiguousarray(X, dtype=np.float64)  # _best_split reads it by flat index
+    y = np.asarray(y, dtype=np.float64)
+    missing = _check_inputs(X, y, missing)
+    n, m = X.shape
+    names = list(feature_names) if feature_names is not None else [f"f{j}" for j in range(m)]
+    if len(names) != m:
+        raise ValueError("feature_names length must match column count")
+
+    prevalence = min(max(float(y.mean()), _PREVALENCE_CLIP), 1 - _PREVALENCE_CLIP)
+    base_score = math.log(prevalence / (1 - prevalence))
+    rng = np.random.default_rng(params.seed)
+
+    margins = np.full(n, base_score)
+    trees: list[gbt.TreeNode] = []
+    order = _presort(X, missing)
+    n_sub = max(1, round(params.subsample * n))
+    m_sub = max(1, round(params.colsample * m))
+    for _ in range(params.n_trees):
+        p = 1.0 / (1.0 + np.exp(-margins))
+        g = p - y
+        h = p * (1.0 - p)
+        rows = (
+            np.sort(rng.choice(n, size=n_sub, replace=False))
+            if n_sub < n else np.arange(n)
+        )
+        cols = (
+            np.sort(rng.choice(m, size=m_sub, replace=False))
+            if m_sub < m else np.arange(m)
+        )
+        block = order[cols] if m_sub < m else order
+        if n_sub < n:
+            in_tree = np.zeros(n, dtype=bool)
+            in_tree[rows] = True
+            block = _keep_rows_oracle(block, in_tree)
+        tree = _grow_node_oracle(X, missing, g, h, rows, block, 0, cols, params)
+        trees.append(tree)
+        margins += _margins_tree(tree, X, missing)
+
+    return gbt.TreeEnsemble(trees=trees, base_score=base_score, params=params, feature_names=names)
+
+
+def _assert_grows_as_oracle(X, y, params, missing, names=None):
+    got = gbt.train(X, y, params, feature_names=names, missing=missing)
+    want = _train_oracle(X, y, params, feature_names=names, missing=missing)
+    assert got.to_json() == want.to_json()
+    return got
+
+
+def test_fixture_models_equal_pre_rewrite_growing(pipeline):
+    """Every fixture market, by default and subsampled; each has features
+    missing on every row (sc1 and sc2), which no longer get a block."""
+    for od, table in pipeline.tables.items():
+        X, missing, names = table.model_matrix()
+        y = table.labels()
+        X, missing, y = X[:600], missing[:600], y[:600]
+        assert missing.all(axis=0).sum() >= 2, od
+        for params in (gbt.GbtParams(seed=1),
+                       gbt.GbtParams(subsample=0.7, colsample=0.6, lam=0.0, seed=2)):
+            model = _assert_grows_as_oracle(X, y, params, missing, names)
+            assert model.n_leaves() > 2 * len(model.trees), od
+
+
+def _sparse_instance(rng):
+    """Columns of every kind the growing must handle: two missing on every
+    row, one holding NaN and one varied placeholder values in its missing
+    cells; one present only where column 0 is 0.5 or more, so it is missing
+    on every row of a node that a split on column 0 at 0 sends left; integer ties;
+    and scattered missing cells. The label is the sign of column 0, one in
+    ten flipped."""
+    n = int(rng.integers(30, 160))
+    x0 = np.round(rng.normal(size=n), 1)
+    cols = [
+        (x0, np.zeros(n, dtype=bool)),
+        (np.full(n, np.nan), np.ones(n, dtype=bool)),
+        (rng.normal(size=n) * 100.0, np.ones(n, dtype=bool)),
+        (rng.normal(size=n), x0 < 0.5),
+        (rng.integers(0, 4, size=n).astype(float), np.zeros(n, dtype=bool)),
+        (np.round(rng.normal(size=n), 1), rng.random(n) < 0.3),
+    ]
+    order = [0] + list(1 + rng.permutation(len(cols) - 1))
+    X = np.column_stack([cols[j][0] for j in order])
+    missing = np.column_stack([cols[j][1] for j in order])
+    y = ((x0 >= 0.0) ^ (rng.random(n) < 0.1)).astype(float)
+    return X, y, missing
+
+
+@pytest.mark.parametrize("max_depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_models_equal_pre_rewrite_growing(seed, lam, max_depth):
+    rng = np.random.default_rng(seed)
+    X, y, missing = _sparse_instance(rng)
+    samples = [(1.0, 1.0), (0.5, 0.5), (0.7, 1.0), (1.0, 0.4)]
+    for subsample, colsample in samples:
+        params = gbt.GbtParams(n_trees=4, max_depth=max_depth, gamma=0.0, lam=lam,
+                               subsample=subsample, colsample=colsample, seed=seed)
+        model = _assert_grows_as_oracle(X, y, params, missing)
+        if (subsample, colsample) == (1.0, 1.0) and max_depth > 1:
+            assert _scans_a_node_where_a_partly_missing_column_has_no_value(model, X, missing)
+
+
+def _scans_a_node_where_a_partly_missing_column_has_no_value(model, X, missing):
+    partly = missing.any(axis=0) & ~missing.all(axis=0)
+    for tree in model.trees:
+        stack = [(tree, np.arange(X.shape[0]), 0)]
+        while stack:
+            node, rows, depth = stack.pop()
+            scanned = depth < model.params.max_depth and rows.shape[0] >= 2
+            if scanned and missing[rows][:, partly].all(axis=0).any():
+                return True
+            if not node.is_leaf:
+                f = node.feature
+                left = np.where(missing[rows, f], node.missing_left, X[rows, f] < node.threshold)
+                stack += [(node.left, rows[left], depth + 1), (node.right, rows[~left], depth + 1)]
+    return False
+
+
+@pytest.mark.parametrize("m", [0, 3])
+def test_features_without_values_give_single_leaf_trees(m):
+    """No column, or only columns missing on every row: no block has a
+    feature, and each tree is one leaf even with rows and columns sampled."""
+    rng = np.random.default_rng(m)
+    X = rng.normal(size=(40, m))
+    missing = np.ones(X.shape, dtype=bool)
+    y = (rng.random(40) < 0.4).astype(float)
+    params = gbt.GbtParams(n_trees=3, subsample=0.5, colsample=0.5, seed=1)
+    model = gbt.train(X, y, params, missing=missing)
+    assert [t.is_leaf for t in model.trees] == [True] * 3
+    assert gbt.feature_gain(model) == {}
+    p = gbt.predict_proba(model, X, missing)
+    assert p.shape == (40,) and np.all(p == p[0])
 
 
 def test_every_node_gain_matches_oracle_at_depth_3():

@@ -85,12 +85,14 @@ def _load_market(od_dir: Path, od: str) -> dict[str, ParseResult]:
 def cmd_features(args, cfg: RunConfig) -> int:
     data_root = Path(args.data or cfg.data_dir)
     out_root = Path(args.out or cfg.out_dir)
-    ods = args.od or _select_ods(cfg, data_root, "bookings.csv", "synth")
     if cfg.lexicon_path:
         lexicon_file = _parse(Path(cfg.lexicon_path), "lexicon", cfg.lexicon_path)
         lexicon = sentiment.lexicon_from(lexicon_file.records)
+        if not lexicon:
+            raise CliError(f"{args.config}: [run] lexicon {cfg.lexicon_path} holds no words")
     else:
         lexicon = sentiment.load_default_lexicon()
+    ods = args.od or _select_ods(cfg, data_root, "bookings.csv", "synth")
     for od in ods:
         datasets = _load_market(data_root / od, od)
         fleet = datasets["fleet"].records
@@ -127,24 +129,21 @@ def _feature_names(text: str):
 def _load_model(path: Path, cls):
     """A model file whose feature_names are the feature table's model
     columns, in order; anything else is a CliError naming the file. Other
-    feature_names are reported as such even where they make the file fail
-    to load (a split or coefficient then has no name)."""
+    feature_names are checked first, since they can make the file fail to
+    load (a split or coefficient then has no name)."""
     if not path.is_file():
         raise CliError(f"missing {path}; run `farecast train` first")
     text = path.read_text(encoding="utf-8")
-    try:
-        model = cls.from_json(text)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        if _feature_names(text) in (None, MODEL_FEATURES):
-            raise CliError(
-                f"{path}: not a readable model file ({type(exc).__name__}: {exc})") from None
-        model = None
-    if model is None or model.feature_names != MODEL_FEATURES:
+    if _feature_names(text) not in (None, MODEL_FEATURES):
         raise CliError(
             f"{path}: feature_names are not the {len(MODEL_FEATURES)} model columns of "
             "features.csv in order; run `farecast train` again"
         )
-    return model
+    try:
+        return cls.from_json(text)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CliError(
+            f"{path}: not a readable model file ({type(exc).__name__}: {exc})") from None
 
 
 def _holdout(days, cfg: RunConfig, od: str):
@@ -161,6 +160,9 @@ def _train_one(od: str, table: FeatureTable, cfg: RunConfig):
     X, missing, names = table.model_matrix()
     y = table.labels()
     tr = ~_holdout(table.column("dep_day_id"), cfg, od)
+    if tr.sum() < 2:
+        raise CliError(f"[run] holdout_frac = {cfg.holdout_frac} leaves {tr.sum()} of the "
+                       f"{len(table)} rows of {od} for training, which needs at least 2")
     model = gbt.train(X[tr], y[tr], cfg.gbt, feature_names=names, missing=missing[tr])
     baseline = logit.fit_logit(X[tr], y[tr], feature_names=names, missing=missing[tr])
     return model, baseline

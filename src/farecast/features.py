@@ -179,9 +179,9 @@ class FeatureTable:
     def from_csv(cls, path: str | Path) -> "FeatureTable":
         """Read a table that `farecast features` wrote. A header other than
         `od` followed by ALL_COLUMNS (as to_csv writes them) raises
-        ParseError naming the file; a row with the wrong field count or a
-        cell that is neither empty nor a finite number, naming the file and
-        the line."""
+        ParseError naming the file; a row with the wrong field count, a cell
+        that is neither empty nor a finite number (a literal `nan` included)
+        or an `is_bought` other than 0 or 1, naming the file and the line."""
         rows = read_csv(path)
         _, header = next(rows, (0, []))
         if header[:1] != ["od"]:
@@ -193,22 +193,35 @@ class FeatureTable:
             raise ParseError(f"{path}: header is not the feature table's columns ({detail})")
         ods: list[str] = []
         cells: list[list[float]] = []
+        empty: list[int] = []  # empty cells per row: any other NaN was a literal nan
         n_fields = len(header)
         try:
             for lineno, row in rows:
                 if len(row) != n_fields:
                     raise ValueError(f"expected {n_fields} fields, got {len(row)}")
-                ods.append(row[0])
-                cells.append([float(v) if v != "" else math.nan for v in row[1:]])
+                ods.append(row.pop(0))
+                empty.append(row.count(""))
+                cells.append([float(v) if v else math.nan for v in row])
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
         values = np.array(cells, dtype=np.float64) if cells else np.empty((0, len(ALL_COLUMNS)))
-        inf = np.argwhere(np.isinf(values))
-        if inf.size:  # the line is looked up again only on this error path
-            row, col = inf[0]
-            lineno, _ = next(islice(read_csv(path), row + 1, None))
-            raise ParseError(f"{path}: line {lineno}: {_CSV_HEADER[col + 1]} is infinite")
+        label = values[:, ALL_COLUMNS.index("is_bought")]
+        bad = (np.isinf(values).any(axis=1) | (np.isnan(values).sum(axis=1) != empty)
+               | ((label != 0) & (label != 1)))
+        if bad.any():  # the line is looked up again only on this error path
+            lineno, row = next(islice(read_csv(path), int(bad.argmax()) + 1, None))
+            raise ParseError(f"{path}: line {lineno}: {_row_fault(row)}")
         return cls(ods=ods, values=values)
+
+
+def _row_fault(row: list[str]) -> str:
+    """What from_csv rejects in a row that parsed: its first infinite or nan
+    cell, else its is_bought."""
+    for name, cell in zip(_CSV_HEADER[1:], row[1:]):
+        if cell != "" and not math.isfinite(float(cell)):
+            return f"{name} is " + ("infinite" if math.isinf(float(cell)) else
+                                    "nan; a missing value is an empty cell")
+    return f"is_bought must be 0 or 1, got {row[_CSV_HEADER.index('is_bought')]!r}"
 
 
 def _feature_cells(uniq: np.ndarray) -> np.ndarray:

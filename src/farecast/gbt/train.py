@@ -11,8 +11,8 @@ improve the structure score by more than gamma.
 
 Work whose result no split can use is skipped, so every model is the same as
 with it: a feature missing on every training row gets no block (it has no
-boundary, so it could never split), and a child that will be a leaf at once
-(at max_depth, or with fewer than 2 rows) gets no block either.
+boundary, so it could never split), and a node cuts its parent's block down
+to its own rows only when it is scanned (below max_depth, with 2 rows or more).
 """
 
 from __future__ import annotations
@@ -60,12 +60,13 @@ def _presort(X: np.ndarray, missing: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.argsort(keyed, axis=0, kind="stable").T)
 
 
-def _keep_rows(block: np.ndarray, kept: np.ndarray, width: int) -> np.ndarray:
-    """The blocks restricted to the `width` rows where kept (one flag per
-    block entry, the same rows set in every block) is set. A stable filter
-    keeps every block sorted, so no block is ever sorted again. The width is
-    explicit because a block of no features has no row count to infer."""
-    return np.compress(kept.ravel(), block).reshape(block.shape[0], width)
+def _keep_rows(block: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """The block cut down to rows, a subset of its rows, out of n in all. A
+    stable filter keeps every block sorted, so none is ever sorted again. The
+    width comes from rows: a block of no features has no row count to infer."""
+    keep = np.zeros(n, dtype=bool)
+    keep[rows] = True
+    return np.compress(keep[block].ravel(), block).reshape(block.shape[0], rows.shape[0])
 
 
 def _best_split(
@@ -157,19 +158,22 @@ def _grow_node(
     g: np.ndarray,
     h: np.ndarray,
     idx: np.ndarray,
-    block: np.ndarray | None,
+    block: np.ndarray,
     depth: int,
     feat_ids: np.ndarray,
     params: GbtParams,
 ) -> TreeNode:
-    """Grow the subtree over rows idx. block holds the node's rows in the
-    presorted order of each feature of feat_ids; it is None for a node that
-    is never scanned because it sits at max_depth or has fewer than 2 rows."""
+    """Grow the subtree over rows idx. block, the parent's, holds a superset
+    of them in the presorted order of each feature of feat_ids. A scanned
+    node cuts it down to its own rows, unless it is already that wide (as
+    the root's is without subsampling), and hands that to both children."""
     g_total = float(g[idx].sum())
     h_total = float(h[idx].sum())
 
     split = None
-    if block is not None:
+    if depth < params.max_depth and idx.shape[0] >= 2:
+        if block.shape[1] != idx.shape[0]:
+            block = _keep_rows(block, idx, X.shape[0])
         split = _best_split(
             X, missing, g, h, idx, block, feat_ids, g_total, h_total, params.lam
         )
@@ -179,30 +183,8 @@ def _grow_node(
 
     gain, feature, threshold, missing_left = split
     goes_left = np.where(missing[idx, feature], missing_left, X[idx, feature] < threshold)
-    rows = idx[goes_left], idx[~goes_left]
-    # a child at max_depth or with fewer than 2 rows is a leaf: it gets no block
-    scan = [depth + 1 < params.max_depth and r.shape[0] >= 2 for r in rows]
-    left_block = right_flags = right_block = None
-    if any(scan):
-        # one gather serves both children. The right child's flags wait
-        # through the left subtree packed, one bit per block entry: every
-        # left-spine ancestor holds its flags at once, and a byte per entry
-        # would raise the fit's peak memory
-        left_rows = np.zeros(X.shape[0], dtype=bool)
-        left_rows[rows[0]] = True
-        flags = left_rows[block]
-        if scan[0]:
-            left_block = _keep_rows(block, flags, rows[0].shape[0])
-        if scan[1]:
-            right_flags = np.packbits(np.logical_not(flags, out=flags))
-        del flags
-    left = _grow_node(X, missing, g, h, rows[0], left_block, depth + 1, feat_ids, params)
-    del left_block  # not kept through the right subtree
-    if scan[1]:
-        flags = np.unpackbits(right_flags, count=block.size).view(bool)
-        right_block = _keep_rows(block, flags, rows[1].shape[0])
-        del flags, right_flags
-    right = _grow_node(X, missing, g, h, rows[1], right_block, depth + 1, feat_ids, params)
+    left = _grow_node(X, missing, g, h, idx[goes_left], block, depth + 1, feat_ids, params)
+    right = _grow_node(X, missing, g, h, idx[~goes_left], block, depth + 1, feat_ids, params)
     return TreeNode(
         cover=h_total, grad_sum=g_total, feature=feature, threshold=threshold,
         missing_left=missing_left, gain=gain, left=left, right=right,
@@ -269,12 +251,9 @@ def train(
         )
         # filtered after the draw, so the rng stream does not depend on it
         cols = np.intersect1d(cols, kept, assume_unique=True)
-        block = order[np.searchsorted(kept, cols)] if cols.shape[0] < kept.shape[0] else order
-        if n_sub < n:
-            in_tree = np.zeros(n, dtype=bool)
-            in_tree[rows] = True
-            block = _keep_rows(block, in_tree[block], n_sub)
-        tree = _grow_node(X, missing, g, h, rows, block, 0, cols, params)
+        # passed unbound, so the root frees a column copy once it cuts it down
+        tree = _grow_node(X, missing, g, h, rows, order[np.searchsorted(kept, cols)]
+                          if cols.shape[0] < kept.shape[0] else order, 0, cols, params)
         trees.append(tree)
         margins += _margins_tree(tree, X, missing)
 

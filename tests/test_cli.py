@@ -281,13 +281,17 @@ def test_config_file_loading(workspace, tmp_path, capsys):
     ("[run]\nseeds = 3\n", "section [run] has unknown key 'seeds'"),
     ("[gtb]\nn_trees = 50\n", "unknown section [gtb]"),
     ("[DEFAULT]\nn_trees = 5\n[run]\nseed = 1\n[gbt]\n", "section [run] has unknown key 'n_trees'"),
+    ("[run]\nlexicon = {tmp}/words.csv\n", "[run] lexicon {tmp}/words.csv holds no words"),
 ])
 def test_malformed_config_exits_2_naming_file(tmp_path, capsys, text, message):
+    """{tmp} stands for the test's directory, which holds words.csv, a
+    lexicon file with a header and no rows."""
+    (tmp_path / "words.csv").write_text("word,score\n", encoding="utf-8")
     path = tmp_path / "run.ini"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text.replace("{tmp}", str(tmp_path)), encoding="utf-8")
     assert cli.main(["--config", str(path), "features", "--data", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: ") and message in err
+    assert err.startswith(f"error: {path}: ") and message.replace("{tmp}", str(tmp_path)) in err
 
 
 def test_default_section_sets_keys_in_every_section(tmp_path):
@@ -319,6 +323,28 @@ def test_holdout_of_every_day_exits_2_naming_config_and_od(workspace, tmp_path, 
     want = f"[run] holdout_frac = 0.99 holds out every departure day of {SMALL_ODS[0]}"
     assert err == f"error: {want}\n"
     assert not (tmp_path / SMALL_ODS[0]).exists() and not (tmp_path / "c.csv").exists()
+
+
+def test_train_on_fewer_than_2_rows_exits_2_naming_config_and_od(workspace, tmp_path, capsys):
+    """Two bookings on two departure days: the default holdout takes one day,
+    which leaves one row to train on."""
+    od = SMALL_ODS[0]
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data" / od, data / od)
+    lines = (data / od / "bookings.csv").read_text(encoding="utf-8").splitlines()
+    day = lines[0].split(",").index("dep_day_id")
+    first = {}
+    for line in lines[1:]:
+        first.setdefault(line.split(",")[day], line)
+    (data / od / "bookings.csv").write_text(
+        "\n".join([lines[0], *list(first.values())[:2]]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["features", "--data", str(data), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--features", str(out), "--out", str(out)]) == 2
+    want = f"[run] holdout_frac = 0.2 leaves 1 of the 2 rows of {od} for training"
+    assert capsys.readouterr().err.startswith(f"error: {want}")
+    assert not (out / od / "gbt.json").exists()
 
 
 def test_config_lexicon_is_used(workspace, tmp_path):

@@ -267,12 +267,26 @@ def test_feature_csv_roundtrip_with_missing(tmp_path):
     assert np.allclose(back.values, table.values, equal_nan=True)
 
 
+def _set_cell(line: int, column: str, value: str):
+    """An edit of a feature CSV's lines that sets one cell of `line` (1-based)."""
+    def edit(lines):
+        cells = lines[line - 1].split(",")
+        cells[lines[1].split(",").index(column)] = value
+        return lines[:line - 1] + [",".join(cells)] + lines[line:]
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda lines: lines[:3] + [lines[3].rsplit(",", 2)[0]] + lines[4:], "line 4: expected"),
     (lambda lines: lines[:2] + [lines[2].replace("XX-YY,1,", "XX-YY,one,", 1)] + lines[3:],
      "line 3: could not convert string to float: 'one'"),
     (lambda lines: ["price,od"] + lines[2:], "header must start with an 'od' column"),
     (lambda lines: ["od,price,is_bought", "XX-YY,100,1"], "header is not the feature table's"),
+    (_set_cell(4, "airline_id", "nan"), "line 4: airline_id is nan"),
+    (_set_cell(3, "price", "-NaN"), "line 3: price is nan"),
+    (_set_cell(3, "price", "inf"), "line 3: price is infinite"),
+    *[(_set_cell(4, "is_bought", v), f"line 4: is_bought must be 0 or 1, got '{v}'")
+      for v in ("2", "0.5", "-1", "")],
 ])
 def test_feature_csv_malformed_names_file_and_line(tmp_path, edit, message):
     bookings, fares = _tiny_market()

@@ -501,10 +501,7 @@ def _oracle_nodes(rng, n_nodes):
         if i % 2:
             h[rng.random(h.shape[0]) < 0.3] = 0.0
             h[idx[0]] = 0.1  # keeps the node's hessian mass positive
-        in_node = np.zeros(X.shape[0], dtype=bool)
-        in_node[idx] = True
-        block = _presort(X, missing)[feat_ids]
-        block = _keep_rows(block, in_node[block], idx.shape[0])
+        block = _keep_rows(_presort(X, missing)[feat_ids], idx, X.shape[0])
         yield X, missing, g, h, idx, block, feat_ids
 
 
@@ -658,6 +655,36 @@ def _assert_grows_as_oracle(X, y, params, missing, names=None):
     want = _train_oracle(X, y, params, feature_names=names, missing=missing)
     assert got.to_json() == want.to_json()
     return got
+
+
+@pytest.mark.parametrize("m", [0, 1, 6])
+def test_keep_rows_equals_oracle(m):
+    """One row, all rows and random subsets of a full block and of a block
+    already cut down; with no feature only the shape is left to check, and
+    the oracle cannot infer it."""
+    rng = np.random.default_rng(m)
+    n = 50
+    X = np.round(rng.normal(size=(n, m)), 1)
+    missing = rng.random((n, m)) < 0.2
+    full = _presort(X, missing)
+    part = np.sort(rng.choice(n, size=30, replace=False))
+    in_part = np.zeros(n, dtype=bool)
+    in_part[part] = True
+    cut = _keep_rows_oracle(full, in_part) if m else np.empty((0, 30), dtype=full.dtype)
+    checked = 0
+    for block, own in ((full, np.arange(n)), (cut, part)):
+        subsets = [own[:1], own[-1:], own] + [
+            np.sort(rng.choice(own, size=k, replace=False)) for k in (2, 7, 15, own.shape[0] - 1)
+        ]
+        for rows in subsets:
+            keep = np.zeros(n, dtype=bool)
+            keep[rows] = True
+            got = _keep_rows(block, rows, n)
+            assert got.shape == (m, rows.shape[0]) and got.dtype == block.dtype
+            if m:
+                np.testing.assert_array_equal(got, _keep_rows_oracle(block, keep))
+            checked += 1
+    assert checked == 14
 
 
 def test_fixture_models_equal_pre_rewrite_growing(pipeline):

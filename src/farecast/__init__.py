@@ -1,6 +1,6 @@
 """Itinerary purchase prediction and revenue-management simulation toolkit.
 
-Subpackages / modules:
+Modules:
 
 - ingest: CSV schemas for the six input datasets plus the sentiment lexicon
 - sentiment: lexicon-based text scoring aggregated per airline

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .gbt.model import TreeEnsemble, sigmoid
+from .gbt import TreeEnsemble, sigmoid
 from .ingest import quote_cells, write_csv
 
 __all__ = ["Explanation", "explain_prediction", "render_waterfall", "write_waterfall_data"]

@@ -1,16 +1,20 @@
-"""Scalar reference versions of code the package runs in vectorized form.
+"""Scalar reference versions of code the package runs in vectorized form,
+and test-only tools built on the package's own rules.
 
 The feature assembly derives competitor pricing from fare cubes
 (`features._market`, `features._rolling`) and the explanation walk routes
 rows inline; the plain per-key functions here are what the tests hold them
-to.
+to. `refit_leaf_weights` re-derives leaf weights with the trainer's own leaf
+rule, so the regularization checks test the rule that training uses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
+
+from farecast.gbt import TreeEnsemble, TreeNode, _leaf_weight
 
 # Four airlines' fares at t = -103..-100; airline 1 is the one under study.
 WORKED_FARES = {
@@ -100,3 +104,21 @@ def route(node, value: float, missing: bool):
     if missing:
         return node.left if node.missing_left else node.right
     return node.left if value < node.threshold else node.right
+
+
+def refit_leaf_weights(model: TreeEnsemble, lam: float) -> TreeEnsemble:
+    """The model with every leaf weight recomputed by the trainer's leaf rule
+    at ridge penalty lam, on the same tree structures."""
+    params = replace(model.params, lam=lam)
+
+    def rebuild(node: TreeNode) -> TreeNode:
+        if node.is_leaf:
+            return replace(node, weight=_leaf_weight(node.grad_sum, node.cover, params))
+        return replace(node, left=rebuild(node.left), right=rebuild(node.right))
+
+    return TreeEnsemble(
+        trees=[rebuild(t) for t in model.trees],
+        base_score=model.base_score,
+        params=params,
+        feature_names=list(model.feature_names),
+    )

@@ -26,7 +26,6 @@ from farecast.features import (
     assemble_feature_vectors,
     build_airline_aggregates,
 )
-from farecast.gbt.train import refit_leaf_weights
 from farecast.ingest import FareObservation, ItineraryRecord, filter_tweets
 from farecast.sentiment import load_default_lexicon, scale_to_10, score_text
 from farecast.simulate import (
@@ -39,7 +38,7 @@ from farecast.simulate import (
     optimize_policy,
     replay,
 )
-from oracles import WORKED_FARES, diff_series, rolling_price_features
+from oracles import WORKED_FARES, diff_series, refit_leaf_weights, rolling_price_features
 
 
 @contextlib.contextmanager
@@ -201,8 +200,7 @@ def test_criterion_04_boosting_monotonicity(pipeline):
             margins = np.full(len(y), model.base_score)
             losses = []
             for tree in model.trees:
-                from farecast.gbt.train import _margins_tree
-                margins = margins + _margins_tree(tree, X, missing)
+                margins = margins + gbt._margins_tree(tree, X, missing)
                 p = np.clip(_sigmoid(margins), 1e-12, 1 - 1e-12)
                 losses.append(float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))))
             assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:])), od

@@ -467,6 +467,10 @@ def _with_entry(key, edit):
                  "ValueError: split feature -1 is not an index", id="negative-feature"),
     pytest.param("gbt.json", lambda text: _with_first_split(text, threshold=math.nan),
                  "ValueError: split threshold nan is not finite", id="nan-threshold"),
+    pytest.param("gbt.json", lambda text: _with_first_split(text, missing_left=1),
+                 "ValueError: split missing_left 1 is not a boolean", id="int-missing_left"),
+    pytest.param("gbt.json", lambda text: _with_first_split(text, missing_left="no"),
+                 "ValueError: split missing_left 'no' is not a boolean", id="str-missing_left"),
     *[pytest.param("logit.json", _with_entry(key, lambda v: v[:-1]),
                    f"ValueError: {key} needs one value per feature name", id=f"short-{key}")
       for key in ("coef", "mean", "scale")],

@@ -17,8 +17,8 @@ from farecast.explain import (
     render_waterfall,
     write_waterfall_data,
 )
-from farecast.gbt.model import sigmoid as model_sigmoid
-from oracles import route
+from farecast.gbt import sigmoid as model_sigmoid
+from oracles import refit_leaf_weights, route
 
 
 def sigmoid(z):
@@ -169,8 +169,8 @@ def _oracle_case(seed):
 _VARIANTS = {
     "trained": lambda m: m,
     "from_json": lambda m: gbt.TreeEnsemble.from_json(m.to_json()),
-    "refit_lam0": lambda m: gbt.refit_leaf_weights(m, 0.0),
-    "refit_lam7.5": lambda m: gbt.refit_leaf_weights(m, 7.5),
+    "refit_lam0": lambda m: refit_leaf_weights(m, 0.0),
+    "refit_lam7.5": lambda m: refit_leaf_weights(m, 7.5),
 }
 
 

@@ -8,6 +8,7 @@ check catches a deletion or rename that would break the traced run.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -18,18 +19,31 @@ from farecast import gbt
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    """perfbench/workloads.py, imported without writing bytecode beside it."""
+@contextmanager
+def _perfbench_importable():
+    """perfbench's modules importable, without writing bytecode beside them."""
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(PERFBENCH))
     try:
-        import workloads
+        yield
     finally:
         sys.path.remove(str(PERFBENCH))
         sys.dont_write_bytecode = dont_write
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    with _perfbench_importable():
+        import workloads
     return workloads
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    with _perfbench_importable():
+        import tracing
+    return tracing
 
 
 def test_every_instrumented_name_exists(workloads):
@@ -49,3 +63,16 @@ def test_count_splits_runs_on_a_trained_model(workloads):
     splits = workloads._count_splits(model)
     assert splits > 0
     assert splits == sum(tree.n_leaves() - 1 for tree in model.trees)
+
+
+def test_each_traced_predict_call_records_one_span(workloads, tracing):
+    """A label call and a probability call record one gbt.predict span each:
+    neither reaches the other through its traced module attribute."""
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(60, 2))
+    model = gbt.train(X, (X[:, 0] > 0).astype(float), gbt.GbtParams(n_trees=2, max_depth=2))
+    tracer = tracing.Tracer()
+    with tracer.instrument(workloads.INSTRUMENTED), tracer.span("pass"):
+        gbt.predict_label(model, X)
+        gbt.predict_proba(model, X)
+    assert [s.name for s in tracer.spans].count("gbt.predict") == 2

@@ -27,11 +27,10 @@ import re
 import statistics
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import reduce
-from itertools import islice
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -315,61 +314,63 @@ def _lookup(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.where(keys[i] == values, i, -1)
 
 
-class _Market(NamedTuple):
+class _Market:
     """One OD's fares as (airline, dep_day, dbd) cubes.
 
-    Every axis ends in one all-NaN slot, so index -1 reads as an absent key.
+    The fare rows are stably sorted by their flat cube cell once, and every
+    cube is a reduction over the runs of equal cells (`fill`). Every axis
+    ends in one all-NaN slot, so index -1 reads as an absent key. The dbd
+    axis starts max(ROLL_WINDOWS) days before the earliest fare, so every
+    fare's cell has a full window of positions before it in its row.
+    Sorting along the airline axis puts NaN last: yy and xx are the two
+    smallest per-airline fares, xx being the fare of the second airline in
+    (fare, airline_id) order, or NaN with a single airline.
     """
 
-    airlines: np.ndarray  # sorted ids along axis 0
-    days: np.ndarray  # sorted dep_day ids along axis 1
-    dbd0: int  # dbd at position 0 of axis 2
-    fare: np.ndarray  # per-airline minimum fare
-    yy: np.ndarray  # (dep_day, dbd) cheapest per-airline fare
-    diffs: dict[str, np.ndarray]  # al/yy/xx diff series
+    def __init__(self, airline, day, dbd, price):
+        self.airlines, a = np.unique(airline, return_inverse=True)  # sorted ids, axis 0
+        self.days, d = np.unique(day, return_inverse=True)  # sorted dep_day ids, axis 1
+        self.dbd0 = int(np.min(dbd)) - max(ROLL_WINDOWS)  # dbd at position 0 of axis 2
+        t = np.asarray(dbd, dtype=np.int64) - self.dbd0
+        self.shape = (len(self.airlines) + 1, len(self.days) + 1, int(t.max()) + 2)
+        cell = np.ravel_multi_index((a, d, t), self.shape)
+        self._order = np.argsort(cell, kind="stable")
+        cell = cell[self._order]
+        self._starts = np.flatnonzero(np.diff(cell, prepend=-1))
+        self._cells = cell[self._starts]
+        self.fare = self.fill(np.fmin, price)  # per-airline minimum fare
+        self.yy, xx = np.sort(self.fare, axis=0)[:2]  # (dep_day, dbd) references
+        al = np.diff(self.fare, axis=2, prepend=np.nan)
+        self.diffs = {"al": al, "yy": self.fare - self.yy, "xx": self.fare - xx}
+
+    def fill(self, ufunc, values: np.ndarray) -> np.ndarray:
+        """Cube of `ufunc` reduced over the values of the fare rows at each
+        cell, in row order; NaN at cells without fare rows."""
+        cube = np.full(np.prod(self.shape), np.nan)
+        cube[self._cells] = ufunc.reduceat(values[self._order], self._starts)
+        return cube.reshape(self.shape)
 
     def index(self, airline, day, dbd) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cube position of each (airline, dep_day, dbd) key; -1 where absent."""
         t = np.asarray(dbd, dtype=np.int64) - self.dbd0
-        t = np.where((t >= 0) & (t < self.fare.shape[2] - 1), t, -1)
+        t = np.where((t >= 0) & (t < self.shape[2] - 1), t, -1)
         return _lookup(self.airlines, airline), _lookup(self.days, day), t
 
 
-def _market(airline, day, dbd, price) -> _Market:
-    """Cube one OD's fare rows and derive the yy/xx references and diffs.
+def _window_stats(series: np.ndarray, cells: np.ndarray, w: int) -> tuple[np.ndarray, ...]:
+    """(mean, sd, min, max) of the w values of `series` strictly before each
+    of `cells` (flat indices, of any shape) along its last axis.
 
-    The dbd axis starts max(ROLL_WINDOWS) days before the earliest fare, so
-    it is longer than any window. Sorting along the airline axis puts NaN
-    last: yy and xx are the two smallest per-airline fares, xx being the fare
-    of the second airline in (fare, airline_id) order, or NaN with a single
-    airline.
+    Each cell must lie at least w positions into its row, so that no window
+    reaches into the row before. The sums are those of the scalar oracle
+    (tests/oracles.py, rolling_price_features), run in window order, so the
+    two agree bit for bit. Any absent value in the window gives NaN.
     """
-    airlines, a = np.unique(airline, return_inverse=True)
-    days, d = np.unique(day, return_inverse=True)
-    dbd0 = int(np.min(dbd)) - max(ROLL_WINDOWS)
-    t = np.asarray(dbd, dtype=np.int64) - dbd0
-    fare = np.full((len(airlines) + 1, len(days) + 1, int(t.max()) + 2), np.nan)
-    np.fmin.at(fare, (a, d, t), price)
-    yy, xx = np.sort(fare, axis=0)[:2]
-    al = np.diff(fare, axis=2, prepend=np.nan)
-    return _Market(airlines, days, dbd0, fare, yy, {"al": al, "yy": fare - yy, "xx": fare - xx})
-
-
-def _rolling(series: np.ndarray, w: int) -> np.ndarray:
-    """(mean, sd, min, max) of the w values strictly before each position of
-    the last axis, stacked on a new first axis.
-
-    The sums are those of the scalar oracle (tests/oracles.py,
-    rolling_price_features), run in window order, so the two agree bit for
-    bit. Any absent value in the window gives NaN.
-    """
-    n = series.shape[-1]
-    window = [series[..., k:n - w + k] for k in range(w)]
+    window = series.reshape(-1)[np.add.outer(np.arange(-w, 0), cells)]
     mean = sum(window) / w
-    sd = np.sqrt(sum((v - mean) * (v - mean) for v in window) / (w - 1))
-    out = np.full((4,) + series.shape, np.nan)
-    out[..., w:] = mean, sd, reduce(np.minimum, window), reduce(np.maximum, window)
-    return out
+    dev = window - mean
+    sd = np.sqrt(sum(dev * dev) / (w - 1))
+    return mean, sd, window.min(axis=0), window.max(axis=0)
 
 
 def _column(data: Mapping | Sequence, name: str) -> Sequence:
@@ -401,6 +402,10 @@ def assemble_feature_vectors(
     dataset alone. Rows are emitted in input order and never dropped; fields
     that cannot be computed are explicitly missing. A booking whose OD has no
     fares keeps only its row-level fields.
+
+    Each OD's fare rows are sorted once into its cubes (`_Market`), and the
+    rolling-window statistics are gathered at the keys of the bookings that
+    have an own fare, the only keys written (`_window_stats`).
     """
     col = {name: i for i, name in enumerate(ALL_COLUMNS)}
     row_fields = _columns(bookings, _ROW_FIELDS)
@@ -411,36 +416,41 @@ def assemble_feature_vectors(
     values[:, col["dept_delta"]] = np.abs(dep - IDEAL_DEP)
 
     ods = list(_column(bookings, "od"))
-    booking_od = np.array(ods, dtype=str)
-    fare_od = np.array(_column(fares, "od"), dtype=str)
+    fare_ods = _column(fares, "od")
+    code = {od: i for i, od in enumerate(dict.fromkeys(chain(ods, fare_ods)))}
+    booking_od = np.fromiter(map(code.__getitem__, ods), np.int64, len(ods))
+    fare_od = np.fromiter(map(code.__getitem__, fare_ods), np.int64, len(fare_ods))
     fare_fields = _columns(fares, _ROW_FIELDS[:6])
     in_market = np.zeros(len(ods), dtype=bool)
-    for od in np.unique(fare_od):
-        rows = np.flatnonzero(booking_od == od)
+    for market in np.unique(fare_od):
+        rows = np.flatnonzero(booking_od == market)
         in_market[rows] = True
-        fa, fd, ft, fdep, ftt, fprice = fare_fields[fare_od == od].T
-        m = _market(fa, fd, ft, fprice)
-        key = m.index(fa, fd, ft)
-        a, d, t = m.index(airline[rows], day[rows], dbd[rows])
+        fa, fd, ft, fdep, ftt, fprice = fare_fields[fare_od == market].T
+        m = _Market(fa, fd, ft, fprice)
+        key = m.index(airline[rows], day[rows], dbd[rows])
         base = ftt.min()
 
-        # pricing, rolling and min_flying_time exist where the own key has a fare
+        # pricing, rolling and min_flying_time exist where the own key has a
+        # fare; such a key's t is at least max(ROLL_WINDOWS) (see _Market)
+        priced = ~np.isnan(m.fare[key])
+        priced_rows = rows[priced]
+        a, d, t = (k[priced] for k in key)
         own, yy = m.fare[a, d, t], m.yy[d, t]
-        priced = ~np.isnan(own)
         at_key = {
             "is_cheapest": own == yy,
             "mkt_fare": yy,
             "mkt_fare_diff": m.diffs["yy"][a, d, t],
             "mkt_fare_diff_perc": own / yy - 1.0,
             "xx_fare_diff": m.diffs["xx"][a, d, t],
-            "min_flying_time": np.full(len(rows), base),
         }
+        cells = np.ravel_multi_index((a, d, t), m.shape)
         for ref in ROLL_REFS:
             for w in ROLL_WINDOWS:
-                stats = _rolling(m.diffs[ref], w)[:, a, d, t]
+                stats = _window_stats(m.diffs[ref], cells, w)
                 at_key.update((f"{s}{w}d_{ref}", v) for s, v in zip(ROLL_STATS, stats))
-        for name, v in at_key.items():
-            values[rows[priced], col[name]] = v[priced]
+        values[np.ix_(priced_rows, [col[name] for name in at_key])] = np.column_stack(
+            list(at_key.values()))
+        values[priced_rows, col["min_flying_time"]] = base
 
         # schedule groups: the airline's itineraries at the booking's key
         arrival = fdep + ftt * 60.0
@@ -456,22 +466,20 @@ def assemble_feature_vectors(
             ("last_flight_arr", np.fmax, arrival),
             ("min_conn_time", np.fmin, np.maximum(0.0, ftt - base)),
         ):
-            cube = np.full(m.fare.shape, np.nan)
-            ufunc.at(cube, key, v)
-            values[rows, col[name]] = cube[a, d, t]
-        mintt = np.full(m.yy.shape, np.nan)
-        np.fmin.at(mintt, key[1:], ftt)
-        values[rows, col["min_travel_time"]] = mintt[d, t]
-        values[rows, col["tt_delta"]] = np.maximum(0.0, tt[rows] - mintt[d, t])
+            values[rows, col[name]] = m.fill(ufunc, v)[key]
+        mintt = np.fmin.reduce(m.fill(np.fmin, ftt), axis=0)[key[1:]]
+        values[rows, col["min_travel_time"]] = mintt
+        values[rows, col["tt_delta"]] = np.maximum(0.0, tt[rows] - mintt)
 
         # distinct departure times per airline, counted on the fares sorted by
         # (airline, dep_time); the trailing 0 is for absent airlines
-        by_pair = np.lexsort((fdep, key[0]))
-        pa, pdep = key[0][by_pair], fdep[by_pair]
+        fare_airline = _lookup(m.airlines, fa)
+        by_pair = np.lexsort((fdep, fare_airline))
+        pa, pdep = fare_airline[by_pair], fdep[by_pair]
         first = np.ones(len(by_pair), dtype=bool)
         first[1:] = (pa[1:] != pa[:-1]) | (pdep[1:] != pdep[:-1])
         freq = np.bincount(pa[first], minlength=len(m.airlines) + 1)
-        values[rows, col["num_frequencies"]] = freq[a]
+        values[rows, col["num_frequencies"]] = freq[key[0]]
         values[rows, col["home_carrier"]] = airline[rows] == m.airlines[np.argmax(freq)]
         values[rows, col["direct_flight"]] = tt[rows] - base < DIRECT_SLACK_HOURS
         values[rows, col["has_night_departure"]] = (

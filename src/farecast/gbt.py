@@ -144,19 +144,19 @@ class TreeNode:
     @classmethod
     def from_dict(cls, d: dict, n_features: int) -> "TreeNode":
         """The node and its subtree. A node whose cover, grad_sum, weight (at
-        a leaf) or gain (at a split) is not finite, or a split whose feature
-        is not an index below n_features, whose threshold is not finite or
-        whose missing_left is not a boolean, raises ValueError."""
+        a leaf) or gain (at a split) is not a finite number, or a split whose
+        feature is not an index below n_features, whose threshold is not a
+        finite number or whose missing_left is not a boolean, raises
+        ValueError."""
         for key in ("cover", "grad_sum", "weight", "gain"):
-            if key in d and not math.isfinite(d[key]):
-                raise ValueError(f"node {key} {d[key]!r} is not finite")
+            if key in d:
+                _check_finite(d[key], f"node {key}")
         if "left" in d:
             feature, threshold = d["feature"], d["threshold"]
             if type(feature) is not int or not 0 <= feature < n_features:
                 raise ValueError(
                     f"split feature {feature!r} is not an index into {n_features} feature_names")
-            if not math.isfinite(threshold):
-                raise ValueError(f"split threshold {threshold!r} is not finite")
+            _check_finite(threshold, "split threshold")
             if type(d["missing_left"]) is not bool:
                 raise ValueError(f"split missing_left {d['missing_left']!r} is not a boolean")
             return cls(
@@ -170,6 +170,16 @@ class TreeNode:
                 right=cls.from_dict(d["right"], n_features),
             )
         return cls(cover=d["cover"], grad_sum=d["grad_sum"], weight=d["weight"])
+
+
+def _check_finite(value, what: str) -> None:
+    """Raise ValueError naming `what` unless value is a JSON number (an int
+    or a float; a bool, which math.isfinite takes as 0 or 1, is not one) and
+    finite."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} {value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} {value!r} is not finite")
 
 
 @dataclass
@@ -208,8 +218,7 @@ class TreeEnsemble:
         if d.get("format") != "farecast-gbt":
             raise ValueError("not a farecast gbt model file")
         names = list(d["feature_names"])
-        if not math.isfinite(d["base_score"]):
-            raise ValueError(f"base_score {d['base_score']!r} is not finite")
+        _check_finite(d["base_score"], "base_score")
         return cls(
             trees=[TreeNode.from_dict(t, len(names)) for t in d["trees"]],
             base_score=d["base_score"],

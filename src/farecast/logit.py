@@ -46,6 +46,16 @@ def _expit(x):
     return 1.0 / (1.0 + e)
 
 
+# JSON numbers load as int or float; bool, a subclass of int, is not one.
+_NUMBER = (int, float)
+_SCALAR_TYPES = {
+    "intercept": (_NUMBER, "a number"),
+    "grad_norm": (_NUMBER, "a number"),
+    "iterations": ((int,), "an integer"),
+    "converged": ((bool,), "a boolean"),
+}
+
+
 @dataclass
 class LogitModel:
     intercept: float
@@ -78,12 +88,20 @@ class LogitModel:
     @classmethod
     def from_json(cls, text: str) -> "LogitModel":
         """Read a model to_json wrote. A file of another format, whose
-        coef, mean or scale has not one value per feature name, or whose
-        intercept, coef, mean or scale holds a value that is not finite,
-        raises ValueError."""
+        intercept, grad_norm, coef, mean or scale holds a value that is not
+        a number, whose iterations is not an integer or converged not a
+        boolean, whose coef, mean or scale has not one value per feature
+        name, or whose intercept, coef, mean or scale holds a value that is
+        not finite, raises ValueError."""
         obj = json.loads(text)
         if obj.get("format") != "farecast-logit":
             raise ValueError("not a logistic-baseline model file")
+        for name, (types, kind) in _SCALAR_TYPES.items():
+            if type(obj[name]) not in types:
+                raise ValueError(f"{name} {obj[name]!r} is not {kind}")
+        for name in ("coef", "mean", "scale"):
+            if not all(type(v) in _NUMBER for v in obj[name]):
+                raise ValueError(f"{name} holds a value that is not a number")
         model = cls(
             intercept=float(obj["intercept"]),
             coef=np.array(obj["coef"], dtype=float),

@@ -27,7 +27,7 @@ from .ingest import (
     SafetyRecord,
     TweetRecord,
 )
-from .features import _columns, _market, _rolling
+from .features import _columns, _Market, _window_stats
 from .simulate import DemandMix, FareLadder, OdMarket, SimScenario
 
 __all__ = ["ArchetypeSpec", "MarketData", "generate_market", "standard_fixture", "FIXTURE_SEED"]
@@ -241,11 +241,17 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
                         )
                     )
 
-    # own-minus-cheapest fare and its rolling 3-day mean, from the feature
-    # assembly's cubes; their axes follow airline_ids, dep_days and dbd - dbd0
-    market = _market(*_columns(data.fares, ("airline_id", "dep_day_id", "dbd", "price")).T)
-    yy_diffs = market.diffs["yy"].tolist()
-    mean3d_yys = np.nan_to_num(_rolling(market.diffs["yy"], 3)[0]).tolist()
+    # own-minus-cheapest fare and its rolling 3-day mean at every displayable
+    # key, from the feature assembly's cubes; indexed [airline][day][dbd]
+    # along airline_ids, dep_days and the display range
+    market = _Market(*_columns(data.fares, ("airline_id", "dep_day_id", "dbd", "price")).T)
+    display_dbds = range(DISPLAY_DBD_MIN, DISPLAY_DBD_MAX + 1)
+    cells = np.ravel_multi_index(
+        np.ix_(range(n_air), range(N_DEPARTURE_DAYS), np.subtract(display_dbds, market.dbd0)),
+        market.shape,
+    )
+    yy_diffs = market.diffs["yy"].reshape(-1)[cells].tolist()
+    mean3d_yys = np.nan_to_num(_window_stats(market.diffs["yy"], cells, 3)[0]).tolist()
 
     ife_median = {
         a: float(median(r.ife for r in data.reviews if r.airline_id == a)) for a in airline_ids
@@ -256,14 +262,13 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
     candidates: list[tuple[int, int, int, int]] = []
     latents: list[float] = []
     for di, day in enumerate(dep_days):
-        for dbd in range(DISPLAY_DBD_MIN, DISPLAY_DBD_MAX + 1):
-            t = dbd - market.dbd0
+        for j, dbd in enumerate(display_dbds):
             z_dbd = (dbd - (DISPLAY_DBD_MIN + DISPLAY_DBD_MAX) / 2.0) / 12.0
             for ai, a in enumerate(airline_ids):
                 for k in range(n_itins[a]):
                     if rng.random() > DISPLAY_PROB:
                         continue
-                    yy_diff, mean3d_yy = yy_diffs[ai][di][t], mean3d_yys[ai][di][t]
+                    yy_diff, mean3d_yy = yy_diffs[ai][di][j], mean3d_yys[ai][di][j]
                     if spec.archetype == "price":
                         drv = -mean3d_yy / (0.08 * fare_scale)
                         aux = -yy_diff / (0.15 * fare_scale)

@@ -2,9 +2,9 @@
 and test-only tools built on the package's own rules.
 
 The feature assembly derives competitor pricing from fare cubes
-(`features._market`, `features._rolling`) and the explanation walk routes
-rows inline; the plain per-key functions here are what the tests hold them
-to. `refit_leaf_weights` re-derives leaf weights with the trainer's own leaf
+(`features._Market`) and window statistics gathered at each itinerary's key
+(`features._window_stats`), and the explanation walk routes rows inline; the
+plain per-key functions here are what the tests hold them to. `refit_leaf_weights` re-derives leaf weights with the trainer's own leaf
 rule, so the regularization checks test the rule that training uses.
 """
 

@@ -488,6 +488,26 @@ def _with_entry(key, edit):
     *[pytest.param("logit.json", _with_entry(key, lambda v: [*v[:-1], math.inf]),
                    f"ValueError: {key} has a value that is not finite", id=f"inf-{key}")
       for key in ("coef", "mean", "scale")],
+    # a JSON true or a numeric string where a number belongs
+    pytest.param("gbt.json", lambda text: _with_first_split(text, threshold=True),
+                 "ValueError: split threshold True is not a number", id="bool-threshold"),
+    pytest.param("gbt.json", lambda text: _with_first_split(text, gain="1.5"),
+                 "ValueError: node gain '1.5' is not a number", id="str-split-gain"),
+    *[pytest.param("gbt.json", lambda text, key=key: _with_first_leaf(text, **{key: True}),
+                   f"ValueError: node {key} True is not a number", id=f"bool-leaf-{key}")
+      for key in ("weight", "cover", "grad_sum")],
+    pytest.param("gbt.json", _with_entry("base_score", lambda v: True),
+                 "ValueError: base_score True is not a number", id="bool-base_score"),
+    *[pytest.param("logit.json", _with_entry("intercept", lambda v, bad=bad: bad),
+                   f"ValueError: intercept {bad!r} is not a number", id=f"{kind}-intercept")
+      for kind, bad in (("str", "1.5"), ("bool", True))],
+    *[pytest.param("logit.json", _with_entry(key, lambda v: [*v[:-1], str(v[-1])]),
+                   f"ValueError: {key} holds a value that is not a number", id=f"str-{key}")
+      for key in ("coef", "mean", "scale")],
+    pytest.param("logit.json", _with_entry("iterations", lambda v: 3.7),
+                 "ValueError: iterations 3.7 is not an integer", id="float-iterations"),
+    pytest.param("logit.json", _with_entry("converged", lambda v: "no"),
+                 "ValueError: converged 'no' is not a boolean", id="str-converged"),
 ])
 def test_malformed_model_file_exits_2_naming_file(workspace, tmp_path, capsys, name, rewrite, message):
     path = _copy_stage_outputs(workspace, tmp_path) / name

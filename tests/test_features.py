@@ -18,6 +18,8 @@ from farecast.features import (
     ALL_COLUMNS,
     FeatureTable,
     MODEL_FEATURES,
+    ROLL_REFS,
+    ROLL_STATS,
     ROLL_WINDOWS,
     airline_widebody_flags,
     assemble_feature_vectors,
@@ -251,6 +253,31 @@ def test_assemble_rolling_column_against_manual():
     assert table.column("min7d_yy")[row] == pytest.approx(50.0)
     # airline 1 self-movement: fare(t) - fare(t-1) = +1 every day
     assert table.column("mean3d_al")[0] == pytest.approx(1.0)
+
+
+def test_rolling_windows_start_at_the_first_fare_dbd():
+    """Complete fares for three airlines from dbd -40, as synth writes them.
+    The yy and xx diffs exist from the first fare dbd, so a booking exactly w
+    days after it has window w and no longer one; the day-over-day al diffs
+    start a day later, and so do their windows. A booking on the first fare
+    dbd has no window at all."""
+    fares = [FareObservation("AAA-BBB", a, 100, dbd, 300 * a, 2.0, 100.0 * a + (7 * a * dbd) % 13)
+             for dbd in range(-40, 0) for a in (1, 2, 3)]
+    first_diff = {"al": -39, "yy": -40, "xx": -40}
+    dbds = [-40, *(-40 + w for w in ROLL_WINDOWS), *(-39 + w for w in ROLL_WINDOWS)]
+    bookings = [ItineraryRecord("AAA-BBB", 2, 100, dbd, 600, 2.0, 200.0, False) for dbd in dbds]
+    table = assemble_feature_vectors(bookings, fares, {})
+    rolling = [f"{s}{w}d_{ref}" for ref in ROLL_REFS for w in ROLL_WINDOWS for s in ROLL_STATS]
+    assert len(rolling) == 48
+    assert np.isnan(table.values[0, [ALL_COLUMNS.index(c) for c in rolling]]).all()
+    for i, dbd in enumerate(dbds):
+        for ref in ROLL_REFS:
+            for w in ROLL_WINDOWS:
+                got = np.array([table.column(f"{s}{w}d_{ref}")[i] for s in ROLL_STATS])
+                if dbd - w >= first_diff[ref]:
+                    assert not np.isnan(got).any(), (dbd, ref, w)
+                else:
+                    assert np.isnan(got).all(), (dbd, ref, w)
 
 
 def test_feature_csv_roundtrip_with_missing(tmp_path):

@@ -53,13 +53,18 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     if seed < 0:  # a config seed is checked when the file is read
         raise CliError(f"--seed must be >= 0, got {seed}")
     out = Path(args.out or cfg.data_dir)
-    markets, scenario = synth.standard_fixture(seed=seed)
-    for od, data in markets.items():
+    # each market's files are written as soon as it is generated; only its
+    # day demand (for the scenario) and booking count are kept
+    day_demand: dict[str, dict[int, float]] = {}
+    n_rows = 0
+    for od, data in synth.fixture_markets(seed):
         for kind in DATASETS:
             serialize_dataset(getattr(data, kind), kind, out / od / f"{kind}.csv")
-    write_scenario(scenario, out / "scenario.ini")
-    n_rows = sum(len(m.bookings) for m in markets.values())
-    print(f"wrote {len(markets)} OD markets ({n_rows} labeled itineraries) to {out}")
+        day_demand[od] = data.true_day_demand
+        n_rows += len(data.bookings)
+        del data  # not alive while the next market is generated
+    write_scenario(synth.fixture_scenario(seed, day_demand), out / "scenario.ini")
+    print(f"wrote {len(day_demand)} OD markets ({n_rows} labeled itineraries) to {out}")
     print(f"wrote flight scenario to {out / 'scenario.ini'}")
     return 0
 

@@ -191,8 +191,11 @@ class FeatureTable:
                       else "unknown or reordered columns")
             raise ParseError(f"{path}: header is not the feature table's columns ({detail})")
         ods: list[str] = []
-        cells: list[list[float]] = []
         empty: list[int] = []  # empty cells per row: any other NaN was a literal nan
+        # a block of CSV_BLOCK_ROWS rows becomes an array before the next is
+        # read, so only one block's Python floats are alive
+        blocks: list[np.ndarray] = []
+        cells: list[list[float]] = []
         n_fields = len(header)
         try:
             for lineno, row in rows:
@@ -201,9 +204,14 @@ class FeatureTable:
                 ods.append(row.pop(0))
                 empty.append(row.count(""))
                 cells.append([float(v) if v else math.nan for v in row])
+                if len(cells) == CSV_BLOCK_ROWS:
+                    blocks.append(np.array(cells, dtype=np.float64))
+                    cells = []
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
-        values = np.array(cells, dtype=np.float64) if cells else np.empty((0, len(ALL_COLUMNS)))
+        blocks.append(np.array(cells, dtype=np.float64).reshape(-1, len(ALL_COLUMNS)))
+        values = np.concatenate(blocks)
+        del blocks
         label = values[:, ALL_COLUMNS.index("is_bought")]
         bad = (np.isinf(values).any(axis=1) | (np.isnan(values).sum(axis=1) != empty)
                | ((label != 0) & (label != 1)))
@@ -491,10 +499,18 @@ def assemble_feature_vectors(
 
     for aid, flag in (widebody or {}).items():
         values[in_market & (airline == aid), col["wide_body"]] = flag
-    agg_col = {name: col[name] for name in AGGREGATE_COLUMNS}
-    for aid, agg in aggregates.items():
-        hit = in_market & (airline == aid)
-        for name, v in agg.items():
-            values[hit, agg_col[name]] = v
+    if aggregates:
+        # one (airline x aggregate) table, NaN where an airline lacks a value,
+        # gathered by each row's airline; rows of an airline without an
+        # entry are left as they are
+        aids = sorted(aggregates)
+        agg_col = {name: j for j, name in enumerate(AGGREGATE_COLUMNS)}
+        table = np.full((len(aids), len(AGGREGATE_COLUMNS)), np.nan)
+        for i, aid in enumerate(aids):
+            for name, v in aggregates[aid].items():
+                table[i, agg_col[name]] = v
+        where = _lookup(np.array(aids, dtype=np.float64), airline)
+        hit = np.flatnonzero(in_market & (where >= 0))
+        values[np.ix_(hit, [col[name] for name in AGGREGATE_COLUMNS])] = table[where[hit]]
 
     return FeatureTable(ods=ods, values=values)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -67,6 +67,13 @@ class GbtParams:
     seed: int = 0
 
     def __post_init__(self):
+        # types first: the comparisons below would take a bool as 0 or 1
+        for name, kind in get_type_hints(GbtParams).items():
+            value = getattr(self, name)
+            if kind is int and type(value) is not int:
+                raise ValueError(f"{name} {value!r} is not an integer")
+            if kind is float and type(value) not in (int, float):
+                raise ValueError(f"{name} {value!r} is not a number")
         if not all(math.isfinite(v) for v in (self.eta, self.gamma, self.lam)):
             raise ValueError("eta, gamma and lam must be finite")
         if self.seed < 0:

@@ -5,10 +5,12 @@ as the decimal separator. Rows that fail validation are rejected individually
 with a positioned error message; parsing only aborts when more than half of
 the data rows are rejected.
 
-Parsing works a column at a time: each column is coerced in one call and
-each schema's rules are masks over the coerced columns, so the accepted rows
-are held as columns (`ParseResult.columns`). The record objects
-(`ParseResult.records`) are built from them on demand.
+Parsing works a block of rows at a time: the rows are coerced CSV_BLOCK_ROWS
+at a time, each column of a block in one call, so only one block's cells are
+alive; each column's blocks are then joined, and each schema's rules are
+masks over the joined columns. The accepted rows are held as columns
+(`ParseResult.columns`); the record objects (`ParseResult.records`) are built
+from them on demand.
 
 Each schema decision is made here once (`SCHEMAS`, `DATASETS`,
 `REVIEW_SCORES`). `read_csv` and `write_csv` are the package's one CSV reader
@@ -31,7 +33,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, fields as dc_fields
 from functools import cached_property
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TextIO, get_type_hints
@@ -199,11 +201,12 @@ _COLUMN_CALLS = {int: int, float: float, bool: _to_bool}
 _DTYPES = {int: np.int64, float: np.float64, bool: np.bool_}
 
 
-def _coerce_column(typ: type, cells: Sequence[str], errors: dict[int, str]):
-    """One column coerced in one call: an array, or a list for str. A column
-    that fails goes through its scalar coercer cell by cell, and each failing
-    cell's message is kept under its row index unless an earlier column of
-    that row already failed."""
+def _coerce_column(typ: type, cells: Sequence[str], errors: dict[int, str], start: int):
+    """One column of a block of rows coerced in one call: an array, or a list
+    for str. A column that fails goes through its scalar coercer cell by
+    cell, and each failing cell's message is kept under its row index (the
+    block's first row being row `start`) unless an earlier column of that row
+    already failed."""
     if typ is str:
         return list(cells)
     try:
@@ -216,7 +219,7 @@ def _coerce_column(typ: type, cells: Sequence[str], errors: dict[int, str]):
         try:
             values[i] = _COERCERS[typ](cells[i])
         except ValueError as exc:
-            errors.setdefault(int(i), str(exc))
+            errors.setdefault(start + int(i), str(exc))
     return values
 
 
@@ -299,21 +302,33 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
             f"{path}: header mismatch for schema {schema!r}: "
             f"expected {names}, got {header}"
         )
-    lines: list[int] = []
-    kept: list[list[str]] = []
+    lines: list[int] = []  # line of each row with the right field count
     rejected: list[tuple[int, str]] = []
-    for lineno, row in rows:
-        if len(row) != len(names):
-            rejected.append((lineno, f"expected {len(names)} fields, got {len(row)}"))
-        else:
-            lines.append(lineno)
-            kept.append(row)
 
-    cells = list(zip(*kept)) or [()] * len(names)
+    def accepted() -> Iterator[list[str]]:
+        for lineno, row in rows:
+            if len(row) != len(names):
+                rejected.append((lineno, f"expected {len(names)} fields, got {len(row)}"))
+            else:
+                lines.append(lineno)
+                yield row
+
+    # coerced a block of CSV_BLOCK_ROWS rows at a time, so only one block's
+    # cells are alive; each column's blocks are joined after the last one,
+    # ending with an empty part of its type for a file without data rows
     errors: dict[int, str] = {}  # row index -> message of its first failing column
+    blocks = []
+    rows_in = accepted()
+    while block := list(islice(rows_in, CSV_BLOCK_ROWS)):
+        start = len(lines) - len(block)
+        blocks.append([_coerce_column(hints[name], col, errors, start)
+                       for name, col in zip(names, zip(*block))])
+    empty = [[] if hints[name] is str else np.empty(0, _DTYPES[hints[name]]) for name in names]
     columns = {
-        name: _coerce_column(hints[name], col, errors) for name, col in zip(names, cells)
+        name: list(chain.from_iterable(parts)) if hints[name] is str else np.concatenate(parts)
+        for name, parts in zip(names, zip(*blocks, empty))
     }
+    del blocks
     for bad, problem in validator(columns):
         for i in np.flatnonzero(bad).tolist():
             if i not in errors:
@@ -321,14 +336,14 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
     if errors:
         rejected += [(lines[i], message) for i, message in errors.items()]
         rejected.sort()
-        keep = np.ones(len(kept), dtype=bool)
+        keep = np.ones(len(lines), dtype=bool)
         keep[list(errors)] = False
         columns = {
             name: col[keep] if isinstance(col, np.ndarray) else list(compress(col, keep))
             for name, col in columns.items()
         }
 
-    n_accepted = len(kept) - len(errors)
+    n_accepted = len(lines) - len(errors)
     total = n_accepted + len(rejected)
     if total > 0 and len(rejected) > total / 2:
         raise ParseError(
@@ -337,8 +352,9 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
     return ParseResult(schema=schema, columns=columns, rejected=rejected)
 
 
-# Rows per formatted block: serialize_dataset and FeatureTable.to_csv format
-# and write one block of rows at a time, so only one block's cells are alive.
+# Rows per block: serialize_dataset and FeatureTable.to_csv format and write,
+# parse_dataset coerces and FeatureTable.from_csv converts, one block of rows
+# at a time, so only one block's cells are alive.
 CSV_BLOCK_ROWS = 1024
 
 _BOOL_CELLS = {True: "1", False: "0"}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from statistics import median
-from typing import Literal
+from typing import Iterator, Literal, Mapping
 
 import numpy as np
 
@@ -30,7 +30,10 @@ from .ingest import (
 from .features import _columns, _Market, _window_stats
 from .simulate import DemandMix, FareLadder, OdMarket, SimScenario
 
-__all__ = ["ArchetypeSpec", "MarketData", "generate_market", "standard_fixture", "FIXTURE_SEED"]
+__all__ = [
+    "ArchetypeSpec", "MarketData", "generate_market", "fixture_markets", "fixture_scenario",
+    "standard_fixture", "FIXTURE_SEED",
+]
 
 Archetype = Literal["price", "schedule", "comfort"]
 
@@ -352,16 +355,22 @@ HISTORY_BIAS = 0.65
 N_HISTORY_DAYS = 12
 
 
-def standard_fixture(seed: int = FIXTURE_SEED) -> tuple[dict[str, MarketData], SimScenario]:
-    """Deterministic ten-OD corpus plus the single-flight scenario."""
-    rng = np.random.default_rng(seed)
-    markets: dict[str, MarketData] = {}
+def fixture_markets(seed: int = FIXTURE_SEED) -> Iterator[tuple[str, MarketData]]:
+    """The ten fixture markets, one at a time in FIXTURE_ODS order, the i-th
+    generated from seed + 1000 * (i + 1); a market is generated only when
+    asked for, so a caller that keeps none holds one at a time."""
     for i, (od, archetype, n_air) in enumerate(FIXTURE_ODS):
         spec = ArchetypeSpec(od=od, archetype=archetype, n_airlines=n_air)
-        markets[od] = generate_market(spec, seed=seed + 1000 * (i + 1))
+        yield od, generate_market(spec, seed=seed + 1000 * (i + 1))
 
-    forecast_day = max(markets[COVERED_ODS[0]].true_day_demand)
-    covered_demand = {od: markets[od].true_day_demand[forecast_day] for od in COVERED_ODS}
+
+def fixture_scenario(seed: int, day_demand: Mapping[str, Mapping[int, float]]) -> SimScenario:
+    """The single-flight scenario from each fixture market's
+    `true_day_demand`, keyed by OD. Its own draws come from
+    default_rng(seed), apart from the markets' generators."""
+    rng = np.random.default_rng(seed)
+    forecast_day = max(day_demand[COVERED_ODS[0]])
+    covered_demand = {od: day_demand[od][forecast_day] for od in COVERED_ODS}
     covered_total = sum(covered_demand.values())
     uncovered = [od for od, _, _ in FIXTURE_ODS if od not in COVERED_ODS]
     uncovered_total = covered_total * (1 - COVERED_DEMAND_SHARE) / COVERED_DEMAND_SHARE
@@ -376,9 +385,9 @@ def standard_fixture(seed: int = FIXTURE_SEED) -> tuple[dict[str, MarketData], S
             ladder = FareLadder(tuple(float(f) for f in COVERED_FARE_LADDERS[od]))
             mix = DemandMix(COVERED_BRAND_MIX[od])
             mean_demand = covered_demand[od]
-            days = sorted(markets[od].true_day_demand)[-N_HISTORY_DAYS:]
+            days = sorted(day_demand[od])[-N_HISTORY_DAYS:]
             history = [
-                markets[od].true_day_demand[d] * HISTORY_BIAS * float(rng.uniform(0.96, 1.04))
+                day_demand[od][d] * HISTORY_BIAS * float(rng.uniform(0.96, 1.04))
                 for d in days
             ]
         else:
@@ -398,7 +407,11 @@ def standard_fixture(seed: int = FIXTURE_SEED) -> tuple[dict[str, MarketData], S
             )
         )
 
-    scenario = SimScenario(
-        capacity=capacity, ods=od_markets, seed=seed, forecast_day=forecast_day
-    )
-    return markets, scenario
+    return SimScenario(capacity=capacity, ods=od_markets, seed=seed, forecast_day=forecast_day)
+
+
+def standard_fixture(seed: int = FIXTURE_SEED) -> tuple[dict[str, MarketData], SimScenario]:
+    """Deterministic ten-OD corpus plus the single-flight scenario."""
+    markets = dict(fixture_markets(seed))
+    day_demand = {od: data.true_day_demand for od, data in markets.items()}
+    return markets, fixture_scenario(seed, day_demand)

@@ -504,6 +504,9 @@ def _with_entry(key, edit):
     *[pytest.param("logit.json", _with_entry(key, lambda v: [*v[:-1], str(v[-1])]),
                    f"ValueError: {key} holds a value that is not a number", id=f"str-{key}")
       for key in ("coef", "mean", "scale")],
+    *[pytest.param("gbt.json", _with_entry("params", lambda v, key=key: {**v, key: True}),
+                   f"ValueError: {key} True is not {kind}", id=f"bool-param-{key}")
+      for key, kind in (("eta", "a number"), ("n_trees", "an integer"))],
     pytest.param("logit.json", _with_entry("iterations", lambda v: 3.7),
                  "ValueError: iterations 3.7 is not an integer", id="float-iterations"),
     pytest.param("logit.json", _with_entry("converged", lambda v: "no"),

@@ -36,6 +36,7 @@ from farecast.ingest import (
     SafetyRecord,
     filter_tweets,
     parse_dataset,
+    read_csv,
     serialize_dataset,
 )
 from farecast.sentiment import load_default_lexicon
@@ -324,6 +325,48 @@ def test_feature_csv_malformed_names_file_and_line(tmp_path, edit, message):
     with pytest.raises(ParseError) as exc:
         FeatureTable.from_csv(path)
     assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
+
+
+PRICE = 1 + ALL_COLUMNS.index("price")  # its cell in a features.csv row, after od
+
+
+def _multi_block_table(n: int) -> FeatureTable:
+    rng = np.random.default_rng(2)
+    values = rng.normal(scale=100.0, size=(n, len(ALL_COLUMNS))).round(2)
+    values[rng.random(values.shape) < 0.1] = math.nan
+    values[:, ALL_COLUMNS.index("is_bought")] = rng.integers(0, 2, n)
+    return FeatureTable(ods=[f"OD-{i % 3}" for i in range(n)], values=values)
+
+
+def test_from_csv_across_blocks_equals_per_row_reader(tmp_path):
+    path = tmp_path / "features.csv"
+    _multi_block_table(2 * CSV_BLOCK_ROWS + 5).to_csv(path, header_comment="seed=1")
+    rows = [row for _, row in read_csv(path)][1:]
+    back = FeatureTable.from_csv(path)
+    assert back.ods == [row[0] for row in rows]
+    want = np.array([[float(c) if c else math.nan for c in row[1:]] for row in rows])
+    np.testing.assert_array_equal(back.values, want)
+
+
+@pytest.mark.parametrize("row", [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS],
+                         ids=["last-of-first-block", "first-of-second-block"])
+@pytest.mark.parametrize("fault, message", [
+    (lambda cells: cells[:-1], f"expected {len(ALL_COLUMNS) + 1} fields, got {len(ALL_COLUMNS)}"),
+    (lambda cells: cells[:2] + ["one"] + cells[3:], "could not convert string to float: 'one'"),
+    (lambda cells: cells[:-1] + ["2"], "is_bought must be 0 or 1, got '2'"),
+    (lambda cells: cells[:PRICE] + ["nan"] + cells[PRICE + 1:],
+     "price is nan; a missing value is an empty cell"),
+], ids=["field-count", "bad-cell", "is_bought", "literal-nan"])
+def test_from_csv_fault_at_a_block_boundary_names_its_line(tmp_path, row, fault, message):
+    path = tmp_path / "features.csv"
+    _multi_block_table(2 * CSV_BLOCK_ROWS + 5).to_csv(path, header_comment="seed=1")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    line = row + 3  # after the comment and the header
+    lines[line - 1] = ",".join(fault(lines[line - 1].split(",")))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        FeatureTable.from_csv(path)
+    assert str(exc.value) == f"{path}: line {line}: {message}"
 
 
 # ------------------------------------------------ to_csv vs per-cell oracle

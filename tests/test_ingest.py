@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
 from dataclasses import astuple, fields, replace
 from importlib import resources
 from typing import get_type_hints
@@ -460,3 +461,79 @@ def test_circuit_breaker_equals_per_row_oracle(tmp_path, schema):
     with pytest.raises(ParseError) as got:
         parse_dataset(path, schema)
     assert str(got.value) == str(want.value)
+
+
+# ------------------------------------------------ block boundaries and memory
+
+def _numbered_rows(n):
+    """n good bookings rows, each with its own dep_day_id so that row order shows."""
+    return [_edit("bookings", dep_day_id=str(100 + i)) for i in range(n)]
+
+
+def _with(row, **cells):
+    """A bookings row with the named cells replaced."""
+    return [cells.get(name, cell) for name, cell in zip(schema_columns("bookings"), row)]
+
+
+# Faulty rows for the rows either side of a CSV_BLOCK_ROWS boundary.
+BOUNDARY_FAULTS = {
+    "bad-cell": lambda row: _with(row, airline_id="x"),
+    "field-count": lambda row: row[:-1],
+    "validator": lambda row: _with(row, dbd="1"),
+    "literal-nan": lambda row: _with(row, price="nan"),
+}
+
+
+@pytest.mark.parametrize("fault", list(BOUNDARY_FAULTS))
+def test_parse_across_block_boundaries_equals_per_row_oracle(tmp_path, fault):
+    rows = _numbered_rows(3 * CSV_BLOCK_ROWS + 5)
+    # the last row of the first block, the first and a later row of the
+    # second, and the first of the third
+    at = (CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 7, 2 * CSV_BLOCK_ROWS)
+    for i in at:
+        rows[i] = BOUNDARY_FAULTS[fault](rows[i])
+    path = tmp_path / "bookings.csv"
+    _write_rows(path, "bookings", rows)
+    records, rejected = _parse_rows(path, "bookings")
+    result = parse_dataset(path, "bookings")
+    lines = [lineno for lineno, _ in read_csv(path)][1:]
+    assert [line for line, _ in result.rejected] == [lines[i] for i in at]
+    assert result.rejected == rejected
+    assert result.n_accepted == len(records) == len(rows) - len(at)
+    assert [[(type(v), v) for v in astuple(r)] for r in result.records] == \
+        [[(type(v), v) for v in astuple(r)] for r in records]
+
+
+def test_parse_without_data_rows_gives_empty_typed_columns(tmp_path):
+    path = tmp_path / "bookings.csv"
+    _write_rows(path, "bookings", [])
+    result = parse_dataset(path, "bookings")
+    assert result.n_accepted == 0 and result.rejected == []
+    hints = get_type_hints(ItineraryRecord)
+    for name, col in result.columns.items():
+        if hints[name] is str:
+            assert col == []
+        else:
+            assert col.shape == (0,) and col.dtype == {int: np.int64, float: np.float64,
+                                                       bool: np.bool_}[hints[name]]
+
+
+def test_parse_peak_memory_is_bounded_by_one_block(tmp_path):
+    """tracemalloc's peak while parsing an 8-block fares file, as a multiple
+    of what the result holds. Coercing a block at a time measured 2.94
+    (Python 3.11, numpy 2.4); coercing the whole file at once measured 5.29.
+    The bound is 2.94 plus a margin of 0.56 for other builds."""
+    n = 8 * CSV_BLOCK_ROWS + 17
+    lines = [",".join(schema_columns("fares"))]
+    lines += [f"AMS-LHR,{1 + i % 5},{1000 + 7 * (i % 14)},{-1 - i % 75},{37 * i % 1440},"
+              f"{1 + i % 13 / 7:.4g},{100 + i * 7919 % 50000 / 100:.2f}" for i in range(n)]
+    path = tmp_path / "fares.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        result = parse_dataset(path, "fares")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.n_accepted == n
+    assert peak / held < 3.5, f"peak {peak} bytes for a result of {held}"

@@ -26,6 +26,7 @@ import math
 import re
 import statistics
 from collections import Counter, defaultdict
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import attrgetter
@@ -181,34 +182,34 @@ class FeatureTable:
         ParseError naming the file; a row with the wrong field count, a cell
         that is neither empty nor a finite number (a literal `nan` included)
         or an `is_bought` other than 0 or 1, naming the file and the line."""
-        rows = read_csv(path)
-        _, header = next(rows, (0, []))
-        if header[:1] != ["od"]:
-            raise ParseError(f"{path}: header must start with an 'od' column")
-        if header != _CSV_HEADER:
-            absent = [c for c in _CSV_HEADER if c not in header]
-            detail = (f"{len(absent)} missing, the first {absent[0]!r}" if absent
-                      else "unknown or reordered columns")
-            raise ParseError(f"{path}: header is not the feature table's columns ({detail})")
-        ods: list[str] = []
-        empty: list[int] = []  # empty cells per row: any other NaN was a literal nan
-        # a block of CSV_BLOCK_ROWS rows becomes an array before the next is
-        # read, so only one block's Python floats are alive
-        blocks: list[np.ndarray] = []
-        cells: list[list[float]] = []
-        n_fields = len(header)
-        try:
-            for lineno, row in rows:
-                if len(row) != n_fields:
-                    raise ValueError(f"expected {n_fields} fields, got {len(row)}")
-                ods.append(row.pop(0))
-                empty.append(row.count(""))
-                cells.append([float(v) if v else math.nan for v in row])
-                if len(cells) == CSV_BLOCK_ROWS:
-                    blocks.append(np.array(cells, dtype=np.float64))
-                    cells = []
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        with closing(read_csv(path)) as rows:
+            _, header = next(rows, (0, []))
+            if header[:1] != ["od"]:
+                raise ParseError(f"{path}: header must start with an 'od' column")
+            if header != _CSV_HEADER:
+                absent = [c for c in _CSV_HEADER if c not in header]
+                detail = (f"{len(absent)} missing, the first {absent[0]!r}" if absent
+                          else "unknown or reordered columns")
+                raise ParseError(f"{path}: header is not the feature table's columns ({detail})")
+            ods: list[str] = []
+            empty: list[int] = []  # empty cells per row: any other NaN was a literal nan
+            # a block of CSV_BLOCK_ROWS rows becomes an array before the next is
+            # read, so only one block's Python floats are alive
+            blocks: list[np.ndarray] = []
+            cells: list[list[float]] = []
+            n_fields = len(header)
+            try:
+                for lineno, row in rows:
+                    if len(row) != n_fields:
+                        raise ValueError(f"expected {n_fields} fields, got {len(row)}")
+                    ods.append(row.pop(0))
+                    empty.append(row.count(""))
+                    cells.append([float(v) if v else math.nan for v in row])
+                    if len(cells) == CSV_BLOCK_ROWS:
+                        blocks.append(np.array(cells, dtype=np.float64))
+                        cells = []
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {lineno}: {exc}") from None
         blocks.append(np.array(cells, dtype=np.float64).reshape(-1, len(ALL_COLUMNS)))
         values = np.concatenate(blocks)
         del blocks
@@ -216,7 +217,8 @@ class FeatureTable:
         bad = (np.isinf(values).any(axis=1) | (np.isnan(values).sum(axis=1) != empty)
                | ((label != 0) & (label != 1)))
         if bad.any():  # the line is looked up again only on this error path
-            lineno, row = next(islice(read_csv(path), int(bad.argmax()) + 1, None))
+            with closing(read_csv(path)) as rows:
+                lineno, row = next(islice(rows, int(bad.argmax()) + 1, None))
             raise ParseError(f"{path}: line {lineno}: {_row_fault(row)}")
         return cls(ods=ods, values=values)
 

@@ -10,12 +10,16 @@ at a time, each column of a block in one call, so only one block's cells are
 alive; each column's blocks are then joined, and each schema's rules are
 masks over the joined columns. The accepted rows are held as columns
 (`ParseResult.columns`); the record objects (`ParseResult.records`) are built
-from them on demand.
+from them on demand, for the callers that still take records. The fares,
+the largest dataset, are columns from generation on: `synth.MarketData.fares`
+is the mapping that `ParseResult.columns` holds for a fares file, and
+`serialize_dataset` writes it as it stands.
 
 Each schema decision is made here once (`SCHEMAS`, `DATASETS`,
 `REVIEW_SCORES`). `read_csv` and `write_csv` are the package's one CSV reader
 and writer: every CSV input (datasets, lexicon, feature tables) and every
-artifact goes through them. Writing also works a column at a time: a writer
+artifact goes through them. `read_csv` reads the file's lines as its rows
+are asked for. Writing also works a column at a time: a writer
 formats a block of rows as columns of finished cells, each numeric column
 with its artifact's own rule once per distinct value (`format_floats`) and
 each text column through `quote_cells`, the one place csv.writer's quoting
@@ -30,13 +34,13 @@ import io
 import math
 import os
 import tempfile
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, fields as dc_fields
 from functools import cached_property
 from itertools import chain, compress, islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO, get_type_hints
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, get_type_hints
 
 import numpy as np
 
@@ -53,6 +57,7 @@ __all__ = [
     "SCHEMAS",
     "DATASETS",
     "REVIEW_SCORES",
+    "empty_columns",
     "parse_dataset",
     "serialize_dataset",
     "format_floats",
@@ -68,7 +73,7 @@ class ParseError(Exception):
     """Fatal parse failure: missing file, bad header, or >50% rows rejected."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ItineraryRecord:
     od: str
     airline_id: int
@@ -80,7 +85,7 @@ class ItineraryRecord:
     is_bought: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FareObservation:
     od: str
     airline_id: int
@@ -91,7 +96,7 @@ class FareObservation:
     price: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReviewRecord:
     airline_id: int
     recommended: bool
@@ -109,7 +114,7 @@ class ReviewRecord:
 REVIEW_SCORES = tuple(f.name for f in dc_fields(ReviewRecord))[3:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TweetRecord:
     airline_id: int
     text: str
@@ -118,13 +123,13 @@ class TweetRecord:
     language_tag: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SafetyRecord:
     airline_code: str
     score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FleetRecord:
     airline_id: int
     aircraft_type: str
@@ -133,7 +138,7 @@ class FleetRecord:
     aircraft_age: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LexiconEntry:
     word: str
     score: int
@@ -199,6 +204,7 @@ _COERCERS = {int: _to_int, float: _to_float, bool: _to_bool}
 # non-finite float is found by a mask, so both end in the scalar coercer.
 _COLUMN_CALLS = {int: int, float: float, bool: _to_bool}
 _DTYPES = {int: np.int64, float: np.float64, bool: np.bool_}
+_PY_TYPES = {np.dtype(dtype): typ for typ, dtype in _DTYPES.items()}
 
 
 def _coerce_column(typ: type, cells: Sequence[str], errors: dict[int, str], start: int):
@@ -278,6 +284,15 @@ def schema_columns(schema: str) -> list[str]:
     return [f.name for f in dc_fields(rec_type)]
 
 
+def empty_columns(schema: str) -> dict[str, np.ndarray | list[str]]:
+    """The schema's column mapping with no rows, as `ParseResult.columns`
+    holds it: an empty list for a str field, an empty array of the field's
+    dtype for the others."""
+    rec_type, _ = SCHEMAS[schema]
+    return {name: [] if typ is str else np.empty(0, _DTYPES[typ])
+            for name, typ in get_type_hints(rec_type).items()}
+
+
 def parse_dataset(path: str | Path, schema: str) -> ParseResult:
     """Parse one dataset file into validated columns plus positioned rejects.
 
@@ -293,40 +308,40 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
     names = schema_columns(schema)
     hints = get_type_hints(rec_type)
 
-    rows = read_csv(path)
-    _, header = next(rows, (0, None))
-    if header is None:
-        raise ParseError(f"{path}: empty file, missing header")
-    if header != names:
-        raise ParseError(
-            f"{path}: header mismatch for schema {schema!r}: "
-            f"expected {names}, got {header}"
-        )
     lines: list[int] = []  # line of each row with the right field count
     rejected: list[tuple[int, str]] = []
-
-    def accepted() -> Iterator[list[str]]:
-        for lineno, row in rows:
-            if len(row) != len(names):
-                rejected.append((lineno, f"expected {len(names)} fields, got {len(row)}"))
-            else:
-                lines.append(lineno)
-                yield row
-
-    # coerced a block of CSV_BLOCK_ROWS rows at a time, so only one block's
-    # cells are alive; each column's blocks are joined after the last one,
-    # ending with an empty part of its type for a file without data rows
     errors: dict[int, str] = {}  # row index -> message of its first failing column
     blocks = []
-    rows_in = accepted()
-    while block := list(islice(rows_in, CSV_BLOCK_ROWS)):
-        start = len(lines) - len(block)
-        blocks.append([_coerce_column(hints[name], col, errors, start)
-                       for name, col in zip(names, zip(*block))])
-    empty = [[] if hints[name] is str else np.empty(0, _DTYPES[hints[name]]) for name in names]
+    with closing(read_csv(path)) as rows:
+        _, header = next(rows, (0, None))
+        if header is None:
+            raise ParseError(f"{path}: empty file, missing header")
+        if header != names:
+            raise ParseError(
+                f"{path}: header mismatch for schema {schema!r}: "
+                f"expected {names}, got {header}"
+            )
+
+        def accepted() -> Iterator[list[str]]:
+            for lineno, row in rows:
+                if len(row) != len(names):
+                    rejected.append((lineno, f"expected {len(names)} fields, got {len(row)}"))
+                else:
+                    lines.append(lineno)
+                    yield row
+
+        # coerced a block of CSV_BLOCK_ROWS rows at a time, so only one
+        # block's cells are alive; each column's blocks are joined after the
+        # last one, ending with an empty part of its type for a file without
+        # data rows
+        rows_in = accepted()
+        while block := list(islice(rows_in, CSV_BLOCK_ROWS)):
+            start = len(lines) - len(block)
+            blocks.append([_coerce_column(hints[name], col, errors, start)
+                           for name, col in zip(names, zip(*block))])
     columns = {
         name: list(chain.from_iterable(parts)) if hints[name] is str else np.concatenate(parts)
-        for name, parts in zip(names, zip(*blocks, empty))
+        for name, parts in zip(names, zip(*blocks, empty_columns(schema).values()))
     }
     del blocks
     for bad, problem in validator(columns):
@@ -364,25 +379,42 @@ def _g6(values: np.ndarray) -> list[str]:
     return ["%.6g" % v for v in values.tolist()]
 
 
-def serialize_dataset(records: Iterable, schema: str, path: str | Path) -> None:
-    """Write records in the schema's canonical column order, a block of rows
-    at a time and a column at a time within a block, each column by its field's
-    type: bool as "1"/"0", int through `str`, float as "%.6g" once per distinct
-    value, str quoted by `quote_cells`. A value whose type is not exactly its
-    field's type (a bool in an int field, an int in a float field) raises
-    TypeError naming the schema and field."""
+def _foreign_type(col: Sequence, typ: type) -> type | None:
+    """The first type other than `typ` among a column's values, or None; an
+    array's dtype stands for the type of each of its values."""
+    if isinstance(col, np.ndarray):
+        held = _PY_TYPES.get(col.dtype, col.dtype.type)
+        return None if held is typ else held
+    if set(map(type, col)) == {typ}:
+        return None
+    return next(type(v) for v in col if type(v) is not typ)
+
+
+def serialize_dataset(
+    data: Mapping[str, Sequence] | Iterable, schema: str, path: str | Path
+) -> None:
+    """Write a dataset in the schema's canonical column order: `data` is
+    either a column mapping, as `ParseResult.columns` holds and
+    `synth.MarketData.fares` is, or an iterable of the schema's records.
+    Rows go a block at a time and a column at a time within a block, each
+    column by its field's type: bool as "1"/"0", int through `str`, float as
+    "%.6g" once per distinct value, str quoted by `quote_cells`. A value
+    whose type is not exactly its field's type (a bool in an int field, an
+    int in a float field), or an array whose dtype is not the field's
+    (`_DTYPES`), raises TypeError naming the schema and field."""
     rec_type, _ = SCHEMAS[schema]
     hints = get_type_hints(rec_type)
     names = schema_columns(schema)
-    row_of = attrgetter(*names)
     memo: dict[str, str] = {}
 
-    def cells(name: str, col: tuple) -> list[str]:
+    def cells(name: str, col: Sequence) -> list[str]:
         typ = hints[name]
-        if set(map(type, col)) != {typ}:
-            bad = next(type(v) for v in col if type(v) is not typ)
+        bad = _foreign_type(col, typ)
+        if bad is not None:
             raise TypeError(
                 f"{schema}.{name} holds a {bad.__name__} value; the field is {typ.__name__}")
+        if isinstance(col, np.ndarray):
+            col = col.tolist()
         if typ is bool:
             return list(map(_BOOL_CELLS.__getitem__, col))
         if typ is int:
@@ -391,12 +423,17 @@ def serialize_dataset(records: Iterable, schema: str, path: str | Path) -> None:
             return format_floats(np.array(col, dtype=np.float64), _g6)
         return quote_cells(col, memo)
 
-    def blocks():
-        rows = iter(records)
-        while block := list(islice(rows, CSV_BLOCK_ROWS)):
-            yield [cells(name, col) for name, col in zip(names, zip(*map(row_of, block)))]
-
-    write_csv(path, names, blocks())
+    # each block as its columns: slices of a mapping, or a block of records
+    # turned into columns
+    if isinstance(data, Mapping):
+        n_rows = len(data[names[0]])
+        parts = ([data[name][lo:lo + CSV_BLOCK_ROWS] for name in names]
+                 for lo in range(0, n_rows, CSV_BLOCK_ROWS))
+    else:
+        rows, row_of = iter(data), attrgetter(*names)
+        parts = (zip(*map(row_of, block))
+                 for block in iter(lambda: list(islice(rows, CSV_BLOCK_ROWS)), []))
+    write_csv(path, names, ([cells(name, col) for name, col in zip(names, part)] for part in parts))
 
 
 def format_floats(col: np.ndarray, rule: Callable[[np.ndarray], Sequence[str]]) -> list[str]:
@@ -460,21 +497,21 @@ def read_csv(path: str | Path) -> Iterator[tuple[int, list[str]]]:
     """The one CSV reader: (physical line number, fields) for each non-empty
     row, the number being the line the row ends on. `# comment` lines are
     skipped but still counted, where a row may start: a `#` line that
-    continues a quoted field is data. The file is read and closed before the
-    first row is yielded, so a caller that stops early leaves nothing open."""
+    continues a quoted field is data. Lines are read as the rows are asked
+    for, so the file stays open until the last row is read or the iterator
+    is closed; a caller that may stop early closes it (`contextlib.closing`)."""
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    done = 0  # lines that the rows read so far took up
+        done = 0  # lines that the rows read so far took up
 
-    def source():
-        for i, line in enumerate(lines):
-            yield "\n" if i == done and line.startswith("#") else line
+        def source():
+            for i, line in enumerate(fh):
+                yield "\n" if i == done and line.startswith("#") else line
 
-    reader = csv.reader(source())
-    for row in reader:
-        done = reader.line_num
-        if row:
-            yield done, row
+        reader = csv.reader(source())
+        for row in reader:
+            done = reader.line_num
+            if row:
+                yield done, row
 
 
 def write_csv(

@@ -20,14 +20,14 @@ from typing import Iterator, Literal, Mapping
 import numpy as np
 
 from .ingest import (
-    FareObservation,
     FleetRecord,
     ItineraryRecord,
     ReviewRecord,
     SafetyRecord,
     TweetRecord,
+    empty_columns,
 )
-from .features import _columns, _Market, _window_stats
+from .features import _Market, _window_stats
 from .simulate import DemandMix, FareLadder, OdMarket, SimScenario
 
 __all__ = [
@@ -84,8 +84,16 @@ class ArchetypeSpec:
 
 @dataclass
 class MarketData:
+    """One OD's six datasets. `fares`, by far the largest, is held as the
+    column mapping that `parse_dataset(path, "fares").columns` returns (od a
+    list of str, the other fields int64 or float64 arrays); the others are
+    lists of the schema's records. Compare two markets field by field: `==`
+    on whole markets raises once it reaches the fare arrays, which have no
+    single truth value."""
+
     bookings: list[ItineraryRecord] = field(default_factory=list)
-    fares: list[FareObservation] = field(default_factory=list)
+    fares: dict[str, np.ndarray | list[str]] = field(
+        default_factory=lambda: empty_columns("fares"))
     reviews: list[ReviewRecord] = field(default_factory=list)
     tweets: list[TweetRecord] = field(default_factory=list)
     safety: list[SafetyRecord] = field(default_factory=list)
@@ -212,42 +220,43 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
                 )
             )
 
-    # mean-reverting fare walks and the fare-observation dataset
+    # mean-reverting fare walks and the fare-observation dataset, as columns
+    # in (dep_day, dbd, airline, itinerary) order; each airline's
+    # itineraries are consecutive in `itins`, the first at its itin_start
+    itins = [(a, k) for a in airline_ids for k in range(n_itins[a])]
+    itin_start = {a: itins.index((a, 0)) for a in airline_ids}
     dep_days = [1000 + 7 * d for d in range(N_DEPARTURE_DAYS)]
-    dep_times: dict[tuple[int, int], list[int]] = {}
-    for day in dep_days:
-        for a in airline_ids:
-            dep_times[(day, a)] = [
-                int((t + rng.integers(-150, 151)) % 1440) for t in anchors[a]
-            ]
-    itin_price: dict[tuple[int, int, int, int], float] = {}
-    for day in dep_days:
+    fare_dbds = range(FARE_DBD_MIN, FARE_DBD_MAX + 1)
+    dep_times = [  # [day][itinerary]
+        [int((t + rng.integers(-150, 151)) % 1440) for a in airline_ids for t in anchors[a]]
+        for _ in dep_days
+    ]
+    prices: list[float] = []
+    for _ in dep_days:
         fare = {a: base_fare[a] * float(rng.uniform(0.9, 1.1)) for a in airline_ids}
-        for dbd in range(FARE_DBD_MIN, FARE_DBD_MAX + 1):
+        for _ in fare_dbds:
             for a in airline_ids:
                 pull = 0.08 * (base_fare[a] - fare[a])
                 fare[a] = max(30.0, fare[a] + pull + float(rng.normal(0, 0.03 * base_fare[a])))
                 own = round(fare[a], 2)
                 for k in range(n_itins[a]):
                     offset = 0.0 if k == 0 else round(18.0 * k + float(rng.uniform(0, 10)), 2)
-                    price = round(own + offset, 2)
-                    itin_price[(day, dbd, a, k)] = price
-                    data.fares.append(
-                        FareObservation(
-                            od=spec.od,
-                            airline_id=a,
-                            dep_day_id=day,
-                            dbd=dbd,
-                            dep_time_mam=dep_times[(day, a)][k],
-                            travel_time=travel_times[a][k],
-                            price=price,
-                        )
-                    )
+                    prices.append(round(own + offset, 2))
+    n_keys = len(dep_days) * len(fare_dbds)  # (dep_day, dbd) keys, each with every itinerary
+    data.fares = {
+        "od": [spec.od] * len(prices),
+        "airline_id": np.tile([a for a, _ in itins], n_keys),
+        "dep_day_id": np.repeat(dep_days, len(fare_dbds) * len(itins)),
+        "dbd": np.tile(np.repeat(fare_dbds, len(itins)), len(dep_days)),
+        "dep_time_mam": np.repeat(dep_times, len(fare_dbds), axis=0).reshape(-1),
+        "travel_time": np.tile([travel_times[a][k] for a, k in itins], n_keys),
+        "price": np.array(prices),
+    }
 
     # own-minus-cheapest fare and its rolling 3-day mean at every displayable
     # key, from the feature assembly's cubes; indexed [airline][day][dbd]
     # along airline_ids, dep_days and the display range
-    market = _Market(*_columns(data.fares, ("airline_id", "dep_day_id", "dbd", "price")).T)
+    market = _Market(*(data.fares[name] for name in ("airline_id", "dep_day_id", "dbd", "price")))
     display_dbds = range(DISPLAY_DBD_MIN, DISPLAY_DBD_MAX + 1)
     cells = np.ravel_multi_index(
         np.ix_(range(n_air), range(N_DEPARTURE_DAYS), np.subtract(display_dbds, market.dbd0)),
@@ -262,21 +271,22 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
 
     # candidate displayed itineraries and their archetype latents
     fare_scale = float(np.mean(list(base_fare.values())))
-    candidates: list[tuple[int, int, int, int]] = []
+    candidates: list[tuple[int, int, int]] = []  # (day index, dbd, itinerary index)
     latents: list[float] = []
-    for di, day in enumerate(dep_days):
+    for di in range(len(dep_days)):
         for j, dbd in enumerate(display_dbds):
             z_dbd = (dbd - (DISPLAY_DBD_MIN + DISPLAY_DBD_MAX) / 2.0) / 12.0
             for ai, a in enumerate(airline_ids):
                 for k in range(n_itins[a]):
                     if rng.random() > DISPLAY_PROB:
                         continue
+                    it = itin_start[a] + k
                     yy_diff, mean3d_yy = yy_diffs[ai][di][j], mean3d_yys[ai][di][j]
                     if spec.archetype == "price":
                         drv = -mean3d_yy / (0.08 * fare_scale)
                         aux = -yy_diff / (0.15 * fare_scale)
                     elif spec.archetype == "schedule":
-                        drv = -(abs(dep_times[(day, a)][k] - 360) / 180.0 - 1.5)
+                        drv = -(abs(dep_times[di][it] - 360) / 180.0 - 1.5)
                         aux = -yy_diff / (0.4 * fare_scale)
                     else:  # comfort
                         drv = ife_median[a] - 3.0
@@ -287,25 +297,26 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
                         + INTERACTION_COEF * drv * z_dbd
                         + float(rng.normal(0, NOISE_SCALE))
                     )
-                    candidates.append((day, dbd, a, k))
+                    candidates.append((di, dbd, it))
                     latents.append(latent)
 
     latent_arr = np.array(latents)
     intercept = _calibrate_intercept(latent_arr, PREVALENCE_TARGET)
     probs = 1.0 / (1.0 + np.exp(-(intercept + latent_arr)))
     draws = rng.random(len(candidates))
-    for (day, dbd, a, k), p, u in zip(candidates, probs, draws):
+    for (di, dbd, it), p, u in zip(candidates, probs, draws):
+        day, (a, k) = dep_days[di], itins[it]
         # displayed price mirrors the fares dataset row for the same itinerary
-        price = itin_price[(day, dbd, a, k)]
+        price = prices[(di * len(fare_dbds) + dbd - FARE_DBD_MIN) * len(itins) + it]
         data.bookings.append(
             ItineraryRecord(
                 od=spec.od,
                 airline_id=a,
                 dep_day_id=day,
                 dbd=dbd,
-                dep_time_mam=dep_times[(day, a)][k],
+                dep_time_mam=dep_times[di][it],
                 travel_time=travel_times[a][k],
-                price=float(price),
+                price=price,
                 is_bought=bool(u < p),
             )
         )

@@ -6,13 +6,17 @@ The feature assembly derives competitor pricing from fare cubes
 (`features._window_stats`), and the explanation walk routes rows inline; the
 plain per-key functions here are what the tests hold them to. `refit_leaf_weights` re-derives leaf weights with the trainer's own leaf
 rule, so the regularization checks test the rule that training uses.
+`assert_markets_equal` compares two generated markets, whose fares are
+columns that `==` cannot compare whole.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping
+
+import numpy as np
 
 from farecast.gbt import TreeEnsemble, TreeNode, _leaf_weight
 
@@ -122,3 +126,19 @@ def refit_leaf_weights(model: TreeEnsemble, lam: float) -> TreeEnsemble:
         params=params,
         feature_names=list(model.feature_names),
     )
+
+
+def assert_markets_equal(got, want) -> None:
+    """Two synth.MarketData hold the same data: the fare columns field by
+    field (an array with its dtype and np.array_equal, the od list with
+    ==), every other field with ==."""
+    assert list(got.fares) == list(want.fares)
+    for name, col in want.fares.items():
+        if isinstance(col, np.ndarray):
+            assert got.fares[name].dtype == col.dtype, name
+            assert np.array_equal(got.fares[name], col), name
+        else:
+            assert got.fares[name] == col, name
+    for f in fields(want):
+        if f.name != "fares":
+            assert getattr(got, f.name) == getattr(want, f.name), f.name

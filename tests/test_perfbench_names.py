@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from farecast import gbt
+from farecast import gbt, synth
+from oracles import assert_markets_equal
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -76,3 +77,11 @@ def test_each_traced_predict_call_records_one_span(workloads, tracing):
         gbt.predict_label(model, X)
         gbt.predict_proba(model, X)
     assert [s.name for s in tracer.spans].count("gbt.predict") == 2
+
+
+@pytest.mark.parametrize("od", ["AMS-DXB", "KUL-SIN"])
+def test_fixture_market_is_the_market_synth_generates(workloads, od):
+    """perfbench builds one market alone with its own copy of the fixture's
+    seed rule; it must be the market synth.fixture_markets yields."""
+    want = next(data for name, data in synth.fixture_markets(7) if name == od)
+    assert_markets_equal(workloads.fixture_market(od, 7), want)

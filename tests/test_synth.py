@@ -6,10 +6,13 @@ import io
 import tracemalloc
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from farecast import cli, synth
-from farecast.ingest import DATASETS, FareObservation, ItineraryRecord, serialize_dataset
+from farecast.ingest import (
+    DATASETS, ItineraryRecord, empty_columns, parse_dataset, serialize_dataset,
+)
 from farecast.synth import (
     COVERED_BRAND_MIX,
     COVERED_DEMAND_SHARE,
@@ -24,6 +27,7 @@ from farecast.synth import (
     generate_market,
     standard_fixture,
 )
+from oracles import assert_markets_equal
 
 
 def test_fixture_layout():
@@ -39,13 +43,7 @@ def test_market_regeneration_is_identical():
     spec = ArchetypeSpec(od="AAA-BBB", archetype="price", n_airlines=3)
     m1 = generate_market(spec, seed=17)
     m2 = generate_market(spec, seed=17)
-    assert m1.bookings == m2.bookings
-    assert m1.fares == m2.fares
-    assert m1.reviews == m2.reviews
-    assert m1.tweets == m2.tweets
-    assert m1.safety == m2.safety
-    assert m1.fleet == m2.fleet
-    assert m1.true_day_demand == m2.true_day_demand
+    assert_markets_equal(m1, m2)
     m3 = generate_market(spec, seed=18)
     assert m3.bookings != m1.bookings
 
@@ -85,8 +83,7 @@ def test_standard_fixture_deterministic():
     m1, s1 = standard_fixture(seed=42)
     m2, s2 = standard_fixture(seed=42)
     for od in m1:
-        assert m1[od].bookings == m2[od].bookings
-        assert m1[od].fares == m2[od].fares
+        assert_markets_equal(m1[od], m2[od])
     assert [o.history for o in s1.ods] == [o.history for o in s2.ods]
     assert s1.capacity == s2.capacity
 
@@ -102,18 +99,20 @@ def test_streamed_markets_and_scenario_equal_the_standard_fixture(pipeline):
     day_demand = {}
     for (od, data), (want_od, want) in zip(markets, pipeline.markets.items(), strict=True):
         assert od == want_od
-        assert data == want
+        assert_markets_equal(data, want)
         day_demand[od] = data.true_day_demand
     assert list(day_demand) == [od for od, _, _ in FIXTURE_ODS]
     assert fixture_scenario(FIXTURE_SEED, day_demand) == pipeline.scenario
 
 
 def _cheap_market(spec: ArchetypeSpec, seed: int) -> MarketData:
-    """A stand-in for generate_market with 400 fare rows and 100 bookings per
-    airline, each a new record, and no rng draws."""
+    """A stand-in for generate_market with 400 fare rows, as columns, and 100
+    bookings, each a new record, per airline, and no rng draws."""
     n, od, n_air = 400 * spec.n_airlines, spec.od, spec.n_airlines
-    fares = [FareObservation(od, 1 + i % n_air, 1000 + 7 * (i % 14), -1 - i % 75,
-                             37 * i % 1440, 1.0 + i % 13 / 8, 100.0 + i / 4) for i in range(n)]
+    i = np.arange(n)
+    fares = {"od": [od] * n, "airline_id": 1 + i % n_air, "dep_day_id": 1000 + 7 * (i % 14),
+             "dbd": -1 - i % 75, "dep_time_mam": 37 * i % 1440, "travel_time": 1.0 + i % 13 / 8,
+             "price": 100.0 + i / 4}
     bookings = [ItineraryRecord(od, 1 + i % n_air, 1000 + 7 * (i % 14), -1 - i % 40,
                                 37 * i % 1440, 1.0 + i % 13 / 8, 100.0 + i / 4, i % 5 == 0)
                 for i in range(n // 4)]
@@ -135,9 +134,10 @@ def test_synth_peak_memory_is_bounded_by_one_market(tmp_path, monkeypatch):
     generating and writing its largest market alone. Markets come from a
     cheap stand-in: generate_market itself runs about 25 times slower under
     tracemalloc, about 30 s for the ten markets. Writing each market before
-    the next is generated measured 1.14 (Python 3.11, numpy 2.4); holding
-    all ten markets first, as standard_fixture does, measured 4.14. The
-    bound is 1.14 plus a margin of 0.36."""
+    the next is generated measured 1.12 (Python 3.11, numpy 2.4); holding
+    all ten markets first, as standard_fixture does, measured 2.58 (4.14
+    while the stand-in's fares were records). The bound is 1.12 plus a
+    margin of 0.38."""
     monkeypatch.setattr(synth, "generate_market", _cheap_market)
     with redirect_stdout(io.StringIO()):
         peak = _traced_peak(lambda: cli.main(["synth", "--out", str(tmp_path / "all")]))
@@ -153,3 +153,39 @@ def test_synth_peak_memory_is_bounded_by_one_market(tmp_path, monkeypatch):
     assert (tmp_path / "all" / largest[0] / "fares.csv").read_bytes() == \
         (tmp_path / "one" / "fares.csv").read_bytes()
     assert peak / alone < 1.5, f"synth peak {peak} bytes, largest market alone {alone}"
+
+
+def test_market_fares_round_trip_through_the_fares_file(tmp_path):
+    """generate_market's fare columns are what parsing its fares.csv gives:
+    same fields in schema order, dtypes and values; an empty MarketData
+    holds the columns of a file without rows."""
+    i = [od for od, _, _ in FIXTURE_ODS].index("KUL-SIN")
+    fares = generate_market(ArchetypeSpec(*FIXTURE_ODS[i]), seed=FIXTURE_SEED + 1000 * (i + 1)).fares
+    assert len(fares["price"]) == 14 * 75 * 3  # days x dbds x KUL-SIN's itineraries
+    serialize_dataset(fares, "fares", tmp_path / "fares.csv")
+    parsed = parse_dataset(tmp_path / "fares.csv", "fares")
+    assert parsed.rejected == []
+    assert_markets_equal(MarketData(fares=fares), MarketData(fares=parsed.columns))
+    assert_markets_equal(MarketData(), MarketData(fares=empty_columns("fares")))
+
+
+def test_one_market_holds_its_fares_as_columns():
+    """tracemalloc's memory held by one generated market (LHR-JFK at the
+    fixture seed: 2,100 fare rows, 562 bookings), after a first untraced
+    call has made numpy's and the package's lazy state. With the fares as
+    columns it measured 254,595 bytes (Python 3.11, numpy 2.4); with one
+    FareObservation record per fare row, and records without slots, it was
+    544,387 bytes. The bound is the measured value plus a margin of 100,000
+    bytes."""
+    i = [od for od, _, _ in FIXTURE_ODS].index("LHR-JFK")
+    spec, seed = ArchetypeSpec(*FIXTURE_ODS[i]), FIXTURE_SEED + 1000 * (i + 1)
+    generate_market(spec, seed)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        market = generate_market(spec, seed)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(market.fares["price"]) == 2100 and len(market.bookings) == 562
+    assert held < 254_595 + 100_000, f"one market holds {held} bytes"

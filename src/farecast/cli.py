@@ -77,13 +77,14 @@ def _parse(path: Path, kind: str, scope: str) -> ParseResult:
     return result
 
 
-def _load_market(od_dir: Path, od: str) -> dict[str, ParseResult]:
+def _load_market(od_dir: Path, od: str) -> dict[str, dict]:
+    """Each of the OD's six datasets, parsed, as its columns."""
     datasets = {}
     for kind in DATASETS:
         path = od_dir / f"{kind}.csv"
         if not path.is_file():
             raise CliError(f"missing {path}; run `farecast synth` (or supply data) first")
-        datasets[kind] = _parse(path, kind, od)
+        datasets[kind] = _parse(path, kind, od).columns
     return datasets
 
 
@@ -92,23 +93,21 @@ def cmd_features(args, cfg: RunConfig) -> int:
     out_root = Path(args.out or cfg.out_dir)
     if cfg.lexicon_path:
         lexicon_file = _parse(Path(cfg.lexicon_path), "lexicon", cfg.lexicon_path)
-        lexicon = sentiment.lexicon_from(lexicon_file.records)
+        lexicon = sentiment.lexicon_from(lexicon_file.columns)
         if not lexicon:
             raise CliError(f"{args.config}: [run] lexicon {cfg.lexicon_path} holds no words")
     else:
         lexicon = sentiment.load_default_lexicon()
     ods = args.od or _select_ods(cfg, data_root, "bookings.csv", "synth")
     for od in ods:
-        datasets = _load_market(data_root / od, od)
-        fleet = datasets["fleet"].records
+        market = _load_market(data_root / od, od)
         aggregates = build_airline_aggregates(
-            datasets["reviews"].records, filter_tweets(datasets["tweets"].records),
-            datasets["safety"].records, fleet, lexicon,
+            market["reviews"], filter_tweets(market["tweets"]), market["safety"],
+            market["fleet"], lexicon,
         )
-        # the two large kinds go in as columns, so no record objects are built for them
         table = assemble_feature_vectors(
-            datasets["bookings"].columns, datasets["fares"].columns, aggregates,
-            widebody=airline_widebody_flags(fleet),
+            market["bookings"], market["fares"], aggregates,
+            widebody=airline_widebody_flags(market["fleet"]),
         )
         path = out_root / od / "features.csv"
         table.to_csv(path, header_comment=_stamp(cfg))
@@ -120,7 +119,11 @@ def _load_features(features_root: Path, od: str) -> FeatureTable:
     path = features_root / od / "features.csv"
     if not path.is_file():
         raise CliError(f"missing {path}; run `farecast features` first")
-    return FeatureTable.from_csv(path)
+    table = FeatureTable.from_csv(path)
+    if not len(table):
+        raise CliError(f"{path} holds no rows; `farecast features` writes one per itinerary "
+                       "of the market's bookings.csv")
+    return table
 
 
 def _feature_names(text: str):
@@ -338,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config)
         return args.func(args, cfg)
-    except (CliError, ParseError, FileNotFoundError) as exc:
+    except (CliError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,13 +38,8 @@ import numpy as np
 from .ingest import (
     CSV_BLOCK_ROWS,
     REVIEW_SCORES,
-    FareObservation,
-    FleetRecord,
     ItineraryRecord,
     ParseError,
-    ReviewRecord,
-    SafetyRecord,
-    TweetRecord,
     format_floats,
     quote_cells,
     read_csv,
@@ -253,23 +248,30 @@ def _airline_id_from_code(code: str) -> int | None:
     return int(m.group(1)) if m else None
 
 
-def _by_airline(records: Sequence) -> dict[int, list]:
-    """Records grouped by airline_id, groups and records in input order."""
-    groups: dict[int, list] = defaultdict(list)
-    for rec in records:
-        groups[rec.airline_id].append(rec)
+def _by_airline(columns: Mapping[str, Sequence]) -> dict[int, dict[str, list]]:
+    """A column mapping's rows grouped by airline_id, airlines in order of
+    first appearance: each group holds every field as a list of Python
+    values, rows in input order."""
+    lists = {name: col.tolist() if isinstance(col, np.ndarray) else col
+             for name, col in columns.items()}
+    groups: dict[int, dict[str, list]] = {}
+    for i, aid in enumerate(lists["airline_id"]):
+        group = groups.setdefault(aid, {name: [] for name in lists})
+        for name, col in lists.items():
+            group[name].append(col[i])
     return groups
 
 
 def build_airline_aggregates(
-    reviews: Sequence[ReviewRecord],
-    tweets: Sequence[TweetRecord],
-    safety: Sequence[SafetyRecord],
-    fleet: Sequence[FleetRecord],
+    reviews: Mapping[str, Sequence],
+    tweets: Mapping[str, Sequence],
+    safety: Mapping[str, Sequence],
+    fleet: Mapping[str, Sequence],
     lexicon: Mapping[str, int],
 ) -> dict[int, dict[str, float]]:
     """Airline-level aggregates broadcast onto itineraries by airline_id, as
     {airline_id: {AGGREGATE_COLUMNS name: value}} holding present values only.
+    Each dataset is a column mapping (ParseResult.columns).
 
     Review ordinal ratings aggregate by median, the recommended flag by
     share, free-text sentiment by mean (scaled to 0-10), tweet sentiment by
@@ -278,41 +280,41 @@ def build_airline_aggregates(
     by_airline: dict[int, dict[str, float]] = defaultdict(dict)
 
     reviews_by_airline = _by_airline(reviews)
-    review_texts = {aid: [r.review_text for r in rs] for aid, rs in reviews_by_airline.items()}
+    review_texts = {aid: rs["review_text"] for aid, rs in reviews_by_airline.items()}
     review_sent = sent.aggregate_airline_sentiment(review_texts, lexicon, method="mean")
     for aid, rs in reviews_by_airline.items():
-        agg = by_airline[aid]
-        agg["rating_recommended"] = sum(r.recommended for r in rs) / len(rs)
+        agg, n = by_airline[aid], len(rs["airline_id"])
+        agg["rating_recommended"] = sum(rs["recommended"]) / n
         for name in REVIEW_SCORES:
-            agg[f"rating_{name}"] = float(statistics.median(getattr(r, name) for r in rs))
-        agg["rating_obs"] = float(len(rs))
+            agg[f"rating_{name}"] = float(statistics.median(rs[name]))
+        agg["rating_obs"] = float(n)
         if aid in review_sent:
             agg["rating_review"] = review_sent[aid]
 
-    tweet_texts = {aid: [t.text for t in ts] for aid, ts in _by_airline(tweets).items()}
+    tweet_texts = {aid: ts["text"] for aid, ts in _by_airline(tweets).items()}
     tweet_sent = sent.aggregate_airline_sentiment(tweet_texts, lexicon, method="median")
     for aid, score in tweet_sent.items():
         by_airline[aid]["twitter_sentiment"] = score
 
-    for s in safety:
-        aid = _airline_id_from_code(s.airline_code)
+    for code, score in zip(safety["airline_code"], safety["score"].tolist()):
+        aid = _airline_id_from_code(code)
         if aid is not None:
-            by_airline[aid]["safety_score"] = s.score
+            by_airline[aid]["safety_score"] = score
 
     for aid, frames in _by_airline(fleet).items():
         agg = by_airline[aid]
-        agg["fleet_size"] = float(len(frames))
-        agg["fleet_cost"] = sum(f.aircraft_cost for f in frames)
-        agg["fleet_age"] = float(statistics.median(f.aircraft_age for f in frames))
+        agg["fleet_size"] = float(len(frames["airline_id"]))
+        agg["fleet_cost"] = sum(frames["aircraft_cost"])
+        agg["fleet_age"] = float(statistics.median(frames["aircraft_age"]))
 
     return dict(by_airline)
 
 
-def airline_widebody_flags(fleet: Sequence[FleetRecord]) -> dict[int, bool]:
+def airline_widebody_flags(fleet: Mapping[str, Sequence]) -> dict[int, bool]:
     """Whether the airline's most common airframe type is a wide-body."""
     flags = {}
     for aid, frames in _by_airline(fleet).items():
-        types = Counter(f.aircraft_type for f in frames)
+        types = Counter(frames["aircraft_type"])
         dominant = max(sorted(types), key=types.get)
         flags[aid] = dominant in WIDEBODY_TYPES
     return flags
@@ -400,18 +402,18 @@ _ROW_FIELDS = ("airline_id", "dep_day_id", "dbd", "dep_time_mam", "travel_time",
 
 def assemble_feature_vectors(
     bookings: Mapping[str, Sequence] | Sequence[ItineraryRecord],
-    fares: Mapping[str, Sequence] | Sequence[FareObservation],
+    fares: Mapping[str, Sequence],
     aggregates: Mapping[int, Mapping[str, float]],
     widebody: Mapping[int, bool] | None = None,
 ) -> FeatureTable:
     """Build the full feature matrix, one row per displayed itinerary.
 
-    `bookings` and `fares` are each a column mapping (ParseResult.columns)
-    or a record sequence; both give the same table. Each booking keeps its
-    own recorded price; the competitive-pricing features come from the fares
-    dataset alone. Rows are emitted in input order and never dropped; fields
-    that cannot be computed are explicitly missing. A booking whose OD has no
-    fares keeps only its row-level fields.
+    `fares` is a column mapping (ParseResult.columns); `bookings` is one
+    too or a sequence of ItineraryRecord, and both give the same table. Each
+    booking keeps its own recorded price; the competitive-pricing features
+    come from the fares dataset alone. Rows are emitted in input order and
+    never dropped; fields that cannot be computed are explicitly missing. A
+    booking whose OD has no fares keeps only its row-level fields.
 
     Each OD's fare rows are sorted once into its cubes (`_Market`), and the
     rolling-window statistics are gathered at the keys of the bookings that
@@ -426,7 +428,7 @@ def assemble_feature_vectors(
     values[:, col["dept_delta"]] = np.abs(dep - IDEAL_DEP)
 
     ods = list(_column(bookings, "od"))
-    fare_ods = _column(fares, "od")
+    fare_ods = fares["od"]
     code = {od: i for i, od in enumerate(dict.fromkeys(chain(ods, fare_ods)))}
     booking_od = np.fromiter(map(code.__getitem__, ods), np.int64, len(ods))
     fare_od = np.fromiter(map(code.__getitem__, fare_ods), np.int64, len(fare_ods))

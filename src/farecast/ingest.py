@@ -9,11 +9,13 @@ Parsing works a block of rows at a time: the rows are coerced CSV_BLOCK_ROWS
 at a time, each column of a block in one call, so only one block's cells are
 alive; each column's blocks are then joined, and each schema's rules are
 masks over the joined columns. The accepted rows are held as columns
-(`ParseResult.columns`); the record objects (`ParseResult.records`) are built
-from them on demand, for the callers that still take records. The fares,
-the largest dataset, are columns from generation on: `synth.MarketData.fares`
-is the mapping that `ParseResult.columns` holds for a fares file, and
-`serialize_dataset` writes it as it stands.
+(`ParseResult.columns`), and every kind is columns from generation on: each
+`synth.MarketData` field but `bookings` is the mapping that
+`ParseResult.columns` holds for its file, `to_columns` makes one from lists
+of Python values, and `serialize_dataset` writes one as it stands. Bookings
+are the one row type (`ItineraryRecord`, `ParseResult.records`): the
+benchmark harness (perfbench) picks, filters and rewrites booking rows one
+record at a time, so they stay records until it takes columns.
 
 Each schema decision is made here once (`SCHEMAS`, `DATASETS`,
 `REVIEW_SCORES`). `read_csv` and `write_csv` are the package's one CSV reader
@@ -35,7 +37,7 @@ import math
 import os
 import tempfile
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, islice
 from operator import attrgetter
@@ -46,18 +48,13 @@ import numpy as np
 
 __all__ = [
     "ItineraryRecord",
-    "FareObservation",
-    "ReviewRecord",
-    "TweetRecord",
-    "SafetyRecord",
-    "FleetRecord",
-    "LexiconEntry",
     "ParseResult",
     "ParseError",
     "SCHEMAS",
     "DATASETS",
     "REVIEW_SCORES",
     "empty_columns",
+    "to_columns",
     "parse_dataset",
     "serialize_dataset",
     "format_floats",
@@ -85,63 +82,8 @@ class ItineraryRecord:
     is_bought: bool
 
 
-@dataclass(frozen=True, slots=True)
-class FareObservation:
-    od: str
-    airline_id: int
-    dep_day_id: int
-    dbd: int
-    dep_time_mam: int
-    travel_time: float
-    price: float
-
-
-@dataclass(frozen=True, slots=True)
-class ReviewRecord:
-    airline_id: int
-    recommended: bool
-    review_text: str
-    fb: int
-    ground: int
-    ife: int
-    crew: int
-    seat: int
-    value: int
-    wifi: int
-
-
-# The seven 1..5 ordinal ratings: every ReviewRecord field after review_text.
-REVIEW_SCORES = tuple(f.name for f in dc_fields(ReviewRecord))[3:]
-
-
-@dataclass(frozen=True, slots=True)
-class TweetRecord:
-    airline_id: int
-    text: str
-    is_retweet: bool
-    is_reply: bool
-    language_tag: str
-
-
-@dataclass(frozen=True, slots=True)
-class SafetyRecord:
-    airline_code: str
-    score: float
-
-
-@dataclass(frozen=True, slots=True)
-class FleetRecord:
-    airline_id: int
-    aircraft_type: str
-    aircraft_cost: float
-    registration: str
-    aircraft_age: float
-
-
-@dataclass(frozen=True, slots=True)
-class LexiconEntry:
-    word: str
-    score: int
+# The seven 1..5 ordinal ratings: the reviews fields after review_text.
+REVIEW_SCORES = ("fb", "ground", "ife", "crew", "seat", "value", "wifi")
 
 
 @dataclass
@@ -149,8 +91,8 @@ class ParseResult:
     """The accepted rows of one file as columns, plus positioned rejects.
 
     `columns` maps each schema field, in schema order, to a numpy array (int,
-    float and bool fields) or a list of strings; `records` builds the schema's
-    record objects from them on first use.
+    float and bool fields) or a list of strings; for a bookings file,
+    `records` builds its ItineraryRecord rows from them on first use.
     """
 
     schema: str
@@ -166,10 +108,12 @@ class ParseResult:
         return len(self.rejected)
 
     @cached_property
-    def records(self) -> list:
-        rec_type, _ = SCHEMAS[self.schema]
+    def records(self) -> list[ItineraryRecord]:
+        if self.schema != "bookings":
+            raise TypeError(f"{self.schema} rows are held as columns only; "
+                            "bookings are the one kind with records")
         cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns.values()]
-        return list(map(rec_type, *cols))
+        return list(map(ItineraryRecord, *cols))
 
 
 _BOOLS = {**dict.fromkeys(("1", "true", "t", "y", "yes"), True),
@@ -263,15 +207,24 @@ def _check_lexicon(c) -> list[tuple[np.ndarray, str]]:
     ]
 
 
-# schema kind -> (record type, column validator)
+# schema kind -> ({field: type} in column order, column validator). Every
+# kind but bookings is held only as columns, so its fields are declared here
+# as a map; bookings, the one kind also read a row at a time
+# (ParseResult.records), are ItineraryRecord's fields, and fares are those
+# without is_bought.
+_BOOKING_FIELDS = get_type_hints(ItineraryRecord)
 SCHEMAS = {
-    "bookings": (ItineraryRecord, _check_itinerary),
-    "fares": (FareObservation, _check_itinerary),
-    "reviews": (ReviewRecord, _check_review),
-    "tweets": (TweetRecord, lambda c: []),
-    "safety": (SafetyRecord, _check_safety),
-    "fleet": (FleetRecord, _check_fleet),
-    "lexicon": (LexiconEntry, _check_lexicon),
+    "bookings": (_BOOKING_FIELDS, _check_itinerary),
+    "fares": ({name: typ for name, typ in _BOOKING_FIELDS.items() if name != "is_bought"},
+              _check_itinerary),
+    "reviews": ({"airline_id": int, "recommended": bool, "review_text": str,
+                 **dict.fromkeys(REVIEW_SCORES, int)}, _check_review),
+    "tweets": ({"airline_id": int, "text": str, "is_retweet": bool, "is_reply": bool,
+                "language_tag": str}, lambda c: []),
+    "safety": ({"airline_code": str, "score": float}, _check_safety),
+    "fleet": ({"airline_id": int, "aircraft_type": str, "aircraft_cost": float,
+               "registration": str, "aircraft_age": float}, _check_fleet),
+    "lexicon": ({"word": str, "score": int}, _check_lexicon),
 }
 
 # The six per-OD kinds; each is stored as <kind>.csv and held in the
@@ -279,18 +232,46 @@ SCHEMAS = {
 DATASETS = tuple(kind for kind in SCHEMAS if kind != "lexicon")
 
 
-def schema_columns(schema: str) -> list[str]:
-    rec_type, _ = SCHEMAS[schema]
-    return [f.name for f in dc_fields(rec_type)]
-
-
 def empty_columns(schema: str) -> dict[str, np.ndarray | list[str]]:
     """The schema's column mapping with no rows, as `ParseResult.columns`
     holds it: an empty list for a str field, an empty array of the field's
     dtype for the others."""
-    rec_type, _ = SCHEMAS[schema]
     return {name: [] if typ is str else np.empty(0, _DTYPES[typ])
-            for name, typ in get_type_hints(rec_type).items()}
+            for name, typ in SCHEMAS[schema][0].items()}
+
+
+def _foreign_type(col: Sequence, typ: type) -> type | None:
+    """The first type other than `typ` among a column's values, or None; an
+    array's dtype stands for the type of each of its values."""
+    if isinstance(col, np.ndarray):
+        held = _PY_TYPES.get(col.dtype, col.dtype.type)
+        return None if held is typ else held
+    if set(map(type, col)) <= {typ}:
+        return None
+    return next(type(v) for v in col if type(v) is not typ)
+
+
+def to_columns(schema: str, lists: Mapping[str, Sequence]) -> dict[str, np.ndarray | list[str]]:
+    """The schema's canonical columns, as `ParseResult.columns` holds them,
+    from a mapping of each field to its values: a list of Python values or
+    an array. A value whose type is not exactly its field's type (a bool in
+    an int field, an int in a float field), or an array whose dtype is not
+    the field's (`_DTYPES`), raises TypeError naming the schema and field."""
+    columns = {}
+    for name, typ in SCHEMAS[schema][0].items():
+        col = lists[name]
+        bad = _foreign_type(col, typ)
+        if bad is not None:
+            raise TypeError(
+                f"{schema}.{name} holds a {bad.__name__} value; the field is {typ.__name__}")
+        columns[name] = list(col) if typ is str else np.asarray(col, dtype=_DTYPES[typ])
+    return columns
+
+
+def _select_rows(columns: Mapping[str, Sequence], keep: np.ndarray) -> dict[str, Sequence]:
+    """The rows of a column mapping where the bool mask `keep` is set."""
+    return {name: col[keep] if isinstance(col, np.ndarray) else list(compress(col, keep))
+            for name, col in columns.items()}
 
 
 def parse_dataset(path: str | Path, schema: str) -> ParseResult:
@@ -304,9 +285,8 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"no such file: {path}")
-    rec_type, validator = SCHEMAS[schema]
-    names = schema_columns(schema)
-    hints = get_type_hints(rec_type)
+    hints, validator = SCHEMAS[schema]
+    names = list(hints)
 
     lines: list[int] = []  # line of each row with the right field count
     rejected: list[tuple[int, str]] = []
@@ -353,10 +333,7 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
         rejected.sort()
         keep = np.ones(len(lines), dtype=bool)
         keep[list(errors)] = False
-        columns = {
-            name: col[keep] if isinstance(col, np.ndarray) else list(compress(col, keep))
-            for name, col in columns.items()
-        }
+        columns = _select_rows(columns, keep)
 
     n_accepted = len(lines) - len(errors)
     total = n_accepted + len(rejected)
@@ -379,61 +356,36 @@ def _g6(values: np.ndarray) -> list[str]:
     return ["%.6g" % v for v in values.tolist()]
 
 
-def _foreign_type(col: Sequence, typ: type) -> type | None:
-    """The first type other than `typ` among a column's values, or None; an
-    array's dtype stands for the type of each of its values."""
-    if isinstance(col, np.ndarray):
-        held = _PY_TYPES.get(col.dtype, col.dtype.type)
-        return None if held is typ else held
-    if set(map(type, col)) == {typ}:
-        return None
-    return next(type(v) for v in col if type(v) is not typ)
-
-
 def serialize_dataset(
-    data: Mapping[str, Sequence] | Iterable, schema: str, path: str | Path
+    data: Mapping[str, Sequence] | Iterable[ItineraryRecord], schema: str, path: str | Path
 ) -> None:
-    """Write a dataset in the schema's canonical column order: `data` is
-    either a column mapping, as `ParseResult.columns` holds and
-    `synth.MarketData.fares` is, or an iterable of the schema's records.
-    Rows go a block at a time and a column at a time within a block, each
-    column by its field's type: bool as "1"/"0", int through `str`, float as
-    "%.6g" once per distinct value, str quoted by `quote_cells`. A value
-    whose type is not exactly its field's type (a bool in an int field, an
-    int in a float field), or an array whose dtype is not the field's
-    (`_DTYPES`), raises TypeError naming the schema and field."""
-    rec_type, _ = SCHEMAS[schema]
-    hints = get_type_hints(rec_type)
-    names = schema_columns(schema)
+    """Write a dataset in the schema's canonical column order: `data` is a
+    column mapping, as `ParseResult.columns` holds and `synth.MarketData`
+    holds every kind but bookings, or for bookings an iterable of
+    ItineraryRecord. The columns are checked by `to_columns` first, so a
+    value or an array of another type raises its TypeError and writes
+    nothing. Rows go a block at a time and a column at a time within a
+    block, each column by its field's type: bool as "1"/"0", int through
+    `str`, float as "%.6g" once per distinct value, str quoted by
+    `quote_cells`."""
+    hints = SCHEMAS[schema][0]
+    if not isinstance(data, Mapping):
+        rows = list(data)
+        data = {name: list(map(attrgetter(name), rows)) for name in hints}
+    columns = to_columns(schema, data)
     memo: dict[str, str] = {}
 
-    def cells(name: str, col: Sequence) -> list[str]:
-        typ = hints[name]
-        bad = _foreign_type(col, typ)
-        if bad is not None:
-            raise TypeError(
-                f"{schema}.{name} holds a {bad.__name__} value; the field is {typ.__name__}")
-        if isinstance(col, np.ndarray):
-            col = col.tolist()
-        if typ is bool:
-            return list(map(_BOOL_CELLS.__getitem__, col))
-        if typ is int:
-            return list(map(str, col))
+    def cells(typ: type, col: Sequence) -> list[str]:
         if typ is float:
-            return format_floats(np.array(col, dtype=np.float64), _g6)
-        return quote_cells(col, memo)
+            return format_floats(col, _g6)
+        if typ is str:
+            return quote_cells(col, memo)
+        return list(map(_BOOL_CELLS.__getitem__ if typ is bool else str, col.tolist()))
 
-    # each block as its columns: slices of a mapping, or a block of records
-    # turned into columns
-    if isinstance(data, Mapping):
-        n_rows = len(data[names[0]])
-        parts = ([data[name][lo:lo + CSV_BLOCK_ROWS] for name in names]
-                 for lo in range(0, n_rows, CSV_BLOCK_ROWS))
-    else:
-        rows, row_of = iter(data), attrgetter(*names)
-        parts = (zip(*map(row_of, block))
-                 for block in iter(lambda: list(islice(rows, CSV_BLOCK_ROWS)), []))
-    write_csv(path, names, ([cells(name, col) for name, col in zip(names, part)] for part in parts))
+    n_rows = len(columns[next(iter(hints))])
+    write_csv(path, list(hints), (
+        [cells(typ, columns[name][lo:lo + CSV_BLOCK_ROWS]) for name, typ in hints.items()]
+        for lo in range(0, n_rows, CSV_BLOCK_ROWS)))
 
 
 def format_floats(col: np.ndarray, rule: Callable[[np.ndarray], Sequence[str]]) -> list[str]:
@@ -461,12 +413,11 @@ def quote_cells(cells: Iterable[str], memo: dict[str, str]) -> list[str]:
     return list(map(memo.__getitem__, cells))
 
 
-def filter_tweets(tweets: Iterable[TweetRecord]) -> list[TweetRecord]:
-    """Keep only original (non-retweet, non-reply) English tweets."""
-    return [
-        t for t in tweets
-        if not t.is_retweet and not t.is_reply and t.language_tag == "en"
-    ]
+def filter_tweets(tweets: Mapping[str, Sequence]) -> dict[str, Sequence]:
+    """The tweets columns of only the original (non-retweet, non-reply)
+    English tweets."""
+    english = np.array([tag == "en" for tag in tweets["language_tag"]], dtype=bool)
+    return _select_rows(tweets, english & ~tweets["is_retweet"] & ~tweets["is_reply"])
 
 
 @contextmanager

@@ -15,7 +15,7 @@ from functools import cache
 from importlib import resources
 from typing import Literal, Mapping, Sequence
 
-from .ingest import LexiconEntry, parse_dataset
+from .ingest import parse_dataset
 
 __all__ = [
     "load_stopwords",
@@ -39,15 +39,16 @@ def load_stopwords() -> frozenset[str]:
     return frozenset(w for w in text.split() if w)
 
 
-def lexicon_from(entries: Sequence[LexiconEntry]) -> dict[str, int]:
-    """word -> integer score in -5..5, from the parsed rows of a lexicon file."""
-    return {entry.word: entry.score for entry in entries}
+def lexicon_from(columns: Mapping[str, Sequence]) -> dict[str, int]:
+    """word -> integer score in -5..5, from the parsed columns of a lexicon
+    file; a word given twice keeps its last score."""
+    return dict(zip(columns["word"], columns["score"].tolist()))
 
 
 def load_default_lexicon() -> dict[str, int]:
     """The valence lexicon subset shipped with the package."""
     with resources.as_file(resources.files("farecast.data").joinpath("lexicon.csv")) as path:
-        return lexicon_from(parse_dataset(path, "lexicon").records)
+        return lexicon_from(parse_dataset(path, "lexicon").columns)
 
 
 def tokenize(text: str) -> list[str]:

@@ -67,9 +67,6 @@ class FareLadder:
         if any(a < b for a, b in zip(self.fares, self.fares[1:])):
             raise ValueError("fares must be non-increasing from class 1 to 12")
 
-    def fare(self, cls: int) -> float:
-        return self.fares[cls - 1]
-
 
 @dataclass(frozen=True)
 class DemandMix:

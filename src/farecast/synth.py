@@ -12,21 +12,13 @@ is calibrated by bisection to the target purchase prevalence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from statistics import median
 from typing import Iterator, Literal, Mapping
 
 import numpy as np
 
-from .ingest import (
-    FleetRecord,
-    ItineraryRecord,
-    ReviewRecord,
-    SafetyRecord,
-    TweetRecord,
-    empty_columns,
-)
+from .ingest import SCHEMAS, ItineraryRecord, empty_columns, to_columns
 from .features import _Market, _window_stats
 from .simulate import DemandMix, FareLadder, OdMarket, SimScenario
 
@@ -82,23 +74,34 @@ class ArchetypeSpec:
             raise ValueError(f"unknown archetype: {self.archetype!r}")
 
 
+def _columns_field(kind: str):
+    return field(default_factory=lambda: empty_columns(kind))
+
+
 @dataclass
 class MarketData:
-    """One OD's six datasets. `fares`, by far the largest, is held as the
-    column mapping that `parse_dataset(path, "fares").columns` returns (od a
-    list of str, the other fields int64 or float64 arrays); the others are
-    lists of the schema's records. Compare two markets field by field: `==`
-    on whole markets raises once it reaches the fare arrays, which have no
-    single truth value."""
+    """One OD's six datasets. Every kind but `bookings` is held as the
+    column mapping that `parse_dataset(path, kind).columns` returns (str
+    fields as lists, the others as int64, float64 or bool arrays); bookings
+    are a list of ItineraryRecord, the one row type, since the benchmark
+    harness picks and filters them a record at a time. Compare two markets
+    field by field (tests/oracles.assert_markets_equal): `==` on whole
+    markets raises once it reaches an array, which has no single truth
+    value."""
 
     bookings: list[ItineraryRecord] = field(default_factory=list)
-    fares: dict[str, np.ndarray | list[str]] = field(
-        default_factory=lambda: empty_columns("fares"))
-    reviews: list[ReviewRecord] = field(default_factory=list)
-    tweets: list[TweetRecord] = field(default_factory=list)
-    safety: list[SafetyRecord] = field(default_factory=list)
-    fleet: list[FleetRecord] = field(default_factory=list)
+    fares: dict[str, np.ndarray | list[str]] = _columns_field("fares")
+    reviews: dict[str, np.ndarray | list[str]] = _columns_field("reviews")
+    tweets: dict[str, np.ndarray | list[str]] = _columns_field("tweets")
+    safety: dict[str, np.ndarray | list[str]] = _columns_field("safety")
+    fleet: dict[str, np.ndarray | list[str]] = _columns_field("fleet")
     true_day_demand: dict[int, float] = field(default_factory=dict)
+
+
+def _add_row(columns: dict[str, list], **row) -> None:
+    """Append one row, given field by field, to lists of its fields."""
+    for name, value in row.items():
+        columns[name].append(value)
 
 
 def _clip_rating(x: float) -> int:
@@ -171,54 +174,57 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
         for i, a in enumerate(rng.permutation(airline_ids).tolist())
     }
 
-    # reviews
+    # reviews, tweets, safety and fleet, each a row at a time into lists of
+    # its fields, then made columns
+    reviews, tweets, safety, fleet = ({name: [] for name in SCHEMAS[kind][0]}
+                                      for kind in ("reviews", "tweets", "safety", "fleet"))
     for a in airline_ids:
         for _ in range(int(rng.integers(30, 70))):
             q = quality[a]
-            data.reviews.append(
-                ReviewRecord(
-                    airline_id=a,
-                    recommended=bool(rng.random() < q),
-                    review_text=_review_text(rng, q),
-                    fb=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
-                    ground=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
-                    ife=_clip_rating(rng.normal(ife_center[a], 0.3)),
-                    crew=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
-                    seat=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
-                    value=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
-                    wifi=_clip_rating(rng.normal(1.5 + 2.0 * q, 0.5)),
-                )
+            _add_row(
+                reviews,
+                airline_id=a,
+                recommended=bool(rng.random() < q),
+                review_text=_review_text(rng, q),
+                fb=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
+                ground=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
+                ife=_clip_rating(rng.normal(ife_center[a], 0.3)),
+                crew=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
+                seat=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
+                value=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
+                wifi=_clip_rating(rng.normal(1.5 + 2.0 * q, 0.5)),
             )
 
     # tweets, including rows the English/original filter must drop
     for a in airline_ids:
         for _ in range(40):
             kind = rng.random()
-            data.tweets.append(
-                TweetRecord(
-                    airline_id=a,
-                    text=_review_text(rng, quality[a]),
-                    is_retweet=bool(kind < 0.15),
-                    is_reply=bool(0.15 <= kind < 0.25),
-                    language_tag="en" if rng.random() < 0.85 else "nl",
-                )
+            _add_row(
+                tweets,
+                airline_id=a,
+                text=_review_text(rng, quality[a]),
+                is_retweet=bool(kind < 0.15),
+                is_reply=bool(0.15 <= kind < 0.25),
+                language_tag="en" if rng.random() < 0.85 else "nl",
             )
 
     # safety and fleet
     for a in airline_ids:
-        data.safety.append(SafetyRecord(airline_code=f"A{a}", score=float(round(rng.uniform(0.005, 0.06), 4))))
+        _add_row(safety, airline_code=f"A{a}", score=float(round(rng.uniform(0.005, 0.06), 4)))
         types = _WIDE_TYPES if long_haul else _NARROW_TYPES
         fleet_n = int(rng.integers(5, 25))
         for k in range(fleet_n):
-            data.fleet.append(
-                FleetRecord(
-                    airline_id=a,
-                    aircraft_type=types[rng.integers(len(types))],  # as rng.choice(types)
-                    aircraft_cost=float(round(rng.uniform(80, 350), 1)),
-                    registration=f"PH-{a:02d}{k:03d}",
-                    aircraft_age=float(round(rng.uniform(0.5, 22.0), 1)),
-                )
+            _add_row(
+                fleet,
+                airline_id=a,
+                aircraft_type=types[rng.integers(len(types))],  # as rng.choice(types)
+                aircraft_cost=float(round(rng.uniform(80, 350), 1)),
+                registration=f"PH-{a:02d}{k:03d}",
+                aircraft_age=float(round(rng.uniform(0.5, 22.0), 1)),
             )
+    data.reviews, data.tweets, data.safety, data.fleet = (
+        to_columns(kind, lists) for kind, lists in
+        (("reviews", reviews), ("tweets", tweets), ("safety", safety), ("fleet", fleet)))
 
     # mean-reverting fare walks and the fare-observation dataset, as columns
     # in (dep_day, dbd, airline, itinerary) order; each airline's
@@ -266,7 +272,8 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
     mean3d_yys = np.nan_to_num(_window_stats(market.diffs["yy"], cells, 3)[0]).tolist()
 
     ife_median = {
-        a: float(median(r.ife for r in data.reviews if r.airline_id == a)) for a in airline_ids
+        a: float(median(data.reviews["ife"][data.reviews["airline_id"] == a].tolist()))
+        for a in airline_ids
     }
 
     # candidate displayed itineraries and their archetype latents

@@ -6,19 +6,22 @@ The feature assembly derives competitor pricing from fare cubes
 (`features._window_stats`), and the explanation walk routes rows inline; the
 plain per-key functions here are what the tests hold them to. `refit_leaf_weights` re-derives leaf weights with the trainer's own leaf
 rule, so the regularization checks test the rule that training uses.
-`assert_markets_equal` compares two generated markets, whose fares are
-columns that `==` cannot compare whole.
+`assert_markets_equal` compares two generated markets, whose datasets other
+than bookings are columns that `==` cannot compare whole, and
+`columns_of_rows` builds a dataset's columns from row tuples.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
 import numpy as np
 
 from farecast.gbt import TreeEnsemble, TreeNode, _leaf_weight
+from farecast.ingest import SCHEMAS, to_columns
 
 # Four airlines' fares at t = -103..-100; airline 1 is the one under study.
 WORKED_FARES = {
@@ -129,16 +132,37 @@ def refit_leaf_weights(model: TreeEnsemble, lam: float) -> TreeEnsemble:
 
 
 def assert_markets_equal(got, want) -> None:
-    """Two synth.MarketData hold the same data: the fare columns field by
-    field (an array with its dtype and np.array_equal, the od list with
-    ==), every other field with ==."""
-    assert list(got.fares) == list(want.fares)
-    for name, col in want.fares.items():
-        if isinstance(col, np.ndarray):
-            assert got.fares[name].dtype == col.dtype, name
-            assert np.array_equal(got.fares[name], col), name
-        else:
-            assert got.fares[name] == col, name
+    """Two synth.MarketData hold the same data: each column-mapping field
+    (every dataset but bookings) column by column, an array with its dtype
+    and np.array_equal, a list of str with ==; every other field with ==."""
     for f in fields(want):
-        if f.name != "fares":
-            assert getattr(got, f.name) == getattr(want, f.name), f.name
+        held = getattr(want, f.name)
+        if isinstance(held, dict) and f.name != "true_day_demand":
+            assert_columns_equal(getattr(got, f.name), held, f.name)
+        else:
+            assert getattr(got, f.name) == held, f.name
+
+
+def assert_columns_equal(got: Mapping, want: Mapping, where: str = "") -> None:
+    """Two column mappings hold the same fields in the same order, each
+    array with its dtype and values, each list with ==."""
+    assert list(got) == list(want), where
+    for name, col in want.items():
+        if isinstance(col, np.ndarray):
+            assert isinstance(got[name], np.ndarray), f"{where}.{name}"
+            assert got[name].dtype == col.dtype, f"{where}.{name}"
+            assert np.array_equal(got[name], col), f"{where}.{name}"
+        else:
+            assert got[name] == col, f"{where}.{name}"
+
+
+# A fare row for the scalar oracles, which read fares a row at a time; the
+# package itself holds fares only as columns (`columns_of_rows`).
+FareRow = namedtuple("FareRow", SCHEMAS["fares"][0])
+
+
+def columns_of_rows(schema: str, rows) -> dict:
+    """The schema's canonical columns of rows given as tuples in column order."""
+    names = list(SCHEMAS[schema][0])
+    rows = list(rows)
+    return to_columns(schema, {name: [row[i] for row in rows] for i, name in enumerate(names)})

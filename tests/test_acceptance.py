@@ -26,7 +26,7 @@ from farecast.features import (
     assemble_feature_vectors,
     build_airline_aggregates,
 )
-from farecast.ingest import FareObservation, ItineraryRecord, filter_tweets
+from farecast.ingest import ItineraryRecord, filter_tweets
 from farecast.sentiment import load_default_lexicon, scale_to_10, score_text
 from farecast.simulate import (
     N_CLASSES,
@@ -38,7 +38,9 @@ from farecast.simulate import (
     optimize_policy,
     replay,
 )
-from oracles import WORKED_FARES, diff_series, refit_leaf_weights, rolling_price_features
+from oracles import (
+    WORKED_FARES, columns_of_rows, diff_series, refit_leaf_weights, rolling_price_features,
+)
 
 
 @contextlib.contextmanager
@@ -62,7 +64,8 @@ def _assemble_one_booking_per_key(od, fares_by_dbd):
     departure day 1, with one booking on each observed (airline, dbd) key."""
     keys = [(a, dbd, price) for dbd, by_airline in fares_by_dbd.items()
             for a, price in by_airline.items()]
-    fares = [FareObservation(od, a, 1, dbd, 600, 2.0, float(price)) for a, dbd, price in keys]
+    fares = columns_of_rows("fares", [(od, a, 1, dbd, 600, 2.0, float(price))
+                                      for a, dbd, price in keys])
     bookings = [ItineraryRecord(od, a, 1, dbd, 600, 2.0, float(price), False)
                 for a, dbd, price in keys]
     return bookings, assemble_feature_vectors(bookings, fares, {})
@@ -372,7 +375,7 @@ def test_criterion_10_simulator_sanity(pipeline):
                              protections=tuple([0.0] * (N_CLASSES - 1)))
         sold, revenue = replay(arrivals, open_policy, ladders, cap, downsell=False)
         assert sold == len(arrivals)
-        assert revenue == sum(ladders[od].fare(k)
+        assert revenue == sum(ladders[od].fares[k - 1]
                               for od, k in zip(arrivals.od, arrivals.willingness_class))
 
         # Capacity conservation over all 500 replications of both settings.

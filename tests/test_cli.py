@@ -347,6 +347,59 @@ def test_train_on_fewer_than_2_rows_exits_2_naming_config_and_od(workspace, tmp_
     assert not (out / od / "gbt.json").exists()
 
 
+@pytest.fixture
+def rowless_features(workspace, tmp_path):
+    """The features.csv that `farecast features` writes from a bookings.csv
+    with a header and no rows, in tmp_path / "out"."""
+    od = SMALL_ODS[0]
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data" / od, data / od)
+    bookings = data / od / "bookings.csv"
+    bookings.write_text(bookings.read_text(encoding="utf-8").splitlines()[0] + "\n",
+                        encoding="utf-8")
+    assert cli.main(["features", "--data", str(data), "--out", str(tmp_path / "out")]) == 0
+    return tmp_path / "out" / od / "features.csv"
+
+
+@pytest.mark.parametrize("stage", ["train", "evaluate", "explain"])
+def test_features_without_rows_exit_2_naming_file(workspace, tmp_path, capsys, rowless_features,
+                                                  stage):
+    out, models = tmp_path / "out", workspace / "out"
+    argv = {
+        "train": ["--out", str(out)],
+        "evaluate": ["--models", str(models), "--out", str(out / "c.csv")],
+        "explain": ["--models", str(models), "--row", "0"],
+    }[stage]
+    capsys.readouterr()
+    assert cli.main([stage, "--features", str(out), "--od", SMALL_ODS[0], *argv]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {rowless_features} holds no rows; `farecast features` writes one per "
+        "itinerary of the market's bookings.csv\n")
+    assert sorted(p.name for p in rowless_features.parent.iterdir()) == ["features.csv"]
+    assert not (out / "c.csv").exists()
+
+
+def test_output_under_a_file_or_onto_a_directory_exits_2(workspace, tmp_path, capsys):
+    """An --out whose parent is a file, or that is a directory, is an error
+    naming the path; no temp file is left behind."""
+    not_a_dir = tmp_path / "scenario.ini"
+    shutil.copy(workspace / "data" / "scenario.ini", not_a_dir)
+    assert cli.main(["features", "--data", str(workspace / "data"), "--out", str(not_a_dir),
+                     "--od", SMALL_ODS[0]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno") and "Not a directory" in err and str(not_a_dir) in err
+
+    is_a_dir = tmp_path / "out"
+    is_a_dir.mkdir()
+    out = str(workspace / "out")
+    assert cli.main(["evaluate", "--features", out, "--models", out, "--out", str(is_a_dir),
+                     "--od", SMALL_ODS[0]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno") and "Is a directory" in err and str(is_a_dir) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "scenario.ini"]
+    assert list(is_a_dir.iterdir()) == []
+
+
 def test_config_lexicon_is_used(workspace, tmp_path):
     packaged = resources.files("farecast.data").joinpath("lexicon.csv").read_text("utf-8")
     lines = packaged.strip().splitlines()

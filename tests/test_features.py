@@ -27,13 +27,10 @@ from farecast.features import (
 )
 from farecast.ingest import (
     CSV_BLOCK_ROWS,
-    FareObservation,
-    FleetRecord,
     ItineraryRecord,
     DATASETS,
     ParseError,
-    ReviewRecord,
-    SafetyRecord,
+    empty_columns,
     filter_tweets,
     parse_dataset,
     read_csv,
@@ -42,6 +39,8 @@ from farecast.ingest import (
 from farecast.sentiment import load_default_lexicon
 from oracles import (
     WORKED_FARES,
+    FareRow,
+    columns_of_rows,
     bucket_t,
     diff_series,
     fare_differences,
@@ -78,13 +77,13 @@ def test_worked_example_rolling_means():
 
 def test_worked_example_through_assembly():
     fares = [
-        FareObservation(od="AAA-BBB", airline_id=a, dep_day_id=1, dbd=dbd,
-                        dep_time_mam=600, travel_time=2.0, price=float(price))
+        FareRow(od="AAA-BBB", airline_id=a, dep_day_id=1, dbd=dbd,
+                dep_time_mam=600, travel_time=2.0, price=float(price))
         for dbd, by_airline in WORKED_FARES.items() for a, price in by_airline.items()
     ]
     booking = ItineraryRecord(od="AAA-BBB", airline_id=1, dep_day_id=1, dbd=-100,
                               dep_time_mam=600, travel_time=2.0, price=450.0, is_bought=True)
-    table = assemble_feature_vectors([booking], fares, {})
+    table = assemble_feature_vectors([booking], columns_of_rows("fares", fares), {})
     assert table.column("mean3d_yy")[0] == 30
     assert table.column("mean3d_xx")[0] == -25
     assert table.column("mkt_fare")[0] == 300
@@ -164,26 +163,22 @@ def test_bucket_t_groups_toward_minus_infinity():
     assert bucket_t(-100) == -100
     dbds = [-100, -11, -10, -9, -1, 0, 3, 10]
     bookings = [ItineraryRecord("AAA-BBB", 1, 1, dbd, 600, 2.0, 100.0, False) for dbd in dbds]
-    table = assemble_feature_vectors(bookings, [], {})
+    table = assemble_feature_vectors(bookings, empty_columns("fares"), {})
     assert table.column("bucket_t").tolist() == [bucket_t(dbd) for dbd in dbds]
 
 
-def _review(aid, ife, rec=True):
-    return ReviewRecord(
-        airline_id=aid, recommended=rec, review_text="amazing crew",
-        fb=3, ground=3, ife=ife, crew=3, seat=3, value=3, wifi=2,
-    )
-
-
 def test_aggregates_median_and_share():
-    reviews = [_review(1, 2, True), _review(1, 4, False), _review(1, 5, True)]
-    fleet = [
-        FleetRecord(1, "77W", 100.0, "R1", 10.0),
-        FleetRecord(1, "320", 50.0, "R2", 2.0),
-        FleetRecord(1, "77W", 120.0, "R3", 6.0),
-    ]
-    safety = [SafetyRecord("A1", 0.02)]
-    aggs = build_airline_aggregates(reviews, [], safety, fleet, load_default_lexicon())
+    reviews = columns_of_rows("reviews", [
+        (1, rec, "amazing crew", 3, 3, ife, 3, 3, 3, 2)
+        for rec, ife in ((True, 2), (False, 4), (True, 5))])
+    fleet = columns_of_rows("fleet", [
+        (1, "77W", 100.0, "R1", 10.0),
+        (1, "320", 50.0, "R2", 2.0),
+        (1, "77W", 120.0, "R3", 6.0),
+    ])
+    safety = columns_of_rows("safety", [("A1", 0.02)])
+    aggs = build_airline_aggregates(reviews, empty_columns("tweets"), safety, fleet,
+                                    load_default_lexicon())
     a = aggs[1]
     assert a["rating_ife"] == 4.0
     assert a["rating_recommended"] == pytest.approx(2 / 3)
@@ -209,12 +204,12 @@ def test_aggregate_keys_are_the_aggregate_columns():
 
 
 def test_widebody_flag_uses_dominant_type():
-    fleet = [
-        FleetRecord(1, "77W", 1.0, "a", 1.0),
-        FleetRecord(1, "77W", 1.0, "b", 1.0),
-        FleetRecord(1, "320", 1.0, "c", 1.0),
-        FleetRecord(2, "320", 1.0, "d", 1.0),
-    ]
+    fleet = columns_of_rows("fleet", [
+        (1, "77W", 1.0, "a", 1.0),
+        (1, "77W", 1.0, "b", 1.0),
+        (1, "320", 1.0, "c", 1.0),
+        (2, "320", 1.0, "d", 1.0),
+    ])
     flags = airline_widebody_flags(fleet)
     assert flags == {1: True, 2: False}
 
@@ -223,11 +218,10 @@ def _tiny_market():
     bookings, fares = [], []
     for dbd in range(-8, 0):
         for a, base in ((1, 100.0), (2, 150.0)):
-            fares.append(FareObservation("XX-YY", a, 500, dbd, 360 if a == 1 else 720,
-                                         2.0, base + dbd))
+            fares.append(FareRow("XX-YY", a, 500, dbd, 360 if a == 1 else 720, 2.0, base + dbd))
     bookings.append(ItineraryRecord("XX-YY", 1, 500, -2, 360, 2.0, 98.0, True))
     bookings.append(ItineraryRecord("XX-YY", 2, 500, -1, 720, 2.0, 149.0, False))
-    return bookings, fares
+    return bookings, columns_of_rows("fares", fares)
 
 
 def test_assemble_preserves_rows_and_keys():
@@ -262,8 +256,9 @@ def test_rolling_windows_start_at_the_first_fare_dbd():
     days after it has window w and no longer one; the day-over-day al diffs
     start a day later, and so do their windows. A booking on the first fare
     dbd has no window at all."""
-    fares = [FareObservation("AAA-BBB", a, 100, dbd, 300 * a, 2.0, 100.0 * a + (7 * a * dbd) % 13)
-             for dbd in range(-40, 0) for a in (1, 2, 3)]
+    fares = columns_of_rows("fares", [
+        ("AAA-BBB", a, 100, dbd, 300 * a, 2.0, 100.0 * a + (7 * a * dbd) % 13)
+        for dbd in range(-40, 0) for a in (1, 2, 3)])
     first_diff = {"al": -39, "yy": -40, "xx": -40}
     dbds = [-40, *(-40 + w for w in ROLL_WINDOWS), *(-39 + w for w in ROLL_WINDOWS)]
     bookings = [ItineraryRecord("AAA-BBB", 2, 100, dbd, 600, 2.0, 200.0, False) for dbd in dbds]
@@ -430,23 +425,25 @@ def test_to_csv_quotes_ods_as_the_per_cell_oracle(tmp_path):
 
 
 def test_columns_and_records_give_one_table(tmp_path):
-    """A seed-42 fixture market, written as `farecast synth` writes it."""
+    """A seed-42 fixture market, written as `farecast synth` writes it: its
+    bookings as columns or as records give one table, the one that
+    `farecast features` writes."""
     i, (od, archetype, n_air) = next(
         (i, spec) for i, spec in enumerate(synth.FIXTURE_ODS) if spec[0] == "KUL-SIN")
     data = synth.generate_market(synth.ArchetypeSpec(od, archetype, n_air), seed=42 + 1000 * (i + 1))
     for kind in DATASETS:
         serialize_dataset(getattr(data, kind), kind, tmp_path / "data" / od / f"{kind}.csv")
     parsed = {kind: parse_dataset(tmp_path / "data" / od / f"{kind}.csv", kind) for kind in DATASETS}
-    fleet = parsed["fleet"].records
+    fleet = parsed["fleet"].columns
     aggregates = build_airline_aggregates(
-        parsed["reviews"].records, filter_tweets(parsed["tweets"].records),
-        parsed["safety"].records, fleet, load_default_lexicon(),
+        parsed["reviews"].columns, filter_tweets(parsed["tweets"].columns),
+        parsed["safety"].columns, fleet, load_default_lexicon(),
     )
     widebody = airline_widebody_flags(fleet)
     from_columns = assemble_feature_vectors(
         parsed["bookings"].columns, parsed["fares"].columns, aggregates, widebody=widebody)
     from_records = assemble_feature_vectors(
-        parsed["bookings"].records, parsed["fares"].records, aggregates, widebody=widebody)
+        parsed["bookings"].records, parsed["fares"].columns, aggregates, widebody=widebody)
     assert from_columns.ods == from_records.ods
     np.testing.assert_array_equal(from_columns.values, from_records.values)
 
@@ -581,7 +578,7 @@ def _random_fares(rng, od, n_air):
                 if rng.random() < gap:
                     continue
                 for dep, tt in times:
-                    fares.append(FareObservation(od, a, day, dbd, dep, tt, float(rng.choice(prices))))
+                    fares.append(FareRow(od, a, day, dbd, dep, tt, float(rng.choice(prices))))
     return fares
 
 
@@ -603,7 +600,8 @@ def test_assembly_equals_per_row_oracle(seed):
     ]
     aggregates = {1: {"rating_ife": 3.0, "fleet_size": 12.0}, 4: {"safety_score": 0.02}}
     widebody = {1: True, 2: False}
-    table = assemble_feature_vectors(bookings, fares, aggregates, widebody=widebody)
+    table = assemble_feature_vectors(bookings, columns_of_rows("fares", fares), aggregates,
+                                     widebody=widebody)
     assert table.ods == [b.od for b in bookings]
     want = _expected_rows(bookings, fares, aggregates, widebody)
     for name, got, exp in zip(ALL_COLUMNS, table.values.T, want.T):
@@ -622,7 +620,7 @@ def test_frequencies_count_departure_times_that_move_per_day():
     }
     rng = np.random.default_rng(0)
     fares = [
-        FareObservation("AAA-BBB", a, day, dbd, dep, 2.5 + k, float(rng.integers(60, 90)))
+        FareRow("AAA-BBB", a, day, dbd, dep, 2.5 + k, float(rng.integers(60, 90)))
         for a, days in schedule.items()
         for day, times in days.items()
         for k, dep in enumerate(times)
@@ -634,7 +632,7 @@ def test_frequencies_count_departure_times_that_move_per_day():
         for a in (5, 2, 3, 7)
         for day in (100, 107, 114)
     ]
-    table = assemble_feature_vectors(bookings, fares, {})
+    table = assemble_feature_vectors(bookings, columns_of_rows("fares", fares), {})
     want = _expected_rows(bookings, fares, {}, {})
     for name in ("num_frequencies", "home_carrier"):
         col = ALL_COLUMNS.index(name)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import tracemalloc
+from collections import namedtuple
 from contextlib import redirect_stdout
 from dataclasses import astuple, fields, replace
 from importlib import resources
@@ -22,26 +23,41 @@ from farecast.ingest import (
     DATASETS,
     REVIEW_SCORES,
     SCHEMAS,
-    FareObservation,
     ItineraryRecord,
     ParseError,
-    ReviewRecord,
-    TweetRecord,
+    ParseResult,
+    empty_columns,
     filter_tweets,
     parse_dataset,
     quote_cells,
     read_csv,
-    schema_columns,
     serialize_dataset,
+    to_columns,
     write_csv,
 )
 from farecast.sentiment import load_default_lexicon
 from farecast.synth import MarketData
+from oracles import assert_columns_equal, columns_of_rows
 
 BOOKING = ItineraryRecord(
     od="AMS-LHR", airline_id=1, dep_day_id=100, dbd=-10,
     dep_time_mam=360, travel_time=1.5, price=120.5, is_bought=True,
 )
+
+
+def schema_columns(schema):
+    return list(SCHEMAS[schema][0])
+
+
+def _rows(columns):
+    """A column mapping's rows as tuples of Python values."""
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c
+                      for c in columns.values())))
+
+
+def _typed(rows):
+    """Each value of each row with its type, so that 1 and True differ."""
+    return [[(type(v), v) for v in row] for row in rows]
 
 
 def _write(path, header, rows):
@@ -114,15 +130,15 @@ def test_read_csv_yields_physical_line_numbers(tmp_path):
 
 
 def test_hash_line_inside_a_quoted_field_is_data(tmp_path):
-    records = [
-        TweetRecord(1, "great flight\n#KLM rocks", False, False, "en"),
-        TweetRecord(2, 'say "hi"\n# no comment "here', False, True, "en"),
-        TweetRecord(3, "plain", True, False, "nl"),
-    ]
+    tweets = columns_of_rows("tweets", [
+        (1, "great flight\n#KLM rocks", False, False, "en"),
+        (2, 'say "hi"\n# no comment "here', False, True, "en"),
+        (3, "plain", True, False, "nl"),
+    ])
     path = tmp_path / "tweets.csv"
-    serialize_dataset(records, "tweets", path)
+    serialize_dataset(tweets, "tweets", path)
     result = parse_dataset(path, "tweets")
-    assert result.records == records
+    assert_columns_equal(result.columns, tweets)
     assert result.rejected == []
     # a comment's own quotes open no field, nor does a quote inside an unquoted field
     path.write_bytes(b'a,b\r\n1,"x\r\n#y"\r\n# note "\r\n2,z"w\r\n#\r\n')
@@ -169,19 +185,20 @@ def test_readers_that_stop_early_leave_no_file_open(tmp_path, opened):
     assert len(opened) == 6 and all(fh.closed for fh in opened)
 
 
-def test_datasets_are_the_market_data_record_fields():
-    """Each per-OD kind is the MarketData field of its name, in order: a
-    list of the schema's records, or for fares the schema's columns."""
-    record_types = {rec_type: kind for kind, (rec_type, _) in SCHEMAS.items()}
-    hints = get_type_hints(MarketData)
-    held = tuple(
-        f.name for f in fields(MarketData)
-        if getattr(hints[f.name], "__origin__", None) is list
-        and record_types.get(hints[f.name].__args__[0]) == f.name
-        or f.name == "fares" and list(MarketData().fares) == schema_columns("fares")
-    )
+def test_datasets_are_the_market_data_fields():
+    """Each per-OD kind is the MarketData field of its name, in order:
+    bookings a list of ItineraryRecord, the one row type, and every other
+    kind the schema's columns, which have no records."""
+    held = tuple(f.name for f in fields(MarketData) if f.name in SCHEMAS)
     assert held == DATASETS
     assert len(DATASETS) == 6 and "lexicon" not in DATASETS
+    assert get_type_hints(MarketData)["bookings"] == list[ItineraryRecord]
+    assert list(get_type_hints(ItineraryRecord).items()) == list(SCHEMAS["bookings"][0].items())
+    assert schema_columns("fares") == schema_columns("bookings")[:-1]
+    for kind in DATASETS[1:]:
+        assert_columns_equal(getattr(MarketData(), kind), empty_columns(kind), kind)
+        with pytest.raises(TypeError, match=f"^{kind} rows are held as columns only"):
+            _ = ParseResult(kind, empty_columns(kind), []).records
 
 
 def test_review_scores_are_the_ordinal_review_fields():
@@ -212,14 +229,16 @@ def test_majority_rejection_circuit_breaker(tmp_path):
 
 
 def test_filter_tweets_keeps_original_english():
-    keep = TweetRecord(1, "nice flight", False, False, "en")
-    tweets = [
+    keep = (1, "nice flight", False, False, "en")
+    tweets = columns_of_rows("tweets", [
+        (1, "rt", True, False, "en"),
         keep,
-        TweetRecord(1, "rt", True, False, "en"),
-        TweetRecord(1, "reply", False, True, "en"),
-        TweetRecord(1, "mooi", False, False, "nl"),
-    ]
-    assert filter_tweets(tweets) == [keep]
+        (1, "reply", False, True, "en"),
+        (2, "mooi", False, False, "nl"),
+        keep,
+    ])
+    assert_columns_equal(filter_tweets(tweets), columns_of_rows("tweets", [keep, keep]))
+    assert_columns_equal(filter_tweets(empty_columns("tweets")), empty_columns("tweets"))
 
 
 def test_review_rating_bounds(tmp_path):
@@ -264,41 +283,24 @@ def _format_value(val) -> str:
     return str(val)
 
 
-def _serialize_oracle(records, schema, path):
-    """The per-record reference writer for serialize_dataset."""
-    names = schema_columns(schema)
+def _serialize_oracle(rows, schema, path):
+    """The per-row reference writer for serialize_dataset; each row a tuple
+    in column order."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(names)
-        writer.writerows([_format_value(getattr(rec, n)) for n in names] for rec in records)
-
-
-def _records(kind, columns):
-    """The schema's records of a column mapping, one per row."""
-    rec_type, _ = SCHEMAS[kind]
-    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
-    return [rec_type(*row) for row in zip(*cols)]
-
-
-def _columns_of(kind, records):
-    """A column mapping of records, as parse_dataset holds one: a list for a
-    str field, an array of the field's dtype for the others."""
-    hints = get_type_hints(SCHEMAS[kind][0])
-    dtypes = {int: np.int64, float: np.float64, bool: np.bool_}
-    return {name: [getattr(r, name) for r in records] if hints[name] is str
-            else np.array([getattr(r, name) for r in records], dtype=dtypes[hints[name]])
-            for name in schema_columns(kind)}
+        writer.writerow(schema_columns(schema))
+        writer.writerows([_format_value(v) for v in row] for row in rows)
 
 
 @pytest.mark.parametrize("kind", DATASETS)
 def test_serialize_equals_per_record_oracle_on_a_fixture_market(tmp_path, kind):
-    """Fares are held as columns, the other kinds as records."""
+    """Bookings are held as records, the other kinds as columns."""
     od, archetype, n_air = synth.FIXTURE_ODS[0]
     data = synth.generate_market(synth.ArchetypeSpec(od, archetype, n_air), seed=42 + 1000)
     held = getattr(data, kind)
-    records = _records(kind, held) if kind == "fares" else held
+    rows = list(map(astuple, held)) if kind == "bookings" else _rows(held)
     serialize_dataset(held, kind, tmp_path / "got.csv")
-    _serialize_oracle(records, kind, tmp_path / "want.csv")
+    _serialize_oracle(rows, kind, tmp_path / "want.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
@@ -315,17 +317,23 @@ def seed42_files(tmp_path_factory):
 
 
 def test_columns_and_records_serialize_to_the_same_bytes(tmp_path, seed42_files):
-    """Every seed-42 file parsed, then written from its columns and from its
-    records: both give the same bytes, the synth file's own (the lexicon,
-    written with LF line ends, is not serialize_dataset's output)."""
+    """Every seed-42 file parsed, then written from its columns, and a
+    bookings file also from its records: each gives the synth file's own
+    bytes (the lexicon, written with LF line ends, is not serialize_dataset's
+    output, so it must read back as the same columns)."""
     assert len(seed42_files) == 61
     for path, kind in seed42_files:
-        columns = parse_dataset(path, kind).columns
-        serialize_dataset(columns, kind, tmp_path / "columns.csv")
-        serialize_dataset(_records(kind, columns), kind, tmp_path / "records.csv")
+        parsed = parse_dataset(path, kind)
+        serialize_dataset(parsed.columns, kind, tmp_path / "columns.csv")
         got = (tmp_path / "columns.csv").read_bytes()
-        assert got == (tmp_path / "records.csv").read_bytes(), path
-        assert kind == "lexicon" or got == path.read_bytes(), path
+        if kind == "bookings":
+            serialize_dataset(parsed.records, kind, tmp_path / "records.csv")
+            assert got == (tmp_path / "records.csv").read_bytes(), path
+        if kind == "lexicon":
+            assert_columns_equal(parse_dataset(tmp_path / "columns.csv", kind).columns,
+                                 parsed.columns)
+        else:
+            assert got == path.read_bytes(), path
     frasyd = next(path for path, kind in seed42_files
                   if path.parent.name == "FRA-SYD" and kind == "fares")
     assert parse_dataset(frasyd, "fares").n_accepted == 13_650 > 13 * CSV_BLOCK_ROWS
@@ -346,15 +354,15 @@ def test_serialize_equals_per_record_oracle_across_blocks(tmp_path):
         for i in range(n)
     ]
     tweets = [
-        TweetRecord(i, EDGE_TEXT[i % len(EDGE_TEXT)], i % 2 == 0, i % 5 == 0,
-                    EDGE_TEXT[(i + 3) % len(EDGE_TEXT)])
+        (i, EDGE_TEXT[i % len(EDGE_TEXT)], i % 2 == 0, i % 5 == 0, EDGE_TEXT[(i + 3) % len(EDGE_TEXT)])
         for i in range(n)
     ]
-    for kind, records in (("bookings", bookings), ("tweets", tweets)):
-        serialize_dataset(records, kind, tmp_path / f"{kind}.csv")
-        _serialize_oracle(records, kind, tmp_path / "want.csv")
-        assert (tmp_path / f"{kind}.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        serialize_dataset(_columns_of(kind, records), kind, tmp_path / "columns.csv")
+    serialize_dataset(bookings, "bookings", tmp_path / "bookings.csv")
+    for kind, rows in (("bookings", list(map(astuple, bookings))), ("tweets", tweets)):
+        _serialize_oracle(rows, kind, tmp_path / "want.csv")
+        if kind == "bookings":
+            assert (tmp_path / "bookings.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        serialize_dataset(columns_of_rows(kind, rows), kind, tmp_path / "columns.csv")
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     # 0.0 and -0.0 share one float column and must still be written "0" and "-0"
     travel_time = [row[5] for _, row in list(read_csv(tmp_path / "bookings.csv"))[1:]]
@@ -379,11 +387,25 @@ def test_serialize_rejects_a_value_of_another_type(tmp_path, field, value):
     ("price", np.arange(CSV_BLOCK_ROWS + 1), "holds a int value; the field is float"),
 ])
 def test_serialize_rejects_a_column_of_another_dtype(tmp_path, field, column, message):
-    fare = FareObservation("AMS-LHR", 1, 100, -10, 360, 1.5, 120.5)
-    columns = {**_columns_of("fares", [fare] * len(column)), field: column}
+    fare = ("AMS-LHR", 1, 100, -10, 360, 1.5, 120.5)
+    columns = {**columns_of_rows("fares", [fare] * len(column)), field: column}
     with pytest.raises(TypeError, match=rf"^fares\.{field} {message}$"):
         serialize_dataset(columns, "fares", tmp_path / "fares.csv")
     assert not (tmp_path / "fares.csv").exists()
+
+
+@pytest.mark.parametrize("schema, row, field, value, message", [
+    ("fleet", (1, "77W", 250.0, "PH-ABC", 7.5), "aircraft_cost", 250,
+     "holds a int value; the field is float"),
+    ("reviews", (1, True, "fine trip", 3, 4, 5, 1, 2, 3, 4), "fb", True,
+     "holds a bool value; the field is int"),
+])
+def test_to_columns_rejects_a_value_of_another_type(schema, row, field, value, message):
+    lists = {name: list(col) for name, col in zip(schema_columns(schema), zip(*[row] * 3))}
+    assert_columns_equal(to_columns(schema, lists), columns_of_rows(schema, [row] * 3))
+    lists[field][1] = value
+    with pytest.raises(TypeError, match=rf"^{schema}\.{field} {message}$"):
+        to_columns(schema, lists)
 
 
 @pytest.mark.parametrize("header, block", [
@@ -447,10 +469,11 @@ ROW_VALIDATORS = {
 
 def _parse_rows(path, schema):
     """The row-at-a-time reference: each row through the scalar coercers into
-    a record, then through the schema's row validator."""
-    rec_type, _ = SCHEMAS[schema]
-    hints = get_type_hints(rec_type)
-    coercers = [_COERCERS.get(hints[f.name], str) for f in fields(rec_type)]
+    a named tuple of the schema's fields, then through the schema's row
+    validator."""
+    hints = SCHEMAS[schema][0]
+    rec_type = namedtuple("Row", hints)
+    coercers = [_COERCERS.get(typ, str) for typ in hints.values()]
     rows = read_csv(path)
     next(rows)
     records, rejected = [], []
@@ -509,7 +532,7 @@ def _edit(schema, **cells):
 
 def _two_bad_fields(schema):
     """The first and last typed columns both hold a bad cell."""
-    hints = get_type_hints(SCHEMAS[schema][0])
+    hints = SCHEMAS[schema][0]
     typed = [name for name in schema_columns(schema) if hints[name] is not str]
     return _edit(schema, **{name: BAD_CELLS[hints[name]][0] for name in (typed[0], typed[-1])})
 
@@ -518,7 +541,7 @@ def _oracle_rows(schema):
     """One row per case: a short and a long row, each bad and each padded
     cell of every column, two bad fields, and each range-rule break."""
     good = GOOD_ROWS[schema]
-    hints = get_type_hints(SCHEMAS[schema][0])
+    hints = SCHEMAS[schema][0]
     variants = [good[:-1], good + ["extra"], _two_bad_fields(schema)]
     for name in schema_columns(schema):
         variants += [_edit(schema, **{name: cell}) for cell in BAD_CELLS[hints[name]]]
@@ -547,9 +570,8 @@ def test_parse_equals_per_row_oracle(tmp_path, schema):
     assert len(rejected) > len(variants) // 2  # most variants are rejects
     assert result.rejected == rejected
     assert result.n_accepted == len(records)
-    assert [[(type(v), v) for v in astuple(r)] for r in result.records] == \
-        [[(type(v), v) for v in astuple(r)] for r in records]
-    hints = get_type_hints(SCHEMAS[schema][0])
+    assert _typed(_rows(result.columns)) == _typed(records)
+    hints = SCHEMAS[schema][0]
     for name, col in result.columns.items():
         if hints[name] is str:
             assert isinstance(col, list)
@@ -564,7 +586,8 @@ def test_circuit_breaker_equals_per_row_oracle(tmp_path, schema):
     path = tmp_path / f"{schema}.csv"
     _write_rows(path, schema, bad + [good] * 3)  # exactly half rejected: parses
     result = parse_dataset(path, schema)
-    assert (result.records, result.rejected) == _parse_rows(path, schema)
+    records, rejected = _parse_rows(path, schema)
+    assert (_typed(_rows(result.columns)), result.rejected) == (_typed(records), rejected)
     _write_rows(path, schema, bad + [good] * 2)
     with pytest.raises(ParseError) as want:
         _parse_rows(path, schema)
@@ -610,8 +633,7 @@ def test_parse_across_block_boundaries_equals_per_row_oracle(tmp_path, fault):
     assert [line for line, _ in result.rejected] == [lines[i] for i in at]
     assert result.rejected == rejected
     assert result.n_accepted == len(records) == len(rows) - len(at)
-    assert [[(type(v), v) for v in astuple(r)] for r in result.records] == \
-        [[(type(v), v) for v in astuple(r)] for r in records]
+    assert _typed(map(astuple, result.records)) == _typed(records)
 
 
 def test_parse_without_data_rows_gives_empty_typed_columns(tmp_path):
@@ -619,7 +641,7 @@ def test_parse_without_data_rows_gives_empty_typed_columns(tmp_path):
     _write_rows(path, "bookings", [])
     result = parse_dataset(path, "bookings")
     assert result.n_accepted == 0 and result.rejected == []
-    hints = get_type_hints(ItineraryRecord)
+    hints = SCHEMAS["bookings"][0]
     for name, col in result.columns.items():
         if hints[name] is str:
             assert col == []

@@ -112,13 +112,13 @@ def _aggregate_oracle(scenario, rollup_probs):
         fc = per_od[od.name]
         for c in range(N_CLASSES):
             means[c] += fc[c]
-            fare_mass[c] += fc[c] * od.ladder.fare(c + 1)
+            fare_mass[c] += fc[c] * od.ladder.fares[c]
     fares = np.empty(N_CLASSES)
     for c in range(N_CLASSES):
         if means[c] > 0:
             fares[c] = fare_mass[c] / means[c]
         else:
-            fares[c] = float(np.mean([od.ladder.fare(c + 1) for od in scenario.ods]))
+            fares[c] = float(np.mean([od.ladder.fares[c] for od in scenario.ods]))
     return means, fares, per_od
 
 
@@ -168,7 +168,7 @@ def test_aggregate_zero_demand_class_takes_mean_ladder_fare(fixture_flight):
         means, fares, _ = aggregate_class_forecasts(scenario, probs)
         assert list(means[:3]) == [0.0] * 3 and (means[3:] > 0).all()
         for c in range(3):
-            assert fares[c] == pytest.approx(np.mean([od.ladder.fare(c + 1) for od in ods]))
+            assert fares[c] == pytest.approx(np.mean([od.ladder.fares[c] for od in ods]))
         _assert_aggregate_equals_oracle(scenario, probs)
 
 
@@ -180,8 +180,8 @@ def test_fare_ladder_validation():
     increasing = tuple(float(i) for i in range(1, N_CLASSES + 1))
     with pytest.raises(ValueError):
         FareLadder(increasing)
-    assert AMS_SYD.fare(1) == 2324
-    assert AMS_SYD.fare(12) == 447
+    assert AMS_SYD.fares[0] == 2324
+    assert AMS_SYD.fares[11] == 447
 
 
 def test_policy_requires_12_non_increasing_limits():
@@ -348,7 +348,7 @@ def _replay_oracle(arrivals, policy, ladders, capacity, downsell):
                 continue
             booked = k
         sold += 1
-        revenue += ladders[od].fare(booked)
+        revenue += ladders[od].fares[booked - 1]
     return sold, revenue
 
 
@@ -380,7 +380,7 @@ def test_unlimited_capacity_no_downsell_revenue_is_sum_of_fares():
     cap = len(arrivals) + 10
     sold, revenue = replay(arrivals, _open_policy(cap), {"AMS-SYD": AMS_SYD}, cap, downsell=False)
     assert sold == len(arrivals)
-    assert revenue == sum(AMS_SYD.fare(k) for k in arrivals.willingness_class)
+    assert revenue == sum(AMS_SYD.fares[k - 1] for k in arrivals.willingness_class)
 
 
 def test_capacity_conservation():

@@ -155,18 +155,24 @@ def test_synth_peak_memory_is_bounded_by_one_market(tmp_path, monkeypatch):
     assert peak / alone < 1.5, f"synth peak {peak} bytes, largest market alone {alone}"
 
 
-def test_market_fares_round_trip_through_the_fares_file(tmp_path):
-    """generate_market's fare columns are what parsing its fares.csv gives:
-    same fields in schema order, dtypes and values; an empty MarketData
-    holds the columns of a file without rows."""
+@pytest.mark.parametrize("kind", DATASETS)
+def test_market_datasets_round_trip_through_their_files(tmp_path, kind):
+    """Each dataset generate_market holds is what parsing the file
+    serialize_dataset writes from it gives: for bookings the same records,
+    for the other kinds the same fields in schema order, dtypes and values;
+    an empty MarketData holds the columns of a file without rows."""
     i = [od for od, _, _ in FIXTURE_ODS].index("KUL-SIN")
-    fares = generate_market(ArchetypeSpec(*FIXTURE_ODS[i]), seed=FIXTURE_SEED + 1000 * (i + 1)).fares
-    assert len(fares["price"]) == 14 * 75 * 3  # days x dbds x KUL-SIN's itineraries
-    serialize_dataset(fares, "fares", tmp_path / "fares.csv")
-    parsed = parse_dataset(tmp_path / "fares.csv", "fares")
-    assert parsed.rejected == []
-    assert_markets_equal(MarketData(fares=fares), MarketData(fares=parsed.columns))
-    assert_markets_equal(MarketData(), MarketData(fares=empty_columns("fares")))
+    data = generate_market(ArchetypeSpec(*FIXTURE_ODS[i]), seed=FIXTURE_SEED + 1000 * (i + 1))
+    assert len(data.fares["price"]) == 14 * 75 * 3  # days x dbds x KUL-SIN's itineraries
+    serialize_dataset(getattr(data, kind), kind, tmp_path / f"{kind}.csv")
+    parsed = parse_dataset(tmp_path / f"{kind}.csv", kind)
+    assert parsed.rejected == [] and parsed.n_accepted > 0
+    if kind == "bookings":
+        assert parsed.records == data.bookings
+    else:
+        assert_markets_equal(MarketData(**{kind: parsed.columns}),
+                             MarketData(**{kind: getattr(data, kind)}))
+        assert_markets_equal(MarketData(), MarketData(**{kind: empty_columns(kind)}))
 
 
 def test_one_market_holds_its_fares_as_columns():

@@ -40,7 +40,10 @@ from .ingest import (
     REVIEW_SCORES,
     ItineraryRecord,
     ParseError,
+    csv_rows,
     format_floats,
+    open_csv,
+    parse_numeric_lines,
     quote_cells,
     read_csv,
     write_csv,
@@ -176,9 +179,15 @@ class FeatureTable:
         `od` followed by ALL_COLUMNS (as to_csv writes them) raises
         ParseError naming the file; a row with the wrong field count, a cell
         that is neither empty nor a finite number (a literal `nan` included)
-        or an `is_bought` other than 0 or 1, naming the file and the line."""
-        with closing(read_csv(path)) as rows:
-            _, header = next(rows, (0, []))
+        or an `is_bought` other than 0 or 1, naming the file and the line.
+
+        The header is read once, by `csv_rows`; the rows are then parsed in
+        C (`parse_numeric_lines`), an empty cell being a missing value. The
+        row reader (`_read_rows`) reads a file that parse refuses, and it
+        reports the faults of its rows. The rows of either are checked
+        together, and the line of a faulty one is looked up by a second read."""
+        with open_csv(path) as fh:
+            lineno, header = next(csv_rows(fh), (0, []))
             if header[:1] != ["od"]:
                 raise ParseError(f"{path}: header must start with an 'od' column")
             if header != _CSV_HEADER:
@@ -186,36 +195,54 @@ class FeatureTable:
                 detail = (f"{len(absent)} missing, the first {absent[0]!r}" if absent
                           else "unknown or reordered columns")
                 raise ParseError(f"{path}: header is not the feature table's columns ({detail})")
-            ods: list[str] = []
-            empty: list[int] = []  # empty cells per row: any other NaN was a literal nan
-            # a block of CSV_BLOCK_ROWS rows becomes an array before the next is
-            # read, so only one block's Python floats are alive
-            blocks: list[np.ndarray] = []
-            cells: list[list[float]] = []
-            n_fields = len(header)
-            try:
-                for lineno, row in rows:
-                    if len(row) != n_fields:
-                        raise ValueError(f"expected {n_fields} fields, got {len(row)}")
-                    ods.append(row.pop(0))
-                    empty.append(row.count(""))
-                    cells.append([float(v) if v else math.nan for v in row])
-                    if len(cells) == CSV_BLOCK_ROWS:
-                        blocks.append(np.array(cells, dtype=np.float64))
-                        cells = []
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-        blocks.append(np.array(cells, dtype=np.float64).reshape(-1, len(ALL_COLUMNS)))
-        values = np.concatenate(blocks)
-        del blocks
+            parsed = parse_numeric_lines(fh, lineno, _CSV_DTYPE)
+        if parsed is None:  # refused by the C parse: the row reader reads the file again
+            ods, values, empty = _read_rows(path)
+        else:
+            ods, rows, empty, _ = parsed
+            values = rows["values"]
         label = values[:, ALL_COLUMNS.index("is_bought")]
-        bad = (np.isinf(values).any(axis=1) | (np.isnan(values).sum(axis=1) != empty)
+        # a row's non-finite cells are its empty ones, unless one is infinite
+        # or a literal nan
+        bad = ((np.count_nonzero(~np.isfinite(values), axis=1) != empty)
                | ((label != 0) & (label != 1)))
         if bad.any():  # the line is looked up again only on this error path
             with closing(read_csv(path)) as rows:
                 lineno, row = next(islice(rows, int(bad.argmax()) + 1, None))
             raise ParseError(f"{path}: line {lineno}: {_row_fault(row)}")
         return cls(ods=ods, values=values)
+
+
+# features.csv's rows after the od, as parse_numeric_lines reads them
+_CSV_DTYPE = np.dtype([("values", np.float64, (len(ALL_COLUMNS),))])
+
+
+def _read_rows(path: str | Path) -> tuple[list[str], np.ndarray, list[int]]:
+    """The row reader of a features.csv: (ods, values, empty cells per row),
+    one `float()` per filled cell. A block of CSV_BLOCK_ROWS rows becomes an
+    array before the next is read, so only one block's Python floats are
+    alive. A row with the wrong field count or a cell that float() cannot
+    read raises ParseError naming the file and the line."""
+    ods: list[str] = []
+    empty: list[int] = []
+    blocks: list[np.ndarray] = []
+    cells: list[list[float]] = []
+    with closing(read_csv(path)) as rows:
+        next(rows)
+        try:
+            for lineno, row in rows:
+                if len(row) != len(_CSV_HEADER):
+                    raise ValueError(f"expected {len(_CSV_HEADER)} fields, got {len(row)}")
+                ods.append(row.pop(0))
+                empty.append(row.count(""))
+                cells.append([float(v) if v else math.nan for v in row])
+                if len(cells) == CSV_BLOCK_ROWS:
+                    blocks.append(np.array(cells, dtype=np.float64))
+                    cells = []
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+    blocks.append(np.array(cells, dtype=np.float64).reshape(-1, len(ALL_COLUMNS)))
+    return ods, np.concatenate(blocks), empty
 
 
 def _row_fault(row: list[str]) -> str:

@@ -5,12 +5,21 @@ as the decimal separator. Rows that fail validation are rejected individually
 with a positioned error message; parsing only aborts when more than half of
 the data rows are rejected.
 
-Parsing works a block of rows at a time: the rows are coerced CSV_BLOCK_ROWS
-at a time, each column of a block in one call, so only one block's cells are
-alive; each column's blocks are then joined, and each schema's rules are
-masks over the joined columns. The accepted rows are held as columns
-(`ParseResult.columns`), and every kind is columns from generation on: each
-`synth.MarketData` field but `bookings` is the mapping that
+Two readers parse a file's rows, and they give the same columns, rejects
+and messages. The C parse (`parse_numeric_lines`) takes the files of a kind
+whose fields after the first (text) one are all int, float or bool:
+bookings, fares, safety and lexicon (`_LOADTXT_DTYPES`), and the feature
+tables. It hands the data lines, the text field split off and empty cells
+filled with "nan", to one np.loadtxt call. The row reader (`read_csv`,
+whose columns `_coerce_column` converts) reads the other kinds, and every
+file the C parse refuses: a quoted field, a non-ASCII character, a cell
+np.loadtxt cannot read, a change in field count, or for a dataset an empty
+cell, a non-finite float or a bool other than 0/1, which the row reader
+rejects row by row. It coerces CSV_BLOCK_ROWS rows at a time, each column
+of a block in one call, so only one block's cells are alive. Each schema's
+rules are masks over the joined columns. The accepted rows are held as
+columns (`ParseResult.columns`), and every kind is columns from generation
+on: each `synth.MarketData` field but `bookings` is the mapping that
 `ParseResult.columns` holds for its file, `to_columns` makes one from lists
 of Python values, and `serialize_dataset` writes one as it stands. Bookings
 are the one row type (`ItineraryRecord`, `ParseResult.records`): the
@@ -18,10 +27,10 @@ benchmark harness (perfbench) picks, filters and rewrites booking rows one
 record at a time, so they stay records until it takes columns.
 
 Each schema decision is made here once (`SCHEMAS`, `DATASETS`,
-`REVIEW_SCORES`). `read_csv` and `write_csv` are the package's one CSV reader
-and writer: every CSV input (datasets, lexicon, feature tables) and every
-artifact goes through them. `read_csv` reads the file's lines as its rows
-are asked for. Writing also works a column at a time: a writer
+`REVIEW_SCORES`). Every CSV input (datasets, lexicon, feature tables) has
+its header read by `csv_rows`, the csv module's rules, and every artifact is
+written by `write_csv`. Both readers read the file's lines as its rows are
+asked for. Writing also works a column at a time: a writer
 formats a block of rows as columns of finished cells, each numeric column
 with its artifact's own rule once per distinct value (`format_floats`) and
 each text column through `quote_cells`, the one place csv.writer's quoting
@@ -39,7 +48,7 @@ import tempfile
 from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, islice
+from itertools import chain, compress, count, islice
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO, get_type_hints
@@ -61,7 +70,10 @@ __all__ = [
     "quote_cells",
     "filter_tweets",
     "atomic_write_text",
+    "open_csv",
+    "csv_rows",
     "read_csv",
+    "parse_numeric_lines",
     "write_csv",
 ]
 
@@ -274,26 +286,99 @@ def _select_rows(columns: Mapping[str, Sequence], keep: np.ndarray) -> dict[str,
             for name, col in columns.items()}
 
 
+def _read_rows(rows: Iterator[tuple[int, list[str]]], schema: str) -> tuple:
+    """The row reader: a dataset's rows after the header, as `read_csv`
+    yields them, coerced a block of CSV_BLOCK_ROWS rows at a time, each column
+    of a block in one call, so only one block's cells are alive; each
+    column's blocks are joined after the last one. Gives (columns, line of
+    each row with the right field count, field-count rejects, row index ->
+    message of its first failing cell)."""
+    hints = SCHEMAS[schema][0]
+    names = list(hints)
+    lines: list[int] = []
+    rejected: list[tuple[int, str]] = []
+    errors: dict[int, str] = {}
+
+    def accepted() -> Iterator[list[str]]:
+        for lineno, row in rows:
+            if len(row) != len(names):
+                rejected.append((lineno, f"expected {len(names)} fields, got {len(row)}"))
+            else:
+                lines.append(lineno)
+                yield row
+
+    blocks = []
+    rows_in = accepted()
+    while block := list(islice(rows_in, CSV_BLOCK_ROWS)):
+        start = len(lines) - len(block)
+        blocks.append([_coerce_column(hints[name], col, errors, start)
+                       for name, col in zip(names, zip(*block))])
+    # each column ends with an empty part of its type, for a file without data rows
+    columns = {
+        name: list(chain.from_iterable(parts)) if hints[name] is str else np.concatenate(parts)
+        for name, parts in zip(names, zip(*blocks, empty_columns(schema).values()))
+    }
+    return columns, lines, rejected, errors
+
+
+# The kinds whose fields after the first (text) one are all int, float or
+# bool, with the dtype np.loadtxt reads those fields into: a bool as a
+# two-character string, so that only "0" and "1" are read as one.
+_LOADTXT_TYPES = {int: np.int64, float: np.float64, bool: "U2"}
+_LOADTXT_DTYPES = {
+    kind: np.dtype([(name, _LOADTXT_TYPES[typ]) for name, typ in list(hints.items())[1:]])
+    for kind, (hints, _) in SCHEMAS.items()
+    if list(hints.values()).count(str) == 1 and next(iter(hints.values())) is str
+}
+
+
+def _read_numeric(lines: Iterable[str], lineno: int, schema: str) -> tuple | None:
+    """A dataset's data lines through `parse_numeric_lines`, in the row
+    reader's form, or None for a file the row reader must read: one the C
+    parse refuses, or one with a non-finite float or a bool other than "0"
+    and "1", which the row reader rejects row by row. An empty cell, filled
+    with "nan", is one of these or a cell the C parse refuses in an int field."""
+    parsed = parse_numeric_lines(lines, lineno, _LOADTXT_DTYPES[schema])
+    if parsed is None:
+        return None
+    firsts, rows, _, numbers = parsed
+    hints = SCHEMAS[schema][0]
+    names = list(hints)
+    columns: dict[str, np.ndarray | list[str]] = {names[0]: firsts}
+    for name in names[1:]:
+        col = rows[name]
+        if hints[name] is bool:
+            ones = col == "1"
+            if not (ones | (col == "0")).all():
+                return None
+            col = ones
+        elif hints[name] is float and not np.isfinite(col).all():
+            return None
+        columns[name] = np.ascontiguousarray(col)
+    return columns, numbers, [], {}
+
+
 def parse_dataset(path: str | Path, schema: str) -> ParseResult:
     """Parse one dataset file into validated columns plus positioned rejects.
 
     Deterministic and order-preserving. Raises ParseError on a missing file,
-    a header mismatch, or when more than 50% of data rows are rejected.
+    a header mismatch, or when more than 50% of data rows are rejected. The
+    header is read once, by `csv_rows`; a kind in _LOADTXT_DTYPES
+    then has its rows parsed in C (`parse_numeric_lines`), and the row reader
+    (`_read_rows`) reads the other kinds and every file that parse refuses.
+    Both give the same columns and rejects.
     """
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema: {schema!r}")
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"no such file: {path}")
-    hints, validator = SCHEMAS[schema]
-    names = list(hints)
+    fields, validator = SCHEMAS[schema]
+    names = list(fields)
 
-    lines: list[int] = []  # line of each row with the right field count
-    rejected: list[tuple[int, str]] = []
-    errors: dict[int, str] = {}  # row index -> message of its first failing column
-    blocks = []
-    with closing(read_csv(path)) as rows:
-        _, header = next(rows, (0, None))
+    with open_csv(path) as fh:
+        rows = csv_rows(fh)
+        lineno, header = next(rows, (0, None))
         if header is None:
             raise ParseError(f"{path}: empty file, missing header")
         if header != names:
@@ -301,29 +386,14 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
                 f"{path}: header mismatch for schema {schema!r}: "
                 f"expected {names}, got {header}"
             )
+        read = (_read_numeric(fh, lineno, schema) if schema in _LOADTXT_DTYPES
+                else _read_rows(rows, schema))
+    if read is None:  # refused by the C parse: the row reader reads the file again
+        with closing(read_csv(path)) as rows:
+            next(rows)
+            read = _read_rows(rows, schema)
+    columns, lines, rejected, errors = read
 
-        def accepted() -> Iterator[list[str]]:
-            for lineno, row in rows:
-                if len(row) != len(names):
-                    rejected.append((lineno, f"expected {len(names)} fields, got {len(row)}"))
-                else:
-                    lines.append(lineno)
-                    yield row
-
-        # coerced a block of CSV_BLOCK_ROWS rows at a time, so only one
-        # block's cells are alive; each column's blocks are joined after the
-        # last one, ending with an empty part of its type for a file without
-        # data rows
-        rows_in = accepted()
-        while block := list(islice(rows_in, CSV_BLOCK_ROWS)):
-            start = len(lines) - len(block)
-            blocks.append([_coerce_column(hints[name], col, errors, start)
-                           for name, col in zip(names, zip(*block))])
-    columns = {
-        name: list(chain.from_iterable(parts)) if hints[name] is str else np.concatenate(parts)
-        for name, parts in zip(names, zip(*blocks, empty_columns(schema).values()))
-    }
-    del blocks
     for bad, problem in validator(columns):
         for i in np.flatnonzero(bad).tolist():
             if i not in errors:
@@ -345,8 +415,10 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
 
 
 # Rows per block: serialize_dataset and FeatureTable.to_csv format and write,
-# parse_dataset coerces and FeatureTable.from_csv converts, one block of rows
-# at a time, so only one block's cells are alive.
+# and the row reader coerces (parse_dataset) or converts (FeatureTable.from_csv),
+# one block of rows at a time, so only one block's cells are alive. The C
+# parse (parse_numeric_lines) checks a block of lines for refused characters
+# and hands it to np.loadtxt a line at a time.
 CSV_BLOCK_ROWS = 1024
 
 _BOOL_CELLS = {True: "1", False: "0"}
@@ -444,25 +516,102 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
+def open_csv(path: str | Path) -> TextIO:
+    """A CSV file opened for reading as UTF-8 with its line endings kept, as
+    `csv_rows` and `parse_numeric_lines` read it."""
+    return Path(path).open(newline="", encoding="utf-8")
+
+
+def csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """(physical line number, fields) for each non-empty row of an open CSV
+    file's lines, the number being the line the row ends on. `# comment`
+    lines are skipped but still counted, where a row may start: a `#` line
+    that continues a quoted field is data. Lines are read only as the rows
+    are asked for, so a caller may take the header here and pass the rest of
+    the file to `parse_numeric_lines`."""
+    done = 0  # lines that the rows read so far took up
+
+    def source():
+        for i, line in enumerate(lines):
+            yield "\n" if i == done and line.startswith("#") else line
+
+    reader = csv.reader(source())
+    for row in reader:
+        done = reader.line_num
+        if row:
+            yield done, row
+
+
 def read_csv(path: str | Path) -> Iterator[tuple[int, list[str]]]:
-    """The one CSV reader: (physical line number, fields) for each non-empty
-    row, the number being the line the row ends on. `# comment` lines are
-    skipped but still counted, where a row may start: a `#` line that
-    continues a quoted field is data. Lines are read as the rows are asked
-    for, so the file stays open until the last row is read or the iterator
-    is closed; a caller that may stop early closes it (`contextlib.closing`)."""
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        done = 0  # lines that the rows read so far took up
+    """The row reader: `csv_rows` of a file, which stays open until the last
+    row is read or the iterator is closed; a caller that may stop early
+    closes it (`contextlib.closing`). It reads every row that csv can read:
+    the reference for `parse_numeric_lines`, which reads only plain numeric
+    rows, and the reader of every file that parse refuses, so that its
+    faults are reported row by row."""
+    with open_csv(path) as fh:
+        yield from csv_rows(fh)
 
-        def source():
-            for i, line in enumerate(fh):
-                yield "\n" if i == done and line.startswith("#") else line
 
-        reader = csv.reader(source())
-        for row in reader:
-            done = reader.line_num
-            if row:
-                yield done, row
+# parse_numeric_lines refuses a file that is not ASCII (np.loadtxt reads a
+# non-ASCII digit such as "२" in an int field as a wrong number), or holds a
+# quote (quoted or multi-line fields, which only csv reads), NUL (np.loadtxt
+# drops it from the end of a string cell) or one of \x1c-\x1f, which
+# np.loadtxt strips around a number as whitespace and int() and float() do not.
+_REFUSED_CHARS = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def parse_numeric_lines(lines: Iterable[str], lineno: int, dtype: np.dtype) -> tuple | None:
+    """A CSV file's data rows parsed in C by one np.loadtxt call, when each
+    row is a text field followed by the fields of the structured `dtype`.
+
+    `lines` are the file's lines after its header, which ends on line
+    `lineno`, as `open_csv` reads them; `#` lines and blank lines are skipped
+    and counted as `csv_rows` skips them. Each row's first field is split off
+    with `partition`, and each empty cell after it is filled with "nan" and
+    counted. Gives (first fields, rows as a 1-d array of `dtype`, filled
+    cells per row, line number per row), or None for a file that the row
+    reader must read: one with a non-ASCII character or one of
+    _REFUSED_CHARS, a cell np.loadtxt cannot read into its field or a row
+    with another number of fields."""
+    firsts: list[str] = []
+    filled: list[int] = []
+    numbers: list[int] = []
+    refused = False
+
+    def numeric_rows() -> Iterator[str]:
+        nonlocal refused
+        for start in count(lineno + 1, CSV_BLOCK_ROWS):
+            block = list(islice(lines, CSV_BLOCK_ROWS))
+            joined = "".join(block)
+            if not joined.isascii() or any(ch in joined for ch in _REFUSED_CHARS):
+                refused = True
+            if refused or not block:
+                return
+            for n, line in enumerate(block, start):
+                body = line.rstrip("\r\n")
+                if not body or body[0] == "#":
+                    continue
+                first, _, rest = body.partition(",")
+                row = rest.replace(",,", ",nan,").replace(",,", ",nan,")
+                if not row or row[0] == ",":
+                    row = "nan" + row
+                if row[-1] == ",":
+                    row += "nan"
+                firsts.append(first)
+                filled.append((len(row) - len(rest)) // 3)
+                numbers.append(n)
+                yield row
+
+    rows = numeric_rows()
+    head = next(rows, None)  # np.loadtxt warns on a file without rows
+    try:
+        values = (np.empty(0, dtype) if head is None else
+                  np.loadtxt(chain([head], rows), dtype=dtype, delimiter=",", comments=None,
+                             ndmin=1))
+    except ValueError:
+        return None
+    return None if refused else (firsts, values, filled, numbers)
 
 
 def write_csv(

@@ -8,7 +8,10 @@ plain per-key functions here are what the tests hold them to. `refit_leaf_weight
 rule, so the regularization checks test the rule that training uses.
 `assert_markets_equal` compares two generated markets, whose datasets other
 than bookings are columns that `==` cannot compare whole, and
-`columns_of_rows` builds a dataset's columns from row tuples.
+`columns_of_rows` builds a dataset's columns from row tuples. The row reader
+is the reference for CSV input: `read_both_ways` reads a file as the package
+does and again with the C parse refusing it, and `column_bits` and
+`table_bits` give what it compares.
 """
 
 from __future__ import annotations
@@ -19,9 +22,11 @@ from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
 import numpy as np
+import pytest
 
+from farecast.features import FeatureTable
 from farecast.gbt import TreeEnsemble, TreeNode, _leaf_weight
-from farecast.ingest import SCHEMAS, to_columns
+from farecast.ingest import SCHEMAS, ParseError, to_columns
 
 # Four airlines' fares at t = -103..-100; airline 1 is the one under study.
 WORKED_FARES = {
@@ -166,3 +171,40 @@ def columns_of_rows(schema: str, rows) -> dict:
     names = list(SCHEMAS[schema][0])
     rows = list(rows)
     return to_columns(schema, {name: [row[i] for row in rows] for i, name in enumerate(names)})
+
+
+def column_bits(columns: Mapping) -> dict:
+    """Each column's dtype and values, a float column as its int64 bits, so
+    that -0.0 and 0.0 and NaNs of other bits differ."""
+    return {name: col if isinstance(col, list) else
+            (col.dtype.str, (col.view(np.int64) if col.dtype == np.float64 else col).tolist())
+            for name, col in columns.items()}
+
+
+def table_bits(path) -> tuple:
+    """A features.csv's ods and values as `column_bits` gives them."""
+    table = FeatureTable.from_csv(path)
+    return table.ods, column_bits({"values": table.values})
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+def read_both_ways(module, read, path):
+    """(outcome of `read(path)`, whether the C parse read the file, outcome
+    with the C parse refusing every file, so that the row reader reads it).
+    `module` is the one whose `parse_numeric_lines` and `_read_rows` `read`
+    calls; an outcome is `read`'s value or the text of its ParseError."""
+    calls = []
+    row_reader = module._read_rows
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "_read_rows", lambda *args: calls.append(1) or row_reader(*args))
+        got = _outcome(lambda: read(path))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "parse_numeric_lines", lambda *args: None)
+        want = _outcome(lambda: read(path))
+    return got, not calls, want

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from farecast import cli, synth
+from farecast import cli, features, synth
 from farecast.config import RunConfig
 from farecast.features import (
     AGGREGATE_COLUMNS,
@@ -45,7 +45,9 @@ from oracles import (
     diff_series,
     fare_differences,
     market_reference_fares,
+    read_both_ways,
     rolling_price_features,
+    table_bits,
 )
 
 
@@ -362,6 +364,59 @@ def test_from_csv_fault_at_a_block_boundary_names_its_line(tmp_path, row, fault,
     with pytest.raises(ParseError) as exc:
         FeatureTable.from_csv(path)
     assert str(exc.value) == f"{path}: line {line}: {message}"
+
+
+_CSV_COLUMNS = ["od"] + ALL_COLUMNS
+
+# ({column: cell}, whether the C parse reads the file): each edit is made to
+# a few rows of a table, the od's cell as written in the file
+TABLE_EDITS = [
+    ({"airline_id": ""}, True),
+    ({name: "" for name in ALL_COLUMNS[10:17]}, True),
+    ({"price": "-0.0", "travel_time": "1e-7"}, True),
+    ({"price": "999999999999999", "mkt_fare": "1e16"}, True),
+    ({"dbd": " 5 ", "dep_time_mam": "+5"}, True),
+    ({"dep_day_id": "9223372036854775808", "airline_id": "5.0"}, True),
+    ({"price": "nan"}, True),
+    ({"mkt_fare": "-NaN"}, True),
+    ({"price": "inf"}, True),
+    ({"is_bought": ""}, True),
+    ({"is_bought": "-0"}, True),
+    ({"price": "1_000"}, False),
+    ({"dbd": "٣"}, False),
+    ({"dbd": "२"}, False),
+    ({"od": "SÃO-LIS"}, False),
+    ({"price": "nan(1)"}, False),
+    ({"is_bought": "true"}, False),
+    ({"is_bought": "yes"}, False),
+    ({"price": "\x1c5"}, False),
+    ({"od": '"AMS,LHR"'}, False),
+    ({"od": '"say ""KUL"""'}, False),
+    ({"od": 'say "KUL"'}, False),
+]
+
+
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+@pytest.mark.parametrize("cells, by_c", TABLE_EDITS,
+                         ids=["-".join(c.values()) or "empty" for c, _ in TABLE_EDITS])
+def test_c_parse_of_a_table_equals_the_row_reader(tmp_path, cells, by_c, crlf):
+    """A table the C parse reads gives the row reader's ods and values, bit
+    for bit, or its ParseError text; every other table is refused and read
+    by the row reader. The edited rows sit between blank and `#` lines."""
+    path = tmp_path / "features.csv"
+    _multi_block_table(9).to_csv(path, header_comment="seed=1")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for line in (5, 9):
+        row = lines[line - 1].split(",")
+        for name, cell in cells.items():
+            row[_CSV_COLUMNS.index(name)] = cell
+        lines[line - 1] = ",".join(row)
+    lines[6:6] = ["", "# a comment between rows"]
+    end = "\r\n" if crlf else "\n"
+    path.write_bytes((end.join(lines) + end).encode("utf-8"))
+    got, read_by_c, want = read_both_ways(features, table_bits, path)
+    assert got == want
+    assert read_by_c == by_c
 
 
 # ------------------------------------------------ to_csv vs per-cell oracle

@@ -15,7 +15,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
-from farecast import cli, synth
+from farecast import cli, features, ingest, synth
 from farecast.features import ALL_COLUMNS, FeatureTable
 from farecast.ingest import (
     _COERCERS,
@@ -37,7 +37,13 @@ from farecast.ingest import (
 )
 from farecast.sentiment import load_default_lexicon
 from farecast.synth import MarketData
-from oracles import assert_columns_equal, columns_of_rows
+from oracles import (
+    assert_columns_equal,
+    column_bits,
+    columns_of_rows,
+    read_both_ways,
+    table_bits,
+)
 
 BOOKING = ItineraryRecord(
     od="AMS-LHR", airline_id=1, dep_day_id=100, dbd=-10,
@@ -183,6 +189,11 @@ def test_readers_that_stop_early_leave_no_file_open(tmp_path, opened):
         FeatureTable.from_csv(tmp_path / "label.csv")
     assert header_error.value and from_csv_header.value and row_fault.value
     assert len(opened) == 6 and all(fh.closed for fh in opened)
+    # a quoted od makes the C parse refuse the file, and the row reader reads it again
+    FeatureTable(ods=["A,B"] * 2, values=np.zeros((2, len(ALL_COLUMNS)))).to_csv(tmp_path / "quoted.csv")
+    del opened[:]
+    assert FeatureTable.from_csv(tmp_path / "quoted.csv").ods == ["A,B"] * 2
+    assert len(opened) == 2 and all(fh.closed for fh in opened)
 
 
 def test_datasets_are_the_market_data_fields():
@@ -652,10 +663,11 @@ def test_parse_without_data_rows_gives_empty_typed_columns(tmp_path):
 
 def test_parse_peak_memory_is_bounded_by_one_block(tmp_path):
     """tracemalloc's peak while parsing an 8-block fares file, as a multiple
-    of what the result holds. Coercing a block at a time as the lines are
-    read measured 2.13 (Python 3.11, numpy 2.4); reading all the file's
-    lines first measured 2.94, and coercing the whole file at once 5.29.
-    The bound is 2.13 plus a margin of 0.47 for other builds."""
+    of what the result holds. Parsing in C as the lines are read measured
+    1.84 (Python 3.11, numpy 2.4). The row reader coercing a block at a time
+    measured 2.13; reading all the file's lines first measured 2.94, and
+    coercing the whole file at once 5.29. The bound is 2.13 plus a margin of
+    0.47 for other builds."""
     n = 8 * CSV_BLOCK_ROWS + 17
     lines = [",".join(schema_columns("fares"))]
     lines += [f"AMS-LHR,{1 + i % 5},{1000 + 7 * (i % 14)},{-1 - i % 75},{37 * i % 1440},"
@@ -670,3 +682,151 @@ def test_parse_peak_memory_is_bounded_by_one_block(tmp_path):
         tracemalloc.stop()
     assert result.n_accepted == n
     assert peak / held < 2.6, f"peak {peak} bytes for a result of {held}"
+
+
+# ------------------------------------------------ C parse vs the row reader
+
+def _parsed(schema):
+    def read(path):
+        result = parse_dataset(path, schema)
+        return column_bits(result.columns), result.rejected
+    return read
+
+
+# (schema, {field: cell}, whether the C parse reads the file): each edit is
+# made to a few rows of a file of good rows
+NUMERIC_EDITS = [
+    ("fares", {"price": "-0.0"}, True),
+    ("fares", {"travel_time": "1e-7", "price": "1e16"}, True),
+    ("fares", {"price": "999999999999999"}, True),
+    ("bookings", {"dbd": " -5 ", "airline_id": "+5"}, True),
+    ("bookings", {"dep_day_id": "9223372036854775807", "dbd": "-0"}, True),
+    ("safety", {"score": "\t2.5 "}, True),
+    ("lexicon", {"score": "+3"}, True),
+    ("lexicon", {"word": "say KUL", "score": "-5"}, True),
+    ("bookings", {"airline_id": "1_000"}, False),
+    ("bookings", {"airline_id": "٣"}, False),
+    ("bookings", {"airline_id": "२"}, False),
+    ("lexicon", {"word": "café"}, False),
+    ("bookings", {"dep_day_id": "9223372036854775808"}, False),
+    ("bookings", {"airline_id": "5.0"}, False),
+    ("bookings", {"price": "nan"}, False),
+    ("bookings", {"price": "-NaN"}, False),
+    ("bookings", {"travel_time": "inf"}, False),
+    ("bookings", {"price": "1e400"}, False),
+    ("bookings", {"price": "nan(1)"}, False),
+    ("bookings", {"is_bought": "true"}, False),
+    ("bookings", {"is_bought": "yes"}, False),
+    ("bookings", {"is_bought": "2"}, False),
+    ("bookings", {"is_bought": " 1"}, False),
+    ("bookings", {"is_bought": "01"}, False),
+    ("bookings", {"od": '"AMS,LHR"'}, False),
+    ("bookings", {"od": 'say "KUL"'}, False),
+    ("bookings", {"airline_id": "", "dep_day_id": ""}, False),
+    ("bookings", {"dbd": "", "dep_time_mam": "", "travel_time": ""}, False),
+    ("bookings", {"is_bought": ""}, False),
+    ("fares", {"price": "1\x1c"}, False),
+    ("safety", {"score": ""}, False),
+    ("lexicon", {"score": "3.0"}, False),
+]
+
+
+def _edited_file(path, schema, cells, rows_edited, crlf):
+    """Eight rows of the schema's good row, those in `rows_edited` with
+    `cells` set, with a `#` line and a blank line among them; CRLF or LF
+    line ends."""
+    rows = [_edit(schema, **cells) if i in rows_edited else GOOD_ROWS[schema] for i in range(8)]
+    lines = ["# stamp", ",".join(schema_columns(schema))] + [",".join(r) for r in rows]
+    lines[4:4] = ["# a comment between rows", ""]
+    end = "\r\n" if crlf else "\n"
+    path.write_bytes((end.join(lines) + end).encode("utf-8"))
+
+
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+@pytest.mark.parametrize("schema, cells, by_c", NUMERIC_EDITS,
+                         ids=[f"{s}-{'-'.join(c.values())}" for s, c, _ in NUMERIC_EDITS])
+def test_c_parse_equals_the_row_reader(tmp_path, schema, cells, by_c, crlf):
+    """A file the C parse reads gives the row reader's columns, bit for bit,
+    and its rejects; every other file is refused and read by the row reader.
+    Edited in two rows the file parses; in five of eight, the circuit breaker
+    raises with the same text either way."""
+    path = tmp_path / f"{schema}.csv"
+    for rows_edited in ({1, 6}, {0, 2, 3, 5, 7}):
+        _edited_file(path, schema, cells, rows_edited, crlf)
+        got, read_by_c, want = read_both_ways(ingest, _parsed(schema), path)
+        assert got == want
+        assert read_by_c == by_c
+
+
+def test_c_parse_of_a_mixed_multi_block_file_equals_the_row_reader(tmp_path):
+    """A fares file of three blocks whose cells are spelled in every way the
+    C parse reads, with comment and blank lines and mixed line ends, some
+    rows breaking a range rule: the same columns and line-numbered rejects."""
+    rng = np.random.default_rng(7)
+    spellings = {int: ["{}", " {} ", "+{}", "{}\t"],
+                 float: ["{}", "{:.1e}", " {} ", "+{}", "{:.17g}"]}
+    hints = SCHEMAS["fares"][0]
+    lines = ["od,airline_id,dep_day_id,dbd,dep_time_mam,travel_time,price"]
+    for i in range(3 * CSV_BLOCK_ROWS - 3):
+        values = [rng.integers(1, 6), rng.integers(0, 400), -rng.integers(0, 90),
+                  rng.integers(0, 1440), rng.uniform(0.5, 30), rng.uniform(50, 5000)]
+        if i % 97 == 5:
+            values[4] = -0.0  # travel_time must be positive
+        if i % 89 == 3:
+            values[2] = 1  # dbd out of range
+        cells = [rng.choice(spellings[typ]).format(v).replace("+-", "-")
+                 for typ, v in zip(list(hints.values())[1:], values)]
+        lines.append(",".join([f"OD-{i % 3}"] + cells))
+        if rng.random() < 0.01:
+            lines.append("# comment" if rng.random() < 0.5 else "")
+    ends = rng.choice(["\n", "\r\n"], len(lines))
+    path = tmp_path / "fares.csv"
+    path.write_bytes("".join(map(str.__add__, lines, ends)).encode("utf-8"))
+    (columns, rejected), read_by_c, want = read_both_ways(ingest, _parsed("fares"), path)
+    assert read_by_c and (columns, rejected) == want
+    assert len(rejected) > 50 and len(columns["od"]) > 2 * CSV_BLOCK_ROWS
+
+
+@pytest.fixture(scope="module")
+def seed42_tables(seed42_files, tmp_path_factory):
+    """Every features.csv `farecast features` writes from the seed-42 files."""
+    out = tmp_path_factory.mktemp("features42")
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["features", "--data", str(seed42_files[0][0].parents[1]),
+                         "--out", str(out)]) == 0
+    tables = sorted(out.glob("*/features.csv"))
+    assert len(tables) == len(synth.FIXTURE_ODS)
+    return tables
+
+
+def test_every_file_farecast_writes_reads_as_the_row_reader_reads_it(seed42_files, seed42_tables):
+    """All 61 seed-42 inputs and the ten tables: the same columns, bit for
+    bit, and rejects as the row reader gives; the numeric ones through the
+    C parse, reviews, tweets and fleet through the row reader."""
+    for path, kind in seed42_files:
+        got, read_by_c, want = read_both_ways(ingest, _parsed(kind), path)
+        assert got == want, path
+        assert read_by_c == (kind in ("bookings", "fares", "safety", "lexicon")), path
+    for path in seed42_tables:
+        got, read_by_c, want = read_both_ways(features, table_bits, path)
+        assert read_by_c and got == want, path
+
+
+def test_every_numeric_file_farecast_writes_takes_the_c_parse(seed42_files, seed42_tables,
+                                                              monkeypatch):
+    """The row conversions are made to raise: every bookings, fares and
+    safety file `farecast synth` writes, the packaged lexicon and every
+    features.csv `farecast features` writes still read, so none of them
+    falls back to the row reader."""
+    def no_row_conversion(*args):
+        raise AssertionError("the row reader converted a file")
+
+    monkeypatch.setattr(ingest, "_coerce_column", no_row_conversion)
+    monkeypatch.setattr(features, "_read_rows", no_row_conversion)
+    numeric = [(path, kind) for path, kind in seed42_files
+               if kind in ("bookings", "fares", "safety", "lexicon")]
+    assert len(numeric) == 31
+    for path, kind in numeric:
+        assert parse_dataset(path, kind).n_accepted > 0, path
+    for path in seed42_tables:
+        assert len(FeatureTable.from_csv(path)) > 0, path

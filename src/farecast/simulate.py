@@ -5,8 +5,9 @@ smoothing) time-series baseline per OD, and a model roll-up that sums
 predicted purchase probabilities over candidate itineraries for covered ODs
 (falling back to the time-series forecast elsewhere). Each forecast feeds an
 EMSR-b booking-limit policy for a single flight; stochastic arrival streams
-are replayed against both policies with common random numbers, with and
-without downsell behavior.
+are replayed against both policies with common random numbers. Acceptance
+does not depend on downsell behavior, so one replay per policy serves both
+settings: with and without downsell.
 
 Classes are numbered 1 (most expensive) to 12 (cheapest); fare brands
 partition them as {1-3}, {4-8}, {9-12}.
@@ -383,29 +384,36 @@ def replay(
     policy: Policy,
     ladders: Mapping[str, FareLadder],
     capacity: int,
-    downsell: bool,
-) -> tuple[int, float]:
-    """Accept requests against nested limits; returns (bookings, revenue).
+) -> tuple[int, float, float]:
+    """Accept requests against nested limits, once for both downsell settings;
+    returns (bookings, revenue, revenue with downsell).
 
-    The limits are nested, so with s seats sold the open classes are always
-    the first n_open[s], where n_open[s] counts the limits above s. A request
-    whose willingness class k lies beyond n_open[sold] is lost. Otherwise the
-    customer books the cheapest open class, n_open[sold], with downsell, and
-    class k without. The loop reads the arrays once as lists.
+    The limits are nested, so with `sold` seats sold the open classes are the
+    first n, where n counts the limits above `sold`; n only falls as seats
+    sell. A request whose willingness class k lies beyond n is lost, in both
+    settings. Otherwise the customer books class k without downsell and the
+    cheapest open class, n, with it: one loop adds each fare to its own sum,
+    in request order. The loop reads the arrays once as lists.
     """
-    n_open = (np.arange(capacity)[:, None] < np.asarray(policy.limits)).sum(axis=1).tolist()
+    limits = policy.limits
     fares = {name: ladder.fares for name, ladder in ladders.items()}
     sold = 0
-    revenue = 0.0
+    revenue = revenue_downsell = 0.0
+    n = N_CLASSES
+    while n and limits[n - 1] <= sold:
+        n -= 1
     for od, k in zip(arrivals.od.tolist(), arrivals.willingness_class.tolist()):
         if sold >= capacity:
             break
-        n = n_open[sold]
         if k > n:
             continue
         sold += 1
-        revenue += fares[od][(n if downsell else k) - 1]
-    return sold, revenue
+        ladder = fares[od]
+        revenue += ladder[k - 1]
+        revenue_downsell += ladder[n - 1]
+        while n and limits[n - 1] <= sold:
+            n -= 1
+    return sold, revenue, revenue_downsell
 
 
 @dataclass
@@ -452,7 +460,11 @@ def compare_policies(
     policy_xgb: Policy,
 ) -> ComparisonReport:
     """Replay both policies on identical arrival streams (common random
-    numbers) for both downsell settings; paired 95% CI on the revenue gap."""
+    numbers); paired 95% CI on the revenue gap in each downsell setting.
+
+    One replay per policy and stream fills both downsell settings, because
+    acceptance does not depend on downsell.
+    """
     ladders = {od.name: od.ladder for od in scenario.ods}
     seeds = np.random.SeedSequence(scenario.seed).spawn(scenario.n_reps)
     per_rep: dict[tuple[bool, str], list[float]] = {
@@ -462,11 +474,11 @@ def compare_policies(
     for rep_seq in seeds:
         rep_seed = rep_seq.generate_state(1)[0]
         arrivals = generate_arrivals(scenario, int(rep_seed))
-        for ds in (False, True):
-            for method, policy in (("std", policy_std), ("xgb", policy_xgb)):
-                sold, revenue = replay(arrivals, policy, ladders, scenario.capacity, ds)
-                assert sold <= scenario.capacity
-                per_rep[(ds, method)].append(revenue)
+        for method, policy in (("std", policy_std), ("xgb", policy_xgb)):
+            sold, revenue, revenue_downsell = replay(arrivals, policy, ladders, scenario.capacity)
+            assert sold <= scenario.capacity
+            for ds, rev in ((False, revenue), (True, revenue_downsell)):
+                per_rep[(ds, method)].append(rev)
                 bookings[(ds, method)].append(sold)
 
     mean_revenue = {key: float(np.mean(revs)) for key, revs in per_rep.items()}

@@ -373,20 +373,20 @@ def test_criterion_10_simulator_sanity(pipeline):
         cap = len(arrivals) + 1
         open_policy = Policy(limits=tuple([float(cap)] * N_CLASSES),
                              protections=tuple([0.0] * (N_CLASSES - 1)))
-        sold, revenue = replay(arrivals, open_policy, ladders, cap, downsell=False)
+        sold, revenue, _ = replay(arrivals, open_policy, ladders, cap)
         assert sold == len(arrivals)
         assert revenue == sum(ladders[od].fares[k - 1]
                               for od, k in zip(arrivals.od, arrivals.willingness_class))
 
-        # Capacity conservation over all 500 replications of both settings.
+        # Capacity conservation over all 500 replications; one replay serves
+        # both downsell settings, which accept the same requests.
         means, fares, per_od = aggregate_class_forecasts(scenario, None)
         policy = optimize_policy(means, fares, scenario.capacity, scenario.demand_cv, per_od)
         seeds = np.random.SeedSequence(scenario.seed).spawn(scenario.n_reps)
         for seq in seeds:
             reps = generate_arrivals(scenario, int(seq.generate_state(1)[0]))
-            for ds in (False, True):
-                sold, _ = replay(reps, policy, ladders, scenario.capacity, ds)
-                assert sold <= scenario.capacity
+            sold, _, _ = replay(reps, policy, ladders, scenario.capacity)
+            assert sold <= scenario.capacity
 
         # Littlewood's 2-class rule: fares 100/50, D1 ~ N(30, 10) -> protect 30.
         lit_means = np.zeros(N_CLASSES)

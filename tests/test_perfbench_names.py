@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from farecast import gbt, synth
+from farecast import gbt, simulate, synth
 from oracles import assert_markets_equal
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -77,6 +78,27 @@ def test_each_traced_predict_call_records_one_span(workloads, tracing):
         gbt.predict_label(model, X)
         gbt.predict_proba(model, X)
     assert [s.name for s in tracer.spans].count("gbt.predict") == 2
+
+
+def test_compare_policies_traces_one_span_per_stream_and_replay(workloads, tracing):
+    """perfbench counts `simulate.arrivals` spans as replications and takes
+    its accept ratio from each `simulate.replay` span's bookings over the
+    stream's requests. That contract is why `replay` stays one call per
+    stream and policy, made through the module attribute: n_reps arrival
+    spans and 2 * n_reps replay spans, each with bookings <= requests."""
+    n_reps = 3
+    _, scenario = synth.standard_fixture(1)
+    scenario = replace(scenario, n_reps=n_reps)
+    policy = simulate.Policy(limits=tuple([float(scenario.capacity)] * simulate.N_CLASSES),
+                             protections=tuple([0.0] * (simulate.N_CLASSES - 1)))
+    tracer = tracing.Tracer()
+    with tracer.instrument(workloads.INSTRUMENTED), tracer.span("pass"):
+        simulate.compare_policies(scenario, policy, policy)
+    names = [s.name for s in tracer.spans]
+    assert names.count("simulate.arrivals") == n_reps
+    replays = [s for s in tracer.spans if s.name == "simulate.replay"]
+    assert len(replays) == 2 * n_reps
+    assert all(0 < s.counts["bookings"] <= s.counts["requests"] for s in replays)
 
 
 @pytest.mark.parametrize("od", ["AMS-DXB", "KUL-SIN"])

@@ -8,16 +8,18 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import norm
 
+from farecast import simulate
 from farecast.config import read_scenario, write_scenario
 from farecast.simulate import (
     FARE_BRANDS,
     N_CLASSES,
     Arrivals,
+    ComparisonReport,
     DemandMix,
     FareLadder,
     OdMarket,
@@ -324,8 +326,9 @@ def test_zero_demand_gives_zero_protection():
 # --------------------------------------------------------------------- replay
 
 def _replay_oracle(arrivals, policy, ladders, capacity, downsell):
-    """Class-by-class search for the cheapest open class: the reference for
-    `replay`'s table of open classes."""
+    """Class-by-class search for the cheapest open class, one downsell
+    setting at a time: the reference for `replay`'s stepping count of open
+    classes and for its one pass over both settings."""
 
     def open_class(cls, sold):
         return sold < policy.limits[cls - 1]
@@ -352,25 +355,31 @@ def _replay_oracle(arrivals, policy, ladders, capacity, downsell):
     return sold, revenue
 
 
-# Integer limits make `sold == limit` reachable; fractional ones fall between seats.
-_LIMIT = st.one_of(st.integers(0, 70).map(float), st.floats(0, 70))
+# Integer limits make `sold == limit` reachable, and ties make several classes
+# close on one booking; fractional ones fall between seats. A limit of 0 or
+# below closes its class from the start, and -inf/inf close or never close it.
+_LIMIT = st.one_of(st.integers(-3, 70).map(float), st.floats(-10, 70),
+                   st.sampled_from([0.0, -math.inf, math.inf]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     limits=st.lists(_LIMIT, min_size=N_CLASSES, max_size=N_CLASSES),
-    capacity=st.integers(1, 60),
+    capacity=st.integers(1, 90),
     stream=st.lists(st.tuples(st.sampled_from(["AMS-SYD", "LHR-SYD"]),
                               st.integers(1, N_CLASSES)), max_size=120),
 )
+@example(limits=[40.0] * 4 + [6.0] * 8, capacity=50, stream=[("AMS-SYD", 12)] * 8)
+@example(limits=[math.inf] * 6 + [-math.inf] * 6, capacity=3, stream=[("LHR-SYD", 1)] * 5)
+@example(limits=[0.0] * N_CLASSES, capacity=1, stream=[])
 def test_replay_equals_class_by_class_oracle(limits, capacity, stream):
     policy = Policy(limits=tuple(sorted(limits, reverse=True)),
                     protections=tuple([0.0] * (N_CLASSES - 1)))
     arrivals = _stream(stream)
     ladders = {"AMS-SYD": AMS_SYD, "LHR-SYD": LHR_SYD}
-    for downsell in (False, True):
-        assert (replay(arrivals, policy, ladders, capacity, downsell)
-                == _replay_oracle(arrivals, policy, ladders, capacity, downsell))
+    sold, revenue, revenue_downsell = replay(arrivals, policy, ladders, capacity)
+    assert (sold, revenue) == _replay_oracle(arrivals, policy, ladders, capacity, False)
+    assert (sold, revenue_downsell) == _replay_oracle(arrivals, policy, ladders, capacity, True)
 
 
 def test_unlimited_capacity_no_downsell_revenue_is_sum_of_fares():
@@ -378,7 +387,7 @@ def test_unlimited_capacity_no_downsell_revenue_is_sum_of_fares():
     arrivals = generate_arrivals(scenario, rep_seed=123)
     assert arrivals, "expected a non-empty request stream"
     cap = len(arrivals) + 10
-    sold, revenue = replay(arrivals, _open_policy(cap), {"AMS-SYD": AMS_SYD}, cap, downsell=False)
+    sold, revenue, _ = replay(arrivals, _open_policy(cap), {"AMS-SYD": AMS_SYD}, cap)
     assert sold == len(arrivals)
     assert revenue == sum(AMS_SYD.fares[k - 1] for k in arrivals.willingness_class)
 
@@ -387,9 +396,8 @@ def test_capacity_conservation():
     scenario = _scenario(capacity=20, demand_factor_mean=2.0, seed=3)
     for rep in range(10):
         arrivals = generate_arrivals(scenario, rep_seed=rep)
-        for downsell in (False, True):
-            sold, _ = replay(arrivals, _open_policy(20), {"AMS-SYD": AMS_SYD}, 20, downsell)
-            assert sold <= 20
+        sold, _, _ = replay(arrivals, _open_policy(20), {"AMS-SYD": AMS_SYD}, 20)
+        assert sold <= 20
 
 
 def test_downsell_books_cheapest_open_class():
@@ -397,8 +405,7 @@ def test_downsell_books_cheapest_open_class():
     # classes are open under downsell, losing 51 versus her willingness fare.
     req_cls = 10
     arrivals = _stream([("AMS-SYD", req_cls)])
-    _, rev_ds = replay(arrivals, _open_policy(5), {"AMS-SYD": AMS_SYD}, 5, downsell=True)
-    _, rev_no = replay(arrivals, _open_policy(5), {"AMS-SYD": AMS_SYD}, 5, downsell=False)
+    _, rev_no, rev_ds = replay(arrivals, _open_policy(5), {"AMS-SYD": AMS_SYD}, 5)
     assert rev_ds == 447.0
     assert rev_no == 498.0
     assert rev_no - rev_ds == 51.0
@@ -410,7 +417,7 @@ def test_downsell_never_books_above_willingness():
     limits = [5.0] * 4 + [0.0] * (N_CLASSES - 4)
     policy = Policy(limits=tuple(limits), protections=tuple([0.0] * (N_CLASSES - 1)))
     arrivals = _stream([("AMS-SYD", 5)])
-    sold, revenue = replay(arrivals, policy, {"AMS-SYD": AMS_SYD}, 5, downsell=True)
+    sold, _, revenue = replay(arrivals, policy, {"AMS-SYD": AMS_SYD}, 5)
     assert sold == 0 and revenue == 0.0
 
 
@@ -419,7 +426,7 @@ def test_revenue_monotone_in_capacity():
     arrivals = generate_arrivals(scenario, rep_seed=99)
     revs = []
     for cap in (10, 20, 40, 80):
-        _, rev = replay(arrivals, _open_policy(cap), {"AMS-SYD": AMS_SYD}, cap, downsell=True)
+        _, _, rev = replay(arrivals, _open_policy(cap), {"AMS-SYD": AMS_SYD}, cap)
         revs.append(rev)
     assert all(a <= b for a, b in zip(revs, revs[1:]))
 
@@ -521,10 +528,63 @@ def test_zero_demand_factor_gives_empty_arrivals():
     arrivals = generate_arrivals(scenario, rep_seed=1)
     assert len(arrivals) == 0
     assert len(arrivals.time) == len(arrivals.od) == len(arrivals.willingness_class) == 0
-    assert replay(arrivals, _open_policy(50), {"AMS-SYD": AMS_SYD}, 50, downsell=True) == (0, 0.0)
+    assert replay(arrivals, _open_policy(50), {"AMS-SYD": AMS_SYD}, 50) == (0, 0.0, 0.0)
 
 
 # ----------------------------------------------------------------- comparison
+
+def _compare_oracle(scenario, policy_std, policy_xgb):
+    """`compare_policies` with four replays per replication, one per
+    (downsell setting, policy), each through `_replay_oracle`."""
+    ladders = {od.name: od.ladder for od in scenario.ods}
+    seeds = np.random.SeedSequence(scenario.seed).spawn(scenario.n_reps)
+    per_rep = {(ds, m): [] for ds in (False, True) for m in ("std", "xgb")}
+    bookings = {key: [] for key in per_rep}
+    for rep_seq in seeds:
+        arrivals = generate_arrivals(scenario, int(rep_seq.generate_state(1)[0]))
+        for ds in (False, True):
+            for method, policy in (("std", policy_std), ("xgb", policy_xgb)):
+                sold, revenue = _replay_oracle(arrivals, policy, ladders, scenario.capacity, ds)
+                per_rep[(ds, method)].append(revenue)
+                bookings[(ds, method)].append(sold)
+
+    mean_revenue = {key: float(np.mean(revs)) for key, revs in per_rep.items()}
+    gain_pct = {}
+    gain_ci = {}
+    for ds in (False, True):
+        std = np.array(per_rep[(ds, "std")])
+        diff = np.array(per_rep[(ds, "xgb")]) - std
+        base = std.mean()
+        gain_pct[ds] = float(diff.mean() / base * 100.0) if base > 0 else 0.0
+        se = float(diff.std(ddof=1) / math.sqrt(len(diff))) if len(diff) > 1 else 0.0
+        gain_ci[ds] = (float(diff.mean() - 1.96 * se), float(diff.mean() + 1.96 * se))
+    return ComparisonReport(mean_revenue, gain_pct, gain_ci, per_rep, bookings)
+
+
+@pytest.mark.parametrize("n_reps", [1, 2, 50])
+def test_comparison_equals_four_replay_oracle(fixture_flight, n_reps, monkeypatch):
+    scenario, labels = fixture_flight
+    scenario = replace(scenario, n_reps=n_reps)
+    # The history policy and the policy built from forecast-day labels.
+    policy_std, policy_xgb = [
+        optimize_policy(*aggregate_class_forecasts(scenario, probs)[:2], scenario.capacity,
+                        scenario.demand_cv)
+        for probs in (None, labels)
+    ]
+    calls = []
+
+    def counted_replay(*args):
+        calls.append(args)
+        return replay(*args)
+
+    monkeypatch.setattr(simulate, "replay", counted_replay)
+    report = compare_policies(scenario, policy_std, policy_xgb)
+    assert len(calls) == 2 * n_reps
+    oracle = _compare_oracle(scenario, policy_std, policy_xgb)
+    for name in ("mean_revenue", "gain_pct", "gain_ci95", "per_rep", "bookings"):
+        assert getattr(report, name) == getattr(oracle, name), name
+    assert policy_std != policy_xgb and report.gain_pct[False] != 0.0
+
 
 def test_identical_policies_gain_exactly_zero():
     scenario = _scenario(capacity=30, n_reps=20, seed=9)

@@ -105,8 +105,19 @@ class OdMarket:
             raise ValueError(f"OD {self.name}: mean_demand must be finite and >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimScenario:
+    """One flight, the ODs that cross it, and the Monte Carlo settings.
+
+    Construction validates the fields and then builds, once per scenario, the
+    tables every replication's arrival draws read: the OD names, the CDF of
+    the ODs' mean demands and each OD's fare-brand CDF. So the scenario is
+    frozen, and its ODs must not be changed once it is built: derive a
+    changed scenario with `dataclasses.replace`, which builds the tables
+    again. OD names must be unique, as ladders and forecasts are keyed by
+    name.
+    """
+
     capacity: int
     ods: list[OdMarket]
     demand_factor_mean: float = 0.98
@@ -119,6 +130,10 @@ class SimScenario:
     cheap_early_prob: float = CHEAP_EARLY_PROB
     # departure day whose displayed itineraries feed the model roll-up
     forecast_day: int | None = None
+    # arrival draw tables, built from `ods` in __post_init__
+    od_names: np.ndarray = field(init=False, repr=False, compare=False)
+    od_cdf: np.ndarray = field(init=False, repr=False, compare=False)
+    brand_cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.capacity < 1:
@@ -127,6 +142,10 @@ class SimScenario:
             raise ValueError("n_reps must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        names = [od.name for od in self.ods]
+        if len(set(names)) < len(names):
+            duplicate = next(name for i, name in enumerate(names) if name in names[:i])
+            raise ValueError(f"OD {duplicate} occurs more than once")
         if sum(od.mean_demand for od in self.ods) <= 0:
             raise ValueError("total mean_demand over the ODs must be positive")
         if not (0 < self.holt_alpha < 1 and 0 < self.holt_beta < 1):
@@ -137,6 +156,19 @@ class SimScenario:
             raise ValueError("demand_factor_sd and demand_cv must be finite and >= 0")
         if not 0 <= self.cheap_early_prob <= 1:
             raise ValueError("cheap_early_prob must lie in [0, 1]")
+        # Built as Generator.choice builds its CDF from p, so searchsorted on
+        # one uniform per request draws the ODs choice would.
+        weights = np.array([od.mean_demand for od in self.ods], dtype=float)
+        od_cdf = (weights / weights.sum()).cumsum()
+        od_cdf /= od_cdf[-1]
+        # Scaled so each last column is exactly 1: a zero-share brand is never
+        # drawn. That 1 lies above every uniform, so the table keeps the first
+        # two columns only, as rows: row b holds each OD's CDF at brand b + 1.
+        brand_cdf = np.cumsum([od.mix.shares for od in self.ods], axis=1)
+        brand_cdf /= brand_cdf[:, -1:]
+        object.__setattr__(self, "od_names", np.array(names, dtype=object))
+        object.__setattr__(self, "od_cdf", od_cdf)
+        object.__setattr__(self, "brand_cdf", np.ascontiguousarray(brand_cdf[:, :-1].T))
 
 
 @dataclass
@@ -360,23 +392,34 @@ def generate_arrivals(scenario: SimScenario, rep_seed: int) -> Arrivals:
     this order and each as one array over all requests: an OD proportional to
     OD demand weights, a fare brand from the OD's mix (one uniform, inverse
     CDF), a willingness class uniform within the brand, and an arrival time,
-    skewed by brand with probability cheap_early_prob and else uniform.
+    skewed by brand with probability cheap_early_prob and else uniform. The
+    OD and brand CDFs come from the scenario, built once; each replication
+    draws only the random numbers, the same ones and in the same order as
+    `rng.choice(n_od, volume, p=weights / weights.sum())` would for the OD.
     """
     rng = np.random.default_rng(rep_seed)
     factor = max(0.0, rng.normal(scenario.demand_factor_mean, scenario.demand_factor_sd))
     volume = int(round(scenario.capacity * factor))
-    od_names = np.array([od.name for od in scenario.ods], dtype=object)
-    weights = np.array([od.mean_demand for od in scenario.ods], dtype=float)
-    od_idx = rng.choice(len(od_names), size=volume, p=weights / weights.sum())
-    # Scaled so each last column is exactly 1: a zero-share brand is never drawn.
-    cdf = np.cumsum([od.mix.shares for od in scenario.ods], axis=1)
-    cdf /= cdf[:, -1:]
-    brand = (rng.random(volume)[:, None] >= cdf[od_idx]).sum(axis=1)
+    od_idx = scenario.od_cdf.searchsorted(rng.random(volume), side="right")
+    # The 0-based brand counts the OD's CDF values at or below the uniform.
+    u = rng.random(volume)
+    first, second = scenario.brand_cdf
+    brand = (u >= first[od_idx]).astype(np.intp) + (u >= second[od_idx])
     cls = _BRAND_FIRST[brand] + rng.integers(0, _BRAND_SIZE[brand])
     skew = rng.random(volume) < scenario.cheap_early_prob
     time = np.where(skew, rng.beta(_BETA_A[brand], _BETA_B[brand]), rng.random(volume))
     order = np.argsort(time, kind="stable")
-    return Arrivals(time[order], od_names[od_idx[order]], cls[order])
+    return Arrivals(time[order], scenario.od_names[od_idx[order]], cls[order])
+
+
+def _open_classes(limits: tuple[float, ...], n: int, sold: int, capacity: int) -> tuple[int, int]:
+    """(n, step): the open-class count at `sold` seats, counted down from n,
+    and the seat count at which it next falls. A full flight closes every
+    class, so each limit is capped at capacity; the cap also keeps an
+    infinite limit out of `ceil`. n is 0 once the flight is full."""
+    while n and min(limits[n - 1], capacity) <= sold:
+        n -= 1
+    return n, math.ceil(min(limits[n - 1], capacity)) if n else capacity
 
 
 def replay(
@@ -390,29 +433,30 @@ def replay(
 
     The limits are nested, so with `sold` seats sold the open classes are the
     first n, where n counts the limits above `sold`; n only falls as seats
-    sell. A request whose willingness class k lies beyond n is lost, in both
-    settings. Otherwise the customer books class k without downsell and the
-    cheapest open class, n, with it: one loop adds each fare to its own sum,
-    in request order. The loop reads the arrays once as lists.
+    sell, and only when `sold` reaches `step`, the next limit rounded up (or
+    capacity, whichever is lower), so n is re-derived at most 13 times per
+    stream, not after every sale. A request whose willingness class k lies
+    beyond n is lost, in both settings. Otherwise the customer books class k
+    without downsell and the cheapest open class, n, with it: one loop adds
+    each fare to its own sum, in request order. The loop reads the arrays
+    once as lists and stops right after the sale that fills the flight.
     """
     limits = policy.limits
     fares = {name: ladder.fares for name, ladder in ladders.items()}
     sold = 0
     revenue = revenue_downsell = 0.0
-    n = N_CLASSES
-    while n and limits[n - 1] <= sold:
-        n -= 1
+    n, step = _open_classes(limits, N_CLASSES, sold, capacity)
     for od, k in zip(arrivals.od.tolist(), arrivals.willingness_class.tolist()):
-        if sold >= capacity:
-            break
         if k > n:
             continue
         sold += 1
         ladder = fares[od]
         revenue += ladder[k - 1]
         revenue_downsell += ladder[n - 1]
-        while n and limits[n - 1] <= sold:
-            n -= 1
+        if sold == step:
+            n, step = _open_classes(limits, n, sold, capacity)
+            if not n:
+                break
     return sold, revenue, revenue_downsell
 
 

@@ -173,6 +173,8 @@ _LADDER = ",".join(str(1200 - 100 * k) for k in range(12))
     ("[scenario]\ncapacity = 9\n[od:X]\nfares = 1,2\n", "need 12 fares"),
     (f"[scenario]\ncapacity = 9\n[od:X]\nfares = {_LADDER}\nbrand_mix = 1,1,1\n"
      "mean_demand = 4\nhistory = 5\n", "OD X: history needs at least 2 values"),
+    (f"[scenario]\ncapacity = 9\n[od:X]\nfares = {_LADDER}\n[od:X]\nfares = {_LADDER}\n",
+     "section 'od:X' already exists"),
     (f"[scenario]\ncapacity = 9\n[od:X]\nfares = {_LADDER}\nbrand_mix = 1,1,1\n"
      "mean_demand = 0\nhistory = 5,6\n", "total mean_demand over the ODs must be positive"),
     (f"[scenario]\ncapacity = 9\n[od:X]\nfares = {_LADDER}\nbrand_mix = 1,1,1\n"

@@ -194,6 +194,17 @@ def test_policy_requires_12_non_increasing_limits():
         Policy(limits=tuple([5.0] * (N_CLASSES - 1)), protections=no_protection)
 
 
+def test_duplicate_od_names_are_rejected():
+    # Ladders and forecasts are keyed by OD name, so a second OD of the same
+    # name would price and forecast both with one of them.
+    od = _scenario().ods[0]
+    with pytest.raises(ValueError, match="OD AMS-SYD occurs more than once"):
+        SimScenario(capacity=50, ods=[od, replace(od, mean_demand=5.0)])
+    ods = _od_scenario([1.0, 2.0]).ods
+    with pytest.raises(ValueError, match="OD OD0 occurs more than once"):
+        SimScenario(capacity=50, ods=[*ods, replace(ods[1], name="OD0")])
+
+
 def test_demand_mix_renormalizes():
     mix = DemandMix((1.0, 1.0, 2.0))
     assert mix.shares == (0.25, 0.25, 0.5)
@@ -393,11 +404,18 @@ def test_unlimited_capacity_no_downsell_revenue_is_sum_of_fares():
 
 
 def test_capacity_conservation():
+    # Limits above capacity, finite or not, never close a class: only the
+    # capacity stop keeps these policies from selling past the flight.
     scenario = _scenario(capacity=20, demand_factor_mean=2.0, seed=3)
+    no_protection = tuple([0.0] * (N_CLASSES - 1))
+    policies = [_open_policy(20), Policy(limits=(math.inf,) * N_CLASSES, protections=no_protection),
+                Policy(limits=(70.0,) * N_CLASSES, protections=no_protection)]
     for rep in range(10):
         arrivals = generate_arrivals(scenario, rep_seed=rep)
-        sold, _, _ = replay(arrivals, _open_policy(20), {"AMS-SYD": AMS_SYD}, 20)
-        assert sold <= 20
+        assert len(arrivals) > 20
+        for policy in policies:
+            sold, _, _ = replay(arrivals, policy, {"AMS-SYD": AMS_SYD}, 20)
+            assert sold == 20, policy.limits[0]
 
 
 def test_downsell_books_cheapest_open_class():
@@ -531,6 +549,96 @@ def test_zero_demand_factor_gives_empty_arrivals():
     assert replay(arrivals, _open_policy(50), {"AMS-SYD": AMS_SYD}, 50) == (0, 0.0, 0.0)
 
 
+def _generate_arrivals_oracle(scenario, rep_seed):
+    """`generate_arrivals` as it was before the scenario built its draw
+    tables: each replication builds them, and `rng.choice` draws the ODs."""
+    rng = np.random.default_rng(rep_seed)
+    factor = max(0.0, rng.normal(scenario.demand_factor_mean, scenario.demand_factor_sd))
+    volume = int(round(scenario.capacity * factor))
+    od_names = np.array([od.name for od in scenario.ods], dtype=object)
+    weights = np.array([od.mean_demand for od in scenario.ods], dtype=float)
+    od_idx = rng.choice(len(od_names), size=volume, p=weights / weights.sum())
+    # Scaled so each last column is exactly 1: a zero-share brand is never drawn.
+    cdf = np.cumsum([od.mix.shares for od in scenario.ods], axis=1)
+    cdf /= cdf[:, -1:]
+    brand = (rng.random(volume)[:, None] >= cdf[od_idx]).sum(axis=1)
+    cls = simulate._BRAND_FIRST[brand] + rng.integers(0, simulate._BRAND_SIZE[brand])
+    skew = rng.random(volume) < scenario.cheap_early_prob
+    time = np.where(skew, rng.beta(simulate._BETA_A[brand], simulate._BETA_B[brand]),
+                    rng.random(volume))
+    order = np.argsort(time, kind="stable")
+    return Arrivals(time[order], od_names[od_idx[order]], cls[order])
+
+
+def _assert_arrivals_equal_oracle(scenario, rep_seeds):
+    for seed in rep_seeds:
+        got = generate_arrivals(scenario, seed)
+        want = _generate_arrivals_oracle(scenario, seed)
+        assert got.time.tobytes() == want.time.tobytes(), seed
+        assert got.od.tolist() == want.od.tolist(), seed
+        assert got.willingness_class.dtype == want.willingness_class.dtype
+        assert got.willingness_class.tobytes() == want.willingness_class.tobytes(), seed
+
+
+def _od_scenario(weights, **kw) -> SimScenario:
+    """A 50-seat flight with one OD per mean demand in `weights`."""
+    base = _scenario().ods[0]
+    ods = [replace(base, name=f"OD{i}", mean_demand=float(w)) for i, w in enumerate(weights)]
+    return SimScenario(capacity=50, ods=ods, **kw)
+
+
+def test_arrivals_equal_choice_oracle_on_fixture_flights(fixture_flight):
+    scenario, _ = fixture_flight
+    _assert_arrivals_equal_oracle(scenario, range(N_ORACLE_SEEDS))
+
+
+@pytest.mark.parametrize("scenario", [
+    _scenario(),
+    _od_scenario([0.0, 30.0, 0.0, 10.0, 0.0]),
+    *[replace(_scenario(), ods=[replace(_scenario().ods[0], mix=DemandMix(shares))])
+      for shares in ((0.0, 0.5, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 0.0))],
+    _scenario(cheap_early_prob=0.0),
+    _scenario(cheap_early_prob=1.0),
+    _scenario(demand_factor_mean=0.0, demand_factor_sd=0.0),
+    _od_scenario([0.1, 0.2, 0.3]),  # the normalized weights sum to 1 - 2**-53
+], ids=["one_od", "zero_demand_ods", "no_brand_1", "no_brand_2", "no_brand_3",
+        "never_early", "always_early", "empty", "cumsum_below_1"])
+def test_arrivals_equal_choice_oracle(scenario):
+    _assert_arrivals_equal_oracle(scenario, range(100))
+
+
+def _weights_on_draw(u):
+    """Three OD weights for which the CDF `Generator.choice` builds has its
+    first boundary exactly at u, while the plain cumsum of the normalized
+    weights lies above u there (so that cumsum ends above 1): a uniform of
+    exactly u picks the second OD only under `side="right"` and with the
+    renormalization. None if no first weight within 64 ulps of u gives that."""
+    for frac in np.linspace(0.05, 0.95, 19):
+        for k in range(-64, 65):
+            weights = np.array([u + k * np.spacing(u), (1 - u) * frac, (1 - u) * (1 - frac)])
+            cumsum = (weights / weights.sum()).cumsum()
+            if cumsum[0] / cumsum[-1] == u < cumsum[0]:
+                return weights
+    return None
+
+
+def test_arrivals_equal_choice_oracle_on_cdf_boundaries():
+    # A uniform that falls on a CDF boundary is where searchsorted's side and
+    # the CDF's renormalization show; random weights almost never meet one.
+    # Each case places the first OD draw of a replication on a boundary.
+    base = _od_scenario([1.0])
+    cases = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)  # generate_arrivals' draws up to the ODs'
+        factor = max(0.0, rng.normal(base.demand_factor_mean, base.demand_factor_sd))
+        weights = _weights_on_draw(rng.random(int(round(base.capacity * factor)))[0])
+        if weights is None:
+            continue
+        cases += 1
+        _assert_arrivals_equal_oracle(_od_scenario(weights), [seed])
+    assert cases >= 10
+
+
 # ----------------------------------------------------------------- comparison
 
 def _compare_oracle(scenario, policy_std, policy_xgb):
@@ -623,8 +731,8 @@ def test_comparison_report_csv(tmp_path):
 # ------------------------------------------------------------- scenario files
 
 def test_scenario_roundtrip(tmp_path):
-    scenario = _scenario(capacity=44, n_reps=77, seed=13, demand_factor_mean=0.95)
-    scenario.forecast_day = 6
+    scenario = replace(_scenario(capacity=44, n_reps=77, seed=13, demand_factor_mean=0.95),
+                       forecast_day=6)
     path = tmp_path / "scenario.ini"
     write_scenario(scenario, path)
     back = read_scenario(path)

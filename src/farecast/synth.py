@@ -8,10 +8,21 @@ cheapest-fare movement, schedule -> distance of departure time from 6AM,
 comfort -> the airline's IFE rating), plus a driver-by-time interaction term
 so a depth-2 tree model has headroom over a linear baseline. The intercept
 is calibrated by bisection to the target purchase prevalence.
+
+Every draw goes through the cheapest numpy call that gives the value the
+generator's first form drew (kept as tests/oracles.reference_market) and
+leaves the stream in the same place, so the markets stay byte-identical:
+`low + (high - low) * rng.random()` for `rng.uniform(low, high)`, which is
+how numpy computes it; `loc + scale * rng.standard_normal()` for
+`rng.normal(loc, scale)`, likewise; and one `rng.integers` call with array
+bounds for a review's words, since each bounded integer below 2**32 takes
+one 32-bit draw whichever call asks for it. Reordering draws, or batching
+draws of different kinds into one call, changes every output.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from statistics import median
 from typing import Iterator, Literal, Mapping
@@ -54,6 +65,18 @@ _NEGATIVE_WORDS = [
     "uncomfortable", "disaster", "horrible", "slow", "useless",
 ]
 _FILLER = ["flight", "crew", "seat", "service", "airline", "trip", "meal", "boarding"]
+# A review has binomial(_WORDS_PER_SIDE, .) positive and negative words and
+# three filler words, all indices into _VOCAB. _WORD_BOUNDS[n_pos][n_neg]
+# holds the (low, high) arrays of the one rng.integers call that draws them
+# in that order: each list's slice of _VOCAB, once per word.
+_WORDS_PER_SIDE = 4
+_VOCAB = _POSITIVE_WORDS + _NEGATIVE_WORDS + _FILLER
+_SPANS = np.cumsum([0, len(_POSITIVE_WORDS), len(_NEGATIVE_WORDS), len(_FILLER)])
+_WORD_BOUNDS = [
+    [(np.repeat(_SPANS[:-1], (n_pos, n_neg, 3)), np.repeat(_SPANS[1:], (n_pos, n_neg, 3)))
+     for n_neg in range(_WORDS_PER_SIDE + 1)]
+    for n_pos in range(_WORDS_PER_SIDE + 1)
+]
 
 _WIDE_TYPES = ["77W", "789", "359", "388"]
 _NARROW_TYPES = ["320", "738", "321", "E90"]
@@ -68,6 +91,13 @@ class ArchetypeSpec:
     n_airlines: int = 4
 
     def __post_init__(self):
+        try:
+            # numpy integers pass operator.index, and so would a bool, as 0 or 1
+            if isinstance(self.n_airlines, bool):
+                raise TypeError
+            operator.index(self.n_airlines)
+        except TypeError:
+            raise ValueError(f"n_airlines {self.n_airlines!r} is not an integer") from None
         if self.n_airlines < 2:
             raise ValueError("market references need at least 2 airlines")
         if self.archetype not in ("price", "schedule", "comfort"):
@@ -109,14 +139,9 @@ def _clip_rating(x: float) -> int:
 
 
 def _review_text(rng: np.random.Generator, quality: float) -> str:
-    n_pos = rng.binomial(4, quality)
-    n_neg = rng.binomial(4, 1.0 - quality)
-    # each list indexed by rng.integers, the draws rng.choice(list, size=n) makes
-    words = [
-        vocab[i]
-        for vocab, n in ((_POSITIVE_WORDS, n_pos), (_NEGATIVE_WORDS, n_neg), (_FILLER, 3))
-        for i in rng.integers(0, len(vocab), size=n).tolist()
-    ]
+    n_pos = rng.binomial(_WORDS_PER_SIDE, quality)
+    n_neg = rng.binomial(_WORDS_PER_SIDE, 1.0 - quality)
+    words = [_VOCAB[i] for i in rng.integers(*_WORD_BOUNDS[n_pos][n_neg]).tolist()]
     rng.shuffle(words)
     return "The " + " ".join(words)
 
@@ -143,13 +168,18 @@ def _calibrate_intercept(latents: np.ndarray, target: float) -> float:
 def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
     """Generate all six datasets for a single OD market."""
     rng = np.random.default_rng(seed)
+    random, standard_normal, integers = rng.random, rng.standard_normal, rng.integers
+
+    def uniform(low, high):  # rng.uniform(low, high), by numpy's own formula
+        return low + (high - low) * random()
+
     data = MarketData()
     n_air = spec.n_airlines
     airline_ids = list(range(1, n_air + 1))
     long_haul = any(tag in spec.od for tag in ("SYD", "JFK", "DXB", "JNB"))
 
     # per-airline static attributes
-    base_fare = {a: float(rng.uniform(180, 550) * (1.6 if long_haul else 1.0)) for a in airline_ids}
+    base_fare = {a: uniform(180, 550) * (1.6 if long_haul else 1.0) for a in airline_ids}
     # departure-time anchors: one airline near 6AM so dept_delta spans a range;
     # the actual time is re-drawn per departure day (schedule changes) so that
     # timing features are not a proxy for airline identity
@@ -157,18 +187,18 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
     travel_times = {}
     n_itins = {}
     for i, a in enumerate(airline_ids):
-        n_itins[a] = 1 + int(rng.random() < 0.4)
-        anchor = 360 if i == 0 else int(rng.integers(300, 1350))
+        n_itins[a] = 1 + int(random() < 0.4)
+        anchor = 360 if i == 0 else int(integers(300, 1350))
         times = [anchor]
         for _ in range(n_itins[a] - 1):
-            times.append(int((anchor + rng.integers(180, 720)) % 1440))
+            times.append(int((anchor + integers(180, 720)) % 1440))
         anchors[a] = times
-        base_tt = float(rng.uniform(10.0, 16.0)) if long_haul else float(rng.uniform(0.9, 4.0))
-        travel_times[a] = [round(base_tt + k * float(rng.uniform(0.5, 2.5)), 2) for k in range(n_itins[a])]
+        base_tt = uniform(10.0, 16.0) if long_haul else uniform(0.9, 4.0)
+        travel_times[a] = [round(base_tt + k * uniform(0.5, 2.5), 2) for k in range(n_itins[a])]
 
     # quality latent drives reviews/tweets; IFE spread is widened so the
     # comfort driver separates airlines cleanly
-    quality = {a: float(rng.uniform(0.25, 0.9)) for a in airline_ids}
+    quality = {a: uniform(0.25, 0.9) for a in airline_ids}
     ife_center = {
         a: 1.0 + 4.0 * (i / max(1, n_air - 1))
         for i, a in enumerate(rng.permutation(airline_ids).tolist())
@@ -179,48 +209,49 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
     reviews, tweets, safety, fleet = ({name: [] for name in SCHEMAS[kind][0]}
                                       for kind in ("reviews", "tweets", "safety", "fleet"))
     for a in airline_ids:
-        for _ in range(int(rng.integers(30, 70))):
-            q = quality[a]
+        q, ife = quality[a], ife_center[a]
+        centre, wifi_centre = 2.0 + 2.5 * q, 1.5 + 2.0 * q  # the ratings' means
+        for _ in range(int(integers(30, 70))):
             _add_row(
                 reviews,
                 airline_id=a,
-                recommended=bool(rng.random() < q),
+                recommended=random() < q,
                 review_text=_review_text(rng, q),
-                fb=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
-                ground=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
-                ife=_clip_rating(rng.normal(ife_center[a], 0.3)),
-                crew=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
-                seat=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
-                value=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
-                wifi=_clip_rating(rng.normal(1.5 + 2.0 * q, 0.5)),
+                fb=_clip_rating(centre + 0.4 * standard_normal()),
+                ground=_clip_rating(centre + 0.4 * standard_normal()),
+                ife=_clip_rating(ife + 0.3 * standard_normal()),
+                crew=_clip_rating(centre + 0.4 * standard_normal()),
+                seat=_clip_rating(centre + 0.4 * standard_normal()),
+                value=_clip_rating(centre + 0.4 * standard_normal()),
+                wifi=_clip_rating(wifi_centre + 0.5 * standard_normal()),
             )
 
     # tweets, including rows the English/original filter must drop
     for a in airline_ids:
         for _ in range(40):
-            kind = rng.random()
+            kind = random()
             _add_row(
                 tweets,
                 airline_id=a,
                 text=_review_text(rng, quality[a]),
-                is_retweet=bool(kind < 0.15),
-                is_reply=bool(0.15 <= kind < 0.25),
-                language_tag="en" if rng.random() < 0.85 else "nl",
+                is_retweet=kind < 0.15,
+                is_reply=0.15 <= kind < 0.25,
+                language_tag="en" if random() < 0.85 else "nl",
             )
 
     # safety and fleet
     for a in airline_ids:
-        _add_row(safety, airline_code=f"A{a}", score=float(round(rng.uniform(0.005, 0.06), 4)))
+        _add_row(safety, airline_code=f"A{a}", score=round(uniform(0.005, 0.06), 4))
         types = _WIDE_TYPES if long_haul else _NARROW_TYPES
-        fleet_n = int(rng.integers(5, 25))
+        fleet_n = int(integers(5, 25))
         for k in range(fleet_n):
             _add_row(
                 fleet,
                 airline_id=a,
-                aircraft_type=types[rng.integers(len(types))],  # as rng.choice(types)
-                aircraft_cost=float(round(rng.uniform(80, 350), 1)),
+                aircraft_type=types[integers(len(types))],  # as rng.choice(types)
+                aircraft_cost=round(uniform(80, 350), 1),
                 registration=f"PH-{a:02d}{k:03d}",
-                aircraft_age=float(round(rng.uniform(0.5, 22.0), 1)),
+                aircraft_age=round(uniform(0.5, 22.0), 1),
             )
     data.reviews, data.tweets, data.safety, data.fleet = (
         to_columns(kind, lists) for kind, lists in
@@ -234,20 +265,22 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
     dep_days = [1000 + 7 * d for d in range(N_DEPARTURE_DAYS)]
     fare_dbds = range(FARE_DBD_MIN, FARE_DBD_MAX + 1)
     dep_times = [  # [day][itinerary]
-        [int((t + rng.integers(-150, 151)) % 1440) for a in airline_ids for t in anchors[a]]
+        [int((t + integers(-150, 151)) % 1440) for a in airline_ids for t in anchors[a]]
         for _ in dep_days
     ]
+    # per airline: its base fare, the walk's step scale and its extra itineraries
+    walks = [(base_fare[a], 0.03 * base_fare[a], range(1, n_itins[a])) for a in airline_ids]
     prices: list[float] = []
+    add_price = prices.append
     for _ in dep_days:
-        fare = {a: base_fare[a] * float(rng.uniform(0.9, 1.1)) for a in airline_ids}
+        fare = [base * uniform(0.9, 1.1) for base, _, _ in walks]
         for _ in fare_dbds:
-            for a in airline_ids:
-                pull = 0.08 * (base_fare[a] - fare[a])
-                fare[a] = max(30.0, fare[a] + pull + float(rng.normal(0, 0.03 * base_fare[a])))
-                own = round(fare[a], 2)
-                for k in range(n_itins[a]):
-                    offset = 0.0 if k == 0 else round(18.0 * k + float(rng.uniform(0, 10)), 2)
-                    prices.append(round(own + offset, 2))
+            for i, (base, scale, extra) in enumerate(walks):
+                fare[i] = max(30.0, fare[i] + 0.08 * (base - fare[i]) + scale * standard_normal())
+                own = round(fare[i], 2)
+                add_price(own)
+                for k in extra:
+                    add_price(round(own + round(18.0 * k + uniform(0, 10), 2), 2))
     n_keys = len(dep_days) * len(fare_dbds)  # (dep_day, dbd) keys, each with every itinerary
     data.fares = {
         "od": [spec.od] * len(prices),
@@ -278,6 +311,8 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
 
     # candidate displayed itineraries and their archetype latents
     fare_scale = float(np.mean(list(base_fare.values())))
+    drv_scale = 0.08 * fare_scale  # the price archetype's driver scale
+    aux_scale = (0.15 if spec.archetype == "price" else 0.4) * fare_scale
     candidates: list[tuple[int, int, int]] = []  # (day index, dbd, itinerary index)
     latents: list[float] = []
     for di in range(len(dep_days)):
@@ -285,24 +320,21 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
             z_dbd = (dbd - (DISPLAY_DBD_MIN + DISPLAY_DBD_MAX) / 2.0) / 12.0
             for ai, a in enumerate(airline_ids):
                 for k in range(n_itins[a]):
-                    if rng.random() > DISPLAY_PROB:
+                    if random() > DISPLAY_PROB:
                         continue
                     it = itin_start[a] + k
-                    yy_diff, mean3d_yy = yy_diffs[ai][di][j], mean3d_yys[ai][di][j]
+                    aux = -yy_diffs[ai][di][j] / aux_scale
                     if spec.archetype == "price":
-                        drv = -mean3d_yy / (0.08 * fare_scale)
-                        aux = -yy_diff / (0.15 * fare_scale)
+                        drv = -mean3d_yys[ai][di][j] / drv_scale
                     elif spec.archetype == "schedule":
                         drv = -(abs(dep_times[di][it] - 360) / 180.0 - 1.5)
-                        aux = -yy_diff / (0.4 * fare_scale)
                     else:  # comfort
                         drv = ife_median[a] - 3.0
-                        aux = -yy_diff / (0.4 * fare_scale)
                     latent = (
                         DRIVER_COEF * drv
                         + 0.3 * aux
                         + INTERACTION_COEF * drv * z_dbd
-                        + float(rng.normal(0, NOISE_SCALE))
+                        + NOISE_SCALE * standard_normal()
                     )
                     candidates.append((di, dbd, it))
                     latents.append(latent)

@@ -11,7 +11,9 @@ than bookings are columns that `==` cannot compare whole, and
 `columns_of_rows` builds a dataset's columns from row tuples. The row reader
 is the reference for CSV input: `read_both_ways` reads a file as the package
 does and again with the C parse refusing it, and `column_bits` and
-`table_bits` give what it compares.
+`table_bits` give what it compares. `reference_market` is the market
+generator with every draw made through the numpy call it first used, which
+`synth.generate_market` must match value for value.
 """
 
 from __future__ import annotations
@@ -19,14 +21,21 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
+from statistics import median
 from typing import Mapping
 
 import numpy as np
 import pytest
 
-from farecast.features import FeatureTable
+from farecast.features import FeatureTable, _Market, _window_stats
 from farecast.gbt import TreeEnsemble, TreeNode, _leaf_weight
-from farecast.ingest import SCHEMAS, ParseError, to_columns
+from farecast.ingest import SCHEMAS, ItineraryRecord, ParseError, to_columns
+from farecast.synth import (
+    _FILLER, _NARROW_TYPES, _NEGATIVE_WORDS, _POSITIVE_WORDS, _WIDE_TYPES, DISPLAY_DBD_MAX,
+    DISPLAY_DBD_MIN, DISPLAY_PROB, DRIVER_COEF, FARE_DBD_MAX, FARE_DBD_MIN, INTERACTION_COEF,
+    N_DEPARTURE_DAYS, NOISE_SCALE, PREVALENCE_TARGET, MarketData, _add_row,
+    _calibrate_intercept, _clip_rating,
+)
 
 # Four airlines' fares at t = -103..-100; airline 1 is the one under study.
 WORKED_FARES = {
@@ -208,3 +217,211 @@ def read_both_ways(module, read, path):
         mp.setattr(module, "parse_numeric_lines", lambda *args: None)
         want = _outcome(lambda: read(path))
     return got, not calls, want
+
+
+def reference_review_text(rng: np.random.Generator, quality: float) -> str:
+    """synth._review_text before its three word-index calls became one."""
+    n_pos = rng.binomial(4, quality)
+    n_neg = rng.binomial(4, 1.0 - quality)
+    # each list indexed by rng.integers, the draws rng.choice(list, size=n) makes
+    words = [
+        vocab[i]
+        for vocab, n in ((_POSITIVE_WORDS, n_pos), (_NEGATIVE_WORDS, n_neg), (_FILLER, 3))
+        for i in rng.integers(0, len(vocab), size=n).tolist()
+    ]
+    rng.shuffle(words)
+    return "The " + " ".join(words)
+
+
+def reference_market(spec, seed: int):
+    """synth.generate_market as it was before its draws went through cheaper
+    numpy calls: every draw through rng.uniform, rng.normal and one
+    rng.integers call per word list. It must give the same market."""
+    rng = np.random.default_rng(seed)
+    data = MarketData()
+    n_air = spec.n_airlines
+    airline_ids = list(range(1, n_air + 1))
+    long_haul = any(tag in spec.od for tag in ("SYD", "JFK", "DXB", "JNB"))
+
+    # per-airline static attributes
+    base_fare = {a: float(rng.uniform(180, 550) * (1.6 if long_haul else 1.0)) for a in airline_ids}
+    # departure-time anchors: one airline near 6AM so dept_delta spans a range;
+    # the actual time is re-drawn per departure day (schedule changes) so that
+    # timing features are not a proxy for airline identity
+    anchors = {}
+    travel_times = {}
+    n_itins = {}
+    for i, a in enumerate(airline_ids):
+        n_itins[a] = 1 + int(rng.random() < 0.4)
+        anchor = 360 if i == 0 else int(rng.integers(300, 1350))
+        times = [anchor]
+        for _ in range(n_itins[a] - 1):
+            times.append(int((anchor + rng.integers(180, 720)) % 1440))
+        anchors[a] = times
+        base_tt = float(rng.uniform(10.0, 16.0)) if long_haul else float(rng.uniform(0.9, 4.0))
+        travel_times[a] = [round(base_tt + k * float(rng.uniform(0.5, 2.5)), 2) for k in range(n_itins[a])]
+
+    # quality latent drives reviews/tweets; IFE spread is widened so the
+    # comfort driver separates airlines cleanly
+    quality = {a: float(rng.uniform(0.25, 0.9)) for a in airline_ids}
+    ife_center = {
+        a: 1.0 + 4.0 * (i / max(1, n_air - 1))
+        for i, a in enumerate(rng.permutation(airline_ids).tolist())
+    }
+
+    # reviews, tweets, safety and fleet, each a row at a time into lists of
+    # its fields, then made columns
+    reviews, tweets, safety, fleet = ({name: [] for name in SCHEMAS[kind][0]}
+                                      for kind in ("reviews", "tweets", "safety", "fleet"))
+    for a in airline_ids:
+        for _ in range(int(rng.integers(30, 70))):
+            q = quality[a]
+            _add_row(
+                reviews,
+                airline_id=a,
+                recommended=bool(rng.random() < q),
+                review_text=reference_review_text(rng, q),
+                fb=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
+                ground=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
+                ife=_clip_rating(rng.normal(ife_center[a], 0.3)),
+                crew=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
+                seat=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
+                value=_clip_rating(rng.normal(2.0 + 2.5 * q, 0.4)),
+                wifi=_clip_rating(rng.normal(1.5 + 2.0 * q, 0.5)),
+            )
+
+    # tweets, including rows the English/original filter must drop
+    for a in airline_ids:
+        for _ in range(40):
+            kind = rng.random()
+            _add_row(
+                tweets,
+                airline_id=a,
+                text=reference_review_text(rng, quality[a]),
+                is_retweet=bool(kind < 0.15),
+                is_reply=bool(0.15 <= kind < 0.25),
+                language_tag="en" if rng.random() < 0.85 else "nl",
+            )
+
+    # safety and fleet
+    for a in airline_ids:
+        _add_row(safety, airline_code=f"A{a}", score=float(round(rng.uniform(0.005, 0.06), 4)))
+        types = _WIDE_TYPES if long_haul else _NARROW_TYPES
+        fleet_n = int(rng.integers(5, 25))
+        for k in range(fleet_n):
+            _add_row(
+                fleet,
+                airline_id=a,
+                aircraft_type=types[rng.integers(len(types))],  # as rng.choice(types)
+                aircraft_cost=float(round(rng.uniform(80, 350), 1)),
+                registration=f"PH-{a:02d}{k:03d}",
+                aircraft_age=float(round(rng.uniform(0.5, 22.0), 1)),
+            )
+    data.reviews, data.tweets, data.safety, data.fleet = (
+        to_columns(kind, lists) for kind, lists in
+        (("reviews", reviews), ("tweets", tweets), ("safety", safety), ("fleet", fleet)))
+
+    # mean-reverting fare walks and the fare-observation dataset, as columns
+    # in (dep_day, dbd, airline, itinerary) order; each airline's
+    # itineraries are consecutive in `itins`, the first at its itin_start
+    itins = [(a, k) for a in airline_ids for k in range(n_itins[a])]
+    itin_start = {a: itins.index((a, 0)) for a in airline_ids}
+    dep_days = [1000 + 7 * d for d in range(N_DEPARTURE_DAYS)]
+    fare_dbds = range(FARE_DBD_MIN, FARE_DBD_MAX + 1)
+    dep_times = [  # [day][itinerary]
+        [int((t + rng.integers(-150, 151)) % 1440) for a in airline_ids for t in anchors[a]]
+        for _ in dep_days
+    ]
+    prices: list[float] = []
+    for _ in dep_days:
+        fare = {a: base_fare[a] * float(rng.uniform(0.9, 1.1)) for a in airline_ids}
+        for _ in fare_dbds:
+            for a in airline_ids:
+                pull = 0.08 * (base_fare[a] - fare[a])
+                fare[a] = max(30.0, fare[a] + pull + float(rng.normal(0, 0.03 * base_fare[a])))
+                own = round(fare[a], 2)
+                for k in range(n_itins[a]):
+                    offset = 0.0 if k == 0 else round(18.0 * k + float(rng.uniform(0, 10)), 2)
+                    prices.append(round(own + offset, 2))
+    n_keys = len(dep_days) * len(fare_dbds)  # (dep_day, dbd) keys, each with every itinerary
+    data.fares = {
+        "od": [spec.od] * len(prices),
+        "airline_id": np.tile([a for a, _ in itins], n_keys),
+        "dep_day_id": np.repeat(dep_days, len(fare_dbds) * len(itins)),
+        "dbd": np.tile(np.repeat(fare_dbds, len(itins)), len(dep_days)),
+        "dep_time_mam": np.repeat(dep_times, len(fare_dbds), axis=0).reshape(-1),
+        "travel_time": np.tile([travel_times[a][k] for a, k in itins], n_keys),
+        "price": np.array(prices),
+    }
+
+    # own-minus-cheapest fare and its rolling 3-day mean at every displayable
+    # key, from the feature assembly's cubes; indexed [airline][day][dbd]
+    # along airline_ids, dep_days and the display range
+    market = _Market(*(data.fares[name] for name in ("airline_id", "dep_day_id", "dbd", "price")))
+    display_dbds = range(DISPLAY_DBD_MIN, DISPLAY_DBD_MAX + 1)
+    cells = np.ravel_multi_index(
+        np.ix_(range(n_air), range(N_DEPARTURE_DAYS), np.subtract(display_dbds, market.dbd0)),
+        market.shape,
+    )
+    yy_diffs = market.diffs["yy"].reshape(-1)[cells].tolist()
+    mean3d_yys = np.nan_to_num(_window_stats(market.diffs["yy"], cells, 3)[0]).tolist()
+
+    ife_median = {
+        a: float(median(data.reviews["ife"][data.reviews["airline_id"] == a].tolist()))
+        for a in airline_ids
+    }
+
+    # candidate displayed itineraries and their archetype latents
+    fare_scale = float(np.mean(list(base_fare.values())))
+    candidates: list[tuple[int, int, int]] = []  # (day index, dbd, itinerary index)
+    latents: list[float] = []
+    for di in range(len(dep_days)):
+        for j, dbd in enumerate(display_dbds):
+            z_dbd = (dbd - (DISPLAY_DBD_MIN + DISPLAY_DBD_MAX) / 2.0) / 12.0
+            for ai, a in enumerate(airline_ids):
+                for k in range(n_itins[a]):
+                    if rng.random() > DISPLAY_PROB:
+                        continue
+                    it = itin_start[a] + k
+                    yy_diff, mean3d_yy = yy_diffs[ai][di][j], mean3d_yys[ai][di][j]
+                    if spec.archetype == "price":
+                        drv = -mean3d_yy / (0.08 * fare_scale)
+                        aux = -yy_diff / (0.15 * fare_scale)
+                    elif spec.archetype == "schedule":
+                        drv = -(abs(dep_times[di][it] - 360) / 180.0 - 1.5)
+                        aux = -yy_diff / (0.4 * fare_scale)
+                    else:  # comfort
+                        drv = ife_median[a] - 3.0
+                        aux = -yy_diff / (0.4 * fare_scale)
+                    latent = (
+                        DRIVER_COEF * drv
+                        + 0.3 * aux
+                        + INTERACTION_COEF * drv * z_dbd
+                        + float(rng.normal(0, NOISE_SCALE))
+                    )
+                    candidates.append((di, dbd, it))
+                    latents.append(latent)
+
+    latent_arr = np.array(latents)
+    intercept = _calibrate_intercept(latent_arr, PREVALENCE_TARGET)
+    probs = 1.0 / (1.0 + np.exp(-(intercept + latent_arr)))
+    draws = rng.random(len(candidates))
+    for (di, dbd, it), p, u in zip(candidates, probs, draws):
+        day, (a, k) = dep_days[di], itins[it]
+        # displayed price mirrors the fares dataset row for the same itinerary
+        price = prices[(di * len(fare_dbds) + dbd - FARE_DBD_MIN) * len(itins) + it]
+        data.bookings.append(
+            ItineraryRecord(
+                od=spec.od,
+                airline_id=a,
+                dep_day_id=day,
+                dbd=dbd,
+                dep_time_mam=dep_times[di][it],
+                travel_time=travel_times[a][k],
+                price=price,
+                is_bought=bool(u < p),
+            )
+        )
+        data.true_day_demand[day] = data.true_day_demand.get(day, 0.0) + float(p)
+
+    return data

@@ -27,7 +27,7 @@ from farecast.synth import (
     generate_market,
     standard_fixture,
 )
-from oracles import assert_markets_equal
+from oracles import assert_markets_equal, reference_market
 
 
 def test_fixture_layout():
@@ -91,6 +91,98 @@ def test_standard_fixture_deterministic():
 def test_bad_archetype_rejected():
     with pytest.raises(ValueError):
         generate_market(ArchetypeSpec(od="X-Y", archetype="luxury"), seed=1)
+
+
+@pytest.mark.parametrize("n_airlines", [2.5, 2.0, True, "3", None, np.bool_(True)])
+def test_non_integer_airline_count_rejected(n_airlines):
+    """A float, even a whole one, a bool and a non-number are refused with
+    the value named, before generate_market could fail on them."""
+    with pytest.raises(ValueError, match=f"n_airlines {n_airlines!r} is not an integer"):
+        ArchetypeSpec(od="X-Y", archetype="price", n_airlines=n_airlines)
+
+
+def test_numpy_integer_airline_count_accepted():
+    with pytest.raises(ValueError, match="at least 2 airlines"):
+        ArchetypeSpec(od="X-Y", archetype="price", n_airlines=np.int64(1))
+    assert_markets_equal(
+        generate_market(ArchetypeSpec(od="X-Y", archetype="price", n_airlines=np.int64(3)), 5),
+        generate_market(ArchetypeSpec(od="X-Y", archetype="price", n_airlines=3), 5))
+
+
+@pytest.mark.parametrize("seed", [FIXTURE_SEED, 1, 7])
+def test_fixture_markets_equal_the_reference_draws(seed, pipeline):
+    """Every fixture market, as oracles.reference_market draws it with
+    rng.uniform, rng.normal and one rng.integers call per word list; this
+    also compares true_day_demand. pipeline holds the FIXTURE_SEED ones."""
+    markets = pipeline.markets.items() if seed == FIXTURE_SEED else fixture_markets(seed)
+    for i, (od, data) in enumerate(markets):
+        spec = ArchetypeSpec(*FIXTURE_ODS[i])
+        assert_markets_equal(data, reference_market(spec, seed + 1000 * (i + 1)))
+
+
+@pytest.mark.parametrize("od", ["AMS-SYD", "AMS-FRA"])  # long-haul, short-haul
+@pytest.mark.parametrize("n_airlines", [2, 9])
+@pytest.mark.parametrize("archetype", ["price", "schedule", "comfort"])
+def test_market_equals_the_reference_draws(archetype, n_airlines, od):
+    spec = ArchetypeSpec(od=od, archetype=archetype, n_airlines=n_airlines)
+    assert_markets_equal(generate_market(spec, 11), reference_market(spec, 11))
+
+
+# The numpy identities generate_market's draws rest on. Each draws from one
+# stream through the plain numpy call and from a twin stream through the
+# cheaper call synth makes, with other draws in between (a lone bounded
+# integer leaves half a 64-bit draw buffered), and needs equal values and
+# equal generator states after.
+
+def _twin_streams(seed: int):
+    """The stream, its twin, and a third generator for the calls' arguments."""
+    return (np.random.default_rng(seed), np.random.default_rng(seed),
+            np.random.default_rng([seed, 1]))
+
+
+def _other_draws(rng: np.random.Generator, k: int) -> list:
+    """The first k of a double, a bounded integer and a normal."""
+    draws = (rng.random, lambda: int(rng.integers(0, 7)), rng.standard_normal)
+    return [draw() for draw in draws[:k]]
+
+
+def test_uniform_is_low_plus_range_times_random():
+    for seed in range(300):
+        rng, twin, args = _twin_streams(seed)
+        for k in range(4):
+            low = float(args.uniform(-500, 500)) if k % 2 else int(args.integers(-500, 500))
+            high = low + (float(args.uniform(0, 100)) if k else int(args.integers(1, 100)))
+            want = [_other_draws(rng, k), rng.uniform(low, high)]
+            got = [_other_draws(twin, k), low + (high - low) * twin.random()]
+            assert got == want, (seed, low, high)
+        assert twin.bit_generator.state == rng.bit_generator.state, seed
+
+
+def test_normal_is_loc_plus_scale_times_standard_normal():
+    for seed in range(300):
+        rng, twin, args = _twin_streams(seed)
+        for k in range(4):
+            loc, scale = float(args.uniform(-5, 5)), float(args.uniform(0, 100))
+            want = [_other_draws(rng, k), rng.normal(loc, scale), rng.normal(0, scale)]
+            got = [_other_draws(twin, k), loc + scale * twin.standard_normal(),
+                   scale * twin.standard_normal()]
+            assert got == want, (seed, loc, scale)
+        assert twin.bit_generator.state == rng.bit_generator.state, seed
+
+
+def test_integers_with_array_bounds_draw_as_one_call_per_word_list():
+    lists = (synth._POSITIVE_WORDS, synth._NEGATIVE_WORDS, synth._FILLER)
+    for seed in range(300):
+        rng, twin, args = _twin_streams(seed)
+        for k in range(4):
+            n_pos, n_neg = args.integers(0, synth._WORDS_PER_SIDE + 1, size=2).tolist()
+            want = [_other_draws(rng, k)] + [
+                vocab[i] for vocab, n in zip(lists, (n_pos, n_neg, 3))
+                for i in rng.integers(0, len(vocab), size=n).tolist()]
+            got = [_other_draws(twin, k)] + [
+                synth._VOCAB[i] for i in twin.integers(*synth._WORD_BOUNDS[n_pos][n_neg]).tolist()]
+            assert got == want, (seed, n_pos, n_neg)
+        assert twin.bit_generator.state == rng.bit_generator.state, seed
 
 
 def test_streamed_markets_and_scenario_equal_the_standard_fixture(pipeline):

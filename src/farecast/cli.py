@@ -126,29 +126,25 @@ def _load_features(features_root: Path, od: str) -> FeatureTable:
     return table
 
 
-def _feature_names(text: str):
-    """The feature_names of a model file's text, or None where it has none."""
-    try:
-        return json.loads(text)["feature_names"]
-    except (ValueError, KeyError, TypeError):
-        return None
-
-
 def _load_model(path: Path, cls):
     """A model file whose feature_names are the feature table's model
     columns, in order; anything else is a CliError naming the file. Other
-    feature_names are checked first, since they can make the file fail to
-    load (a split or coefficient then has no name)."""
+    feature_names are checked first, on the decoded JSON that
+    `cls.from_json` reads the model from, since they can make the file fail
+    to load (a split or coefficient then has no name)."""
     if not path.is_file():
         raise CliError(f"missing {path}; run `farecast train` first")
+
+    def check_names(obj):
+        if isinstance(obj, dict) and obj.get("feature_names") not in (None, MODEL_FEATURES):
+            raise CliError(
+                f"{path}: feature_names are not the {len(MODEL_FEATURES)} model columns of "
+                "features.csv in order; run `farecast train` again"
+            )
+
     text = path.read_text(encoding="utf-8")
-    if _feature_names(text) not in (None, MODEL_FEATURES):
-        raise CliError(
-            f"{path}: feature_names are not the {len(MODEL_FEATURES)} model columns of "
-            "features.csv in order; run `farecast train` again"
-        )
     try:
-        return cls.from_json(text)
+        return cls.from_json(text, check_names)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CliError(
             f"{path}: not a readable model file ({type(exc).__name__}: {exc})") from None

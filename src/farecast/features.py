@@ -28,7 +28,7 @@ import statistics
 from collections import Counter, defaultdict
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -182,10 +182,12 @@ class FeatureTable:
         or an `is_bought` other than 0 or 1, naming the file and the line.
 
         The header is read once, by `csv_rows`; the rows are then parsed in
-        C (`parse_numeric_lines`), an empty cell being a missing value. The
-        row reader (`_read_rows`) reads a file that parse refuses, and it
-        reports the faults of its rows. The rows of either are checked
-        together, and the line of a faulty one is looked up by a second read."""
+        C (`parse_numeric_lines`), `od` as an object field and each empty
+        cell after it filled with "nan" as a missing value. The row reader
+        (`_read_rows`) reads a file that parse refuses, and it reports the
+        faults of its rows. Either gives the number of empty cells, which
+        must be the number of non-finite values; only when it is not, or an
+        is_bought is not 0 or 1, is the file read again to find the line."""
         with open_csv(path) as fh:
             lineno, header = next(csv_rows(fh), (0, []))
             if header[:1] != ["od"]:
@@ -195,36 +197,34 @@ class FeatureTable:
                 detail = (f"{len(absent)} missing, the first {absent[0]!r}" if absent
                           else "unknown or reordered columns")
                 raise ParseError(f"{path}: header is not the feature table's columns ({detail})")
-            parsed = parse_numeric_lines(fh, lineno, _CSV_DTYPE)
+            parsed = parse_numeric_lines(fh, lineno, _CSV_DTYPE, fill=True)
         if parsed is None:  # refused by the C parse: the row reader reads the file again
             ods, values, empty = _read_rows(path)
         else:
-            ods, rows, empty, _ = parsed
-            values = rows["values"]
+            rows, _, empty = parsed
+            # a view of the rows' values field: a contiguous copy of it raised
+            # the tracemalloc peak of from_csv by half
+            ods, values = rows["od"].tolist(), rows["values"]
         label = values[:, ALL_COLUMNS.index("is_bought")]
-        # a row's non-finite cells are its empty ones, unless one is infinite
-        # or a literal nan
-        bad = ((np.count_nonzero(~np.isfinite(values), axis=1) != empty)
-               | ((label != 0) & (label != 1)))
-        if bad.any():  # the line is looked up again only on this error path
-            with closing(read_csv(path)) as rows:
-                lineno, row = next(islice(rows, int(bad.argmax()) + 1, None))
-            raise ParseError(f"{path}: line {lineno}: {_row_fault(row)}")
+        # the non-finite cells are the empty ones, unless one is infinite or a
+        # literal nan
+        if np.count_nonzero(~np.isfinite(values)) != empty or ((label != 0) & (label != 1)).any():
+            _raise_row_fault(path, values)
         return cls(ods=ods, values=values)
 
 
-# features.csv's rows after the od, as parse_numeric_lines reads them
-_CSV_DTYPE = np.dtype([("values", np.float64, (len(ALL_COLUMNS),))])
+# features.csv's rows as parse_numeric_lines reads them
+_CSV_DTYPE = np.dtype([("od", object), ("values", np.float64, (len(ALL_COLUMNS),))])
 
 
-def _read_rows(path: str | Path) -> tuple[list[str], np.ndarray, list[int]]:
-    """The row reader of a features.csv: (ods, values, empty cells per row),
-    one `float()` per filled cell. A block of CSV_BLOCK_ROWS rows becomes an
+def _read_rows(path: str | Path) -> tuple[list[str], np.ndarray, int]:
+    """The row reader of a features.csv: (ods, values, empty cells), one
+    `float()` per filled cell. A block of CSV_BLOCK_ROWS rows becomes an
     array before the next is read, so only one block's Python floats are
     alive. A row with the wrong field count or a cell that float() cannot
     read raises ParseError naming the file and the line."""
     ods: list[str] = []
-    empty: list[int] = []
+    empty = 0
     blocks: list[np.ndarray] = []
     cells: list[list[float]] = []
     with closing(read_csv(path)) as rows:
@@ -234,7 +234,7 @@ def _read_rows(path: str | Path) -> tuple[list[str], np.ndarray, list[int]]:
                 if len(row) != len(_CSV_HEADER):
                     raise ValueError(f"expected {len(_CSV_HEADER)} fields, got {len(row)}")
                 ods.append(row.pop(0))
-                empty.append(row.count(""))
+                empty += row.count("")
                 cells.append([float(v) if v else math.nan for v in row])
                 if len(cells) == CSV_BLOCK_ROWS:
                     blocks.append(np.array(cells, dtype=np.float64))
@@ -243,6 +243,19 @@ def _read_rows(path: str | Path) -> tuple[list[str], np.ndarray, list[int]]:
             raise ParseError(f"{path}: line {lineno}: {exc}") from None
     blocks.append(np.array(cells, dtype=np.float64).reshape(-1, len(ALL_COLUMNS)))
     return ods, np.concatenate(blocks), empty
+
+
+def _raise_row_fault(path: str | Path, values: np.ndarray) -> None:
+    """The ParseError for the first row of a table that parsed whose
+    non-finite values are not its empty cells, or whose is_bought is not 0
+    or 1, naming its line: the file is read again, a row at a time."""
+    nonfinite = np.count_nonzero(~np.isfinite(values), axis=1).tolist()
+    labels = values[:, ALL_COLUMNS.index("is_bought")].tolist()
+    with closing(read_csv(path)) as rows:
+        next(rows)
+        for (lineno, row), n, label in zip(rows, nonfinite, labels):
+            if n != row[1:].count("") or label not in (0, 1):
+                raise ParseError(f"{path}: line {lineno}: {_row_fault(row)}")
 
 
 def _row_fault(row: list[str]) -> str:

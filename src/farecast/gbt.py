@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Sequence, get_type_hints
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -220,8 +220,12 @@ class TreeEnsemble:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "TreeEnsemble":
+    def from_json(cls, text: str, check: Callable[[object], None] | None = None) -> "TreeEnsemble":
+        """The ensemble of a model file's text; `check`, if given, is called
+        with the decoded JSON before anything is read from it."""
         d = json.loads(text)
+        if check is not None:
+            check(d)
         if d.get("format") != "farecast-gbt":
             raise ValueError("not a farecast gbt model file")
         names = list(d["feature_names"])

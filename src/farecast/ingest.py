@@ -6,25 +6,28 @@ with a positioned error message; parsing only aborts when more than half of
 the data rows are rejected.
 
 Two readers parse a file's rows, and they give the same columns, rejects
-and messages. The C parse (`parse_numeric_lines`) takes the files of a kind
-whose fields after the first (text) one are all int, float or bool:
-bookings, fares, safety and lexicon (`_LOADTXT_DTYPES`), and the feature
-tables. It hands the data lines, the text field split off and empty cells
-filled with "nan", to one np.loadtxt call. The row reader (`read_csv`,
-whose columns `_coerce_column` converts) reads the other kinds, and every
-file the C parse refuses: a quoted field, a non-ASCII character, a cell
-np.loadtxt cannot read, a change in field count, or for a dataset an empty
-cell, a non-finite float or a bool other than 0/1, which the row reader
-rejects row by row. It coerces CSV_BLOCK_ROWS rows at a time, each column
-of a block in one call, so only one block's cells are alive. Each schema's
-rules are masks over the joined columns. The accepted rows are held as
-columns (`ParseResult.columns`), and every kind is columns from generation
-on: each `synth.MarketData` field but `bookings` is the mapping that
-`ParseResult.columns` holds for its file, `to_columns` makes one from lists
-of Python values, and `serialize_dataset` writes one as it stands. Bookings
-are the one row type (`ItineraryRecord`, `ParseResult.records`): the
-benchmark harness (perfbench) picks, filters and rewrites booking rows one
-record at a time, so they stay records until it takes columns.
+and messages. The C parse (`parse_numeric_lines`) reads every kind: the six
+datasets and the lexicon (`_LOADTXT_DTYPES`, each str field an object field
+of the np.loadtxt dtype, which keeps its cell as it stands) and the feature
+tables. It hands a file's data lines to one np.loadtxt call a block at a
+time, as they stand; only a block with a `#` line or a blank line is
+filtered a line at a time. Object fields in np.loadtxt were checked on
+numpy 2.4.6 only, as no older numpy down to the declared 1.24 could be
+installed to check them. The row reader (`read_csv`, whose columns
+`_coerce_column` converts) reads every file the C parse refuses: a quoted
+field, a non-ASCII character, a cell np.loadtxt cannot read, a change in
+field count, or for a dataset an empty numeric cell, a non-finite float or
+a bool other than 0/1, which the row reader rejects row by row. It coerces
+CSV_BLOCK_ROWS rows at a time, each column of a block in one call, so only
+one block's cells are alive. Each schema's rules are masks over the joined
+columns. The accepted rows are held as columns (`ParseResult.columns`), and
+every kind is columns from generation on: each `synth.MarketData` field but
+`bookings` is the mapping that `ParseResult.columns` holds for its file,
+`to_columns` makes one from lists of Python values, and `serialize_dataset`
+writes one as it stands. Bookings are the one row type (`ItineraryRecord`,
+`ParseResult.records`): the benchmark harness (perfbench) picks, filters and
+rewrites booking rows one record at a time, so they stay records until it
+takes columns.
 
 Each schema decision is made here once (`SCHEMAS`, `DATASETS`,
 `REVIEW_SCORES`). Every CSV input (datasets, lexicon, feature tables) has
@@ -321,14 +324,13 @@ def _read_rows(rows: Iterator[tuple[int, list[str]]], schema: str) -> tuple:
     return columns, lines, rejected, errors
 
 
-# The kinds whose fields after the first (text) one are all int, float or
-# bool, with the dtype np.loadtxt reads those fields into: a bool as a
-# two-character string, so that only "0" and "1" are read as one.
-_LOADTXT_TYPES = {int: np.int64, float: np.float64, bool: "U2"}
+# Each schema's fields as np.loadtxt reads them: a str field as an object
+# field, which keeps the cell as it stands, and a bool as a two-character
+# string, so that only "0" and "1" are read as one.
+_LOADTXT_TYPES = {int: np.int64, float: np.float64, bool: "U2", str: object}
 _LOADTXT_DTYPES = {
-    kind: np.dtype([(name, _LOADTXT_TYPES[typ]) for name, typ in list(hints.items())[1:]])
+    kind: np.dtype([(name, _LOADTXT_TYPES[typ]) for name, typ in hints.items()])
     for kind, (hints, _) in SCHEMAS.items()
-    if list(hints.values()).count(str) == 1 and next(iter(hints.values())) is str
 }
 
 
@@ -336,23 +338,24 @@ def _read_numeric(lines: Iterable[str], lineno: int, schema: str) -> tuple | Non
     """A dataset's data lines through `parse_numeric_lines`, in the row
     reader's form, or None for a file the row reader must read: one the C
     parse refuses, or one with a non-finite float or a bool other than "0"
-    and "1", which the row reader rejects row by row. An empty cell, filled
-    with "nan", is one of these or a cell the C parse refuses in an int field."""
+    and "1", which the row reader rejects row by row. An empty cell is one
+    of these, or a cell the C parse refuses in an int or float field."""
     parsed = parse_numeric_lines(lines, lineno, _LOADTXT_DTYPES[schema])
     if parsed is None:
         return None
-    firsts, rows, _, numbers = parsed
-    hints = SCHEMAS[schema][0]
-    names = list(hints)
-    columns: dict[str, np.ndarray | list[str]] = {names[0]: firsts}
-    for name in names[1:]:
+    rows, numbers, _ = parsed
+    columns: dict[str, np.ndarray | list[str]] = {}
+    for name, typ in SCHEMAS[schema][0].items():
         col = rows[name]
-        if hints[name] is bool:
+        if typ is str:
+            columns[name] = col.tolist()
+            continue
+        if typ is bool:
             ones = col == "1"
             if not (ones | (col == "0")).all():
                 return None
             col = ones
-        elif hints[name] is float and not np.isfinite(col).all():
+        elif typ is float and not np.isfinite(col).all():
             return None
         columns[name] = np.ascontiguousarray(col)
     return columns, numbers, [], {}
@@ -363,10 +366,10 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
 
     Deterministic and order-preserving. Raises ParseError on a missing file,
     a header mismatch, or when more than 50% of data rows are rejected. The
-    header is read once, by `csv_rows`; a kind in _LOADTXT_DTYPES
-    then has its rows parsed in C (`parse_numeric_lines`), and the row reader
-    (`_read_rows`) reads the other kinds and every file that parse refuses.
-    Both give the same columns and rejects.
+    header is read once, by `csv_rows`; the rows of every kind are then
+    parsed in C (`parse_numeric_lines`), and the row reader (`_read_rows`)
+    reads every file that parse refuses. Both give the same columns and
+    rejects.
     """
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema: {schema!r}")
@@ -386,8 +389,7 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
                 f"{path}: header mismatch for schema {schema!r}: "
                 f"expected {names}, got {header}"
             )
-        read = (_read_numeric(fh, lineno, schema) if schema in _LOADTXT_DTYPES
-                else _read_rows(rows, schema))
+        read = _read_numeric(fh, lineno, schema)
     if read is None:  # refused by the C parse: the row reader reads the file again
         with closing(read_csv(path)) as rows:
             next(rows)
@@ -417,8 +419,9 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
 # Rows per block: serialize_dataset and FeatureTable.to_csv format and write,
 # and the row reader coerces (parse_dataset) or converts (FeatureTable.from_csv),
 # one block of rows at a time, so only one block's cells are alive. The C
-# parse (parse_numeric_lines) checks a block of lines for refused characters
-# and hands it to np.loadtxt a line at a time.
+# parse (parse_numeric_lines), which reads every file of every kind unless it
+# refuses one, checks a block of lines as one text and passes the block on
+# to np.loadtxt as it stands, or a feature table's with its empty cells filled.
 CSV_BLOCK_ROWS = 1024
 
 _BOOL_CELLS = {True: "1", False: "0"}
@@ -561,49 +564,85 @@ def read_csv(path: str | Path) -> Iterator[tuple[int, list[str]]]:
 _REFUSED_CHARS = ('"', "\0", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def parse_numeric_lines(lines: Iterable[str], lineno: int, dtype: np.dtype) -> tuple | None:
-    """A CSV file's data rows parsed in C by one np.loadtxt call, when each
-    row is a text field followed by the fields of the structured `dtype`.
+def _refused(block: list[str]) -> bool:
+    """Whether a block of lines holds a character that the C parse refuses;
+    the block's text is joined here, so that it is not kept while np.loadtxt
+    reads the block."""
+    text = "".join(block)
+    return not text.isascii() or any(ch in text for ch in _REFUSED_CHARS)
+
+
+# Lines filled at a time: the copies a fill makes of a block's text raised
+# fixture_e2e's peak RSS by about 0.5 MiB when made of a whole block at once
+_FILL_LINES = 128
+_NAN = np.frombuffer(b"nan", np.uint8)
+
+
+def _fill_empty(block: list[str]) -> tuple[list[bytes], int]:
+    """A block's lines as bytes, each with its line end, with every empty
+    cell but a line's first set to "nan", and the number of cells set. The
+    text of _FILL_LINES lines is filled at a time: a cell is empty where a
+    comma is followed by a comma, a line end or the end of the text."""
+    lines: list[bytes] = []
+    filled = 0
+    for lo in range(0, len(block), _FILL_LINES):
+        chars = np.frombuffer("".join(block[lo:lo + _FILL_LINES]).encode("ascii"), np.uint8)
+        ends = np.ones(len(chars), dtype=bool)
+        after = chars[1:]
+        ends[:-1] = after == ord(",")
+        ends[:-1] |= after == ord("\r")
+        ends[:-1] |= after == ord("\n")
+        at = np.flatnonzero(ends & (chars == ord(","))) + 1
+        full = np.insert(chars, np.repeat(at, len(_NAN)), np.tile(_NAN, len(at)))
+        lines += full.tobytes().splitlines(keepends=True)
+        filled += len(at)
+    return lines, filled
+
+
+def parse_numeric_lines(lines: Iterable[str], lineno: int, dtype: np.dtype,
+                        fill: bool = False) -> tuple | None:
+    """A CSV file's data rows parsed in C by one np.loadtxt call, when the
+    fields of each row are those of the structured `dtype`; an object field
+    keeps its cell as it stands, an empty one as "". It reads the rows of
+    every dataset and lexicon file (`parse_dataset`) and of every feature
+    table (`FeatureTable.from_csv`) unless it refuses the file.
 
     `lines` are the file's lines after its header, which ends on line
-    `lineno`, as `open_csv` reads them; `#` lines and blank lines are skipped
-    and counted as `csv_rows` skips them. Each row's first field is split off
-    with `partition`, and each empty cell after it is filled with "nan" and
-    counted. Gives (first fields, rows as a 1-d array of `dtype`, filled
-    cells per row, line number per row), or None for a file that the row
-    reader must read: one with a non-ASCII character or one of
-    _REFUSED_CHARS, a cell np.loadtxt cannot read into its field or a row
-    with another number of fields."""
-    firsts: list[str] = []
-    filled: list[int] = []
+    `lineno`, as `open_csv` reads them. They reach np.loadtxt a block of
+    CSV_BLOCK_ROWS lines at a time, each block checked as one text; only a
+    block with a `#` line or a blank line is filtered a line at a time, to
+    skip and count those lines as `csv_rows` does. With `fill`, every empty
+    cell but a row's first is set to "nan" (`_fill_empty`), and counted.
+    Gives (rows as a 1-d array of `dtype`, line number per row, filled
+    cells), or None for a file that the row reader must read: one with a
+    non-ASCII character or one of _REFUSED_CHARS, a cell np.loadtxt cannot
+    read into its field or a row with another number of fields."""
     numbers: list[int] = []
+    filled = 0
     refused = False
 
-    def numeric_rows() -> Iterator[str]:
-        nonlocal refused
+    def blocks() -> Iterator[list[str] | list[bytes]]:
+        nonlocal filled, refused
         for start in count(lineno + 1, CSV_BLOCK_ROWS):
             block = list(islice(lines, CSV_BLOCK_ROWS))
-            joined = "".join(block)
-            if not joined.isascii() or any(ch in joined for ch in _REFUSED_CHARS):
-                refused = True
-            if refused or not block:
+            if not block:
                 return
-            for n, line in enumerate(block, start):
-                body = line.rstrip("\r\n")
-                if not body or body[0] == "#":
-                    continue
-                first, _, rest = body.partition(",")
-                row = rest.replace(",,", ",nan,").replace(",,", ",nan,")
-                if not row or row[0] == ",":
-                    row = "nan" + row
-                if row[-1] == ",":
-                    row += "nan"
-                firsts.append(first)
-                filled.append((len(row) - len(rest)) // 3)
-                numbers.append(n)
-                yield row
+            if _refused(block):
+                refused = True
+                return
+            # a `#` line and a blank line start with a character before "$"
+            if min(block) < "$":
+                keep = [line[0] not in "#\r\n" for line in block]
+                numbers.extend(compress(range(start, start + len(block)), keep))
+                block = list(compress(block, keep))
+            else:
+                numbers.extend(range(start, start + len(block)))
+            if fill:
+                block, n = _fill_empty(block)
+                filled += n
+            yield block
 
-    rows = numeric_rows()
+    rows = chain.from_iterable(blocks())
     head = next(rows, None)  # np.loadtxt warns on a file without rows
     try:
         values = (np.empty(0, dtype) if head is None else
@@ -611,7 +650,7 @@ def parse_numeric_lines(lines: Iterable[str], lineno: int, dtype: np.dtype) -> t
                              ndmin=1))
     except ValueError:
         return None
-    return None if refused else (firsts, values, filled, numbers)
+    return None if refused else (values, numbers, filled)
 
 
 def write_csv(
@@ -624,9 +663,11 @@ def write_csv(
     of rows, written atomically. A block is a list of columns, one per header
     name, of finished cells: numbers already formatted, and text already
     passed through `quote_cells`, where csv.writer's quoting rule is applied.
-    Each block's rows are joined with "," and "\r\n" (csv's default dialect)
-    and written to the temp file before the next block is asked for, so only
-    one block's text is alive; the file is replaced after the last block."""
+    A first cell that starts with "#" is quoted as well, since both readers
+    skip a line that starts with "#" as a comment. Each block's rows are
+    joined with "," and "\r\n" (csv's default dialect) and written to the
+    temp file before the next block is asked for, so only one block's text is
+    alive; the file is replaced after the last block."""
     with _atomic_open(path) as fh:
         if comment:
             fh.write(f"# {comment}\n")
@@ -636,6 +677,9 @@ def write_csv(
                 raise ValueError(f"{path}: a block needs {len(header)} columns of equal length")
             if len(columns) == 1 and "" in columns[0]:
                 raise ValueError(f"{path}: an empty cell in a one-column table reads back as no row")
-            lines = list(map(",".join, zip(*columns)))
+            first = columns[0]
+            if "#" in "".join(first):
+                first = [f'"{cell}"' if cell[:1] == "#" else cell for cell in first]
+            lines = list(map(",".join, zip(first, *columns[1:])))
             if lines:
                 fh.write("\r\n".join(lines) + "\r\n")

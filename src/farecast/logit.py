@@ -13,6 +13,7 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -86,14 +87,17 @@ class LogitModel:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "LogitModel":
-        """Read a model to_json wrote. A file of another format, whose
-        intercept, grad_norm, coef, mean or scale holds a value that is not
-        a number, whose iterations is not an integer or converged not a
-        boolean, whose coef, mean or scale has not one value per feature
+    def from_json(cls, text: str, check: Callable[[object], None] | None = None) -> "LogitModel":
+        """Read a model to_json wrote; `check`, if given, is called with the
+        decoded JSON before anything is read from it. A file of another
+        format, whose intercept, grad_norm, coef, mean or scale holds a value
+        that is not a number, whose iterations is not an integer or converged
+        not a boolean, whose coef, mean or scale has not one value per feature
         name, or whose intercept, coef, mean or scale holds a value that is
         not finite, raises ValueError."""
         obj = json.loads(text)
+        if check is not None:
+            check(obj)
         if obj.get("format") != "farecast-logit":
             raise ValueError("not a logistic-baseline model file")
         for name, (types, kind) in _SCALAR_TYPES.items():

@@ -214,7 +214,7 @@ def read_both_ways(module, read, path):
         mp.setattr(module, "_read_rows", lambda *args: calls.append(1) or row_reader(*args))
         got = _outcome(lambda: read(path))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(module, "parse_numeric_lines", lambda *args: None)
+        mp.setattr(module, "parse_numeric_lines", lambda *args, **kwargs: None)
         want = _outcome(lambda: read(path))
     return got, not calls, want
 

@@ -345,6 +345,18 @@ def test_from_csv_across_blocks_equals_per_row_reader(tmp_path):
     np.testing.assert_array_equal(back.values, want)
 
 
+def test_an_od_starting_with_hash_reads_back(tmp_path):
+    """An od that starts with "#" is written quoted, so that its row reads
+    back as data, not as a comment."""
+    path = tmp_path / "features.csv"
+    table = _multi_block_table(5)
+    table.ods[1:4] = ["#AMS-LHR", "#", "AMS-#"]
+    table.to_csv(path, header_comment="seed=1")
+    back = FeatureTable.from_csv(path)
+    assert back.ods == table.ods
+    np.testing.assert_array_equal(back.values, table.values)
+
+
 @pytest.mark.parametrize("row", [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS],
                          ids=["last-of-first-block", "first-of-second-block"])
 @pytest.mark.parametrize("fault, message", [
@@ -393,13 +405,19 @@ TABLE_EDITS = [
     ({"od": '"AMS,LHR"'}, False),
     ({"od": '"say ""KUL"""'}, False),
     ({"od": 'say "KUL"'}, False),
+    ({"od": ""}, True),
+    ({"od": " AMS LHR\t", "airline_id": ""}, True),
+    ({"od": "AMS#LHR", "is_bought": "1"}, True),
 ]
 
 
-@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+LINE_ENDS = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
+
+
+@pytest.mark.parametrize("end", list(LINE_ENDS.values()), ids=list(LINE_ENDS))
 @pytest.mark.parametrize("cells, by_c", TABLE_EDITS,
                          ids=["-".join(c.values()) or "empty" for c, _ in TABLE_EDITS])
-def test_c_parse_of_a_table_equals_the_row_reader(tmp_path, cells, by_c, crlf):
+def test_c_parse_of_a_table_equals_the_row_reader(tmp_path, cells, by_c, end):
     """A table the C parse reads gives the row reader's ods and values, bit
     for bit, or its ParseError text; every other table is refused and read
     by the row reader. The edited rows sit between blank and `#` lines."""
@@ -412,7 +430,6 @@ def test_c_parse_of_a_table_equals_the_row_reader(tmp_path, cells, by_c, crlf):
             row[_CSV_COLUMNS.index(name)] = cell
         lines[line - 1] = ",".join(row)
     lines[6:6] = ["", "# a comment between rows"]
-    end = "\r\n" if crlf else "\n"
     path.write_bytes((end.join(lines) + end).encode("utf-8"))
     got, read_by_c, want = read_both_ways(features, table_bits, path)
     assert got == want

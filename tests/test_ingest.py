@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import csv
 import io
+import string
 import tracemalloc
 from collections import namedtuple
 from contextlib import redirect_stdout
 from dataclasses import astuple, fields, replace
 from importlib import resources
+from itertools import product
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from farecast import cli, features, ingest, synth
 from farecast.features import ALL_COLUMNS, FeatureTable
@@ -430,6 +434,20 @@ def test_write_csv_rejects_a_malformed_block(tmp_path, header, block):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("schema", ["bookings", "fares", "safety", "lexicon"])
+def test_a_first_text_cell_starting_with_hash_reads_back(tmp_path, schema):
+    """A kind whose first field is text: a cell of it that starts with "#"
+    is written quoted, so that it reads back as data, not as a comment."""
+    path = tmp_path / f"{schema}.csv"
+    _write(path, schema_columns(schema), [GOOD_ROWS[schema]] * 3)
+    columns = parse_dataset(path, schema).columns
+    first = schema_columns(schema)[0]
+    columns[first] = ["#" + columns[first][0], columns[first][1], "#"]
+    serialize_dataset(columns, schema, path)
+    assert path.read_text(encoding="utf-8").count('"#') == 2
+    assert_columns_equal(parse_dataset(path, schema).columns, columns)
+
+
 # ------------------------------------------- column-wise parse vs per-row oracle
 
 def _validate_itinerary_common(rec):
@@ -728,31 +746,63 @@ NUMERIC_EDITS = [
     ("fares", {"price": "1\x1c"}, False),
     ("safety", {"score": ""}, False),
     ("lexicon", {"score": "3.0"}, False),
+    ("reviews", {"review_text": ""}, True),
+    ("reviews", {"review_text": " roomy seats ", "recommended": "0"}, True),
+    ("reviews", {"review_text": "#1 #crew"}, True),
+    ("reviews", {"review_text": "4.5", "fb": "+5"}, True),
+    ("tweets", {"text": "\tlate again\t", "language_tag": " en"}, True),
+    ("tweets", {"text": "", "language_tag": ""}, True),
+    ("tweets", {"text": "#delayed", "is_retweet": "1"}, True),
+    ("tweets", {"language_tag": "en "}, True),
+    ("fleet", {"aircraft_type": "", "registration": " PH-ABC\t"}, True),
+    ("fleet", {"aircraft_type": "777", "registration": "12.5"}, True),
+    ("fleet", {"registration": "#7"}, True),
+    ("reviews", {"recommended": "true"}, False),
+    ("reviews", {"recommended": ""}, False),
+    ("reviews", {"review_text": '"good, not great"'}, False),
+    ("reviews", {"wifi": ""}, False),
+    ("tweets", {"is_reply": "true"}, False),
+    ("tweets", {"text": '"late, again"'}, False),
+    ("tweets", {"text": "naïve"}, False),
+    ("fleet", {"aircraft_type": '"7,7W"'}, False),
+    ("fleet", {"aircraft_cost": ""}, False),
+    ("fleet", {"aircraft_age": "inf"}, False),
 ]
 
 
-def _edited_file(path, schema, cells, rows_edited, crlf):
-    """Eight rows of the schema's good row, those in `rows_edited` with
-    `cells` set, with a `#` line and a blank line among them; CRLF or LF
-    line ends."""
-    rows = [_edit(schema, **cells) if i in rows_edited else GOOD_ROWS[schema] for i in range(8)]
+# GOOD_ROWS with each bool spelled "0" or "1", as the C parse reads it
+C_ROWS = {**GOOD_ROWS,
+          "reviews": ["1", "1", "fine trip", "3", "4", "5", "1", "2", "3", "4"],
+          "tweets": ["1", "nice flight", "0", "0", "en"]}
+
+
+def _edited_file(path, schema, cells, rows_edited, end, gaps=True):
+    """Eight rows of the schema's row in C_ROWS, those in `rows_edited` with
+    `cells` set, with a `#` line and a blank line among them if `gaps`;
+    each line ending in `end`."""
+    edited = [cells.get(name, cell) for name, cell in zip(schema_columns(schema), C_ROWS[schema])]
+    rows = [edited if i in rows_edited else C_ROWS[schema] for i in range(8)]
     lines = ["# stamp", ",".join(schema_columns(schema))] + [",".join(r) for r in rows]
-    lines[4:4] = ["# a comment between rows", ""]
-    end = "\r\n" if crlf else "\n"
+    if gaps:
+        lines[4:4] = ["# a comment between rows", ""]
     path.write_bytes((end.join(lines) + end).encode("utf-8"))
 
 
-@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+LINE_ENDS = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
+
+
+@pytest.mark.parametrize("end", list(LINE_ENDS.values()), ids=list(LINE_ENDS))
 @pytest.mark.parametrize("schema, cells, by_c", NUMERIC_EDITS,
                          ids=[f"{s}-{'-'.join(c.values())}" for s, c, _ in NUMERIC_EDITS])
-def test_c_parse_equals_the_row_reader(tmp_path, schema, cells, by_c, crlf):
+def test_c_parse_equals_the_row_reader(tmp_path, schema, cells, by_c, end):
     """A file the C parse reads gives the row reader's columns, bit for bit,
     and its rejects; every other file is refused and read by the row reader.
     Edited in two rows the file parses; in five of eight, the circuit breaker
-    raises with the same text either way."""
+    raises with the same text either way. The rows sit with and without a
+    `#` line and a blank line among them."""
     path = tmp_path / f"{schema}.csv"
-    for rows_edited in ({1, 6}, {0, 2, 3, 5, 7}):
-        _edited_file(path, schema, cells, rows_edited, crlf)
+    for rows_edited, gaps in product(({1, 6}, {0, 2, 3, 5, 7}), (True, False)):
+        _edited_file(path, schema, cells, rows_edited, end, gaps)
         got, read_by_c, want = read_both_ways(ingest, _parsed(schema), path)
         assert got == want
         assert read_by_c == by_c
@@ -788,6 +838,36 @@ def test_c_parse_of_a_mixed_multi_block_file_equals_the_row_reader(tmp_path):
 
 
 @pytest.fixture(scope="module")
+def text_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("text_cells")
+
+
+@settings(max_examples=300, deadline=None)
+@given(schema=st.sampled_from(list(SCHEMAS)),
+       texts=st.lists(st.text(st.sampled_from(sorted(set(string.printable) - {'"'})),
+                              max_size=12), min_size=1, max_size=9),
+       end=st.sampled_from(list(LINE_ENDS.values())))
+def test_random_text_cells_read_as_the_row_reader_reads_them(text_dir, schema, texts, end):
+    """Rows of C_ROWS whose text fields hold random printable ASCII without
+    a quote, line ends and commas included: the same columns, rejects or
+    ParseError text, bit for bit, as the row reader gives; through the C
+    parse whenever no text holds a comma or a line end."""
+    hints = SCHEMAS[schema][0]
+    text_fields = [i for i, typ in enumerate(hints.values()) if typ is str]
+    lines = [",".join(hints)]
+    for i in range(len(texts)):
+        row = list(C_ROWS[schema])
+        for j, field in enumerate(text_fields):
+            row[field] = texts[(i + j) % len(texts)]
+        lines.append(",".join(row))
+    path = text_dir / f"{schema}.csv"
+    path.write_bytes((end.join(lines) + end).encode("ascii"))
+    got, read_by_c, want = read_both_ways(ingest, _parsed(schema), path)
+    assert got == want
+    assert read_by_c or any(set(text) & set(",\r\n") for text in texts)
+
+
+@pytest.fixture(scope="module")
 def seed42_tables(seed42_files, tmp_path_factory):
     """Every features.csv `farecast features` writes from the seed-42 files."""
     out = tmp_path_factory.mktemp("features42")
@@ -801,12 +881,11 @@ def seed42_tables(seed42_files, tmp_path_factory):
 
 def test_every_file_farecast_writes_reads_as_the_row_reader_reads_it(seed42_files, seed42_tables):
     """All 61 seed-42 inputs and the ten tables: the same columns, bit for
-    bit, and rejects as the row reader gives; the numeric ones through the
-    C parse, reviews, tweets and fleet through the row reader."""
+    bit, and rejects as the row reader gives, every file through the C
+    parse."""
     for path, kind in seed42_files:
         got, read_by_c, want = read_both_ways(ingest, _parsed(kind), path)
-        assert got == want, path
-        assert read_by_c == (kind in ("bookings", "fares", "safety", "lexicon")), path
+        assert read_by_c and got == want, path
     for path in seed42_tables:
         got, read_by_c, want = read_both_ways(features, table_bits, path)
         assert read_by_c and got == want, path
@@ -814,19 +893,18 @@ def test_every_file_farecast_writes_reads_as_the_row_reader_reads_it(seed42_file
 
 def test_every_numeric_file_farecast_writes_takes_the_c_parse(seed42_files, seed42_tables,
                                                               monkeypatch):
-    """The row conversions are made to raise: every bookings, fares and
-    safety file `farecast synth` writes, the packaged lexicon and every
-    features.csv `farecast features` writes still read, so none of them
-    falls back to the row reader."""
+    """The row conversions are made to raise: every file of all six kinds
+    `farecast synth` writes, the packaged lexicon and every features.csv
+    `farecast features` writes still read, so none of them falls back to
+    the row reader."""
     def no_row_conversion(*args):
         raise AssertionError("the row reader converted a file")
 
     monkeypatch.setattr(ingest, "_coerce_column", no_row_conversion)
     monkeypatch.setattr(features, "_read_rows", no_row_conversion)
-    numeric = [(path, kind) for path, kind in seed42_files
-               if kind in ("bookings", "fares", "safety", "lexicon")]
-    assert len(numeric) == 31
-    for path, kind in numeric:
+    assert len(seed42_files) == 61
+    assert {kind for _, kind in seed42_files} == set(SCHEMAS)
+    for path, kind in seed42_files:
         assert parse_dataset(path, kind).n_accepted > 0, path
     for path in seed42_tables:
         assert len(FeatureTable.from_csv(path)) > 0, path

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import repeat
 from pathlib import Path
 
 from . import __version__, evaluate, explain, gbt, logit, sentiment, synth
@@ -48,21 +50,51 @@ def _select_ods(cfg: RunConfig, root: Path, marker: str, stage: str) -> list[str
     return ods
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity mask, where the platform
+    has one), else the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _synth_market(i: int, seed: int, out: Path) -> tuple[str, dict[int, float], int]:
+    """Generate fixture market i and write its six dataset files under
+    out/<od>; only its OD, day demand and booking count are returned."""
+    od, data = synth.fixture_market(i, seed)
+    for kind in DATASETS:
+        serialize_dataset(getattr(data, kind), kind, out / od / f"{kind}.csv")
+    return od, data.true_day_demand, len(data.bookings)
+
+
 def cmd_synth(args, cfg: RunConfig) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     if seed < 0:  # a config seed is checked when the file is read
         raise CliError(f"--seed must be >= 0, got {seed}")
     out = Path(args.out or cfg.data_dir)
-    # each market's files are written as soon as it is generated; only its
-    # day demand (for the scenario) and booking count are kept
-    day_demand: dict[str, dict[int, float]] = {}
-    n_rows = 0
-    for od, data in synth.fixture_markets(seed):
-        for kind in DATASETS:
-            serialize_dataset(getattr(data, kind), kind, out / od / f"{kind}.csv")
-        day_demand[od] = data.true_day_demand
-        n_rows += len(data.bookings)
-        del data  # not alive while the next market is generated
+    # each market has its own generator, so the ten are generated and written
+    # in worker processes, one market per worker at a time and one worker per
+    # CPU this process may run on; a worker sends back only its market's day
+    # demand (for the scenario) and booking count. With one CPU they are
+    # written here in turn: a pool of one would cost a process and save no
+    # time. The first market that fails, in FIXTURE_ODS order, ends the
+    # command with its error; markets not yet handed to a worker are
+    # cancelled. The pool is imported here, since no other command starts one.
+    n_markets = len(synth.FIXTURE_ODS)
+    n_workers = min(_cpu_count(), n_markets)
+    tasks = (_synth_market, range(n_markets), repeat(seed), repeat(out))
+    if n_workers == 1:
+        markets = list(map(*tasks))
+    else:
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
+        try:
+            with ProcessPoolExecutor(n_workers) as pool:
+                markets = list(pool.map(*tasks))
+        except BrokenExecutor as exc:  # a worker was killed, say by the OOM killer
+            raise CliError(f"synth: {exc}") from exc
+    day_demand = {od: demand for od, demand, _ in markets}
+    n_rows = sum(n for _, _, n in markets)
     write_scenario(synth.fixture_scenario(seed, day_demand), out / "scenario.ini")
     print(f"wrote {len(day_demand)} OD markets ({n_rows} labeled itineraries) to {out}")
     print(f"wrote flight scenario to {out / 'scenario.ini'}")

@@ -41,7 +41,7 @@ from .ingest import (
     ItineraryRecord,
     ParseError,
     csv_rows,
-    format_floats,
+    format_numbers,
     open_csv,
     parse_numeric_lines,
     quote_cells,
@@ -162,14 +162,14 @@ class FeatureTable:
         """Write the table through `write_csv` a block of CSV_BLOCK_ROWS rows
         at a time: the `od` column quoted by `quote_cells` (csv.writer's rule,
         once per distinct OD), each numeric column by `_feature_cells` through
-        `format_floats`, once per distinct value."""
+        `format_numbers`, once per distinct value."""
         memo: dict[str, str] = {}
 
         def blocks():
             for start in range(0, len(self), CSV_BLOCK_ROWS):
                 stop = start + CSV_BLOCK_ROWS
                 yield [quote_cells(self.ods[start:stop], memo),
-                       *(format_floats(col, _feature_cells) for col in self.values[start:stop].T)]
+                       *(format_numbers(col, _feature_cells) for col in self.values[start:stop].T)]
 
         write_csv(path, _CSV_HEADER, blocks(), header_comment)
 
@@ -269,7 +269,7 @@ def _row_fault(row: list[str]) -> str:
 
 
 def _feature_cells(uniq: np.ndarray) -> np.ndarray:
-    """The cells of a numeric column's distinct values (see `format_floats`):
+    """The cells of a numeric column's distinct values (see `format_numbers`):
     "" for NaN, an integer value below 1e15 in magnitude through `str` of its
     int64, any other value as "%.6g"."""
     text = np.array(["%.6g" % v for v in uniq.tolist()], dtype=object)

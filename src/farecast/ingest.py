@@ -33,11 +33,11 @@ Each schema decision is made here once (`SCHEMAS`, `DATASETS`,
 `REVIEW_SCORES`). Every CSV input (datasets, lexicon, feature tables) has
 its header read by `csv_rows`, the csv module's rules, and every artifact is
 written by `write_csv`. Both readers read the file's lines as its rows are
-asked for. Writing also works a column at a time: a writer
-formats a block of rows as columns of finished cells, each numeric column
-with its artifact's own rule once per distinct value (`format_floats`) and
-each text column through `quote_cells`, the one place csv.writer's quoting
-rule is applied; `write_csv` joins the block's rows with "," and CRLF into a
+asked for. Writing also works a column at a time: a writer formats a
+block of rows as columns of finished cells, each int and float column with
+its artifact's own rule once per distinct value (`format_numbers`) and each
+text column through `quote_cells`, the one place csv.writer's quoting rule
+is applied; `write_csv` joins the block's rows with "," and CRLF into a
 temp file that replaces the target only once the last block is written.
 """
 
@@ -69,7 +69,7 @@ __all__ = [
     "to_columns",
     "parse_dataset",
     "serialize_dataset",
-    "format_floats",
+    "format_numbers",
     "quote_cells",
     "filter_tweets",
     "atomic_write_text",
@@ -431,6 +431,10 @@ def _g6(values: np.ndarray) -> list[str]:
     return ["%.6g" % v for v in values.tolist()]
 
 
+def _str(values: np.ndarray) -> list[str]:
+    return list(map(str, values.tolist()))
+
+
 def serialize_dataset(
     data: Mapping[str, Sequence] | Iterable[ItineraryRecord], schema: str, path: str | Path
 ) -> None:
@@ -441,8 +445,8 @@ def serialize_dataset(
     value or an array of another type raises its TypeError and writes
     nothing. Rows go a block at a time and a column at a time within a
     block, each column by its field's type: bool as "1"/"0", int through
-    `str`, float as "%.6g" once per distinct value, str quoted by
-    `quote_cells`."""
+    `str` and float as "%.6g", each once per distinct value
+    (`format_numbers`), str quoted by `quote_cells`."""
     hints = SCHEMAS[schema][0]
     if not isinstance(data, Mapping):
         rows = list(data)
@@ -451,11 +455,11 @@ def serialize_dataset(
     memo: dict[str, str] = {}
 
     def cells(typ: type, col: Sequence) -> list[str]:
-        if typ is float:
-            return format_floats(col, _g6)
         if typ is str:
             return quote_cells(col, memo)
-        return list(map(_BOOL_CELLS.__getitem__ if typ is bool else str, col.tolist()))
+        if typ is bool:
+            return list(map(_BOOL_CELLS.__getitem__, col.tolist()))
+        return format_numbers(col, _g6 if typ is float else _str)
 
     n_rows = len(columns[next(iter(hints))])
     write_csv(path, list(hints), (
@@ -463,12 +467,13 @@ def serialize_dataset(
         for lo in range(0, n_rows, CSV_BLOCK_ROWS)))
 
 
-def format_floats(col: np.ndarray, rule: Callable[[np.ndarray], Sequence[str]]) -> list[str]:
-    """A float column's cells, with `rule` mapping its sorted distinct values
-    to their cells in one call. Values are told apart by their bits, so 0.0
-    and -0.0, which np.unique and dict keys merge, each get their own cell."""
+def format_numbers(col: np.ndarray, rule: Callable[[np.ndarray], Sequence[str]]) -> list[str]:
+    """An int64 or float64 column's cells, with `rule` mapping its distinct
+    values, in the column's own dtype, to their cells in one call. Values
+    are told apart by their bits, so 0.0 and -0.0, which np.unique and dict
+    keys merge, each get their own cell."""
     uniq, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    return np.array(rule(uniq.view(np.float64)), dtype=object)[inverse].tolist()
+    return np.array(rule(uniq.view(col.dtype)), dtype=object)[inverse].tolist()
 
 
 def quote_cells(cells: Iterable[str], memo: dict[str, str]) -> list[str]:

@@ -136,7 +136,7 @@ def _impute_and_scale(X, missing, mean=None, scale=None):
     if mean is None:
         if missing is not None:
             X = X.copy()
-            for j in range(X.shape[1]):
+            for j in np.flatnonzero(missing.any(axis=0)).tolist():
                 observed = X[~missing[:, j], j]
                 X[missing[:, j], j] = observed.mean() if observed.size else 0.0
         mean = X.mean(axis=0)

@@ -34,8 +34,8 @@ from .features import _Market, _window_stats
 from .simulate import DemandMix, FareLadder, OdMarket, SimScenario
 
 __all__ = [
-    "ArchetypeSpec", "MarketData", "generate_market", "fixture_markets", "fixture_scenario",
-    "standard_fixture", "FIXTURE_SEED",
+    "ArchetypeSpec", "MarketData", "generate_market", "fixture_market", "fixture_markets",
+    "fixture_scenario", "standard_fixture", "FIXTURE_SEED",
 ]
 
 Archetype = Literal["price", "schedule", "comfort"]
@@ -405,13 +405,22 @@ HISTORY_BIAS = 0.65
 N_HISTORY_DAYS = 12
 
 
+def fixture_market(i: int, seed: int = FIXTURE_SEED) -> tuple[str, MarketData]:
+    """The i-th fixture market of FIXTURE_ODS and its OD, generated from
+    seed + 1000 * (i + 1). Each market is drawn from its own generator, so
+    the ten can be generated in any order or in separate processes, as
+    `farecast synth` does, one market per worker at a time."""
+    od, archetype, n_air = FIXTURE_ODS[i]
+    spec = ArchetypeSpec(od=od, archetype=archetype, n_airlines=n_air)
+    return od, generate_market(spec, seed=seed + 1000 * (i + 1))
+
+
 def fixture_markets(seed: int = FIXTURE_SEED) -> Iterator[tuple[str, MarketData]]:
-    """The ten fixture markets, one at a time in FIXTURE_ODS order, the i-th
-    generated from seed + 1000 * (i + 1); a market is generated only when
-    asked for, so a caller that keeps none holds one at a time."""
-    for i, (od, archetype, n_air) in enumerate(FIXTURE_ODS):
-        spec = ArchetypeSpec(od=od, archetype=archetype, n_airlines=n_air)
-        yield od, generate_market(spec, seed=seed + 1000 * (i + 1))
+    """The ten fixture markets (`fixture_market`), one at a time in
+    FIXTURE_ODS order; a market is generated only when asked for, so a
+    caller that keeps none holds one at a time."""
+    for i in range(len(FIXTURE_ODS)):
+        yield fixture_market(i, seed)
 
 
 def fixture_scenario(seed: int, day_demand: Mapping[str, Mapping[int, float]]) -> SimScenario:

@@ -32,6 +32,7 @@ from farecast.ingest import (
     ParseResult,
     empty_columns,
     filter_tweets,
+    format_numbers,
     parse_dataset,
     quote_cells,
     read_csv,
@@ -382,6 +383,27 @@ def test_serialize_equals_per_record_oracle_across_blocks(tmp_path):
     # 0.0 and -0.0 share one float column and must still be written "0" and "-0"
     travel_time = [row[5] for _, row in list(read_csv(tmp_path / "bookings.csv"))[1:]]
     assert {"0", "-0", "1e-07", "123456", "1.23457e+06"} <= set(travel_time)
+
+
+def test_format_numbers_passes_each_distinct_value_in_the_column_dtype():
+    """format_numbers gives each cell its value's text, for int64 columns
+    (extremes and repeats included) and float64 ones (0.0 and -0.0 apart),
+    also for a column that is a strided view, as FeatureTable.to_csv passes;
+    the rule sees each distinct value once, in the column's dtype."""
+    ints = np.array([7, -1, 2**63 - 1, 0, -2**63, 7, -1], dtype=np.int64)
+    floats = np.array([0.0, -0.0, 1.5, np.nan, 1.5, -2.25])
+    seen = []
+
+    def rule(values):
+        seen.append(values)
+        return list(map(repr, values.tolist()))
+
+    assert format_numbers(ints, rule) == list(map(repr, ints.tolist()))
+    assert format_numbers(floats, rule) == list(map(repr, floats.tolist()))
+    strided = np.stack([floats, floats[::-1]], axis=1)[:, 1]
+    assert format_numbers(strided, rule) == list(map(repr, floats[::-1].tolist()))
+    assert [v.dtype for v in seen] == [np.int64, np.float64, np.float64]
+    assert list(map(len, seen)) == [5, 5, 5]
 
 
 @pytest.mark.parametrize("field, value", [

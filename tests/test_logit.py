@@ -76,6 +76,24 @@ def test_mean_imputation_of_missing():
     assert p_a == pytest.approx(p_b)
 
 
+def test_imputation_equals_filling_every_column():
+    """Filling only the columns that have a missing cell gives the arrays of
+    filling each column with its observed mean (0 with none), as before."""
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(200, 6))
+    missing = np.zeros(X.shape, dtype=bool)
+    missing[rng.random(200) < 0.3, 1] = True
+    missing[:, 4] = True  # no observed value: filled with 0
+    filled = X.copy()
+    for j in range(X.shape[1]):
+        observed = X[~missing[:, j], j]
+        filled[missing[:, j], j] = observed.mean() if observed.size else 0.0
+    want = logit._impute_and_scale(filled, None)
+    got = logit._impute_and_scale(X, missing)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
 def test_constant_column_dropped():
     X = np.column_stack([np.ones(50), np.linspace(-1, 1, 50)])
     y = (np.linspace(-1, 1, 50) > 0).astype(float)

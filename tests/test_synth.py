@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import errno
 import io
+import multiprocessing
+import os
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
 from farecast import cli, synth
+from farecast.config import write_scenario
 from farecast.ingest import (
     DATASETS, ItineraryRecord, empty_columns, parse_dataset, serialize_dataset,
 )
@@ -221,16 +228,35 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+class _InProcessPool:
+    """A pool that runs its tasks in this process and starts none."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
 def test_synth_peak_memory_is_bounded_by_one_market(tmp_path, monkeypatch):
     """tracemalloc's peak in `farecast synth`, as a multiple of the peak of
     generating and writing its largest market alone. Markets come from a
     cheap stand-in: generate_market itself runs about 25 times slower under
-    tracemalloc, about 30 s for the ten markets. Writing each market before
-    the next is generated measured 1.12 (Python 3.11, numpy 2.4); holding
-    all ten markets first, as standard_fixture does, measured 2.58 (4.14
-    while the stand-in's fares were records). The bound is 1.12 plus a
-    margin of 0.38."""
+    tracemalloc, about 30 s for the ten markets. The pool runs its tasks in
+    this process, so the trace covers what each worker holds as well as the
+    parent, whatever the start method. Writing each market before the next
+    is generated measured 1.07 (Python 3.11, numpy 2.4; 1.12 in the loop
+    it replaced); holding all ten markets first, as standard_fixture does,
+    measured 2.58 (4.14 while the stand-in's fares were records). The bound
+    is 1.12 plus a margin of 0.38."""
     monkeypatch.setattr(synth, "generate_market", _cheap_market)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     with redirect_stdout(io.StringIO()):
         peak = _traced_peak(lambda: cli.main(["synth", "--out", str(tmp_path / "all")]))
     largest = max(FIXTURE_ODS, key=lambda spec: spec[2])
@@ -245,6 +271,143 @@ def test_synth_peak_memory_is_bounded_by_one_market(tmp_path, monkeypatch):
     assert (tmp_path / "all" / largest[0] / "fares.csv").read_bytes() == \
         (tmp_path / "one" / "fares.csv").read_bytes()
     assert peak / alone < 1.5, f"synth peak {peak} bytes, largest market alone {alone}"
+
+
+@pytest.fixture(scope="module")
+def sequential_seed7(tmp_path_factory):
+    """The files of `farecast synth --seed 7` written one market at a time
+    in this process: serialize_dataset of each of fixture_markets(7), then
+    write_scenario of fixture_scenario; and the run's booking count."""
+    out = tmp_path_factory.mktemp("sequential")
+    day_demand, n_rows = {}, 0
+    for od, data in fixture_markets(7):
+        for kind in DATASETS:
+            serialize_dataset(getattr(data, kind), kind, out / od / f"{kind}.csv")
+        day_demand[od] = data.true_day_demand
+        n_rows += len(data.bookings)
+    write_scenario(fixture_scenario(7, day_demand), out / "scenario.ini")
+    return out, n_rows
+
+
+def _files(root):
+    return {p.relative_to(root).as_posix(): p for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _record_workers(monkeypatch, pool):
+    """Make the pool `cmd_synth` imports a subclass of `pool` that records
+    each pool's worker count; the returned list holds them."""
+    workers = []
+
+    class Recording(pool):
+        def __init__(self, max_workers, *args, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return workers
+
+
+def _set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 3])
+def test_synth_writes_the_bytes_of_a_sequential_run(tmp_path, monkeypatch, capsys,
+                                                    sequential_seed7, n_cpus):
+    """`farecast synth --seed 7` on one CPU, where it starts no pool, and on
+    three (an uneven split of the ten markets), writes the files of writing
+    the markets one at a time, byte for byte, and prints the same lines; no
+    worker outlives the call."""
+    want, n_rows = sequential_seed7
+    workers = _record_workers(monkeypatch, ProcessPoolExecutor)
+    _set_cpus(monkeypatch, n_cpus)
+    out = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(out), "--seed", "7"]) == 0
+    assert workers == ([] if n_cpus == 1 else [n_cpus])
+    assert multiprocessing.active_children() == []
+    got, want = _files(out), _files(want)
+    assert list(got) == list(want) and len(got) == 10 * len(DATASETS) + 1
+    for name, path in got.items():
+        assert path.read_bytes() == want[name].read_bytes(), name
+    assert capsys.readouterr().out == (
+        f"wrote 10 OD markets ({n_rows} labeled itineraries) to {out}\n"
+        f"wrote flight scenario to {out / 'scenario.ini'}\n")
+
+
+def test_synth_under_a_file_exits_2_and_leaves_no_process(tmp_path, monkeypatch, capsys):
+    """Each worker's OSError reaches the parent, which prints the first
+    market's as before and exits 2, with every worker ended. The stand-in
+    market reaches the workers only where they are forked; elsewhere they
+    generate real markets, and fail the same way."""
+    monkeypatch.setattr(synth, "generate_market", _cheap_market)
+    _set_cpus(monkeypatch, 2)
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    out = a_file / "data"
+    assert cli.main(["synth", "--out", str(out)]) == 2
+    assert multiprocessing.active_children() == []
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{out / 'AMS-DXB'}'\n")
+    assert a_file.read_text() == ""
+
+
+def test_synth_stops_at_the_first_market_that_fails(tmp_path, monkeypatch, capsys,
+                                                     sequential_seed7):
+    """A write that fails partway through, at the fifth market, exits 2 with
+    that market's error, as the sequential loop did. The four markets before
+    it are written in full; markets already handed to a worker may be
+    written too, and the rest are cancelled. No worker outlives the call."""
+    want, _ = sequential_seed7
+    _set_cpus(monkeypatch, 2)
+    out = tmp_path / "data"
+    blocker = out / FIXTURE_ODS[4][0]
+    out.mkdir()
+    blocker.write_text("")
+    assert cli.main(["synth", "--out", str(out), "--seed", "7"]) == 2
+    assert multiprocessing.active_children() == []
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: '{blocker}'\n")
+    assert blocker.read_text() == ""
+    assert not (out / "scenario.ini").exists()
+    got, want = _files(out), _files(want)
+    for od, _, _ in FIXTURE_ODS[:4]:
+        for kind in DATASETS:
+            name = f"{od}/{kind}.csv"
+            assert got[name].read_bytes() == want[name].read_bytes(), name
+
+
+class _BrokenPool(_InProcessPool):
+    """A pool one of whose workers was killed."""
+
+    def map(self, fn, *iterables):
+        raise BrokenProcessPool("a worker was killed")
+
+
+def test_synth_with_a_killed_worker_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _BrokenPool)
+    _set_cpus(monkeypatch, 2)
+    assert cli.main(["synth", "--out", str(tmp_path / "data")]) == 2
+    assert capsys.readouterr().err == "error: synth: a worker was killed\n"
+
+
+def test_synth_starts_at_most_one_worker_per_cpu_and_per_market(tmp_path, monkeypatch):
+    monkeypatch.setattr(synth, "generate_market", _cheap_market)
+    workers = _record_workers(monkeypatch, _InProcessPool)
+    for n_cpus in (1, 2, 9, 10, 11, 64):
+        _set_cpus(monkeypatch, n_cpus)
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["synth", "--out", str(tmp_path / str(n_cpus))]) == 0
+    assert workers == [2, 9, 10, 10, 10]
+
+
+def test_worker_count_falls_back_to_the_cpu_count(monkeypatch):
+    """Where the platform has no affinity mask, the machine's CPU count, or
+    one worker when that is unknown."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert cli._cpu_count() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli._cpu_count() == 1
 
 
 @pytest.mark.parametrize("kind", DATASETS)

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from itertools import repeat
 from pathlib import Path
 
 from . import __version__, evaluate, explain, gbt, logit, sentiment, synth
@@ -50,21 +48,15 @@ def _select_ods(cfg: RunConfig, root: Path, marker: str, stage: str) -> list[str
     return ods
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on (its affinity mask, where the platform
-    has one), else the machine's."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _synth_market(i: int, seed: int, out: Path) -> tuple[str, dict[int, float], int]:
     """Generate fixture market i and write its six dataset files under
-    out/<od>; only its OD, day demand and booking count are returned."""
-    od, data = synth.fixture_market(i, seed)
+    out/<od>, the bookings from their columns; only its OD, day demand and
+    booking count are returned."""
+    od, data, bookings = synth.fixture_market_columns(i, seed)
     for kind in DATASETS:
-        serialize_dataset(getattr(data, kind), kind, out / od / f"{kind}.csv")
-    return od, data.true_day_demand, len(data.bookings)
+        columns = bookings if kind == "bookings" else getattr(data, kind)
+        serialize_dataset(columns, kind, out / od / f"{kind}.csv")
+    return od, data.true_day_demand, len(bookings["od"])
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
@@ -72,27 +64,16 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     if seed < 0:  # a config seed is checked when the file is read
         raise CliError(f"--seed must be >= 0, got {seed}")
     out = Path(args.out or cfg.data_dir)
-    # each market has its own generator, so the ten are generated and written
-    # in worker processes, one market per worker at a time and one worker per
-    # CPU this process may run on; a worker sends back only its market's day
-    # demand (for the scenario) and booking count. With one CPU they are
-    # written here in turn: a pool of one would cost a process and save no
-    # time. The first market that fails, in FIXTURE_ODS order, ends the
-    # command with its error; markets not yet handed to a worker are
-    # cancelled. The pool is imported here, since no other command starts one.
-    n_markets = len(synth.FIXTURE_ODS)
-    n_workers = min(_cpu_count(), n_markets)
-    tasks = (_synth_market, range(n_markets), repeat(seed), repeat(out))
-    if n_workers == 1:
-        markets = list(map(*tasks))
-    else:
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    # the ten markets are generated and written in synth's worker pool; a
+    # worker sends back only its market's day demand (for the scenario) and
+    # booking count. BrokenExecutor is imported here, since no other command
+    # starts a pool.
+    from concurrent.futures import BrokenExecutor
 
-        try:
-            with ProcessPoolExecutor(n_workers) as pool:
-                markets = list(pool.map(*tasks))
-        except BrokenExecutor as exc:  # a worker was killed, say by the OOM killer
-            raise CliError(f"synth: {exc}") from exc
+    try:
+        markets = list(synth.map_fixture_markets(_synth_market, seed, out))
+    except BrokenExecutor as exc:  # a worker was killed, say by the OOM killer
+        raise CliError(f"synth: {exc}") from exc
     day_demand = {od: demand for od, demand, _ in markets}
     n_rows = sum(n for _, _, n in markets)
     write_scenario(synth.fixture_scenario(seed, day_demand), out / "scenario.ini")

@@ -192,8 +192,10 @@ def fit_logit(
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < TOL:
             break
-        w = np.clip(p * (1.0 - p), 1e-12, None)
-        hess = (A * w[:, None]).T @ A + np.diag(penalty)
+        # B.T @ B of the one array B goes to BLAS syrk, whose sums do not
+        # depend on the thread count; (A * w).T @ A is a gemm, whose do.
+        B = A * np.sqrt(np.clip(p * (1.0 - p), 1e-12, None))[:, None]
+        hess = B.T @ B + np.diag(penalty)
         step = np.linalg.solve(hess, grad)
         # Damped Newton: halve the step while it raises the objective by more
         # than rounding; a full step that does not is taken unchanged.

@@ -23,22 +23,25 @@ draws of different kinds into one call, changes every output.
 from __future__ import annotations
 
 import operator
+import os
 from dataclasses import dataclass, field
+from itertools import repeat
 from statistics import median
-from typing import Iterator, Literal, Mapping
+from typing import Callable, Iterator, Literal, Mapping, TypeVar
 
 import numpy as np
 
-from .ingest import SCHEMAS, ItineraryRecord, empty_columns, to_columns
+from .ingest import SCHEMAS, ItineraryRecord, booking_records, empty_columns, to_columns
 from .features import _Market, _window_stats
 from .simulate import DemandMix, FareLadder, OdMarket, SimScenario
 
 __all__ = [
-    "ArchetypeSpec", "MarketData", "generate_market", "fixture_market", "fixture_markets",
-    "fixture_scenario", "standard_fixture", "FIXTURE_SEED",
+    "ArchetypeSpec", "MarketData", "generate_market", "fixture_market", "fixture_market_columns",
+    "map_fixture_markets", "fixture_scenario", "standard_fixture", "FIXTURE_SEED",
 ]
 
 Archetype = Literal["price", "schedule", "comfort"]
+T = TypeVar("T")
 
 FIXTURE_SEED = 42
 
@@ -114,10 +117,13 @@ class MarketData:
     column mapping that `parse_dataset(path, kind).columns` returns (str
     fields as lists, the others as int64, float64 or bool arrays); bookings
     are a list of ItineraryRecord, the one row type, since the benchmark
-    harness picks and filters them a record at a time. Compare two markets
-    field by field (tests/oracles.assert_markets_equal): `==` on whole
-    markets raises once it reaches an array, which has no single truth
-    value."""
+    harness picks and filters them a record at a time. They are drawn as
+    columns too, and a market drawn in a worker process crosses to the
+    parent with its bookings still columns, each numeric one a single pickle
+    buffer; the records are built once, where the market is kept. Compare two
+    markets field by field (tests/oracles.assert_markets_equal): `==` on
+    whole markets raises once it reaches an array, which has no single
+    truth value."""
 
     bookings: list[ItineraryRecord] = field(default_factory=list)
     fares: dict[str, np.ndarray | list[str]] = _columns_field("fares")
@@ -167,6 +173,14 @@ def _calibrate_intercept(latents: np.ndarray, target: float) -> float:
 
 def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
     """Generate all six datasets for a single OD market."""
+    data, bookings = _draw_market(spec, seed)
+    data.bookings = booking_records(bookings)
+    return data
+
+
+def _draw_market(spec: ArchetypeSpec, seed: int) -> tuple[MarketData, dict]:
+    """generate_market's market without its bookings, and the bookings as
+    the column mapping a parsed bookings file holds."""
     rng = np.random.default_rng(seed)
     random, standard_normal, integers = rng.random, rng.standard_normal, rng.integers
 
@@ -343,25 +357,17 @@ def generate_market(spec: ArchetypeSpec, seed: int) -> MarketData:
     intercept = _calibrate_intercept(latent_arr, PREVALENCE_TARGET)
     probs = 1.0 / (1.0 + np.exp(-(intercept + latent_arr)))
     draws = rng.random(len(candidates))
-    for (di, dbd, it), p, u in zip(candidates, probs, draws):
-        day, (a, k) = dep_days[di], itins[it]
-        # displayed price mirrors the fares dataset row for the same itinerary
-        price = prices[(di * len(fare_dbds) + dbd - FARE_DBD_MIN) * len(itins) + it]
-        data.bookings.append(
-            ItineraryRecord(
-                od=spec.od,
-                airline_id=a,
-                dep_day_id=day,
-                dbd=dbd,
-                dep_time_mam=dep_times[di][it],
-                travel_time=travel_times[a][k],
-                price=price,
-                is_bought=bool(u < p),
-            )
-        )
-        data.true_day_demand[day] = data.true_day_demand.get(day, 0.0) + float(p)
+    # a displayed itinerary is its fares row (airline, day, dbd, departure
+    # time, travel time and price) plus the purchase label
+    di, dbd, it = np.array(candidates, dtype=np.int64).reshape(-1, 3).T
+    rows = (di * len(fare_dbds) + dbd - FARE_DBD_MIN) * len(itins) + it
+    bookings = {"od": [spec.od] * len(rows),
+                **{name: col[rows] for name, col in data.fares.items() if name != "od"},
+                "is_bought": draws < probs}
+    for day, p in zip(bookings["dep_day_id"].tolist(), probs.tolist()):
+        data.true_day_demand[day] = data.true_day_demand.get(day, 0.0) + p
 
-    return data
+    return data, bookings
 
 
 # Fixture wiring: ten distinct ODs, competitor-count multiset {2,2,4,4,5,5,5,6,7,9},
@@ -405,22 +411,58 @@ HISTORY_BIAS = 0.65
 N_HISTORY_DAYS = 12
 
 
-def fixture_market(i: int, seed: int = FIXTURE_SEED) -> tuple[str, MarketData]:
-    """The i-th fixture market of FIXTURE_ODS and its OD, generated from
-    seed + 1000 * (i + 1). Each market is drawn from its own generator, so
-    the ten can be generated in any order or in separate processes, as
-    `farecast synth` does, one market per worker at a time."""
+def fixture_market_columns(i: int, seed: int) -> tuple[str, MarketData, dict]:
+    """The OD of the i-th fixture market of FIXTURE_ODS, the market, drawn
+    from seed + 1000 * (i + 1), without its bookings, and the bookings as the
+    column mapping a parsed bookings file holds. Each market is drawn from
+    its own generator, so the ten can be drawn in any order or in separate
+    processes (`map_fixture_markets`)."""
     od, archetype, n_air = FIXTURE_ODS[i]
     spec = ArchetypeSpec(od=od, archetype=archetype, n_airlines=n_air)
-    return od, generate_market(spec, seed=seed + 1000 * (i + 1))
+    return od, *_draw_market(spec, seed=seed + 1000 * (i + 1))
 
 
-def fixture_markets(seed: int = FIXTURE_SEED) -> Iterator[tuple[str, MarketData]]:
-    """The ten fixture markets (`fixture_market`), one at a time in
-    FIXTURE_ODS order; a market is generated only when asked for, so a
-    caller that keeps none holds one at a time."""
-    for i in range(len(FIXTURE_ODS)):
-        yield fixture_market(i, seed)
+def fixture_market(i: int, seed: int = FIXTURE_SEED) -> tuple[str, MarketData]:
+    """The i-th fixture market of FIXTURE_ODS and its OD, drawn in this
+    process; it is the market `standard_fixture(seed)` holds for that OD."""
+    od, data, bookings = fixture_market_columns(i, seed)
+    data.bookings = booking_records(bookings)
+    return od, data
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on (its affinity mask, where the platform
+    has one), else the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def map_fixture_markets(fn: Callable[..., T], *args) -> Iterator[T]:
+    """fn(i, *args) for each fixture market index i, yielded in FIXTURE_ODS
+    order as each is ready. The calls run in worker processes, one per CPU
+    this process may run on and at most one per market, one market per
+    worker at a time; fn, args and each result travel by pickle. With one
+    CPU, or in a daemonic process (a multiprocessing.Pool worker), which may
+    start no children, they run here in turn. The first call that fails, in
+    FIXTURE_ODS order, raises its error here, and markets not yet handed to
+    a worker are cancelled; a worker that dies (say, to the OOM killer)
+    raises concurrent.futures.BrokenExecutor. No worker outlives the
+    iteration. The pool modules are imported here, on first use."""
+    calls = (fn, range(len(FIXTURE_ODS)), *map(repeat, args))
+    n_workers = min(_cpu_count(), len(FIXTURE_ODS))
+    if n_workers > 1:
+        import multiprocessing
+
+        if multiprocessing.current_process().daemon:
+            n_workers = 1
+    if n_workers == 1:
+        yield from map(*calls)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(n_workers) as pool:
+        yield from pool.map(*calls)
 
 
 def fixture_scenario(seed: int, day_demand: Mapping[str, Mapping[int, float]]) -> SimScenario:
@@ -470,7 +512,15 @@ def fixture_scenario(seed: int, day_demand: Mapping[str, Mapping[int, float]]) -
 
 
 def standard_fixture(seed: int = FIXTURE_SEED) -> tuple[dict[str, MarketData], SimScenario]:
-    """Deterministic ten-OD corpus plus the single-flight scenario."""
-    markets = dict(fixture_markets(seed))
+    """Deterministic ten-OD corpus plus the single-flight scenario. The
+    markets, by OD in FIXTURE_ODS order, are drawn through
+    `map_fixture_markets`: each worker sends back its market with the
+    bookings as columns, and each market's records are built here as it
+    arrives, so only one market's booking columns are alive here at a time.
+    They equal the markets `generate_market` draws one at a time."""
+    markets = {}
+    for od, data, bookings in map_fixture_markets(fixture_market_columns, seed):
+        data.bookings = booking_records(bookings)
+        markets[od] = data
     day_demand = {od: data.true_day_demand for od, data in markets.items()}
     return markets, fixture_scenario(seed, day_demand)

@@ -13,7 +13,9 @@ is the reference for CSV input: `read_both_ways` reads a file as the package
 does and again with the C parse refusing it, and `column_bits` and
 `table_bits` give what it compares. `reference_market` is the market
 generator with every draw made through the numpy call it first used, which
-`synth.generate_market` must match value for value.
+`synth.generate_market` must match value for value, and `fixture_markets`
+draws the standard fixture's markets with it in turn, in this process, as
+the reference for the pooled `synth.standard_fixture`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 from statistics import median
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 import pytest
@@ -33,8 +35,8 @@ from farecast.ingest import SCHEMAS, ItineraryRecord, ParseError, to_columns
 from farecast.synth import (
     _FILLER, _NARROW_TYPES, _NEGATIVE_WORDS, _POSITIVE_WORDS, _WIDE_TYPES, DISPLAY_DBD_MAX,
     DISPLAY_DBD_MIN, DISPLAY_PROB, DRIVER_COEF, FARE_DBD_MAX, FARE_DBD_MIN, INTERACTION_COEF,
-    N_DEPARTURE_DAYS, NOISE_SCALE, PREVALENCE_TARGET, MarketData, _add_row,
-    _calibrate_intercept, _clip_rating,
+    FIXTURE_ODS, N_DEPARTURE_DAYS, NOISE_SCALE, PREVALENCE_TARGET, ArchetypeSpec, MarketData,
+    _add_row, _calibrate_intercept, _clip_rating, generate_market,
 )
 
 # Four airlines' fares at t = -103..-100; airline 1 is the one under study.
@@ -143,6 +145,14 @@ def refit_leaf_weights(model: TreeEnsemble, lam: float) -> TreeEnsemble:
         params=params,
         feature_names=list(model.feature_names),
     )
+
+
+def fixture_markets(seed: int) -> Iterator[tuple[str, MarketData]]:
+    """The ten fixture markets and their ODs, in FIXTURE_ODS order, each
+    drawn by generate_market in this process when asked for, from
+    seed + 1000 * (i + 1) for the i-th."""
+    for i, (od, archetype, n_air) in enumerate(FIXTURE_ODS):
+        yield od, generate_market(ArchetypeSpec(od, archetype, n_air), seed + 1000 * (i + 1))
 
 
 def assert_markets_equal(got, want) -> None:

@@ -2,24 +2,30 @@
 
 from __future__ import annotations
 
+import io
 import math
+import os
+import subprocess
 import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 from scipy.optimize import minimize
 
-from farecast import logit, synth
+from farecast import cli, logit, synth
 from farecast.features import (
     airline_widebody_flags,
     assemble_feature_vectors,
     build_airline_aggregates,
 )
 from farecast.gbt import holdout_split_by_day
-from farecast.ingest import filter_tweets
+from farecast.ingest import DATASETS, filter_tweets, serialize_dataset
 from farecast.logit import _expit, fit_logit, predict_logit, predict_logit_label
 from farecast.sentiment import load_default_lexicon
+from oracles import fixture_markets
 
 
 def _oracle_fit(Z, y, l2):
@@ -215,3 +221,31 @@ def test_fixture_fits_equal_scipy_expit_fits(pipeline, monkeypatch):
         assert ours.to_json() == oracle.to_json() == pipeline.baselines[od].to_json()
     eta = np.concatenate(margins)
     _assert_bit_equal(_expit(eta), special.expit(eta))
+
+
+def test_logit_json_is_the_same_at_every_blas_thread_count(tmp_path):
+    """The seed-42 KUL-SIN models `farecast train` writes, in a process with
+    OPENBLAS_NUM_THREADS and OMP_NUM_THREADS at 1, 2 and 4, hold the same
+    logit.json bytes. IRLS forms its Hessian as B.T @ B, which numpy hands
+    to BLAS syrk; OpenBLAS 0.3.31 gives it the same sums at each of these
+    thread counts. The gemm (A * w).T @ A it replaced gave other bytes at
+    1 thread than at 2."""
+    od, data = next(market for market in fixture_markets(42) if market[0] == "KUL-SIN")
+    for kind in DATASETS:
+        serialize_dataset(getattr(data, kind), kind, tmp_path / "data" / od / f"{kind}.csv")
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["features", "--data", str(tmp_path / "data"),
+                         "--out", str(tmp_path / "features")]) == 0
+    repo = Path(__file__).resolve().parents[1]
+    models = {}
+    for n in (1, 2, 4):
+        out = tmp_path / f"models{n}"
+        subprocess.run(
+            [sys.executable, "-m", "farecast.cli", "train",
+             "--features", str(tmp_path / "features"), "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(repo / "src"),
+                     OPENBLAS_NUM_THREADS=str(n), OMP_NUM_THREADS=str(n)),
+            capture_output=True, check=True, timeout=120,
+        )
+        models[n] = (out / od / "logit.json").read_bytes()
+    assert models[1] == models[2] == models[4]

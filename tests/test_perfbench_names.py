@@ -104,6 +104,6 @@ def test_compare_policies_traces_one_span_per_stream_and_replay(workloads, traci
 @pytest.mark.parametrize("od", ["AMS-DXB", "KUL-SIN"])
 def test_fixture_market_is_the_market_synth_generates(workloads, od):
     """perfbench builds one market alone with its own copy of the fixture's
-    seed rule; it must be the market synth.fixture_markets yields."""
-    want = next(data for name, data in synth.fixture_markets(7) if name == od)
-    assert_markets_equal(workloads.fixture_market(od, 7), want)
+    seed rule; it must be the market synth.fixture_market draws."""
+    i = [name for name, _, _ in synth.FIXTURE_ODS].index(od)
+    assert_markets_equal(workloads.fixture_market(od, 7), synth.fixture_market(i, 7)[1])

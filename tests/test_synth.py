@@ -7,10 +7,14 @@ import errno
 import io
 import multiprocessing
 import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ import pytest
 from farecast import cli, synth
 from farecast.config import write_scenario
 from farecast.ingest import (
-    DATASETS, ItineraryRecord, empty_columns, parse_dataset, serialize_dataset,
+    DATASETS, SCHEMAS, ItineraryRecord, empty_columns, parse_dataset, serialize_dataset,
 )
 from farecast.synth import (
     COVERED_BRAND_MIX,
@@ -29,12 +33,12 @@ from farecast.synth import (
     FIXTURE_SEED,
     ArchetypeSpec,
     MarketData,
-    fixture_markets,
     fixture_scenario,
+    map_fixture_markets,
     generate_market,
     standard_fixture,
 )
-from oracles import assert_markets_equal, reference_market
+from oracles import assert_markets_equal, fixture_markets, reference_market
 
 
 def test_fixture_layout():
@@ -192,31 +196,115 @@ def test_integers_with_array_bounds_draw_as_one_call_per_word_list():
         assert twin.bit_generator.state == rng.bit_generator.state, seed
 
 
+def _assert_same_markets(got: dict, want: dict) -> None:
+    """Two fixtures' markets are equal field by field, in the same order,
+    and every booking of `got` is an ItineraryRecord of Python values of
+    its field's type."""
+    assert list(got) == list(want)
+    for od, data in got.items():
+        assert_markets_equal(data, want[od])
+        assert {type(b) for b in data.bookings} == {ItineraryRecord}
+        for name, typ in SCHEMAS["bookings"][0].items():
+            assert {type(getattr(b, name)) for b in data.bookings} == {typ}, (od, name)
+
+
 def test_streamed_markets_and_scenario_equal_the_standard_fixture(pipeline):
-    """pipeline holds standard_fixture() at the default seed."""
-    markets = fixture_markets(FIXTURE_SEED)
-    day_demand = {}
-    for (od, data), (want_od, want) in zip(markets, pipeline.markets.items(), strict=True):
-        assert od == want_od
-        assert_markets_equal(data, want)
-        day_demand[od] = data.true_day_demand
-    assert list(day_demand) == [od for od, _, _ in FIXTURE_ODS]
+    """pipeline holds standard_fixture() at the default seed, drawn in a
+    pool wherever this process may run on more than one CPU."""
+    markets = dict(fixture_markets(FIXTURE_SEED))
+    assert list(markets) == [od for od, _, _ in FIXTURE_ODS]
+    _assert_same_markets(pipeline.markets, markets)
+    day_demand = {od: data.true_day_demand for od, data in markets.items()}
     assert fixture_scenario(FIXTURE_SEED, day_demand) == pipeline.scenario
 
 
-def _cheap_market(spec: ArchetypeSpec, seed: int) -> MarketData:
-    """A stand-in for generate_market with 400 fare rows, as columns, and 100
-    bookings, each a new record, per airline, and no rng draws."""
+@pytest.fixture(scope="module")
+def sequential():
+    """seed -> (fixture_markets(seed) drawn in this process, as a dict, and
+    fixture_scenario of them); each seed is drawn once."""
+    made = {}
+
+    def get(seed):
+        if seed not in made:
+            markets = dict(fixture_markets(seed))
+            day_demand = {od: data.true_day_demand for od, data in markets.items()}
+            made[seed] = markets, fixture_scenario(seed, day_demand)
+        return made[seed]
+
+    return get
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("seed", [1, 7])
+def test_standard_fixture_equals_the_sequential_markets(sequential, monkeypatch, seed, n_cpus):
+    """standard_fixture(seed) on one CPU, where it starts no pool, and on
+    two, where two workers send the markets back with their bookings as
+    columns, holds the markets and scenario of drawing them in turn; no
+    worker outlives the call."""
+    want, want_scenario = sequential(seed)
+    workers = _record_workers(monkeypatch, ProcessPoolExecutor)
+    _set_cpus(monkeypatch, n_cpus)
+    markets, scenario = standard_fixture(seed)
+    assert workers == ([] if n_cpus == 1 else [2])
+    assert multiprocessing.active_children() == []
+    _assert_same_markets(markets, want)
+    assert scenario == want_scenario
+
+
+def _fixture_in_a_daemon(seed):
+    """standard_fixture(seed) in this process, as seen with four CPUs; a
+    multiprocessing.Pool worker, which is daemonic, runs it."""
+    os.sched_getaffinity = lambda pid: set(range(4))
+    return standard_fixture(seed)
+
+
+def test_standard_fixture_in_a_pool_worker_draws_its_markets_in_turn(sequential):
+    """A daemonic process may start no children, so there standard_fixture
+    draws the markets in turn, as it does on one CPU; a pool there would
+    raise."""
+    with multiprocessing.Pool(1) as pool:
+        markets, scenario = pool.apply_async(_fixture_in_a_daemon, (7,)).get(timeout=120)
+        pool.close()
+        pool.join()
+    assert multiprocessing.active_children() == []
+    want, want_scenario = sequential(7)
+    _assert_same_markets(markets, want)
+    assert scenario == want_scenario
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_standard_fixture_is_the_same_under_each_start_method(pipeline, method):
+    """standard_fixture() in a process whose multiprocessing start method is
+    `method`, with two CPUs so that it starts a pool, sends back the
+    markets and scenario of the default start method (pipeline's)."""
+    code = ("import multiprocessing, os, pickle, sys\n"
+            "from farecast import synth\n"
+            "multiprocessing.set_start_method(sys.argv[1])\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "sys.stdout.buffer.write(pickle.dumps(synth.standard_fixture()))\n")
+    repo = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code, method], capture_output=True, check=True,
+                         timeout=120, env=dict(os.environ, PYTHONPATH=str(repo / "src"))).stdout
+    markets, scenario = pickle.loads(out)
+    _assert_same_markets(markets, pipeline.markets)
+    assert scenario == pipeline.scenario
+
+
+def _cheap_market(spec: ArchetypeSpec, seed: int) -> tuple[MarketData, dict]:
+    """A stand-in for synth._draw_market with 400 fare rows and 100 bookings
+    per airline, both as columns, and no rng draws."""
     n, od, n_air = 400 * spec.n_airlines, spec.od, spec.n_airlines
     i = np.arange(n)
     fares = {"od": [od] * n, "airline_id": 1 + i % n_air, "dep_day_id": 1000 + 7 * (i % 14),
              "dbd": -1 - i % 75, "dep_time_mam": 37 * i % 1440, "travel_time": 1.0 + i % 13 / 8,
              "price": 100.0 + i / 4}
-    bookings = [ItineraryRecord(od, 1 + i % n_air, 1000 + 7 * (i % 14), -1 - i % 40,
-                                37 * i % 1440, 1.0 + i % 13 / 8, 100.0 + i / 4, i % 5 == 0)
-                for i in range(n // 4)]
+    b = i[:n // 4]
+    bookings = {"od": [od] * len(b), "airline_id": 1 + b % n_air,
+                "dep_day_id": 1000 + 7 * (b % 14), "dbd": -1 - b % 40,
+                "dep_time_mam": 37 * b % 1440, "travel_time": 1.0 + b % 13 / 8,
+                "price": 100.0 + b / 4, "is_bought": b % 5 == 0}
     demand = {1000 + 7 * d: 1.0 + d + seed % 7 for d in range(14)}
-    return MarketData(bookings=bookings, fares=fares, true_day_demand=demand)
+    return MarketData(fares=fares, true_day_demand=demand), bookings
 
 
 def _traced_peak(fn) -> int:
@@ -255,16 +343,17 @@ def test_synth_peak_memory_is_bounded_by_one_market(tmp_path, monkeypatch):
     it replaced); holding all ten markets first, as standard_fixture does,
     measured 2.58 (4.14 while the stand-in's fares were records). The bound
     is 1.12 plus a margin of 0.38."""
-    monkeypatch.setattr(synth, "generate_market", _cheap_market)
+    monkeypatch.setattr(synth, "_draw_market", _cheap_market)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     with redirect_stdout(io.StringIO()):
         peak = _traced_peak(lambda: cli.main(["synth", "--out", str(tmp_path / "all")]))
     largest = max(FIXTURE_ODS, key=lambda spec: spec[2])
 
     def largest_alone():
-        data = _cheap_market(ArchetypeSpec(*largest), seed=0)
+        data, bookings = _cheap_market(ArchetypeSpec(*largest), seed=0)
         for kind in DATASETS:
-            serialize_dataset(getattr(data, kind), kind, tmp_path / "one" / f"{kind}.csv")
+            columns = bookings if kind == "bookings" else getattr(data, kind)
+            serialize_dataset(columns, kind, tmp_path / "one" / f"{kind}.csv")
 
     alone = _traced_peak(largest_alone)
     # the stand-in was used: synth wrote the same fares as it
@@ -294,7 +383,7 @@ def _files(root):
 
 
 def _record_workers(monkeypatch, pool):
-    """Make the pool `cmd_synth` imports a subclass of `pool` that records
+    """Make the pool `map_fixture_markets` imports a subclass of `pool` that records
     each pool's worker count; the returned list holds them."""
     workers = []
 
@@ -339,7 +428,7 @@ def test_synth_under_a_file_exits_2_and_leaves_no_process(tmp_path, monkeypatch,
     market's as before and exits 2, with every worker ended. The stand-in
     market reaches the workers only where they are forked; elsewhere they
     generate real markets, and fail the same way."""
-    monkeypatch.setattr(synth, "generate_market", _cheap_market)
+    monkeypatch.setattr(synth, "_draw_market", _cheap_market)
     _set_cpus(monkeypatch, 2)
     a_file = tmp_path / "file"
     a_file.write_text("")
@@ -390,13 +479,11 @@ def test_synth_with_a_killed_worker_exits_2(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: synth: a worker was killed\n"
 
 
-def test_synth_starts_at_most_one_worker_per_cpu_and_per_market(tmp_path, monkeypatch):
-    monkeypatch.setattr(synth, "generate_market", _cheap_market)
+def test_synth_starts_at_most_one_worker_per_cpu_and_per_market(monkeypatch):
     workers = _record_workers(monkeypatch, _InProcessPool)
     for n_cpus in (1, 2, 9, 10, 11, 64):
         _set_cpus(monkeypatch, n_cpus)
-        with redirect_stdout(io.StringIO()):
-            assert cli.main(["synth", "--out", str(tmp_path / str(n_cpus))]) == 0
+        assert list(map_fixture_markets(divmod, 3)) == [divmod(i, 3) for i in range(10)]
     assert workers == [2, 9, 10, 10, 10]
 
 
@@ -405,9 +492,9 @@ def test_worker_count_falls_back_to_the_cpu_count(monkeypatch):
     one worker when that is unknown."""
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    assert cli._cpu_count() == 5
+    assert synth._cpu_count() == 5
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert cli._cpu_count() == 1
+    assert synth._cpu_count() == 1
 
 
 @pytest.mark.parametrize("kind", DATASETS)

@@ -155,7 +155,7 @@ def _load_model(path: Path, cls):
                 "features.csv in order; run `farecast train` again"
             )
 
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     try:
         return cls.from_json(text, check_names)
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
@@ -272,10 +272,14 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 
     means_std, fares_std, per_od_std = aggregate_class_forecasts(scenario, None)
     means_xgb, fares_xgb, per_od_xgb = aggregate_class_forecasts(scenario, rollup_probs)
-    policy_std = optimize_policy(means_std, fares_std, scenario.capacity,
-                                 scenario.demand_cv, per_od_std)
-    policy_xgb = optimize_policy(means_xgb, fares_xgb, scenario.capacity,
-                                 scenario.demand_cv, per_od_xgb)
+    try:
+        policy_std = optimize_policy(means_std, fares_std, scenario.capacity,
+                                     scenario.demand_cv, per_od_std)
+        policy_xgb = optimize_policy(means_xgb, fares_xgb, scenario.capacity,
+                                     scenario.demand_cv, per_od_xgb)
+    except ValueError as exc:
+        raise CliError(f"{scenario_path}: {exc}, but the ODs' fare ladders weighted by "
+                       "forecast demand rise from one class to the next") from None
     report = compare_policies(scenario, policy_std, policy_xgb)
 
     report.to_csv(out_root / "simulation.csv", header_comment=_stamp(cfg))

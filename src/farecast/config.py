@@ -72,7 +72,7 @@ def load_config(path: str | Path | None) -> RunConfig:
         raise FileNotFoundError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read(path, encoding="utf-8")
+        parser.read(path, encoding="utf-8-sig")
         _reject_unknown(parser, {
             "run": _RUN_KEYS,
             "gbt": [n for n, _ in _scalar_fields(GbtParams)],
@@ -169,7 +169,7 @@ def read_scenario(path: str | Path) -> SimScenario:
         return parser[section][key]
 
     try:
-        parser.read(path, encoding="utf-8")
+        parser.read(path, encoding="utf-8-sig")
         _reject_unknown(parser, {
             "scenario": [n for n, _ in _scalar_fields(SimScenario)] + ["forecast_day"],
             "od:": _OD_KEYS,

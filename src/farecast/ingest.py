@@ -1,9 +1,10 @@
 """Parsing and validation for the six input dataset schemas plus the lexicon.
 
-All files are UTF-8 comma-separated values with a single header row and "."
-as the decimal separator. Rows that fail validation are rejected individually
-with a positioned error message; parsing only aborts when more than half of
-the data rows are rejected.
+All files are UTF-8 comma-separated values (a leading byte-order mark is
+skipped) with a single header row and "." as the decimal separator. Rows
+that fail validation are rejected individually with a positioned error
+message; parsing only aborts when more than half of the data rows are
+rejected.
 
 Two readers parse a file's rows, and they give the same columns, rejects
 and messages. The C parse (`parse_numeric_lines`) reads every kind: the six
@@ -13,21 +14,24 @@ tables. It hands a file's data lines to one np.loadtxt call a block at a
 time, as they stand; only a block with a `#` line or a blank line is
 filtered a line at a time. Object fields in np.loadtxt were checked on
 numpy 2.4.6 only, as no older numpy down to the declared 1.24 could be
-installed to check them. The row reader (`read_csv`, whose columns
-`_coerce_column` converts) reads every file the C parse refuses: a quoted
-field, a non-ASCII character, a cell np.loadtxt cannot read, a change in
-field count, or for a dataset an empty numeric cell, a non-finite float or
-a bool other than 0/1, which the row reader rejects row by row. It coerces
-CSV_BLOCK_ROWS rows at a time, each column of a block in one call, so only
-one block's cells are alive. Each schema's rules are masks over the joined
-columns. The accepted rows are held as columns (`ParseResult.columns`), and
-every kind is columns from generation on: each `synth.MarketData` field but
-`bookings` is the mapping that `ParseResult.columns` holds for its file,
-`to_columns` makes one from lists of Python values, and `serialize_dataset`
-writes one as it stands. Bookings are the one row type (`ItineraryRecord`,
-`ParseResult.records`): the benchmark harness (perfbench) picks, filters and
-rewrites booking rows one record at a time, so they stay records until it
-takes columns.
+installed to check them. The row reader (`csv_rows`, and `_read_rows`,
+whose columns `_coerce_column` converts) reads every file the C parse
+refuses: a quoted field, a non-ASCII character, a cell np.loadtxt cannot
+read, a change in field count, or for a dataset an empty numeric cell, a
+non-finite float or a bool other than 0/1, which the row reader rejects row
+by row. A file is opened once: the row reader reads the same handle again
+from its start, also for a feature table that the C parse reads but whose
+table is not clean (`FeatureTable.from_csv`). It coerces CSV_BLOCK_ROWS
+rows at a time, each column of a block in one call, so only one block's
+cells are alive. Each schema's rules are masks over the joined columns. The
+accepted rows are held as columns (`ParseResult.columns`), and every kind
+is columns from generation on: each `synth.MarketData` field but `bookings`
+is the mapping that `ParseResult.columns` holds for its file, `to_columns`
+makes one from lists of Python values, and `serialize_dataset` writes one
+as it stands. Bookings are the one row type (`ItineraryRecord`,
+`ParseResult.records`): the benchmark harness (perfbench) picks, filters
+and rewrites booking rows one record at a time, so they stay records until
+it takes columns.
 
 Each schema decision is made here once (`SCHEMAS`, `DATASETS`,
 `REVIEW_SCORES`). Every CSV input (datasets, lexicon, feature tables) has
@@ -48,7 +52,7 @@ import io
 import math
 import os
 import tempfile
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, islice
@@ -76,7 +80,6 @@ __all__ = [
     "atomic_write_text",
     "open_csv",
     "csv_rows",
-    "read_csv",
     "parse_numeric_lines",
     "write_csv",
 ]
@@ -300,7 +303,7 @@ def _select_rows(columns: Mapping[str, Sequence], keep: np.ndarray) -> dict[str,
 
 
 def _read_rows(rows: Iterator[tuple[int, list[str]]], schema: str) -> tuple:
-    """The row reader: a dataset's rows after the header, as `read_csv`
+    """The row reader: a dataset's rows after the header, as `csv_rows`
     yields them, coerced a block of CSV_BLOCK_ROWS rows at a time, each column
     of a block in one call, so only one block's cells are alive; each
     column's blocks are joined after the last one. Gives (columns, line of
@@ -378,8 +381,8 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
     a header mismatch, or when more than 50% of data rows are rejected. The
     header is read once, by `csv_rows`; the rows of every kind are then
     parsed in C (`parse_numeric_lines`), and the row reader (`_read_rows`)
-    reads every file that parse refuses. Both give the same columns and
-    rejects.
+    reads every file that parse refuses, from the start of the same open
+    file. Both give the same columns and rejects.
     """
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema: {schema!r}")
@@ -400,10 +403,9 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
                 f"expected {names}, got {header}"
             )
         read = _read_numeric(fh, lineno, schema)
-    if read is None:  # refused by the C parse: the row reader reads the file again
-        with closing(read_csv(path)) as rows:
-            next(rows)
-            read = _read_rows(rows, schema)
+        if read is None:  # refused by the C parse: the row reader reads the file again
+            fh.seek(0)
+            read = _read_rows(islice(csv_rows(fh), 1, None), schema)
     columns, lines, rejected, errors = read
 
     for bad, problem in validator(columns):
@@ -427,8 +429,9 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
 
 
 # Rows per block: serialize_dataset and FeatureTable.to_csv format and write,
-# and the row reader coerces (parse_dataset) or converts (FeatureTable.from_csv),
-# one block of rows at a time, so only one block's cells are alive. The C
+# and the row reader coerces (parse_dataset), one block of rows at a time, so
+# only one block's cells are alive; FeatureTable.from_csv's row reader
+# converts a smaller block (features._CHECK_ROWS). The C
 # parse (parse_numeric_lines), which reads every file of every kind unless it
 # refuses one, checks a block of lines as one text and passes the block on
 # to np.loadtxt as it stands, or a feature table's with its empty cells filled.
@@ -536,9 +539,10 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 
 
 def open_csv(path: str | Path) -> TextIO:
-    """A CSV file opened for reading as UTF-8 with its line endings kept, as
-    `csv_rows` and `parse_numeric_lines` read it."""
-    return Path(path).open(newline="", encoding="utf-8")
+    """A CSV file opened for reading as UTF-8, a byte-order mark skipped,
+    with its line endings kept, as `csv_rows` and `parse_numeric_lines` read
+    it."""
+    return Path(path).open(newline="", encoding="utf-8-sig")
 
 
 def csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
@@ -547,7 +551,10 @@ def csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
     lines are skipped but still counted, where a row may start: a `#` line
     that continues a quoted field is data. Lines are read only as the rows
     are asked for, so a caller may take the header here and pass the rest of
-    the file to `parse_numeric_lines`."""
+    the file to `parse_numeric_lines`. It reads every row that csv can read:
+    the reference for `parse_numeric_lines`, which reads only plain rows,
+    and the reader of every file that parse refuses, so that its faults are
+    reported row by row."""
     done = 0  # lines that the rows read so far took up
 
     def source():
@@ -559,17 +566,6 @@ def csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
         done = reader.line_num
         if row:
             yield done, row
-
-
-def read_csv(path: str | Path) -> Iterator[tuple[int, list[str]]]:
-    """The row reader: `csv_rows` of a file, which stays open until the last
-    row is read or the iterator is closed; a caller that may stop early
-    closes it (`contextlib.closing`). It reads every row that csv can read:
-    the reference for `parse_numeric_lines`, which reads only plain numeric
-    rows, and the reader of every file that parse refuses, so that its
-    faults are reported row by row."""
-    with open_csv(path) as fh:
-        yield from csv_rows(fh)
 
 
 # parse_numeric_lines refuses a file that is not ASCII (np.loadtxt reads a

@@ -9,7 +9,8 @@ rule, so the regularization checks test the rule that training uses.
 `assert_markets_equal` compares two generated markets, whose datasets other
 than bookings are columns that `==` cannot compare whole, and
 `columns_of_rows` builds a dataset's columns from row tuples. The row reader
-is the reference for CSV input: `read_both_ways` reads a file as the package
+is the reference for CSV input: `read_csv` gives a file's rows as
+`ingest.csv_rows` reads them, `read_both_ways` reads a file as the package
 does and again with the C parse refusing it, and `column_bits` and
 `table_bits` give what it compares. `reference_market` is the market
 generator with every draw made through the numpy call it first used, which
@@ -31,7 +32,7 @@ import pytest
 
 from farecast.features import FeatureTable, _Market, _window_stats
 from farecast.gbt import TreeEnsemble, TreeNode, _leaf_weight
-from farecast.ingest import SCHEMAS, ItineraryRecord, ParseError, to_columns
+from farecast.ingest import SCHEMAS, ItineraryRecord, ParseError, csv_rows, open_csv, to_columns
 from farecast.synth import (
     _FILLER, _NARROW_TYPES, _NEGATIVE_WORDS, _POSITIVE_WORDS, _WIDE_TYPES, DISPLAY_DBD_MAX,
     DISPLAY_DBD_MIN, DISPLAY_PROB, DRIVER_COEF, FARE_DBD_MAX, FARE_DBD_MIN, INTERACTION_COEF,
@@ -190,6 +191,14 @@ def columns_of_rows(schema: str, rows) -> dict:
     names = list(SCHEMAS[schema][0])
     rows = list(rows)
     return to_columns(schema, {name: [row[i] for row in rows] for i, name in enumerate(names)})
+
+
+def read_csv(path) -> list[tuple[int, list[str]]]:
+    """(physical line number, fields) of each row of a CSV file, its header
+    included, as `csv_rows` reads them: the rows the package's row reader
+    reads."""
+    with open_csv(path) as fh:
+        return list(csv_rows(fh))
 
 
 def column_bits(columns: Mapping) -> dict:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import codecs
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from farecast import cli, gbt
+from farecast import cli, gbt, logit
 from farecast.config import load_config, read_scenario, write_scenario
 from farecast.explain import explain_prediction
 from farecast.features import FeatureTable
@@ -211,6 +212,23 @@ def test_malformed_scenario_exits_2_naming_file(tmp_path, capsys, text, message)
     assert cli.main(["simulate", "--scenario", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and message in err
+
+
+def test_simulate_with_class_fares_rising_across_a_brand_exits_2(tmp_path, capsys):
+    """Two uncovered ODs whose ladders, weighted by each one's only brand,
+    give class fares that rise from class 3 (480) to class 4 (1970): the
+    policy cannot be set, and the error names the scenario file."""
+    path = tmp_path / "scenario.ini"
+    ods = [(range(2000, 1880, -10), "0,1,0"), (range(500, 380, -10), "1,0,0")]
+    path.write_text("[scenario]\ncapacity = 50\n" + "".join(
+        f"[od:{name}]\nfares = {','.join(map(str, ladder))}\nbrand_mix = {mix}\n"
+        "mean_demand = 10\nhistory = 10,12\n" for name, (ladder, mix) in zip("AB", ods)),
+        encoding="utf-8")
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: class fares must be non-increasing")
+    assert not out.exists()
 
 
 def test_simulate_without_forecast_day_exits_2(workspace, tmp_path, capsys):
@@ -612,6 +630,16 @@ def test_model_of_other_features_exits_2_naming_file(workspace, tmp_path, capsys
     path.write_text(rewrite(path.read_text(encoding="utf-8")), encoding="utf-8")
     err = _evaluate_err(tmp_path, capsys)
     assert err.startswith(f"error: {path}: feature_names are not the 93 model columns")
+
+
+def test_a_model_file_with_a_byte_order_mark_loads(workspace, tmp_path):
+    """A model file that starts with a UTF-8 byte-order mark loads as the
+    same model, as every other input file reads."""
+    for name, cls in (("gbt.json", gbt.TreeEnsemble), ("logit.json", logit.LogitModel)):
+        path = workspace / "out" / SMALL_ODS[0] / name
+        marked = tmp_path / name
+        marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert cli._load_model(marked, cls).to_json() == cli._load_model(path, cls).to_json()
 
 
 def test_readme_walkthrough_commands_parse():

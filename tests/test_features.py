@@ -33,7 +33,6 @@ from farecast.ingest import (
     empty_columns,
     filter_tweets,
     parse_dataset,
-    read_csv,
     serialize_dataset,
 )
 from farecast.sentiment import load_default_lexicon
@@ -46,6 +45,7 @@ from oracles import (
     fare_differences,
     market_reference_fares,
     read_both_ways,
+    read_csv,
     rolling_price_features,
     table_bits,
 )
@@ -195,9 +195,7 @@ def test_aggregates_median_and_share():
 
 def test_aggregate_keys_are_the_aggregate_columns():
     i = [od for od, _, _ in synth.FIXTURE_ODS].index("KUL-SIN")
-    od, archetype, n_airlines = synth.FIXTURE_ODS[i]
-    spec = synth.ArchetypeSpec(od=od, archetype=archetype, n_airlines=n_airlines)
-    data = synth.generate_market(spec, seed=synth.FIXTURE_SEED + 1000 * (i + 1))
+    _, data = synth.fixture_market(i, synth.FIXTURE_SEED)
     aggs = build_airline_aggregates(
         data.reviews, filter_tweets(data.tweets), data.safety, data.fleet, load_default_lexicon()
     )
@@ -378,10 +376,31 @@ def test_from_csv_fault_at_a_block_boundary_names_its_line(tmp_path, row, fault,
     assert str(exc.value) == f"{path}: line {line}: {message}"
 
 
+@pytest.mark.parametrize("faults, message", [
+    ([(5, "price", "inf"), (9, "price", "one")], "line 5: price is infinite"),
+    ([(5, "price", "one"), (9, "price", "inf")], "line 5: could not convert string to float: 'one'"),
+    ([(5, "is_bought", "2"), (9, "dbd", "x,y")], "line 5: is_bought must be 0 or 1, got '2'"),
+], ids=["infinite-first", "unreadable-first", "is_bought-first"])
+def test_from_csv_names_the_first_faulty_line(tmp_path, faults, message):
+    """Faults that the C parse reads and faults that it refuses are named by
+    one reader, the row reader, so the first faulty line is named."""
+    path = tmp_path / "features.csv"
+    _multi_block_table(9).to_csv(path, header_comment="seed=1")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for line, column, cell in faults:
+        lines = _set_cell(line, column, cell)(lines)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        FeatureTable.from_csv(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 _CSV_COLUMNS = ["od"] + ALL_COLUMNS
 
-# ({column: cell}, whether the C parse reads the file): each edit is made to
-# a few rows of a table, the od's cell as written in the file
+# ({column: cell}, whether the C parse's table is kept): each edit is made to
+# a few rows of a table, the od's cell as written in the file. A table with
+# a fault that the C parse reads (a literal nan, an infinite cell, an empty
+# is_bought) is read again by the row reader, which names the fault.
 TABLE_EDITS = [
     ({"airline_id": ""}, True),
     ({name: "" for name in ALL_COLUMNS[10:17]}, True),
@@ -389,10 +408,10 @@ TABLE_EDITS = [
     ({"price": "999999999999999", "mkt_fare": "1e16"}, True),
     ({"dbd": " 5 ", "dep_time_mam": "+5"}, True),
     ({"dep_day_id": "9223372036854775808", "airline_id": "5.0"}, True),
-    ({"price": "nan"}, True),
-    ({"mkt_fare": "-NaN"}, True),
-    ({"price": "inf"}, True),
-    ({"is_bought": ""}, True),
+    ({"price": "nan"}, False),
+    ({"mkt_fare": "-NaN"}, False),
+    ({"price": "inf"}, False),
+    ({"is_bought": ""}, False),
     ({"is_bought": "-0"}, True),
     ({"price": "1_000"}, False),
     ({"dbd": "٣"}, False),
@@ -418,9 +437,10 @@ LINE_ENDS = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
 @pytest.mark.parametrize("cells, by_c", TABLE_EDITS,
                          ids=["-".join(c.values()) or "empty" for c, _ in TABLE_EDITS])
 def test_c_parse_of_a_table_equals_the_row_reader(tmp_path, cells, by_c, end):
-    """A table the C parse reads gives the row reader's ods and values, bit
-    for bit, or its ParseError text; every other table is refused and read
-    by the row reader. The edited rows sit between blank and `#` lines."""
+    """A table whose C parse is kept gives the row reader's ods and values,
+    bit for bit; every other table is read by the row reader, which gives
+    them or the ParseError text. The edited rows sit between blank and `#`
+    lines."""
     path = tmp_path / "features.csv"
     _multi_block_table(9).to_csv(path, header_comment="seed=1")
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -500,9 +520,7 @@ def test_columns_and_records_give_one_table(tmp_path):
     """A seed-42 fixture market, written as `farecast synth` writes it: its
     bookings as columns or as records give one table, the one that
     `farecast features` writes."""
-    i, (od, archetype, n_air) = next(
-        (i, spec) for i, spec in enumerate(synth.FIXTURE_ODS) if spec[0] == "KUL-SIN")
-    data = synth.generate_market(synth.ArchetypeSpec(od, archetype, n_air), seed=42 + 1000 * (i + 1))
+    od, data = synth.fixture_market([od for od, _, _ in synth.FIXTURE_ODS].index("KUL-SIN"), 42)
     for kind in DATASETS:
         serialize_dataset(getattr(data, kind), kind, tmp_path / "data" / od / f"{kind}.csv")
     parsed = {kind: parse_dataset(tmp_path / "data" / od / f"{kind}.csv", kind) for kind in DATASETS}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import string
@@ -20,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from farecast import cli, features, ingest, synth
+from farecast.config import load_config, read_scenario
 from farecast.features import ALL_COLUMNS, FeatureTable
 from farecast.ingest import (
     _COERCERS,
@@ -35,7 +37,6 @@ from farecast.ingest import (
     format_numbers,
     parse_dataset,
     quote_cells,
-    read_csv,
     serialize_dataset,
     to_columns,
     write_csv,
@@ -47,6 +48,7 @@ from oracles import (
     column_bits,
     columns_of_rows,
     read_both_ways,
+    read_csv,
     table_bits,
 )
 
@@ -137,7 +139,7 @@ def test_reject_line_numbers_count_comment_lines(tmp_path):
 def test_read_csv_yields_physical_line_numbers(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b'# stamp\r\na,b\r\n\r\n1,"x\r\ny"\r\n# note\r\n2,z\r\n')
-    assert list(read_csv(path)) == [(2, ["a", "b"]), (5, ["1", "x\r\ny"]), (7, ["2", "z"])]
+    assert read_csv(path) == [(2, ["a", "b"]), (5, ["1", "x\r\ny"]), (7, ["2", "z"])]
 
 
 def test_hash_line_inside_a_quoted_field_is_data(tmp_path):
@@ -153,7 +155,7 @@ def test_hash_line_inside_a_quoted_field_is_data(tmp_path):
     assert result.rejected == []
     # a comment's own quotes open no field, nor does a quote inside an unquoted field
     path.write_bytes(b'a,b\r\n1,"x\r\n#y"\r\n# note "\r\n2,z"w\r\n#\r\n')
-    assert list(read_csv(path)) == [(1, ["a", "b"]), (3, ["1", "x\r\n#y"]), (5, ["2", 'z"w'])]
+    assert read_csv(path) == [(1, ["a", "b"]), (3, ["1", "x\r\n#y"]), (5, ["2", 'z"w'])]
 
 
 @pytest.fixture
@@ -170,11 +172,14 @@ def opened(monkeypatch):
 
 
 def test_readers_that_stop_early_leave_no_file_open(tmp_path, opened):
-    """read_csv reads lines as rows are asked for; each caller that stops
-    before the last row closes the file itself, so none is open even while
-    the error that stopped it is still held."""
+    """Each reader opens its file once, in one `with`, whether the file is
+    clean, refused by the C parse or faulty: a refused file is read again by
+    the row reader through the same handle. None is open even while the
+    error that stopped a reader is still held."""
     good = tmp_path / "bookings.csv"
     _write_rows(good, "bookings", [["AMS-LHR", "1", "100", "-9", "1020", "1.4", "99.0", "1"]] * 5)
+    quoted = tmp_path / "quoted_bookings.csv"
+    _write_rows(quoted, "bookings", [['"AMS,LHR"', "1", "100", "-9", "1020", "1.4", "99.0", "1"]] * 5)
     wrong = tmp_path / "wrong.csv"
     wrong.write_text("od,x\r\nAMS-LHR,1\r\n", encoding="utf-8")
     values = np.zeros((2, len(ALL_COLUMNS)))
@@ -189,16 +194,52 @@ def test_readers_that_stop_early_leave_no_file_open(tmp_path, opened):
         parse_dataset(wrong, "bookings")
     with pytest.raises(ParseError, match="header is not the feature table") as from_csv_header:
         FeatureTable.from_csv(good)
-    # the row fault is looked up by a second read that stops at its line
+    # the C parse reads the table, and the row reader, reading it again
+    # through the same handle, stops at the faulty line
     with pytest.raises(ParseError, match="line 3: is_bought must be 0 or 1") as row_fault:
         FeatureTable.from_csv(tmp_path / "label.csv")
     assert header_error.value and from_csv_header.value and row_fault.value
-    assert len(opened) == 6 and all(fh.closed for fh in opened)
+    assert len(opened) == 5 and all(fh.closed for fh in opened)
     # a quoted od makes the C parse refuse the file, and the row reader reads it again
     FeatureTable(ods=["A,B"] * 2, values=np.zeros((2, len(ALL_COLUMNS)))).to_csv(tmp_path / "quoted.csv")
     del opened[:]
     assert FeatureTable.from_csv(tmp_path / "quoted.csv").ods == ["A,B"] * 2
-    assert len(opened) == 2 and all(fh.closed for fh in opened)
+    assert len(opened) == 1 and all(fh.closed for fh in opened)
+    del opened[:]
+    assert parse_dataset(quoted, "bookings").columns["od"] == ["AMS,LHR"] * 5
+    assert len(opened) == 1 and all(fh.closed for fh in opened)
+
+
+_SCENARIO = ("[scenario]\ncapacity = 9\n[od:X]\nfares = " + ",".join(map(str, range(1200, 0, -100)))
+             + "\nbrand_mix = 1,1,1\nmean_demand = 4\nhistory = 5,6\n")
+
+
+def test_a_byte_order_mark_is_skipped_on_every_input(tmp_path):
+    """A dataset, a feature table (each read by the C parse and, with a
+    quoted od, by the row reader), a run config and a scenario each read
+    the same with a UTF-8 byte-order mark as without one."""
+    booking = ["1", "100", "-9", "1020", "1.4", "99.0", "1"]
+    datasets = {"bookings.csv": "AMS-LHR", "quoted_bookings.csv": '"AMS,LHR"'}
+    for name, od in datasets.items():
+        _write_rows(tmp_path / name, "bookings", [[od, *booking]] * 3)
+    tables = {"features.csv": "A-B", "quoted_features.csv": "A,B"}
+    for name, od in tables.items():
+        FeatureTable(ods=[od] * 2, values=np.zeros((2, len(ALL_COLUMNS)))).to_csv(
+            tmp_path / name, header_comment="seed=1")
+    (tmp_path / "run.ini").write_text("[run]\nseed = 3\n[gbt]\nn_trees = 5\n", encoding="utf-8")
+    (tmp_path / "scenario.ini").write_text(_SCENARIO, encoding="utf-8")
+
+    def parse_bookings(path):
+        result = parse_dataset(path, "bookings")
+        return column_bits(result.columns), result.rejected
+
+    reads = {**dict.fromkeys(datasets, parse_bookings), **dict.fromkeys(tables, table_bits),
+             "run.ini": load_config, "scenario.ini": read_scenario}
+    for name, read in reads.items():
+        path = tmp_path / name
+        marked = tmp_path / f"bom_{name}"
+        marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert read(marked) == read(path), name
 
 
 def test_datasets_are_the_market_data_fields():
@@ -311,8 +352,7 @@ def _serialize_oracle(rows, schema, path):
 @pytest.mark.parametrize("kind", DATASETS)
 def test_serialize_equals_per_record_oracle_on_a_fixture_market(tmp_path, kind):
     """Bookings are held as records, the other kinds as columns."""
-    od, archetype, n_air = synth.FIXTURE_ODS[0]
-    data = synth.generate_market(synth.ArchetypeSpec(od, archetype, n_air), seed=42 + 1000)
+    _, data = synth.fixture_market(0, 42)
     held = getattr(data, kind)
     rows = list(map(astuple, held)) if kind == "bookings" else _rows(held)
     serialize_dataset(held, kind, tmp_path / "got.csv")
@@ -381,7 +421,7 @@ def test_serialize_equals_per_record_oracle_across_blocks(tmp_path):
         serialize_dataset(columns_of_rows(kind, rows), kind, tmp_path / "columns.csv")
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     # 0.0 and -0.0 share one float column and must still be written "0" and "-0"
-    travel_time = [row[5] for _, row in list(read_csv(tmp_path / "bookings.csv"))[1:]]
+    travel_time = [row[5] for _, row in read_csv(tmp_path / "bookings.csv")[1:]]
     assert {"0", "-0", "1e-07", "123456", "1.23457e+06"} <= set(travel_time)
 
 
@@ -525,10 +565,8 @@ def _parse_rows(path, schema):
     hints = SCHEMAS[schema][0]
     rec_type = namedtuple("Row", hints)
     coercers = [_COERCERS.get(typ, str) for typ in hints.values()]
-    rows = read_csv(path)
-    next(rows)
     records, rejected = [], []
-    for lineno, row in rows:
+    for lineno, row in read_csv(path)[1:]:
         if len(row) != len(coercers):
             rejected.append((lineno, f"expected {len(coercers)} fields, got {len(row)}"))
             continue

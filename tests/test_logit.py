@@ -121,9 +121,7 @@ def test_quasi_separable_market_converges():
     """Synth seed 5's KUL-SIN training rows (440, 98 purchases), where full
     Newton steps raise the penalized NLL after it reaches 126.8 at step 13
     and the iterates then diverge to |beta| ~ 1e10 without converging."""
-    i, (od, archetype, n_air) = next(
-        (i, spec) for i, spec in enumerate(synth.FIXTURE_ODS) if spec[0] == "KUL-SIN")
-    data = synth.generate_market(synth.ArchetypeSpec(od, archetype, n_air), seed=5 + 1000 * (i + 1))
+    _, data = synth.fixture_market([od for od, _, _ in synth.FIXTURE_ODS].index("KUL-SIN"), 5)
     aggregates = build_airline_aggregates(
         data.reviews, filter_tweets(data.tweets), data.safety, data.fleet, load_default_lexicon())
     table = assemble_feature_vectors(

@@ -471,7 +471,8 @@ def assemble_feature_vectors(
     fare_od = np.fromiter(map(code.__getitem__, fare_ods), np.int64, len(fare_ods))
     fare_fields = _columns(fares, _ROW_FIELDS[:6])
     in_market = np.zeros(len(ods), dtype=bool)
-    for market in np.unique(fare_od):
+    # np.unique without a return_* flag imports numpy.ma; the codes are small ints
+    for market in np.flatnonzero(np.bincount(fare_od)):
         rows = np.flatnonzero(booking_od == market)
         in_market[rows] = True
         fa, fd, ft, fdep, ftt, fprice = fare_fields[fare_od == market].T

@@ -4,7 +4,9 @@ standard library, numpy or farecast itself, and pyproject.toml says so."""
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -75,3 +77,25 @@ def test_every_definition_in_src_is_used_by_the_package_or_perfbench():
               for path, tree in trees.items() if path.is_relative_to(SRC)
               for name in _defined_names(tree) if name.rsplit(".", 1)[-1] not in used]
     assert unused == []
+
+
+def test_features_and_holdout_split_leave_numpy_ma_unimported():
+    # A flagless np.unique imports numpy.ma (numpy 2.4: about 1 MiB and 11 ms
+    # in every features, train or evaluate process), so src/farecast avoids it.
+    code = """
+import sys
+from farecast import features, gbt, ingest, sentiment, synth
+_, data = synth.fixture_market(0)
+aggs = features.build_airline_aggregates(
+    data.reviews, ingest.filter_tweets(data.tweets), data.safety, data.fleet,
+    sentiment.load_default_lexicon())
+table = features.assemble_feature_vectors(
+    data.bookings, data.fares, aggs, widebody=features.airline_widebody_flags(data.fleet))
+assert gbt.holdout_split_by_day(table.column("dep_day_id"), 0.2).any()
+print("numpy.ma" in sys.modules)
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "False"

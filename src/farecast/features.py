@@ -39,6 +39,7 @@ from .ingest import (
     REVIEW_SCORES,
     ItineraryRecord,
     ParseError,
+    _g6,
     csv_rows,
     format_numbers,
     open_csv,
@@ -159,17 +160,13 @@ class FeatureTable:
     def to_csv(self, path: str | Path, header_comment: str | None = None) -> None:
         """Write the table through `write_csv` a block of CSV_BLOCK_ROWS rows
         at a time: the `od` column quoted by `quote_cells` (csv.writer's rule,
-        once per distinct OD), each numeric column by `_feature_cells` through
-        `format_numbers`, once per distinct value."""
+        once per distinct OD), the numeric columns by `_feature_cells` through
+        one `format_numbers` call, once per distinct value of the block."""
         memo: dict[str, str] = {}
-
-        def blocks():
-            for start in range(0, len(self), CSV_BLOCK_ROWS):
-                stop = start + CSV_BLOCK_ROWS
-                yield [quote_cells(self.ods[start:stop], memo),
-                       *(format_numbers(col, _feature_cells) for col in self.values[start:stop].T)]
-
-        write_csv(path, _CSV_HEADER, blocks(), header_comment)
+        write_csv(path, _CSV_HEADER, (
+            [quote_cells(self.ods[lo:lo + CSV_BLOCK_ROWS], memo),
+             *format_numbers(self.values[lo:lo + CSV_BLOCK_ROWS].T, _feature_cells)]
+            for lo in range(0, len(self), CSV_BLOCK_ROWS)), header_comment)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "FeatureTable":
@@ -266,10 +263,10 @@ def _read_rows(path: str | Path, rows: Iterator[tuple[int, list[str]]]) -> tuple
 
 
 def _feature_cells(uniq: np.ndarray) -> np.ndarray:
-    """The cells of a numeric column's distinct values (see `format_numbers`):
+    """The cells of a block's distinct numeric values (see `format_numbers`):
     "" for NaN, an integer value below 1e15 in magnitude through `str` of its
     int64, any other value as "%.6g"."""
-    text = np.array(["%.6g" % v for v in uniq.tolist()], dtype=object)
+    text = np.array(_g6(uniq), dtype=object)
     whole = (np.abs(uniq) < 1e15) & (uniq == np.trunc(uniq))  # False for NaN
     text[whole] = list(map(str, uniq[whole].astype(np.int64).tolist()))
     text[np.isnan(uniq)] = ""

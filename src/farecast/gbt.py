@@ -14,7 +14,8 @@ with it: a feature missing on every training row gets no block (it has no
 boundary, so it could never split), and a node cuts its parent's block down
 to its own rows only when it is scanned (below max_depth, with 2 rows or more).
 
-Models serialize to self-describing JSON, checked value by value on load.
+Models serialize to self-describing JSON, the text of json.dumps(indent=1,
+sort_keys=True) with the trees written by `_tree_json`; loads check each value.
 """
 
 from __future__ import annotations
@@ -133,21 +134,6 @@ class TreeNode:
             return 1
         return self.left.n_leaves() + self.right.n_leaves()
 
-    def to_dict(self) -> dict:
-        d = {"cover": self.cover, "grad_sum": self.grad_sum}
-        if self.is_leaf:
-            d["weight"] = self.weight
-        else:
-            d.update(
-                feature=self.feature,
-                threshold=self.threshold,
-                missing_left=self.missing_left,
-                gain=self.gain,
-                left=self.left.to_dict(),
-                right=self.right.to_dict(),
-            )
-        return d
-
     @classmethod
     def from_dict(cls, d: dict, n_features: int) -> "TreeNode":
         """The node and its subtree. A node whose cover, grad_sum, weight (at
@@ -179,6 +165,29 @@ class TreeNode:
         return cls(cover=d["cover"], grad_sum=d["grad_sum"], weight=d["weight"])
 
 
+def _tree_json(node: TreeNode, pad: str) -> str:
+    """The node's text as json.dumps(indent=1, sort_keys=True) writes it:
+    `pad`, a newline and the indent, starts each key, one space more a child's."""
+    cover, grad_sum = _number(node.cover), _number(node.grad_sum)
+    if node.left is None:
+        fields = f'"cover": {cover}', f'"grad_sum": {grad_sum}', f'"weight": {_number(node.weight)}'
+    else:
+        fields = (f'"cover": {cover}', f'"feature": {node.feature!r}',
+                  f'"gain": {_number(node.gain)}', f'"grad_sum": {grad_sum}',
+                  f'"left": {_tree_json(node.left, pad + " ")}',
+                  f'"missing_left": {"true" if node.missing_left else "false"}',
+                  f'"right": {_tree_json(node.right, pad + " ")}',
+                  f'"threshold": {_number(node.threshold)}')
+    return "{" + pad + ("," + pad).join(fields) + pad[:-1] + "}"
+
+
+def _number(value) -> str:
+    """A number as json writes it, a finite float (np.float64 too) by float.__repr__."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
 def _check_finite(value, what: str) -> None:
     """Raise ValueError naming `what` unless value is a JSON number (an int
     or a float; a bool, which math.isfinite takes as 0 or 1, is not one) and
@@ -205,7 +214,8 @@ class TreeEnsemble:
         return sum(t.n_leaves() for t in self.trees)
 
     def to_json(self) -> str:
-        return json.dumps(
+        """json.dumps(indent=1, sort_keys=True)'s text, the trees by `_tree_json`."""
+        text = json.dumps(
             {
                 "format": "farecast-gbt",
                 "version": 1,
@@ -213,11 +223,14 @@ class TreeEnsemble:
                 "params": asdict(self.params),
                 "feature_names": self.feature_names,
                 "gain_table": self.gain_table,
-                "trees": [t.to_dict() for t in self.trees],
+                "trees": [],
             },
             indent=1,
             sort_keys=True,
         )
+        head, key, tail = text.rpartition('"trees": []')
+        trees = ",".join("\n  " + _tree_json(t, "\n   ") for t in self.trees)
+        return f"{head}{key[:-1]}{trees}\n ]{tail}" if self.trees else text
 
     @classmethod
     def from_json(cls, text: str, check: Callable[[object], None] | None = None) -> "TreeEnsemble":
@@ -359,7 +372,14 @@ def _best_split(
             gl[s] += g_miss
             hl[s] += h_miss
             routed.append((s, slice(mid, hi), gain_right))
-        gain = 0.5 * (gl**2 / (hl + lam) + (g_total - gl) ** 2 / (h_total - hl + lam) - parent)
+        # the docstring's gain, in place and in its operation order (gl * gl is gl**2)
+        gain, gr, den = gl * gl, g_total - gl, hl + lam
+        gain /= den
+        gr *= gr
+        gr /= np.add(np.subtract(h_total, hl, out=den), lam, out=den)
+        gain += gr
+        gain -= parent
+        gain *= 0.5
     take_left = np.ones(at.shape[0], dtype=bool)
     for s, no_split, gain_right in routed:
         take_left[s] = gain[s] >= gain_right
@@ -367,8 +387,8 @@ def _best_split(
         gain[no_split] = -np.inf
     # a zero denominator (lam = 0) can give nan or inf; as in a scan of each
     # feature alone, a feature whose best gain is not finite offers no split
-    bad = np.isnan(gain) | (gain == np.inf)
-    if bad.any():
+    if not gain.max() < np.inf:
+        bad = np.isnan(gain) | (gain == np.inf)
         gain[np.isin(at // k, at[bad] // k)] = -np.inf
     best = int(gain.argmax())
     if gain[best] <= -1.0:  # -1 is the no-split gain of a single-feature scan

@@ -38,11 +38,13 @@ Each schema decision is made here once (`SCHEMAS`, `DATASETS`,
 its header read by `csv_rows`, the csv module's rules, and every artifact is
 written by `write_csv`. Both readers read the file's lines as its rows are
 asked for. Writing also works a column at a time: a writer formats a
-block of rows as columns of finished cells, each int and float column with
-its artifact's own rule once per distinct value (`format_numbers`) and each
-text column through `quote_cells`, the one place csv.writer's quoting rule
-is applied; `write_csv` joins the block's rows with "," and CRLF into a
-temp file that replaces the target only once the last block is written.
+block of rows as columns of finished cells, its int and float columns with
+its artifact's own rule once per distinct value of a column or of a feature
+table's whole numeric block (`format_numbers`; `_g6`'s one `%` formats all
+"%.6g" cells), each text column through `quote_cells`, the one place
+csv.writer's quoting rule is applied; `write_csv` joins the block's rows
+with "," and CRLF into a temp file that replaces the target only once the
+last block is written.
 """
 
 from __future__ import annotations
@@ -441,7 +443,7 @@ _BOOL_CELLS = {True: "1", False: "0"}
 
 
 def _g6(values: np.ndarray) -> list[str]:
-    return ["%.6g" % v for v in values.tolist()]
+    return ("%.6g\x1f" * len(values) % tuple(values.tolist())).split("\x1f")[:-1]
 
 
 def _str(values: np.ndarray) -> list[str]:
@@ -480,14 +482,15 @@ def serialize_dataset(
         for lo in range(0, n_rows, CSV_BLOCK_ROWS)))
 
 
-def format_numbers(col: np.ndarray, rule: Callable[[np.ndarray], Sequence]) -> list:
-    """An int64 or float64 column's cells, with `rule` mapping its distinct
-    values, in the column's own dtype, to their cells in one call; each
-    distinct value's cell is one object, however often it occurs. Values
-    are told apart by their bits, so 0.0 and -0.0, which np.unique and dict
-    keys merge, each get their own cell."""
-    uniq, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    return np.array(rule(uniq.view(col.dtype)), dtype=object)[inverse].tolist()
+def format_numbers(block: np.ndarray, rule: Callable[[np.ndarray], Sequence]) -> list:
+    """An int64 or float64 block's cells in its shape (a 2-D block's as one
+    list per row), with `rule` mapping its distinct values, in its own dtype,
+    to their cells in one call; each distinct value's cell is one object,
+    however often it occurs in any column. Values are told apart by their
+    bits, so 0.0 and -0.0, which np.unique and dict keys merge, each get
+    their own cell."""
+    uniq, inverse = np.unique(block.view(np.int64), return_inverse=True)
+    return np.array(rule(uniq.view(block.dtype)), dtype=object)[inverse.reshape(block.shape)].tolist()
 
 
 def quote_cells(cells: Iterable[str], memo: dict[str, str]) -> list[str]:

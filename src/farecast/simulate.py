@@ -297,7 +297,7 @@ def optimize_policy(
             protections[j - 1] = 0.0
             continue
         f_bar = float((means[:j] * fares[:j]).sum() / mu)
-        ratio = fares[j] / f_bar
+        ratio = fares[j] / f_bar if f_bar else math.inf  # f_bar underflowed: protect nothing
         if ratio >= 1.0:
             y = 0.0
         elif ratio <= 0.0:

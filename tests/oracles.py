@@ -6,6 +6,9 @@ The feature assembly derives competitor pricing from fare cubes
 (`features._window_stats`), and the explanation walk routes rows inline; the
 plain per-key functions here are what the tests hold them to. `refit_leaf_weights` re-derives leaf weights with the trainer's own leaf
 rule, so the regularization checks test the rule that training uses.
+`tree_dict` and `model_json` write a model file through json.dumps, the
+reference for gbt's own tree emitter, and `feature_cell` formats one
+features.csv cell at a time, the reference for the block formatter.
 `assert_markets_equal` compares two generated markets, whose datasets other
 than bookings are columns that `==` cannot compare whole, and
 `columns_of_rows` builds a dataset's columns from row tuples. The row reader
@@ -21,9 +24,10 @@ the reference for the pooled `synth.standard_fixture`.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from statistics import median
 from typing import Iterator, Mapping
 
@@ -128,6 +132,55 @@ def route(node, value: float, missing: bool):
     if missing:
         return node.left if node.missing_left else node.right
     return node.left if value < node.threshold else node.right
+
+
+def tree_dict(node: TreeNode) -> dict:
+    """A tree as gbt.json holds it, one nested dict per node: cover and
+    grad_sum, then a leaf's weight or a split's feature, threshold,
+    missing_left, gain and children. json.dumps(indent=1, sort_keys=True)
+    of it is the reference text for `TreeEnsemble.to_json`'s tree emitter."""
+    d = {"cover": node.cover, "grad_sum": node.grad_sum}
+    if node.is_leaf:
+        d["weight"] = node.weight
+    else:
+        d.update(
+            feature=node.feature,
+            threshold=node.threshold,
+            missing_left=node.missing_left,
+            gain=node.gain,
+            left=tree_dict(node.left),
+            right=tree_dict(node.right),
+        )
+    return d
+
+
+def model_json(model: TreeEnsemble) -> str:
+    """gbt.json's text for a model: json.dumps(indent=1, sort_keys=True) of
+    its whole dict, each tree through tree_dict."""
+    return json.dumps(
+        {
+            "format": "farecast-gbt",
+            "version": 1,
+            "base_score": model.base_score,
+            "params": asdict(model.params),
+            "feature_names": model.feature_names,
+            "gain_table": model.gain_table,
+            "trees": [tree_dict(t) for t in model.trees],
+        },
+        indent=1,
+        sort_keys=True,
+    )
+
+
+def feature_cell(value: float) -> str:
+    """One features.csv cell, a value at a time: "" for NaN, an integer value
+    below 1e15 in magnitude through str of its int, any other value as
+    "%.6g"."""
+    if math.isnan(value):
+        return ""
+    if abs(value) < 1e15 and value == math.trunc(value):
+        return str(int(value))
+    return "%.6g" % value
 
 
 def refit_leaf_weights(model: TreeEnsemble, lam: float) -> TreeEnsemble:

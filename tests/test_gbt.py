@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from farecast.gbt import (
     _PREVALENCE_CLIP, _best_split, _check_inputs, _keep_rows, _margins_tree, _presort,
     holdout_split_by_day,
 )
-from oracles import refit_leaf_weights, route
+from oracles import model_json, refit_leaf_weights, route
 
 
 def sigmoid(z):
@@ -237,9 +238,57 @@ def test_tree_node_frozen_and_expected_not_serialized():
             if child in d:
                 yield from keys(d[child])
 
-    assert "expected" not in set(keys(root.to_dict()))
     text = model.to_json()
+    assert "expected" not in set(keys(json.loads(text)["trees"][0]))
     assert gbt.TreeEnsemble.from_json(text).to_json() == text
+
+
+def _missing_routings(model, X, missing) -> set[bool]:
+    """missing_left of every split whose node holds a row missing its feature."""
+    seen = set()
+    for tree in model.trees:
+        stack = [(tree, np.arange(X.shape[0]))]
+        while stack:
+            node, rows = stack.pop()
+            if not node.is_leaf:
+                f = node.feature
+                if missing[rows, f].any():
+                    seen.add(node.missing_left)
+                left = np.where(missing[rows, f], node.missing_left, X[rows, f] < node.threshold)
+                stack += [(node.left, rows[left]), (node.right, rows[~left])]
+    return seen
+
+
+def test_model_json_equals_json_dumps_of_the_reference_dicts():
+    """to_json writes the trees with its own emitter; the text is what
+    json.dumps(indent=1, sort_keys=True) gives the model's dicts: for a
+    gappy model whose splits route missing rows both ways, for single-leaf
+    trees, for no trees, and for nodes whose numbers are not finite or are
+    np.float64."""
+    X, y, missing = _sparse_instance(np.random.default_rng(0))
+    gappy = gbt.train(X, y, gbt.GbtParams(n_trees=4, max_depth=4, gamma=0.0), missing=missing)
+    assert _missing_routings(gappy, X, missing) == {False, True}
+    leaves = gbt.train(X, y, gbt.GbtParams(n_trees=3), missing=np.ones(X.shape, dtype=bool))
+    assert all(t.is_leaf for t in leaves.trees)
+    overflow = gbt.TreeNode(cover=1.0, grad_sum=-0.0, feature=0, threshold=math.inf, gain=math.nan,
+                            left=gbt.TreeNode(cover=0.5, grad_sum=0.1, weight=-math.inf),
+                            right=gbt.TreeNode(cover=np.float64(0.5), grad_sum=-0.1,
+                                               weight=np.float64(5e-324)))
+    for model in (gappy, leaves, replace(leaves, trees=[]), replace(leaves, trees=[overflow])):
+        assert model.to_json() == model_json(model)
+
+
+def test_loaded_int_numbers_are_written_again_as_ints():
+    """A model file whose cover and threshold are JSON ints (another writer's)
+    loads with int values, and to_json writes them back unchanged."""
+    X, y = _training_data(4)
+    d = json.loads(gbt.train(X, y, gbt.GbtParams(n_trees=2, max_depth=2)).to_json())
+    root = d["trees"][1]
+    root["cover"], root["threshold"], root["left"]["cover"] = 300, -1, 7
+    text = json.dumps(d, indent=1, sort_keys=True)
+    loaded = gbt.TreeEnsemble.from_json(text)
+    assert type(loaded.trees[1].threshold) is int
+    assert loaded.to_json() == model_json(loaded) == text
 
 
 def test_gain_table_normalized():

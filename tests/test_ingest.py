@@ -5,6 +5,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+import math
 import string
 import tracemalloc
 from collections import namedtuple
@@ -47,6 +48,7 @@ from oracles import (
     assert_columns_equal,
     column_bits,
     columns_of_rows,
+    feature_cell,
     read_both_ways,
     read_csv,
     table_bits,
@@ -444,6 +446,32 @@ def test_format_numbers_passes_each_distinct_value_in_the_column_dtype():
     assert format_numbers(strided, rule) == list(map(repr, floats[::-1].tolist()))
     assert [v.dtype for v in seen] == [np.int64, np.float64, np.float64]
     assert list(map(len, seen)) == [5, 5, 5]
+
+
+# Values where "%.6g" and the feature-cell rule turn: signed zeros, NaN, the
+# 1e15 edge of the integer rule, a rounded integer, subnormals, 0.1.
+_EDGE_VALUES = [-0.0, 0.0, math.nan, 1e15 - 1, -(1e15 - 1), 1e15, -1e15, 1e6, 1e-300,
+                5e-324, -2.5e-320, 2.2250738585072014e-308 / 3, 0.1, -1234567.5, 3.0]
+
+
+@pytest.mark.parametrize("rule, cell", [(ingest._g6, "%.6g".__mod__),
+                                        (features._feature_cells, feature_cell)])
+def test_block_formatter_matches_the_per_value_rule(rule, cell):
+    """format_numbers with either float rule gives each cell what the rule
+    gives its value alone, for a column, for a 2-D block and for a block's
+    transpose (its columns, as FeatureTable.to_csv passes); a value repeated
+    across columns gets one cell object."""
+    rng = np.random.default_rng(5)
+    block = rng.choice(np.array(_EDGE_VALUES), size=(40, 6))
+    block[3] = _EDGE_VALUES[:6]
+    block[:, 4] = block[:, 1]  # the same values in a second column
+    rows = [[cell(v) for v in row] for row in block.tolist()]
+    assert format_numbers(block[:, 2], rule) == [row[2] for row in rows]
+    assert format_numbers(block, rule) == rows
+    columns = format_numbers(block.T, rule)
+    assert columns == [list(col) for col in zip(*rows)]
+    assert all(a is b for a, b in zip(columns[1], columns[4]))
+    assert format_numbers(block[:0], rule) == []
 
 
 @pytest.mark.parametrize("field, value", [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 from functools import lru_cache
 
@@ -356,6 +357,25 @@ def test_optimize_policy_rejects_bad_input():
         optimize_policy(means, increasing, capacity=100)
     with pytest.raises(ValueError):
         optimize_policy(means, increasing[::-1].copy(), capacity=0)
+
+
+def test_underflowing_fare_mass_protects_nothing_without_a_warning():
+    # The first class's mean times its fare underflows, so the first
+    # aggregate's average fare f_bar is 0.0: its level is 0, as at a ratio of
+    # 1 or more, and no division by zero warns. Every level equals that of a
+    # first class with no demand, whose products underflow the same way.
+    means = np.array([1e-320] + [1.0] * (N_CLASSES - 1))
+    fares = np.array([1e-10] + [1e-11] * (N_CLASSES - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        policy = optimize_policy(means, fares, capacity=100)
+        no_first = optimize_policy(np.r_[0.0, means[1:]], fares, capacity=100)
+        free = optimize_policy(means, np.zeros(N_CLASSES), capacity=100)
+    assert policy.protections[0] == 0.0
+    assert policy == no_first
+    # all fares 0 make every f_bar 0.0, so nothing is protected (a ratio of
+    # 0 / 0 would be nan, and so would every level)
+    assert free.protections == (0.0,) * (N_CLASSES - 1)
 
 
 def test_zero_demand_gives_zero_protection():

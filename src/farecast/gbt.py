@@ -9,10 +9,18 @@ routing of missing values (scored both ways only where a feature has them).
 Leaf weights are the Newton step -G/(H + lam) shrunk by eta. Splits must
 improve the structure score by more than gamma.
 
-Work whose result no split can use is skipped, so every model is the same as
-with it: a feature missing on every training row gets no block (it has no
-boundary, so it could never split), and a node cuts its parent's block down
-to its own rows only when it is scanned (below max_depth, with 2 rows or more).
+Work whose result no split can use, or that a fit would repeat, is skipped,
+so every model is the same as with it:
+- a feature with fewer than two distinct present values on the training rows
+  (missing on every row, or one value wherever present) gets no block and is
+  not presorted: it has no boundary, so it could never split;
+- a node cuts its parent's block down to its own rows only when it is
+  scanned (below max_depth, with 2 rows or more);
+- without subsampling, the boundaries of the presorted root block, the same
+  in every tree that draws every feature, are found once per fit;
+- each leaf writes its weight for its own rows as it is grown, so without
+  subsampling no row is routed through the finished tree;
+- G + iH is built once per tree, not once per node.
 
 Models serialize to self-describing JSON, the text of json.dumps(indent=1,
 sort_keys=True) with the trees written by `_tree_json`; loads check each value.
@@ -42,6 +50,9 @@ __all__ = [
 ]
 
 _PREVALENCE_CLIP = 1e-6
+# growing, writing, loading and explaining a tree recurse once per level, so
+# a deeper tree would run into Python's recursion limit (1,000 frames)
+MAX_DEPTH = 512
 
 
 def numba_enabled() -> bool:
@@ -83,6 +94,8 @@ class GbtParams:
             raise ValueError("eta must be positive")
         if self.n_trees < 1 or self.max_depth < 1:
             raise ValueError("n_trees and max_depth must be >= 1")
+        if self.max_depth > MAX_DEPTH:
+            raise ValueError(f"max_depth must be <= {MAX_DEPTH}, got {self.max_depth}")
         if not (0 < self.subsample <= 1 and 0 < self.colsample <= 1):
             raise ValueError("subsample and colsample must be in (0, 1]")
         if self.gamma < 0 or self.lam < 0:
@@ -284,9 +297,9 @@ def _check_inputs(X: np.ndarray, y: np.ndarray, missing: np.ndarray | None):
         raise ValueError("labels and features disagree on row count")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
-    if missing is None:
-        missing = np.zeros(X.shape, dtype=bool)
-    elif missing.shape != X.shape:
+    # read as truth values: ~ of a 0/1 int mask is -1/-2, which indexes rows
+    missing = np.zeros(X.shape, dtype=bool) if missing is None else np.asarray(missing, dtype=bool)
+    if missing.shape != X.shape:
         raise ValueError("missing mask shape must match X")
     if not np.isfinite(X[~missing]).all():
         raise ValueError("non-finite feature values; mark missing via the mask")
@@ -309,24 +322,39 @@ def _keep_rows(block: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return np.compress(keep[block].ravel(), block).reshape(block.shape[0], rows.shape[0])
 
 
+def _boundaries(X: np.ndarray, block: np.ndarray, feat_ids: np.ndarray) -> np.ndarray:
+    """Flat indices into block of the positions whose value differs from the
+    next one's in the same row: the candidate boundaries `_best_split` scans.
+    The last column holds none, so a flat index also indexes a running sum
+    along the block."""
+    n_feat, k = block.shape
+    # a flat take from the C-ordered X is a cheaper gather than a 2-D fancy index
+    vals = X.take(block * X.shape[1] + feat_ids[:, None])
+    valid = np.zeros((n_feat, k), dtype=bool)
+    np.not_equal(vals[:, :-1], vals[:, 1:], out=valid[:, :-1])
+    return np.flatnonzero(valid)
+
+
 def _best_split(
     X: np.ndarray,
     missing: np.ndarray,
-    g: np.ndarray,
-    h: np.ndarray,
+    gh: np.ndarray,
     idx: np.ndarray,
     block: np.ndarray,
     feat_ids: np.ndarray,
+    at: np.ndarray,
     g_total: float,
     h_total: float,
     lam: float,
 ) -> tuple[float, int, float, bool] | None:
     """Best (gain, feature, threshold, missing_left) at one node, or None.
 
+    gh holds every row's gradient (real part) and hessian (imaginary part).
     idx holds the node's rows in ascending order; block[j] the same rows in
-    the presorted order of feature feat_ids[j]. All features are scanned at
-    once: one complex running sum (G real, H imaginary, each part bit-equal
-    to its own float cumsum) runs along each block, and the gain
+    the presorted order of feature feat_ids[j]; at, `_boundaries` of block.
+    All features are scanned at once: one complex running sum (G real, H
+    imaginary, each part bit-equal to its own float cumsum) runs along each
+    block, and the gain
 
         0.5 * (GL^2/(HL+lam) + GR^2/(HR+lam) - GT^2/(HT+lam))
 
@@ -337,18 +365,11 @@ def _best_split(
     scores them sent left. Ties keep the lowest feature, then the lowest
     threshold, then missing routed left.
     """
-    n_feat, k = block.shape
-    # a boundary needs distinct values on both sides. The last column holds
-    # none, so a flat index of valid also indexes the running sum. A flat
-    # take from the C-ordered X is a cheaper gather than a 2-D fancy index
-    vals = X.take(block * X.shape[1] + feat_ids[:, None])
-    valid = np.zeros((n_feat, k), dtype=bool)
-    np.not_equal(vals[:, :-1], vals[:, 1:], out=valid[:, :-1])
-    del vals  # freed before the G/H block to keep peak memory down
-    at = np.flatnonzero(valid)
     if at.shape[0] == 0:
         return None
-    gh = (g + 1j * h).take(block)
+    k = block.shape[1]
+    g, h = gh.real, gh.imag
+    gh = gh.take(block)
     np.cumsum(gh, axis=1, out=gh)
     gh = gh.ravel()[at]
     gl, hl = gh.real, gh.imag
@@ -404,15 +425,20 @@ def _grow_node(
     missing: np.ndarray,
     g: np.ndarray,
     h: np.ndarray,
+    gh: np.ndarray,
     idx: np.ndarray,
     block: np.ndarray,
+    at: np.ndarray | None,
     depth: int,
     feat_ids: np.ndarray,
     params: GbtParams,
+    out: np.ndarray,
 ) -> TreeNode:
-    """Grow the subtree over rows idx. block, the parent's, holds a superset
-    of them in the presorted order of each feature of feat_ids. A scanned
-    node cuts it down to its own rows, unless it is already that wide (as
+    """Grow the subtree over rows idx; each leaf writes its weight into out
+    for its own rows. gh is g + 1j * h. block, the parent's, holds a superset
+    of idx in the presorted order of each feature of feat_ids, and at, if
+    given, is its `_boundaries`, for a block of exactly idx. A scanned node
+    cuts the block down to its own rows, unless it is already that wide (as
     the root's is without subsampling), and hands that to both children."""
     g_total = float(g[idx].sum())
     h_total = float(h[idx].sum())
@@ -420,18 +446,25 @@ def _grow_node(
     split = None
     if depth < params.max_depth and idx.shape[0] >= 2:
         if block.shape[1] != idx.shape[0]:
-            block = _keep_rows(block, idx, X.shape[0])
+            block, at = _keep_rows(block, idx, X.shape[0]), None
+        if at is None:
+            at = _boundaries(X, block, feat_ids)
         split = _best_split(
-            X, missing, g, h, idx, block, feat_ids, g_total, h_total, params.lam
+            X, missing, gh, idx, block, feat_ids, at, g_total, h_total, params.lam
         )
     if split is None or split[0] - params.gamma <= 0.0:
         weight = _leaf_weight(g_total, h_total, params)
+        out[idx] = weight
         return TreeNode(cover=h_total, grad_sum=g_total, weight=weight)
 
     gain, feature, threshold, missing_left = split
     goes_left = np.where(missing[idx, feature], missing_left, X[idx, feature] < threshold)
-    left = _grow_node(X, missing, g, h, idx[goes_left], block, depth + 1, feat_ids, params)
-    right = _grow_node(X, missing, g, h, idx[~goes_left], block, depth + 1, feat_ids, params)
+    left = _grow_node(
+        X, missing, g, h, gh, idx[goes_left], block, None, depth + 1, feat_ids, params, out
+    )
+    right = _grow_node(
+        X, missing, g, h, gh, idx[~goes_left], block, None, depth + 1, feat_ids, params, out
+    )
     return TreeNode(
         cover=h_total, grad_sum=g_total, feature=feature, threshold=threshold,
         missing_left=missing_left, gain=gain, left=left, right=right,
@@ -476,14 +509,19 @@ def train(
 
     margins = np.full(n, base_score)
     trees: list[TreeNode] = []
-    # a feature missing on every row has no boundary, so it can never split;
-    # order keeps rows only for the features with values, in feature order
-    kept = np.flatnonzero(~missing.all(axis=0))
-    order = _presort(X, missing)
-    if kept.shape[0] < m:
-        order = order[kept]
+    # a feature with fewer than two distinct present values has no boundary,
+    # so it can never split; order keeps rows only for the other features, in
+    # feature order
+    lo = np.where(missing, np.inf, X).min(axis=0)
+    hi = np.where(missing, -np.inf, X).max(axis=0)
+    kept = np.flatnonzero(lo < hi)
+    order = _presort(X[:, kept], missing[:, kept])
     n_sub = max(1, round(params.subsample * n))
     m_sub = max(1, round(params.colsample * m))
+    # without subsampling, a tree whose draw keeps every feature scans order
+    # itself at its root, so its boundaries are found once per fit
+    order_at = _boundaries(X, order, kept) if n_sub == n else None
+    out = np.empty(n)
     for _ in range(params.n_trees):
         p = _proba(margins)
         g = p - y
@@ -498,11 +536,17 @@ def train(
         )
         # filtered after the draw, so the rng stream does not depend on it
         cols = np.intersect1d(cols, kept, assume_unique=True)
-        # passed unbound, so the root frees a column copy once it cuts it down
-        tree = _grow_node(X, missing, g, h, rows, order[np.searchsorted(kept, cols)]
-                          if cols.shape[0] < kept.shape[0] else order, 0, cols, params)
+        whole = cols.shape[0] == kept.shape[0]
+        # the root's block is passed unbound, so the root frees a column copy
+        # once it cuts it down
+        tree = _grow_node(
+            X, missing, g, h, g + 1j * h, rows,
+            order if whole else order[np.searchsorted(kept, cols)],
+            order_at if whole else None, 0, cols, params, out,
+        )
         trees.append(tree)
-        margins += _margins_tree(tree, X, missing)
+        # rows outside a subsample reach no leaf while growing
+        margins += _margins_tree(tree, X, missing) if n_sub < n else out
 
     return TreeEnsemble(trees=trees, base_score=base_score, params=params, feature_names=names)
 

@@ -133,6 +133,8 @@ def _impute_and_scale(X, missing, mean=None, scale=None):
     fitting, where mean and scale are then the filled columns' own. A scale
     of 0 marks a dropped constant column, whose Z stays 0."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if missing is not None:  # ~ of a 0/1 int mask is -1/-2, which indexes rows
+        missing = np.asarray(missing, dtype=bool)
     if mean is None:
         if missing is not None:
             X = X.copy()

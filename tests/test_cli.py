@@ -296,6 +296,7 @@ def test_config_file_loading(workspace, tmp_path, capsys):
     *[(f"[gbt]\n{setting}\n", "eta, gamma and lam must be finite")
       for setting in ("eta = nan", "eta = inf", "gamma = inf", "lam = nan")],
     ("[gbt]\nseed = -1\n", "seed must be >= 0"),
+    ("[gbt]\nmax_depth = 513\n", "max_depth must be <= 512, got 513"),
     ("[run]\nseed = -1\n[gbt]\nseed = 1\n", "[run] seed must be >= 0, got -1"),
     ("[gbt]\nn_tree = 50\n", "section [gbt] has unknown key 'n_tree'"),
     ("[run]\nseeds = 3\n", "section [run] has unknown key 'seeds'"),

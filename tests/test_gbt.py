@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from farecast import gbt
+from farecast.explain import explain_prediction
 from farecast.gbt import (
-    _PREVALENCE_CLIP, _best_split, _check_inputs, _keep_rows, _margins_tree, _presort,
-    holdout_split_by_day,
+    _PREVALENCE_CLIP, _best_split, _boundaries, _check_inputs, _keep_rows, _margins_tree,
+    _presort, holdout_split_by_day,
 )
 from oracles import model_json, refit_leaf_weights, route
 
@@ -328,6 +329,47 @@ def test_rejects_bad_inputs():
         gbt.GbtParams(subsample=0.0)
 
 
+def test_int_and_float_masks_give_the_bool_masks_model():
+    """A mask is read as truth values: ~ of a 0/1 int mask (-1/-2) used to
+    index the wrong rows, and a float mask raised TypeError."""
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(300, 4))
+    missing = rng.random(X.shape) < 0.2
+    y = (rng.random(300) < sigmoid(X[:, 0] - missing[:, 1])).astype(float)
+    params = gbt.GbtParams(n_trees=5, max_depth=3, gamma=0.0)
+    want = gbt.train(X, y, params, missing=missing)
+    assert want.n_leaves() > 2 * len(want.trees)
+    for mask in (missing.astype(int), missing.astype(float)):
+        assert gbt.train(X, y, params, missing=mask).to_json() == want.to_json()
+
+
+def test_max_depth_is_bounded_below_the_recursion_limit():
+    """Growing, writing, loading and explaining recurse once per level: a
+    tree of the bound's depth goes through all of them, and one level more
+    is refused."""
+    n = 3000
+    X = np.arange(float(n))[:, None]
+    y = (np.arange(n) % 2).astype(float)
+    with pytest.raises(ValueError, match=f"max_depth must be <= {gbt.MAX_DEPTH}, got 513"):
+        gbt.GbtParams(max_depth=gbt.MAX_DEPTH + 1)
+    model = gbt.train(X, y, gbt.GbtParams(n_trees=1, gamma=0.0, max_depth=gbt.MAX_DEPTH))
+    depth, stack = 0, [(model.trees[0], 0)]
+    while stack:
+        node, d = stack.pop()
+        depth = max(depth, d)
+        if not node.is_leaf:
+            stack += [(node.left, d + 1), (node.right, d + 1)]
+    assert depth == gbt.MAX_DEPTH == 512
+    loaded = gbt.TreeEnsemble.from_json(model.to_json())
+    assert loaded.to_json() == model.to_json() and loaded.gain_table == {"f0": 1.0}
+    margins = gbt.predict_margin(loaded, X)
+    for row in (0, n // 2, n - 1):
+        explanation = explain_prediction(loaded, X[row])
+        assert explanation.final_log_odds == pytest.approx(margins[row])
+        assert explanation.base + sum(explanation.contributions.values()) == pytest.approx(
+            margins[row])
+
+
 def test_prediction_rejects_mask_of_another_shape():
     X, y = _training_data(4, m=3)
     model = gbt.train(X, y, gbt.GbtParams(n_trees=3, max_depth=2))
@@ -444,8 +486,21 @@ def test_numpy_and_python_kernels_agree(seed):
             )
             if gain > want[0]:
                 want = (gain, int(f), thr, miss_left)
-        got = _best_split(X, missing, g, h, idx, np.array(blocks), feat_ids, g_tot, h_tot, lam)
+        got = _scan(X, missing, g, h, idx, np.array(blocks), feat_ids, g_tot, h_tot, lam)
         assert got == (want if want[1] >= 0 else None)
+
+
+def _scan(X, missing, g, h, idx, block, feat_ids, g_total, h_total, lam):
+    """_best_split called with the oracle's arguments: the block's boundaries
+    and G + iH are made here, as the growing makes them."""
+    return _best_split(X, missing, g + 1j * h, idx, block, feat_ids,
+                       _boundaries(X, block, feat_ids), g_total, h_total, lam)
+
+
+def _oracle_with_kernel_args(X, missing, gh, idx, block, feat_ids, at, g_total, h_total, lam):
+    """_best_split_oracle called with _best_split's arguments."""
+    return _best_split_oracle(X, missing, gh.real, gh.imag, idx, block, feat_ids,
+                              g_total, h_total, lam)
 
 
 # The all-features kernel as it stood before the complex running sum and the
@@ -561,7 +616,7 @@ def test_kernel_equals_pre_rewrite_oracle(seed, lam):
     for X, missing, g, h, idx, block, feat_ids in _oracle_nodes(rng, 60):
         g_tot, h_tot = float(g[idx].sum()), float(h[idx].sum())
         want = _best_split_oracle(X, missing, g, h, idx, block, feat_ids, g_tot, h_tot, lam)
-        got = _best_split(X, missing, g, h, idx, block, feat_ids, g_tot, h_tot, lam)
+        got = _scan(X, missing, g, h, idx, block, feat_ids, g_tot, h_tot, lam)
         assert got == want
         kinds["none" if want is None else "split"] += 1
     assert min(kinds.values()) > 0
@@ -578,7 +633,7 @@ def test_lam0_feature_with_infinite_gain_offers_no_split():
     idx = np.arange(4)
     block = _presort(X, missing)
     args = (X, missing, g, h, idx, block, np.arange(2), 0.0, 0.75, 0.0)
-    assert _best_split(*args) == _best_split_oracle(*args) == (3.0, 1, 0.5, True)
+    assert _scan(*args) == _best_split_oracle(*args) == (3.0, 1, 0.5, True)
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0])
@@ -591,16 +646,20 @@ def test_model_equals_pre_rewrite_oracle_model(pipeline, monkeypatch, lam):
     # the kernel reads X by flat index; any memory layout gives the same model
     fortran = gbt.train(np.asfortranarray(X), y, params, feature_names=names, missing=missing)
     assert fortran.to_json() == got.to_json()
-    monkeypatch.setattr(gbt, "_best_split", _best_split_oracle)
+    monkeypatch.setattr(gbt, "_best_split", _oracle_with_kernel_args)
     want = gbt.train(X, y, params, feature_names=names, missing=missing)
     assert got.n_leaves() > 2 * len(got.trees)
     assert got.to_json() == want.to_json()
 
 
-# Tree growing as it stood before features without values were left out of
-# the blocks and each split gathered its children's rows once: every feature
-# drawn gets a block, and each child gets one whether or not it is scanned.
-# Kept verbatim (the names aside) as the oracle the current train must equal.
+# Tree growing as it stood before features that cannot split were left out of
+# the blocks, each split gathered its children's rows once and each fit found
+# its root boundaries once: every feature drawn gets a block, constant and
+# all-missing ones too, each child gets one whether or not it is scanned,
+# every scanned node finds its own boundaries, and every row is routed through
+# each finished tree with _margins_tree, where train, without subsampling,
+# takes the leaf weights that growing wrote for every row. Kept verbatim (the names and the
+# split kernel's arguments aside) as the oracle the current train must equal.
 def _keep_rows_oracle(block: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The blocks restricted to the rows where keep is set. A stable filter
     keeps every block sorted, so no block is ever sorted again."""
@@ -623,7 +682,7 @@ def _grow_node_oracle(
 
     split = None
     if depth < params.max_depth and idx.shape[0] >= 2:
-        split = _best_split(
+        split = _scan(
             X, missing, g, h, idx, block, feat_ids, g_total, h_total, params.lam
         )
     if split is None or split[0] - params.gamma <= 0.0:
@@ -748,15 +807,43 @@ def test_fixture_models_equal_pre_rewrite_growing(pipeline):
             assert model.n_leaves() > 2 * len(model.trees), od
 
 
+def test_root_boundaries_are_found_once_per_fit(monkeypatch):
+    """Without subsampling every tree's root scans the whole presorted block,
+    which holds only the columns that can split, and its boundaries are found
+    once per fit; every other scanned node finds its own, and with rows
+    subsampled no node scans the whole block."""
+    X, y, missing = _sparse_instance(np.random.default_rng(0))
+    n = X.shape[0]
+    splittable = sum(np.unique(X[~missing[:, j], j]).shape[0] > 1 for j in range(X.shape[1]))
+    assert splittable == X.shape[1] - 4
+    shapes = []
+
+    def counted(X, block, feat_ids):
+        shapes.append(block.shape)
+        return _boundaries(X, block, feat_ids)
+
+    monkeypatch.setattr(gbt, "_boundaries", counted)
+    model = gbt.train(X, y, gbt.GbtParams(seed=1), missing=missing)
+    assert len(model.trees) == 10 and model.n_leaves() > 2 * len(model.trees)
+    assert shapes.count((splittable, n)) == 1 and len(shapes) > 10
+    assert all(rows < n for _, rows in shapes[1:])
+    shapes.clear()
+    gbt.train(X, y, gbt.GbtParams(subsample=0.9, seed=1), missing=missing)
+    assert all(rows < n for _, rows in shapes) and len(shapes) > 10
+
+
 def _sparse_instance(rng):
     """Columns of every kind the growing must handle: two missing on every
     row, one holding NaN and one varied placeholder values in its missing
     cells; one present only where column 0 is 0.5 or more, so it is missing
     on every row of a node that a split on column 0 at 0 sends left; integer ties;
-    and scattered missing cells. The label is the sign of column 0, one in
-    ten flipped."""
+    scattered missing cells; a constant column; and one with a single present
+    value whose missing cells hold other values. The last two and the two
+    missing on every row can never split, so they get no block. The label is
+    the sign of column 0, one in ten flipped."""
     n = int(rng.integers(30, 160))
     x0 = np.round(rng.normal(size=n), 1)
+    one_value = np.where(rng.random(n) < 0.4, rng.normal(size=n), 3.0)
     cols = [
         (x0, np.zeros(n, dtype=bool)),
         (np.full(n, np.nan), np.ones(n, dtype=bool)),
@@ -764,6 +851,8 @@ def _sparse_instance(rng):
         (rng.normal(size=n), x0 < 0.5),
         (rng.integers(0, 4, size=n).astype(float), np.zeros(n, dtype=bool)),
         (np.round(rng.normal(size=n), 1), rng.random(n) < 0.3),
+        (np.full(n, 7.0), np.zeros(n, dtype=bool)),
+        (one_value, one_value != 3.0),
     ]
     order = [0] + list(1 + rng.permutation(len(cols) - 1))
     X = np.column_stack([cols[j][0] for j in order])

@@ -100,6 +100,20 @@ def test_imputation_equals_filling_every_column():
         assert np.array_equal(a, b)
 
 
+def test_int_and_float_masks_give_the_bool_masks_fit():
+    """A mask is read as truth values: ~ of a 0/1 int mask (-1/-2) used to
+    index the wrong rows, and a float mask raised TypeError."""
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(300, 4))
+    missing = rng.random(X.shape) < 0.2
+    y = (rng.random(300) < 1.0 / (1.0 + np.exp(-X[:, 0]))).astype(float)
+    want = fit_logit(X, y, missing=missing)
+    for mask in (missing.astype(int), missing.astype(float)):
+        got = fit_logit(X, y, missing=mask)
+        assert got.to_json() == want.to_json()
+        assert np.array_equal(predict_logit(got, X, mask), predict_logit(want, X, missing))
+
+
 def test_constant_column_dropped():
     X = np.column_stack([np.ones(50), np.linspace(-1, 1, 50)])
     y = (np.linspace(-1, 1, 50) > 0).astype(float)

@@ -9,9 +9,10 @@ fail with a message naming the command to run first.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, evaluate, explain, gbt, logit, sentiment, synth
 from .config import RunConfig, config_hash, load_config, read_scenario, write_scenario
@@ -136,6 +137,10 @@ def _load_features(features_root: Path, od: str) -> FeatureTable:
     if not len(table):
         raise CliError(f"{path} holds no rows; `farecast features` writes one per itinerary "
                        "of the market's bookings.csv")
+    empty = np.flatnonzero(np.isnan(table.column("dep_day_id")))
+    if len(empty):
+        raise CliError(f"{path}: {len(empty)} of {len(table)} rows have no dep_day_id, the first "
+                       f"row {empty[0]}; the holdout and the forecast day select rows by it")
     return table
 
 

@@ -6,8 +6,9 @@ trees are grown by exact greedy split search (midpoint thresholds) over
 column blocks presorted once per fit, one vectorized pass over a complex
 G + iH running sum scanning every feature of a node; each split learns the
 routing of missing values (scored both ways only where a feature has them).
-Leaf weights are the Newton step -G/(H + lam) shrunk by eta. Splits must
-improve the structure score by more than gamma.
+Leaf weights are the Newton step -G/(H + lam) shrunk by eta, or 0 where
+H + lam is 0 or the step overflows. Splits must improve the structure score
+by more than gamma.
 
 Work whose result no split can use, or that a fit would repeat, is skipped,
 so every model is the same as with it:
@@ -286,8 +287,12 @@ def feature_gain(model: TreeEnsemble) -> dict[str, float]:
 
 
 def _leaf_weight(grad_sum: float, cover: float, params: GbtParams) -> float:
-    """The Newton step -G/(H + lam), shrunk by eta."""
-    return -grad_sum / (cover + params.lam) * params.eta
+    """The Newton step -G/(H + lam), shrunk by eta, or 0 where H + lam is not
+    positive (lam = 0 and no hessian in the leaf), as XGBoost's CalcWeight
+    has it, or where the step overflows (H + lam near the smallest float)."""
+    den = cover + params.lam
+    weight = -grad_sum / den * params.eta if den > 0 else 0.0
+    return weight if math.isfinite(weight) else 0.0
 
 
 def _check_inputs(X: np.ndarray, y: np.ndarray, missing: np.ndarray | None):
@@ -365,7 +370,9 @@ def _best_split(
     scores them sent left. Ties keep the lowest feature, then the lowest
     threshold, then missing routed left.
     """
-    if at.shape[0] == 0:
+    # at lam = 0, a node whose rows have no hessian offers no split: each
+    # child's score would be 0/0
+    if at.shape[0] == 0 or not h_total + lam > 0:
         return None
     k = block.shape[1]
     g, h = gh.real, gh.imag
@@ -378,7 +385,7 @@ def _best_split(
     # without keeps exactly zero, since g_total minus a re-summed total would
     # leave rounding noise that can flip the missing-left tie
     routed = []
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for j in np.flatnonzero(missing[block[:, -1], feat_ids]):
             present = idx[~missing[idx, feat_ids[j]]]
             g_miss, h_miss = g_total - float(g[present].sum()), h_total - float(h[present].sum())
@@ -406,8 +413,9 @@ def _best_split(
         take_left[s] = gain[s] >= gain_right
         gain[s] = np.where(take_left[s], gain[s], gain_right)
         gain[no_split] = -np.inf
-    # a zero denominator (lam = 0) can give nan or inf; as in a scan of each
-    # feature alone, a feature whose best gain is not finite offers no split
+    # a zero or tiny denominator (lam = 0 or near it) can give nan or inf; as
+    # in a scan of each feature alone, a feature whose best gain is not finite
+    # offers no split
     if not gain.max() < np.inf:
         bad = np.isnan(gain) | (gain == np.inf)
         gain[np.isin(at // k, at[bad] // k)] = -np.inf
@@ -416,8 +424,11 @@ def _best_split(
         return None
     j, p = divmod(int(at[best]), k)
     f = int(feat_ids[j])
-    thr = 0.5 * (X[block[j, p], f] + X[block[j, p + 1], f])
-    return float(gain[best]), f, float(thr), bool(take_left[best])
+    lo, hi = float(X[block[j, p], f]), float(X[block[j, p + 1], f])
+    thr = 0.5 * (lo + hi)
+    if not lo < thr <= hi:  # two adjacent floats' midpoint rounds onto lo, or lo + hi overflows
+        thr = hi
+    return float(gain[best]), f, thr, bool(take_left[best])
 
 
 def _grow_node(
@@ -592,8 +603,11 @@ def holdout_split_by_day(dep_day_ids: np.ndarray, holdout_frac: float) -> np.nda
     """Boolean holdout mask: the latest holdout_frac of departure days.
 
     Splitting on departure day prevents itineraries of one flight from
-    landing on both sides of the split.
+    landing on both sides of the split. A NaN day raises ValueError, since
+    np.unique would count it as one more, the latest, day.
     """
+    if np.isnan(dep_day_ids).any():
+        raise ValueError("a dep_day_id is NaN")
     # np.unique without a return_* flag imports numpy.ma, about 1 MiB per process
     days = np.unique(dep_day_ids, return_index=True)[0]
     n_hold = max(1, int(round(holdout_frac * days.shape[0])))

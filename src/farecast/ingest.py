@@ -15,15 +15,13 @@ time, as they stand; only a block with a `#` line or a blank line is
 filtered a line at a time. Object fields in np.loadtxt were checked on
 numpy 2.4.6 only, as no older numpy down to the declared 1.24 could be
 installed to check them. The row reader (`csv_rows`, and `_read_rows`,
-whose columns `_coerce_column` converts) reads every file the C parse
-refuses: a quoted field, a non-ASCII character, a cell np.loadtxt cannot
-read, a change in field count, or for a dataset an empty numeric cell, a
-non-finite float or a bool other than 0/1, which the row reader rejects row
-by row. A file is opened once: the row reader reads the same handle again
-from its start, also for a feature table that the C parse reads but whose
-table is not clean (`FeatureTable.from_csv`). It coerces CSV_BLOCK_ROWS
-rows at a time, each column of a block in one call, so only one block's
-cells are alive. Each schema's rules are masks over the joined columns. The
+which coerces each cell of a row by its field's type) reads every file the
+C parse refuses: a quoted field, a non-ASCII character, a cell np.loadtxt
+cannot read, a change in field count, or for a dataset an empty numeric
+cell, a non-finite float or a bool other than 0/1. It rejects such a row
+with its first fault, reading the same open file again from its start, as
+`FeatureTable.from_csv` does for a table the C parse reads but that is not
+clean. Each schema's rules are masks over the accepted rows' columns. The
 accepted rows are held as columns (`ParseResult.columns`), and every kind
 is columns from generation on: each `synth.MarketData` field but `bookings`
 is the mapping that `ParseResult.columns` holds for its file, `to_columns`
@@ -148,7 +146,7 @@ class ParseResult:
 
 _BOOLS = {**dict.fromkeys(("1", "true", "t", "y", "yes"), True),
           **dict.fromkeys(("0", "false", "f", "n", "no"), False)}
-_INT64 = np.iinfo(np.int64)
+_INT64 = range(-2**63, 2**63)  # an int64's values; `in` checks a bound in C
 
 
 def _to_bool(raw: str) -> bool:
@@ -160,7 +158,7 @@ def _to_bool(raw: str) -> bool:
 
 def _to_int(raw: str) -> int:
     val = int(raw.strip())
-    if not _INT64.min <= val <= _INT64.max:
+    if val not in _INT64:
         raise ValueError(f"integer out of range: {raw!r}")
     return val
 
@@ -172,35 +170,10 @@ def _to_float(raw: str) -> float:
     return val
 
 
-_COERCERS = {int: _to_int, float: _to_float, bool: _to_bool}
-# One call per column. int() and float() strip whitespace as _to_int and
-# _to_float do; an int outside int64 fails the column (OverflowError) and a
-# non-finite float is found by a mask, so both end in the scalar coercer.
-_COLUMN_CALLS = {int: int, float: float, bool: _to_bool}
+# One coercer per field type, called on each cell of a row; str is the identity
+_COERCERS = {int: _to_int, float: _to_float, bool: _to_bool, str: str}
 _DTYPES = {int: np.int64, float: np.float64, bool: np.bool_}
 _PY_TYPES = {np.dtype(dtype): typ for typ, dtype in _DTYPES.items()}
-
-
-def _coerce_column(typ: type, cells: Sequence[str], errors: dict[int, str], start: int):
-    """One column of a block of rows coerced in one call: an array, or a list
-    for str. A column that fails goes through its scalar coercer cell by
-    cell, and each failing cell's message is kept under its row index (the
-    block's first row being row `start`) unless an earlier column of that row
-    already failed."""
-    if typ is str:
-        return list(cells)
-    try:
-        values = np.fromiter(map(_COLUMN_CALLS[typ], cells), _DTYPES[typ], len(cells))
-        bad = np.flatnonzero(~np.isfinite(values)) if typ is float else ()
-    except (ValueError, OverflowError):
-        values = np.zeros(len(cells), _DTYPES[typ])
-        bad = range(len(cells))
-    for i in bad:
-        try:
-            values[i] = _COERCERS[typ](cells[i])
-        except ValueError as exc:
-            errors.setdefault(start + int(i), str(exc))
-    return values
 
 
 # Each validator maps the coerced columns to (row mask, message) rules in
@@ -305,38 +278,40 @@ def _select_rows(columns: Mapping[str, Sequence], keep: np.ndarray) -> dict[str,
 
 
 def _read_rows(rows: Iterator[tuple[int, list[str]]], schema: str) -> tuple:
-    """The row reader: a dataset's rows after the header, as `csv_rows`
-    yields them, coerced a block of CSV_BLOCK_ROWS rows at a time, each column
-    of a block in one call, so only one block's cells are alive; each
-    column's blocks are joined after the last one. Gives (columns, line of
-    each row with the right field count, field-count rejects, row index ->
-    message of its first failing cell)."""
+    """The row reader: (columns, line of each accepted row, rejects) of a
+    dataset's rows after the header, as `csv_rows` yields them. Each cell goes
+    through its field's coercer (`_COERCERS`), and a row is rejected at its
+    first fault, a wrong field count first. The accepted rows become arrays
+    a block of CSV_BLOCK_ROWS rows at a time, so only one block's cells are
+    alive."""
     hints = SCHEMAS[schema][0]
-    names = list(hints)
+    coercers = [_COERCERS[typ] for typ in hints.values()]
     lines: list[int] = []
     rejected: list[tuple[int, str]] = []
-    errors: dict[int, str] = {}
 
-    def accepted() -> Iterator[list[str]]:
+    def accepted() -> Iterator[list]:
         for lineno, row in rows:
-            if len(row) != len(names):
-                rejected.append((lineno, f"expected {len(names)} fields, got {len(row)}"))
+            try:
+                if len(row) != len(coercers):
+                    raise ValueError(f"expected {len(coercers)} fields, got {len(row)}")
+                values = [coerce(cell) for coerce, cell in zip(coercers, row)]
+            except ValueError as exc:
+                rejected.append((lineno, str(exc)))
             else:
                 lines.append(lineno)
-                yield row
+                yield values
 
     blocks = []
     rows_in = accepted()
     while block := list(islice(rows_in, CSV_BLOCK_ROWS)):
-        start = len(lines) - len(block)
-        blocks.append([_coerce_column(hints[name], col, errors, start)
-                       for name, col in zip(names, zip(*block))])
+        blocks.append([col if typ is str else np.array(col, _DTYPES[typ])
+                       for typ, col in zip(hints.values(), zip(*block))])
     # each column ends with an empty part of its type, for a file without data rows
     columns = {
         name: list(chain.from_iterable(parts)) if hints[name] is str else np.concatenate(parts)
-        for name, parts in zip(names, zip(*blocks, empty_columns(schema).values()))
+        for name, parts in zip(hints, zip(*blocks, empty_columns(schema).values()))
     }
-    return columns, lines, rejected, errors
+    return columns, lines, rejected
 
 
 # Each schema's fields as np.loadtxt reads them: a str field as an object
@@ -373,7 +348,7 @@ def _read_numeric(lines: Iterable[str], lineno: int, schema: str) -> tuple | Non
         elif typ is float and not np.isfinite(col).all():
             return None
         columns[name] = np.ascontiguousarray(col)
-    return columns, numbers, [], {}
+    return columns, numbers, []
 
 
 def parse_dataset(path: str | Path, schema: str) -> ParseResult:
@@ -408,12 +383,13 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
         if read is None:  # refused by the C parse: the row reader reads the file again
             fh.seek(0)
             read = _read_rows(islice(csv_rows(fh), 1, None), schema)
-    columns, lines, rejected, errors = read
+    columns, lines, rejected = read
+    total = len(lines) + len(rejected)  # data rows, each coerced or rejected by a reader
 
+    errors: dict[int, str] = {}  # row index -> the first rule the row breaks
     for bad, problem in validator(columns):
         for i in np.flatnonzero(bad).tolist():
-            if i not in errors:
-                errors[i] = f"{problem} at line {lines[i]}"
+            errors.setdefault(i, f"{problem} at line {lines[i]}")
     if errors:
         rejected += [(lines[i], message) for i, message in errors.items()]
         rejected.sort()
@@ -421,8 +397,6 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
         keep[list(errors)] = False
         columns = _select_rows(columns, keep)
 
-    n_accepted = len(lines) - len(errors)
-    total = n_accepted + len(rejected)
     if total > 0 and len(rejected) > total / 2:
         raise ParseError(
             f"{path}: {len(rejected)}/{total} rows rejected (over 50% circuit breaker)"
@@ -430,13 +404,11 @@ def parse_dataset(path: str | Path, schema: str) -> ParseResult:
     return ParseResult(schema=schema, columns=columns, rejected=rejected)
 
 
-# Rows per block: serialize_dataset and FeatureTable.to_csv format and write,
-# and the row reader coerces (parse_dataset), one block of rows at a time, so
-# only one block's cells are alive; FeatureTable.from_csv's row reader
-# converts a smaller block (features._CHECK_ROWS). The C
-# parse (parse_numeric_lines), which reads every file of every kind unless it
-# refuses one, checks a block of lines as one text and passes the block on
-# to np.loadtxt as it stands, or a feature table's with its empty cells filled.
+# Rows per block: serialize_dataset and FeatureTable.to_csv write, and the
+# row readers turn into arrays (FeatureTable.from_csv's a smaller block,
+# features._CHECK_ROWS), one block at a time, so only one block's cells are
+# alive. The C parse checks a block of lines as one text and passes it on to
+# np.loadtxt as it stands, or a feature table's with its empty cells filled.
 CSV_BLOCK_ROWS = 1024
 
 _BOOL_CELLS = {True: "1", False: "0"}

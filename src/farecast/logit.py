@@ -141,8 +141,14 @@ def _impute_and_scale(X, missing, mean=None, scale=None):
             for j in np.flatnonzero(missing.any(axis=0)).tolist():
                 observed = X[~missing[:, j], j]
                 X[missing[:, j], j] = observed.mean() if observed.size else 0.0
-        mean = X.mean(axis=0)
-        sd = X.std(axis=0)
+        with np.errstate(over="ignore"):
+            mean = X.mean(axis=0)
+            sd = X.std(axis=0)
+        # a column whose sum or squares overflow takes its mean and sd in
+        # units of its largest magnitude; every other column keeps its bits
+        for j in np.flatnonzero(~np.isfinite(mean + sd)).tolist():
+            unit = np.abs(X[:, j]).max()
+            mean[j], sd[j] = unit * (X[:, j] / unit).mean(), unit * (X[:, j] / unit).std()
         scale = np.where(sd > 0, sd, 0.0)
     elif missing is not None:
         X = np.where(missing, mean, X)

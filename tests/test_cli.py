@@ -21,7 +21,7 @@ import pytest
 from farecast import cli, gbt, logit
 from farecast.config import load_config, read_scenario, write_scenario
 from farecast.explain import explain_prediction
-from farecast.features import FeatureTable
+from farecast.features import ALL_COLUMNS, FeatureTable
 
 SMALL_ODS = ["KUL-SIN", "LHR-JFK"]
 
@@ -366,6 +366,55 @@ def test_train_on_fewer_than_2_rows_exits_2_naming_config_and_od(workspace, tmp_
     want = f"[run] holdout_frac = 0.2 leaves 1 of the 2 rows of {od} for training"
     assert capsys.readouterr().err.startswith(f"error: {want}")
     assert not (out / od / "gbt.json").exists()
+
+
+@pytest.mark.parametrize("stage", ["train", "evaluate", "explain"])
+def test_features_without_a_dep_day_id_exit_2_naming_file(workspace, tmp_path, capsys, stage):
+    """An empty dep_day_id, which np.unique would count as one more, the
+    latest, departure day, so that the holdout took one real day fewer."""
+    path = _copy_stage_outputs(workspace, tmp_path) / "features.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    day = lines[1].split(",").index("dep_day_id")
+    cells = lines[4].split(",")
+    cells[day] = ""
+    lines[4] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = {
+        "train": ["--out", str(tmp_path / "models")],
+        "evaluate": ["--models", str(tmp_path), "--out", str(tmp_path / "c.csv")],
+        "explain": ["--models", str(tmp_path), "--row", "0"],
+    }[stage]
+    assert cli.main([stage, "--features", str(tmp_path), "--od", SMALL_ODS[0], *argv]) == 2
+    want = (f"error: {path}: 1 of {len(lines) - 2} rows have no dep_day_id, the first row 2; "
+            "the holdout and the forecast day select rows by it\n")
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "models").exists() and not (tmp_path / "c.csv").exists()
+
+
+def test_train_at_lam_0_between_prices_one_float_apart_exits_0(tmp_path):
+    """Two training rows priced 1 and the next float up, and a later day for
+    the holdout: a split at their midpoint, which rounds to 1, once sent both
+    rows right, and at [gbt] lam = 0 the empty left leaf's weight divided 0
+    by 0."""
+    od = "AAA-BBB"
+    values = np.full((3, len(ALL_COLUMNS)), np.nan)
+    for name, col in (("dep_day_id", [1, 1, 2]), ("price", [1, 2, 1]), ("is_bought", [0, 1, 0])):
+        values[:, ALL_COLUMNS.index(name)] = col
+    path = tmp_path / od / "features.csv"
+    FeatureTable(ods=[od] * 3, values=values).to_csv(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    price = lines[0].split(",").index("price")
+    cells = lines[2].split(",")
+    cells[price] = "1.0000000000000002"
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = tmp_path / "run.ini"
+    config.write_text("[gbt]\nlam = 0\n", encoding="utf-8")
+    assert cli.main(["--config", str(config), "train", "--features", str(tmp_path),
+                     "--out", str(tmp_path)]) == 0
+    model = gbt.TreeEnsemble.from_json((tmp_path / od / "gbt.json").read_text(encoding="utf-8"))
+    assert model.params.lam == 0.0
+    assert model.trees[0].threshold == 1.0000000000000002
 
 
 @pytest.fixture

@@ -79,6 +79,36 @@ def test_every_definition_in_src_is_used_by_the_package_or_perfbench():
     assert unused == []
 
 
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """The names a module imports but never reads: a name is read where it
+    is loaded as a name (an attribute's base included), named in an
+    annotation (a quoted one too) or listed in __all__."""
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names]
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns]
+    trees = [tree] + [ast.parse(a.value, mode="eval") for a in annotations
+                      if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+    read = {node.id for t in trees for node in ast.walk(t)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in read]
+
+
+def test_every_import_in_src_is_used():
+    unused = {str(path.relative_to(SRC)): names for path in sorted(SRC.rglob("*.py"))
+              if (names := _unused_imports(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert unused == {}
+
+
 def test_features_and_holdout_split_leave_numpy_ma_unimported():
     # A flagless np.unique imports numpy.ma (numpy 2.4: about 1 MiB and 11 ms
     # in every features, train or evaluate process), so src/farecast avoids it.

@@ -636,6 +636,48 @@ def test_lam0_feature_with_infinite_gain_offers_no_split():
     assert _scan(*args) == _best_split_oracle(*args) == (3.0, 1, 0.5, True)
 
 
+def _leaf_rows(node, X, missing, rows):
+    """The row counts of the tree's leaves, left to right, for the given rows."""
+    if node.is_leaf:
+        return [len(rows)]
+    f = node.feature
+    left = np.where(missing[rows, f], node.missing_left, X[rows, f] < node.threshold)
+    return (_leaf_rows(node.left, X, missing, rows[left])
+            + _leaf_rows(node.right, X, missing, rows[~left]))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_lam0_on_values_one_float_apart_trains_and_round_trips(pipeline, seed):
+    # two sd28d_xx values of AMS-DXB's first 600 rows are one float apart:
+    # their midpoint rounded onto the lower one, a split there left its left
+    # leaf no rows, and at lam = 0 that leaf's weight divided 0 by 0
+    X, missing, names = pipeline.tables["AMS-DXB"].model_matrix()
+    y = pipeline.tables["AMS-DXB"].labels()
+    X, missing, y = X[:600], missing[:600], y[:600]
+    params = gbt.GbtParams(lam=0.0, gamma=0.0, max_depth=6, seed=seed)
+    model = gbt.train(X, y, params, feature_names=names, missing=missing)
+    for tree in model.trees:
+        assert min(_leaf_rows(tree, X, missing, np.arange(600))) > 0
+    loaded = gbt.TreeEnsemble.from_json(model.to_json())
+    assert loaded.to_json() == model.to_json()
+    assert np.array_equal(gbt.predict_margin(loaded, X, missing), gbt.predict_margin(model, X, missing))
+
+
+def test_a_split_between_values_one_float_apart_separates_them():
+    X = np.array([[1.0], [np.nextafter(1.0, 2.0)]])
+    model = gbt.train(X, np.array([0, 1]), gbt.GbtParams(n_trees=1, max_depth=1, gamma=0.0))
+    assert model.trees[0].threshold == X[1, 0]
+    assert _leaf_rows(model.trees[0], X, np.zeros(X.shape, dtype=bool), np.arange(2)) == [1, 1]
+
+
+def test_leaf_weight_without_hessian_or_ridge_is_zero():
+    # XGBoost's CalcWeight: a leaf whose H + lam is not positive weighs 0
+    params = gbt.GbtParams(lam=0.0)
+    assert gbt._leaf_weight(0.0, 0.0, params) == 0.0
+    assert gbt._leaf_weight(0.5, 0.0, params) == 0.0
+    assert gbt._leaf_weight(0.5, 0.25, params) == -0.5 / 0.25 * params.eta
+
+
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 def test_model_equals_pre_rewrite_oracle_model(pipeline, monkeypatch, lam):
     X, missing, names = pipeline.tables["LHR-JFK"].model_matrix()
@@ -978,3 +1020,9 @@ def test_holdout_takes_latest_days():
     mask = holdout_split_by_day(days, 0.2)
     assert set(days[mask]) == {5}
     assert set(days[~mask]) == {1, 2, 3, 4}
+
+
+def test_holdout_of_a_nan_day_raises():
+    # np.unique would count NaN as one more, the latest, departure day
+    with pytest.raises(ValueError, match="dep_day_id is NaN"):
+        holdout_split_by_day(np.array([1.0, 1.0, 2.0, np.nan, 3.0, 4.0, 5.0]), 0.2)

@@ -988,7 +988,7 @@ def test_every_numeric_file_farecast_writes_takes_the_c_parse(seed42_files, seed
     def no_row_conversion(*args):
         raise AssertionError("the row reader converted a file")
 
-    monkeypatch.setattr(ingest, "_coerce_column", no_row_conversion)
+    monkeypatch.setattr(ingest, "_read_rows", no_row_conversion)
     monkeypatch.setattr(features, "_read_rows", no_row_conversion)
     assert len(seed42_files) == 61
     assert {kind for _, kind in seed42_files} == set(SCHEMAS)

@@ -283,8 +283,8 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         policy_xgb = optimize_policy(means_xgb, fares_xgb, scenario.capacity,
                                      scenario.demand_cv, per_od_xgb)
     except ValueError as exc:
-        raise CliError(f"{scenario_path}: {exc}, but the ODs' fare ladders weighted by "
-                       "forecast demand rise from one class to the next") from None
+        raise CliError(f"{scenario_path}: {exc}; the class means sum the ODs' demand forecasts, "
+                       "and the class fares are their ladders weighted by that demand") from None
     report = compare_policies(scenario, policy_std, policy_xgb)
 
     report.to_csv(out_root / "simulation.csv", header_comment=_stamp(cfg))

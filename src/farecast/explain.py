@@ -37,6 +37,8 @@ class Explanation:
 def explain_prediction(
     model: TreeEnsemble, row: np.ndarray, missing: np.ndarray | None = None
 ) -> Explanation:
+    """The row's log-odds as base plus contributions. As predicting it would, a row or
+    mask of another length, or an unmarked non-finite value read, raises ValueError."""
     row = np.asarray(row, dtype=np.float64).ravel()
     if row.shape[0] != len(model.feature_names):
         raise ValueError(f"expected {len(model.feature_names)} features, got {row.shape[0]}")
@@ -59,7 +61,10 @@ def explain_prediction(
             if absent[f]:
                 child = node.left if node.missing_left else node.right
             else:
-                child = node.left if values[f] < node.threshold else node.right
+                x = values[f]
+                if x - x:  # nan, which is truthy, exactly when x is nan or ±inf
+                    raise ValueError(f"unmarked non-finite value {x!r} of feature {names[f]}")
+                child = node.left if x < node.threshold else node.right
             name = names[f]
             contributions[name] = contributions.get(name, 0.0) + (child.expected - node.expected)
             node = child

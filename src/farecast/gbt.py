@@ -25,6 +25,13 @@ so every model is the same as with it:
 
 Models serialize to self-describing JSON, the text of json.dumps(indent=1,
 sort_keys=True) with the trees written by `_tree_json`; loads check each value.
+
+Both learners, this one and `logit`, take their rows through `check_rows` to
+fit and to predict. X holds rows of the model's (or the given feature_names')
+features; a 1-D X, and a 1-D mask with it, is one row. The missing mask, read
+as truth values, has X's shape (none: nothing missing) and marks every value
+that is not finite. Labels to fit are 0 or 1, one per row, of 2 rows or more.
+Anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ __all__ = [
     "TreeEnsemble",
     "sigmoid",
     "feature_gain",
+    "check_rows",
     "train",
     "predict_margin",
     "predict_proba",
@@ -295,20 +303,28 @@ def _leaf_weight(grad_sum: float, cover: float, params: GbtParams) -> float:
     return weight if math.isfinite(weight) else 0.0
 
 
-def _check_inputs(X: np.ndarray, y: np.ndarray, missing: np.ndarray | None):
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise ValueError("need a 2-D feature matrix with at least 2 rows")
-    if y.shape[0] != X.shape[0]:
-        raise ValueError("labels and features disagree on row count")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
+def check_rows(X, missing, n_features: int | None, y=None):
+    """(X, missing, y) under the module docstring's rules: X as C-ordered float64
+    rows, missing as bools, y as float64 (None to predict). n_features None: any."""
+    X = np.ascontiguousarray(X, dtype=np.float64)  # _best_split reads it by flat index
+    if X.ndim == 1:  # one row, and so is a 1-D mask given with it
+        X, missing = X[None], (None if missing is None else np.atleast_2d(missing))
+    if X.ndim != 2 or n_features not in (None, X.shape[1]):
+        raise ValueError(f"expected rows of {n_features} features, got X of shape {X.shape}")
     # read as truth values: ~ of a 0/1 int mask is -1/-2, which indexes rows
     missing = np.zeros(X.shape, dtype=bool) if missing is None else np.asarray(missing, dtype=bool)
     if missing.shape != X.shape:
-        raise ValueError("missing mask shape must match X")
-    if not np.isfinite(X[~missing]).all():
+        raise ValueError(f"missing mask shape {missing.shape} does not match X {X.shape}")
+    if not (np.isfinite(X) | missing).all():
         raise ValueError("non-finite feature values; mark missing via the mask")
-    return missing
+    if y is not None:
+        y = np.asarray(y, dtype=np.float64)
+        if X.shape[0] < 2 or y.shape != X.shape[:1]:
+            raise ValueError(f"need one label per row, of 2 rows or more: got labels of "
+                             f"shape {y.shape} for {X.shape[0]} rows")
+        if not np.isin(y, (0, 1)).all():
+            raise ValueError("labels must be 0 or 1")
+    return X, missing, y
 
 
 def _presort(X: np.ndarray, missing: np.ndarray) -> np.ndarray:
@@ -506,13 +522,10 @@ def train(
     missing: np.ndarray | None = None,
 ) -> TreeEnsemble:
     """Fit the boosted ensemble; deterministic given (data, params, seed)."""
-    X = np.ascontiguousarray(X, dtype=np.float64)  # _best_split reads it by flat index
-    y = np.asarray(y, dtype=np.float64)
-    missing = _check_inputs(X, y, missing)
+    n_names = None if feature_names is None else len(feature_names)
+    X, missing, y = check_rows(X, missing, n_names, y)
     n, m = X.shape
     names = list(feature_names) if feature_names is not None else [f"f{j}" for j in range(m)]
-    if len(names) != m:
-        raise ValueError("feature_names length must match column count")
 
     prevalence = min(max(float(y.mean()), _PREVALENCE_CLIP), 1 - _PREVALENCE_CLIP)
     base_score = math.log(prevalence / (1 - prevalence))
@@ -563,17 +576,7 @@ def train(
 
 
 def predict_margin(model: TreeEnsemble, X: np.ndarray, missing: np.ndarray | None = None) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != len(model.feature_names):
-        raise ValueError(
-            f"expected {len(model.feature_names)} features, got {X.shape[1]}"
-        )
-    if missing is None:
-        missing = np.zeros(X.shape, dtype=bool)
-    else:
-        missing = np.atleast_2d(missing)
-    if missing.shape != X.shape:
-        raise ValueError(f"missing mask shape {missing.shape} does not match X {X.shape}")
+    X, missing, _ = check_rows(X, missing, len(model.feature_names))
     margins = np.full(X.shape[0], model.base_score)
     for tree in model.trees:
         margins += _margins_tree(tree, X, missing)

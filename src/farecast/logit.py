@@ -3,7 +3,8 @@
 Features are standardized internally (constant columns dropped), missing
 values are mean-imputed, and a small ridge penalty on the slopes (not the
 intercept) keeps separable instances finite. The 0.5 decision boundary is
-shared with the boosted model: p >= 0.5 predicts purchase.
+shared with the boosted model: p >= 0.5 predicts purchase. Fitting and
+predicting take and refuse the rows the boosted model does (`gbt.check_rows`).
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .gbt import check_rows
 
 __all__ = ["LogitModel", "fit_logit", "predict_logit", "predict_logit_label"]
 
@@ -131,26 +134,22 @@ def _impute_and_scale(X, missing, mean=None, scale=None):
     """(Z, mean, scale) of X after imputing its missing cells: with the model's
     mean when predicting, with each column's observed mean (0 with none) when
     fitting, where mean and scale are then the filled columns' own. A scale
-    of 0 marks a dropped constant column, whose Z stays 0."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if missing is not None:  # ~ of a 0/1 int mask is -1/-2, which indexes rows
-        missing = np.asarray(missing, dtype=bool)
+    of 0 marks a dropped constant column, whose Z stays 0. X and missing are
+    as `check_rows` returns them."""
     if mean is None:
-        if missing is not None:
-            X = X.copy()
-            for j in np.flatnonzero(missing.any(axis=0)).tolist():
-                observed = X[~missing[:, j], j]
-                X[missing[:, j], j] = observed.mean() if observed.size else 0.0
+        X = X.copy()
+        for j in np.flatnonzero(missing.any(axis=0)).tolist():
+            observed = X[~missing[:, j], j]
+            X[missing[:, j], j] = observed.mean() if observed.size else 0.0
         with np.errstate(over="ignore"):
             mean = X.mean(axis=0)
-            sd = X.std(axis=0)
+            scale = X.std(axis=0)
         # a column whose sum or squares overflow takes its mean and sd in
         # units of its largest magnitude; every other column keeps its bits
-        for j in np.flatnonzero(~np.isfinite(mean + sd)).tolist():
+        for j in np.flatnonzero(~np.isfinite(mean + scale)).tolist():
             unit = np.abs(X[:, j]).max()
-            mean[j], sd[j] = unit * (X[:, j] / unit).mean(), unit * (X[:, j] / unit).std()
-        scale = np.where(sd > 0, sd, 0.0)
-    elif missing is not None:
+            mean[j], scale[j] = unit * (X[:, j] / unit).mean(), unit * (X[:, j] / unit).std()
+    else:
         X = np.where(missing, mean, X)
     active = scale > 0
     Z = np.zeros_like(X)
@@ -178,12 +177,10 @@ def fit_logit(
     objective; short of TOL, that is reported, not raised, as converged=False
     and a warning.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
+    n_names = None if feature_names is None else len(feature_names)
+    X, missing, y = check_rows(X, missing, n_names, y)
     Z, mean, scale = _impute_and_scale(X, missing)
     n, m = Z.shape
-    names = feature_names if feature_names is not None else [f"f{j}" for j in range(m)]
 
     A = np.hstack([np.ones((n, 1)), Z])
     beta = np.zeros(m + 1)
@@ -228,7 +225,7 @@ def fit_logit(
         coef=beta[1:],
         mean=mean,
         scale=scale,
-        feature_names=list(names),
+        feature_names=[f"f{j}" for j in range(m)] if n_names is None else list(feature_names),
         iterations=it,
         grad_norm=grad_norm,
         converged=converged,
@@ -236,9 +233,7 @@ def fit_logit(
 
 
 def predict_logit(model: LogitModel, X: np.ndarray, missing: np.ndarray | None = None) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.coef.shape[0]:
-        raise ValueError(f"expected {model.coef.shape[0]} features, got {X.shape[1]}")
+    X, missing, _ = check_rows(X, missing, len(model.feature_names))
     Z, _, _ = _impute_and_scale(X, missing, model.mean, model.scale)
     return _expit(model.intercept + Z @ model.coef)
 

@@ -284,9 +284,13 @@ def optimize_policy(
     if capacity < 1:
         raise ValueError("capacity must be >= 1")
     fares = np.asarray(class_fares, dtype=float)
+    means = np.asarray(class_means, dtype=float)
+    if fares.shape != (N_CLASSES,) or means.shape != (N_CLASSES,):
+        raise ValueError(f"need {N_CLASSES} class means and {N_CLASSES} class fares")
     if any(fares[i] < fares[i + 1] for i in range(len(fares) - 1)):
         raise ValueError("class fares must be non-increasing")
-    means = np.asarray(class_means, dtype=float)
+    if not (((0 <= means) & (means < np.inf)).all() and 0 <= demand_cv < math.inf):
+        raise ValueError("class means and demand_cv must be finite and >= 0")
     sds = demand_cv * means
 
     protections = np.zeros(N_CLASSES - 1)

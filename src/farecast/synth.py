@@ -36,7 +36,7 @@ from .features import _Market, _window_stats
 from .simulate import DemandMix, FareLadder, OdMarket, SimScenario
 
 __all__ = [
-    "ArchetypeSpec", "MarketData", "generate_market", "fixture_market", "fixture_market_columns",
+    "ArchetypeSpec", "MarketData", "generate_market", "fixture_market_columns",
     "map_fixture_markets", "fixture_scenario", "standard_fixture", "FIXTURE_SEED",
 ]
 
@@ -420,14 +420,6 @@ def fixture_market_columns(i: int, seed: int) -> tuple[str, MarketData, dict]:
     od, archetype, n_air = FIXTURE_ODS[i]
     spec = ArchetypeSpec(od=od, archetype=archetype, n_airlines=n_air)
     return od, *_draw_market(spec, seed=seed + 1000 * (i + 1))
-
-
-def fixture_market(i: int, seed: int = FIXTURE_SEED) -> tuple[str, MarketData]:
-    """The i-th fixture market of FIXTURE_ODS and its OD, drawn in this
-    process; it is the market `standard_fixture(seed)` holds for that OD."""
-    od, data, bookings = fixture_market_columns(i, seed)
-    data.bookings = booking_records(bookings)
-    return od, data
 
 
 def _cpu_count() -> int:

@@ -19,7 +19,8 @@ does and again with the C parse refusing it, and `column_bits` and
 generator with every draw made through the numpy call it first used, which
 `synth.generate_market` must match value for value, and `fixture_markets`
 draws the standard fixture's markets with it in turn, in this process, as
-the reference for the pooled `synth.standard_fixture`.
+the reference for the pooled `synth.standard_fixture`; `fixture_market`
+draws one of them through the package's own generator.
 """
 
 from __future__ import annotations
@@ -36,12 +37,15 @@ import pytest
 
 from farecast.features import FeatureTable, _Market, _window_stats
 from farecast.gbt import TreeEnsemble, TreeNode, _leaf_weight
-from farecast.ingest import SCHEMAS, ItineraryRecord, ParseError, csv_rows, open_csv, to_columns
+from farecast.ingest import (
+    SCHEMAS, ItineraryRecord, ParseError, booking_records, csv_rows, open_csv, to_columns,
+)
 from farecast.synth import (
     _FILLER, _NARROW_TYPES, _NEGATIVE_WORDS, _POSITIVE_WORDS, _WIDE_TYPES, DISPLAY_DBD_MAX,
     DISPLAY_DBD_MIN, DISPLAY_PROB, DRIVER_COEF, FARE_DBD_MAX, FARE_DBD_MIN, INTERACTION_COEF,
-    FIXTURE_ODS, N_DEPARTURE_DAYS, NOISE_SCALE, PREVALENCE_TARGET, ArchetypeSpec, MarketData,
-    _add_row, _calibrate_intercept, _clip_rating, generate_market,
+    FIXTURE_ODS, FIXTURE_SEED, N_DEPARTURE_DAYS, NOISE_SCALE, PREVALENCE_TARGET, ArchetypeSpec,
+    MarketData, _add_row, _calibrate_intercept, _clip_rating, fixture_market_columns,
+    generate_market,
 )
 
 # Four airlines' fares at t = -103..-100; airline 1 is the one under study.
@@ -207,6 +211,14 @@ def fixture_markets(seed: int) -> Iterator[tuple[str, MarketData]]:
     seed + 1000 * (i + 1) for the i-th."""
     for i, (od, archetype, n_air) in enumerate(FIXTURE_ODS):
         yield od, generate_market(ArchetypeSpec(od, archetype, n_air), seed + 1000 * (i + 1))
+
+
+def fixture_market(i: int, seed: int = FIXTURE_SEED) -> tuple[str, MarketData]:
+    """The i-th fixture market of FIXTURE_ODS and its OD, drawn in this
+    process; it is the market `synth.standard_fixture(seed)` holds for that OD."""
+    od, data, bookings = fixture_market_columns(i, seed)
+    data.bookings = booking_records(bookings)
+    return od, data
 
 
 def assert_markets_equal(got, want) -> None:

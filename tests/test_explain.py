@@ -232,6 +232,23 @@ def test_missing_mask_length_must_match_row():
             explain_prediction(model, X[0], mask)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_unmarked_non_finite_value_on_a_split_feature_is_refused(value):
+    """Prediction refuses a non-finite value that is not marked missing, and
+    so does the walk where it reads one; marked missing, the row explains."""
+    model, X, missing = _oracle_case(0)
+    f = model.trees[0].feature
+    row, mask = X[0].copy(), missing[0].copy()
+    row[f], mask[f] = value, False
+    with pytest.raises(ValueError, match="non-finite"):
+        gbt.predict_margin(model, row, mask)
+    with pytest.raises(ValueError, match=f"non-finite value {value!r} of feature f{f}$"):
+        explain_prediction(model, row, mask)
+    mask[f] = True
+    exp = explain_prediction(model, row, mask)
+    assert exp.final_log_odds == pytest.approx(gbt.predict_margin(model, row, mask)[0])
+
+
 # ------------------------------------------------------ render, scalar oracle
 
 def _trace_oracle(explanation):

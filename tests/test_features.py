@@ -43,6 +43,7 @@ from oracles import (
     bucket_t,
     diff_series,
     fare_differences,
+    fixture_market,
     market_reference_fares,
     read_both_ways,
     read_csv,
@@ -195,7 +196,7 @@ def test_aggregates_median_and_share():
 
 def test_aggregate_keys_are_the_aggregate_columns():
     i = [od for od, _, _ in synth.FIXTURE_ODS].index("KUL-SIN")
-    _, data = synth.fixture_market(i, synth.FIXTURE_SEED)
+    _, data = fixture_market(i, synth.FIXTURE_SEED)
     aggs = build_airline_aggregates(
         data.reviews, filter_tweets(data.tweets), data.safety, data.fleet, load_default_lexicon()
     )
@@ -520,7 +521,7 @@ def test_columns_and_records_give_one_table(tmp_path):
     """A seed-42 fixture market, written as `farecast synth` writes it: its
     bookings as columns or as records give one table, the one that
     `farecast features` writes."""
-    od, data = synth.fixture_market([od for od, _, _ in synth.FIXTURE_ODS].index("KUL-SIN"), 42)
+    od, data = fixture_market([od for od, _, _ in synth.FIXTURE_ODS].index("KUL-SIN"), 42)
     for kind in DATASETS:
         serialize_dataset(getattr(data, kind), kind, tmp_path / "data" / od / f"{kind}.csv")
     parsed = {kind: parse_dataset(tmp_path / "data" / od / f"{kind}.csv", kind) for kind in DATASETS}

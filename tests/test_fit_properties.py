@@ -2,7 +2,8 @@
 
 The contract: a GbtParams either raises ValueError or trains; a trained
 model, gbt or logit, writes only finite numbers and loads again with the
-same margins on its table.
+same margins on its table; and both learners refuse the same table with one
+fault in it.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -119,3 +121,33 @@ def test_logit_fits_a_finite_model_that_loads_with_equal_margins(table):
     loaded = logit.LogitModel.from_json(text)
     assert np.array_equal(logit.predict_logit(loaded, X, missing),
                           logit.predict_logit(model, X, missing))
+
+
+# one fault for a table, and the fragment of the error both learners give
+_FAULTS = {
+    "labels as a column": "labels",
+    "mask a row short": "missing mask shape",
+    "unmarked nan": "non-finite",
+    "a name too many": "expected",
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=tables(), fault=st.sampled_from(sorted(_FAULTS)),
+       cell=st.tuples(st.integers(0, 23), st.integers(0, 3)))
+def test_both_learners_refuse_a_table_with_one_fault(table, fault, cell):
+    X, y, missing = table
+    names = [f"f{j}" for j in range(X.shape[1])]
+    if fault == "labels as a column":
+        y = y[:, None]
+    elif fault == "mask a row short":
+        missing = missing[:-1]
+    elif fault == "unmarked nan":
+        i, j = cell[0] % X.shape[0], cell[1] % X.shape[1]
+        X[i, j], missing[i, j] = np.nan, False
+    else:
+        names.append("one too many")
+    with pytest.raises(ValueError, match=_FAULTS[fault]):
+        gbt.train(X, y, gbt.GbtParams(n_trees=1), names, missing)
+    with pytest.raises(ValueError, match=_FAULTS[fault]):
+        logit.fit_logit(X, y, names, missing)

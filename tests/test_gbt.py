@@ -13,8 +13,8 @@ import pytest
 from farecast import gbt
 from farecast.explain import explain_prediction
 from farecast.gbt import (
-    _PREVALENCE_CLIP, _best_split, _boundaries, _check_inputs, _keep_rows, _margins_tree,
-    _presort, holdout_split_by_day,
+    _PREVALENCE_CLIP, _best_split, _boundaries, _keep_rows, _margins_tree, _presort, check_rows,
+    holdout_split_by_day,
 )
 from oracles import model_json, refit_leaf_weights, route
 
@@ -757,13 +757,10 @@ def _train_oracle(
     missing: np.ndarray | None = None,
 ) -> gbt.TreeEnsemble:
     """Fit the boosted ensemble; deterministic given (data, params, seed)."""
-    X = np.ascontiguousarray(X, dtype=np.float64)  # _best_split reads it by flat index
-    y = np.asarray(y, dtype=np.float64)
-    missing = _check_inputs(X, y, missing)
+    n_names = None if feature_names is None else len(feature_names)
+    X, missing, y = check_rows(X, missing, n_names, y)
     n, m = X.shape
     names = list(feature_names) if feature_names is not None else [f"f{j}" for j in range(m)]
-    if len(names) != m:
-        raise ValueError("feature_names length must match column count")
 
     prevalence = min(max(float(y.mean()), _PREVALENCE_CLIP), 1 - _PREVALENCE_CLIP)
     base_score = math.log(prevalence / (1 - prevalence))

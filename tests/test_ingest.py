@@ -49,6 +49,7 @@ from oracles import (
     column_bits,
     columns_of_rows,
     feature_cell,
+    fixture_market,
     read_both_ways,
     read_csv,
     table_bits,
@@ -354,7 +355,7 @@ def _serialize_oracle(rows, schema, path):
 @pytest.mark.parametrize("kind", DATASETS)
 def test_serialize_equals_per_record_oracle_on_a_fixture_market(tmp_path, kind):
     """Bookings are held as records, the other kinds as columns."""
-    _, data = synth.fixture_market(0, 42)
+    _, data = fixture_market(0, 42)
     held = getattr(data, kind)
     rows = list(map(astuple, held)) if kind == "bookings" else _rows(held)
     serialize_dataset(held, kind, tmp_path / "got.csv")

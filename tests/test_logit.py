@@ -15,7 +15,7 @@ import pytest
 from scipy import special
 from scipy.optimize import minimize
 
-from farecast import cli, logit, synth
+from farecast import cli, gbt, logit, synth
 from farecast.features import (
     airline_widebody_flags,
     assemble_feature_vectors,
@@ -25,7 +25,7 @@ from farecast.gbt import holdout_split_by_day
 from farecast.ingest import DATASETS, filter_tweets, serialize_dataset
 from farecast.logit import _expit, fit_logit, predict_logit, predict_logit_label
 from farecast.sentiment import load_default_lexicon
-from oracles import fixture_markets
+from oracles import fixture_market, fixture_markets
 
 
 def _oracle_fit(Z, y, l2):
@@ -94,7 +94,7 @@ def test_imputation_equals_filling_every_column():
     for j in range(X.shape[1]):
         observed = X[~missing[:, j], j]
         filled[missing[:, j], j] = observed.mean() if observed.size else 0.0
-    want = logit._impute_and_scale(filled, None)
+    want = logit._impute_and_scale(filled, np.zeros(X.shape, dtype=bool))
     got = logit._impute_and_scale(X, missing)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -112,6 +112,76 @@ def test_int_and_float_masks_give_the_bool_masks_fit():
         got = fit_logit(X, y, missing=mask)
         assert got.to_json() == want.to_json()
         assert np.array_equal(predict_logit(got, X, mask), predict_logit(want, X, missing))
+
+
+# --- input rows: both learners take and refuse the same ----------------------
+
+_RNG = np.random.default_rng(0)
+_X = _RNG.normal(size=(200, 2))
+_Y = (_X[:, 0] > 0).astype(float)
+
+
+def _with(X, i, j, value):
+    X = X.copy()
+    X[i, j] = value
+    return X
+
+
+# (X, y, missing, feature_names) that no fit may take, and the error it names
+_BAD_FITS = {
+    "labels as a column": ((_X, _Y.reshape(-1, 1), None, None), "labels"),
+    "one label for 200 rows": ((_X, [1.0], None, None), "labels"),
+    "mask of one column": ((_X, _Y, np.zeros((200, 1), dtype=bool), None), "missing mask shape"),
+    "mask of one row": ((_X, _Y, np.zeros((1, 2), dtype=bool), None), "missing mask shape"),
+    "unmarked nan": ((_with(_X, 0, 0, np.nan), _Y, None, None), "non-finite"),
+    "unmarked inf": ((_with(_X, 3, 1, np.inf), _Y, None, None), "non-finite"),
+    "a name too few": ((_X, _Y, None, ["a"]), r"expected rows of 1 features, got X of shape \(200, 2\)"),
+    "one row": ((_X[:1], _Y[:1], None, None), "of 2 rows or more"),
+    "no rows": ((_X[:0], _Y[:0], None, None), "of 2 rows or more"),
+}
+_FITS = {
+    "gbt.train": lambda X, y, missing, names: gbt.train(
+        X, y, gbt.GbtParams(n_trees=2, max_depth=2), names, missing),
+    "logit.fit_logit": lambda X, y, missing, names: fit_logit(X, y, names, missing),
+}
+# (X, missing) that no prediction may take, and the error it names
+_BAD_ROWS = {
+    "unmarked nan": (([[np.nan, 0.0]], None), "non-finite"),
+    "unmarked -inf": ((_with(_X[:3], 1, 1, -np.inf), np.zeros((3, 2), dtype=bool)), "non-finite"),
+    "mask of one row": ((_X[:3], np.zeros((1, 2), dtype=bool)), "missing mask shape"),
+    "a 1-D mask with 2-D rows": ((_X[:1], np.zeros(2, dtype=bool)), "missing mask shape"),
+    "a column too many": ((np.c_[_X[:3], _X[:3, :1]], None), "expected rows of 2 features"),
+}
+_PREDICTIONS = {
+    "gbt.predict_margin": ("gbt", gbt.predict_margin),
+    "gbt.predict_proba": ("gbt", gbt.predict_proba),
+    "gbt.predict_label": ("gbt", gbt.predict_label),
+    "logit.predict_logit": ("logit", predict_logit),
+    "logit.predict_logit_label": ("logit", predict_logit_label),
+}
+
+
+@pytest.fixture(scope="module")
+def models():
+    return {"gbt": gbt.train(_X, _Y, gbt.GbtParams(n_trees=3, max_depth=2)),
+            "logit": fit_logit(_X, _Y)}
+
+
+@pytest.mark.parametrize("case", _BAD_FITS)
+@pytest.mark.parametrize("fit", _FITS)
+def test_both_learners_refuse_to_fit_malformed_rows(fit, case):
+    args, message = _BAD_FITS[case]
+    with pytest.raises(ValueError, match=message):
+        _FITS[fit](*args)
+
+
+@pytest.mark.parametrize("case", _BAD_ROWS)
+@pytest.mark.parametrize("predict", _PREDICTIONS)
+def test_both_learners_refuse_to_predict_malformed_rows(models, predict, case):
+    (X, missing), message = _BAD_ROWS[case]
+    learner, fn = _PREDICTIONS[predict]
+    with pytest.raises(ValueError, match=message):
+        fn(models[learner], X, missing)
 
 
 def test_constant_column_dropped():
@@ -135,7 +205,7 @@ def test_quasi_separable_market_converges():
     """Synth seed 5's KUL-SIN training rows (440, 98 purchases), where full
     Newton steps raise the penalized NLL after it reaches 126.8 at step 13
     and the iterates then diverge to |beta| ~ 1e10 without converging."""
-    _, data = synth.fixture_market([od for od, _, _ in synth.FIXTURE_ODS].index("KUL-SIN"), 5)
+    _, data = fixture_market([od for od, _, _ in synth.FIXTURE_ODS].index("KUL-SIN"), 5)
     aggregates = build_airline_aggregates(
         data.reviews, filter_tweets(data.tweets), data.safety, data.fleet, load_default_lexicon())
     table = assemble_feature_vectors(

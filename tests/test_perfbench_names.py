@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from farecast import gbt, simulate, synth
-from oracles import assert_markets_equal
+from oracles import assert_markets_equal, fixture_market
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -104,6 +104,6 @@ def test_compare_policies_traces_one_span_per_stream_and_replay(workloads, traci
 @pytest.mark.parametrize("od", ["AMS-DXB", "KUL-SIN"])
 def test_fixture_market_is_the_market_synth_generates(workloads, od):
     """perfbench builds one market alone with its own copy of the fixture's
-    seed rule; it must be the market synth.fixture_market draws."""
+    seed rule; it must be the market oracles.fixture_market draws."""
     i = [name for name, _, _ in synth.FIXTURE_ODS].index(od)
-    assert_markets_equal(workloads.fixture_market(od, 7), synth.fixture_market(i, 7)[1])
+    assert_markets_equal(workloads.fixture_market(od, 7), fixture_market(i, 7)[1])

@@ -359,6 +359,29 @@ def test_optimize_policy_rejects_bad_input():
         optimize_policy(means, increasing[::-1].copy(), capacity=0)
 
 
+_MEANS, _FARES = np.ones(N_CLASSES), np.arange(N_CLASSES, 0.0, -1.0)
+_FINITE = "class means and demand_cv must be finite and >= 0"
+
+
+@pytest.mark.parametrize("means, fares, demand_cv, message", [
+    pytest.param(np.ones(N_CLASSES + 1), np.arange(N_CLASSES + 1, 0.0, -1.0), 0.3,
+                 "need 12 class means", id="13 classes"),
+    pytest.param(_MEANS[:-1], _FARES[:-1], 0.3, "need 12 class means", id="11 classes"),
+    pytest.param(_MEANS, _FARES[:-1], 0.3, "need 12 class means", id="11 fares"),
+    pytest.param(np.full(N_CLASSES, -5.0), _FARES, 0.3, _FINITE, id="negative means"),
+    pytest.param(np.r_[np.nan, _MEANS[1:]], _FARES, 0.3, _FINITE, id="nan mean"),
+    pytest.param(np.r_[_MEANS[:-1], np.inf], _FARES, 0.3, _FINITE, id="inf mean"),
+    pytest.param(_MEANS, _FARES, -1.0, _FINITE, id="demand_cv -1"),
+    pytest.param(_MEANS, _FARES, math.nan, _FINITE, id="demand_cv nan"),
+    pytest.param(_MEANS, _FARES, math.inf, _FINITE, id="demand_cv inf"),
+])
+def test_optimize_policy_refuses_what_it_would_bend(means, fares, demand_cv, message):
+    """13 classes once gave 12 limits, dropping the 13th; demand_cv -1 gave
+    the policy of +1; means of -5 protected nothing."""
+    with pytest.raises(ValueError, match=message):
+        optimize_policy(means, fares, capacity=100, demand_cv=demand_cv)
+
+
 def test_underflowing_fare_mass_protects_nothing_without_a_warning():
     # The first class's mean times its fare underflows, so the first
     # aggregate's average fare f_bar is 0.0: its level is 0, as at a ratio of
